@@ -306,7 +306,7 @@ def check_duality():
     if ans.relation_subspace != lit.relation_subspace:
         return False, "dual(ns) differs from the 14 transcribed relations"
     cir = tuple(Fraction(int(i == 2)) for i in range(3))
-    if not ans.relation_subspace.contains_vector(star_associativity(cir).flatten()):
+    if not ans.relation_subspace.contains_vector(star_associativity(cir).coeffs):
         return False, "dual(ns) misses the circle associativity"
     for name in catalog.list_names():
         t = catalog.get(name)
@@ -395,17 +395,13 @@ def _non_morphism_witness(t, images):
     when every relation is carried into the span.
     """
     m = t.dim
-    by_size = sorted(
-        enumerate(t.relations, 1), key=lambda kr: sum(1 for x in kr[1].flatten() if x)
-    )
+    by_size = sorted(enumerate(t.relations, 1), key=lambda kr: len(kr[1].coeffs))
     for k, rel in by_size:
-        image = [Fraction(0)] * (2 * m * m)
-        for idx, c in enumerate(rel.flatten()):
-            if c:
-                block, i, j = idx // (m * m), idx // m % m, idx % m
-                image[(block * m + images[i]) * m + images[j]] = c
+        image = {
+            (block * m + images[i]) * m + images[j]: c for block, i, j, c in rel.nonzero()
+        }
         if not t.relation_subspace.contains_vector(image):
-            pushed = RelationElement.unflatten(image, m)
+            pushed = RelationElement.from_coeffs(m, image)
             return f"relation {k} goes to {format_relation(pushed, t.generators.labels)}"
     return None
 
@@ -547,7 +543,7 @@ def check_structural_properties():
                 return False, f"square({n1}, {n2}) unexpectedly fails validation"
             if sq.relation_subspace.dim != t1.relation_subspace.dim * t2.relation_subspace.dim:
                 return False, f"dimension defect for square({n1}, {n2})"
-            if not sq.relation_subspace.contains_vector(sq.star_relation().flatten()):
+            if not sq.relation_subspace.contains_vector(sq.star_relation().coeffs):
                 return False, f"star of square({n1}, {n2}) is not associative"
 
     cube = products.power(dend, 3)

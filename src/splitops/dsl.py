@@ -29,12 +29,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import ExactAlgebraError, Matrix, format_scalar
+from .exactalg import ExactAlgebraError, format_scalar
 from .typecore import (
     GeneratorSpace,
     InvalidPresentation,
     RelationElement,
     TypePresentation,
+    format_sides,
     validate,
 )
 
@@ -51,9 +52,16 @@ class SourceSpan:
 
 
 class DslError(ExactAlgebraError):
-    def __init__(self, message: str, span: SourceSpan):
-        super().__init__(f"{message} ({span})")
+    """A malformed definition (with its source span) or JSON file (with a JSON path)."""
+
+    def __init__(self, message: str, span: SourceSpan | None = None, path: str | None = None):
+        if span is not None:
+            message = f"{message} ({span})"
+        if path is not None:
+            message = f"{path}: {message}"
+        super().__init__(message)
         self.span = span
+        self.path = path
 
 
 class DslValidationError(InvalidPresentation):
@@ -191,8 +199,9 @@ class _Parser:
                 break
         return tuple(vec)
 
-    def bilin(self, names, m) -> Matrix:
-        mat = [[Fraction(0)] * m for _ in range(m)]
+    def bilin(self, names, m) -> dict[int, Fraction]:
+        """A bilinear combination as {a*m + b: coefficient of a.b}."""
+        coeffs: dict[int, Fraction] = {}
         first = True
         while True:
             sign = Fraction(1)
@@ -219,11 +228,12 @@ class _Parser:
                     continue
                 for b in range(m):
                     if v[b]:
-                        mat[a][b] += sign * coeff * u[a] * v[b]
+                        k = a * m + b
+                        coeffs[k] = coeffs.get(k, 0) + sign * coeff * u[a] * v[b]
             first = False
             if self.peek().text not in ("+", "-"):
                 break
-        return Matrix(mat, ncols=m)
+        return coeffs
 
     def factor(self, names, m) -> tuple[Fraction, ...]:
         tok = self.peek()
@@ -289,11 +299,11 @@ def parse_type_report(text: str):
     relations = []
     while p.peek().text == "(":
         p.next()
-        left = p.bilin(names, m)
+        coeffs = p.bilin(names, m)
         p.expect("|")
-        right = p.bilin(names, m)
+        coeffs.update((m * m + k, c) for k, c in p.bilin(names, m).items())
         p.expect(")")
-        relations.append(RelationElement(left, right))
+        relations.append(RelationElement.from_coeffs(m, coeffs))
     if not relations:
         raise DslError("a type needs at least one relation", p.peek().span)
     p.expect("}")
@@ -347,27 +357,12 @@ def _lincomb_str(vec, labels) -> str:
     return text
 
 
-def _bilin_str(mat: Matrix, labels) -> str:
-    parts = []
-    for i, row in enumerate(mat.rows):
-        for j, c in enumerate(row):
-            if not c:
-                continue
-            term = f"{_name_out(labels[i])}.{_name_out(labels[j])}"
-            if abs(c) != 1:
-                term = f"{format_scalar(abs(c))}*{term}"
-            parts.append(("-" if c < 0 else "+", term))
-    if not parts:
-        return "0"
-    sign, first = parts[0]
-    text = ("-" if sign == "-" else "") + first
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
-
-
 def _to_dsl(t: TypePresentation) -> str:
     labels = t.generators.labels
+
+    def term(_block, i, j):
+        return f"{_name_out(labels[i])}.{_name_out(labels[j])}"
+
     lines = [f"type {_name_out(t.name)} {{"]
     lines.append("  generators: " + ", ".join(_name_out(l) for l in labels) + ";")
     star = t.star if t.star is not None else (Fraction(0),) * t.dim
@@ -379,7 +374,8 @@ def _to_dsl(t: TypePresentation) -> str:
         lines.append(f"  aux: {defs};")
     lines.append("  relations:")
     for rel in t.relations:
-        lines.append(f"    ({_bilin_str(rel.left, labels)} | {_bilin_str(rel.right, labels)})")
+        left, right = format_sides(rel, term)
+        lines.append(f"    ({left} | {right})")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -390,32 +386,98 @@ def _to_json(t: TypePresentation) -> str:
         "generators": list(t.generators.labels),
         "star": [format_scalar(x) for x in t.star] if t.star is not None else None,
         "aux": {k: [format_scalar(x) for x in v] for k, v in t.aux.items()},
-        "relations": [
-            {
-                "L": [[format_scalar(x) for x in row] for row in rel.left.rows],
-                "R": [[format_scalar(x) for x in row] for row in rel.right.rows],
-            }
-            for rel in t.relations
-        ],
+        "relations": [_json_blocks(rel) for rel in t.relations],
     }
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _json_blocks(rel: RelationElement) -> dict:
+    m = rel.size
+    blocks = [[["0"] * m for _ in range(m)] for _ in range(2)]
+    for block, i, j, c in rel.nonzero():
+        blocks[block][i][j] = format_scalar(c)
+    return {"L": blocks[0], "R": blocks[1]}
+
+
 def parse_type_json(text: str) -> TypePresentation:
-    obj = json.loads(text)
-    gens = GeneratorSpace(obj["name"], tuple(obj["generators"]))
-    star = [Fraction(x) for x in obj["star"]] if obj.get("star") is not None else None
-    relations = [
-        RelationElement(
-            Matrix([[Fraction(x) for x in row] for row in rel["L"]]),
-            Matrix([[Fraction(x) for x in row] for row in rel["R"]]),
-        )
-        for rel in obj["relations"]
-    ]
-    aux = {k: [Fraction(x) for x in v] for k, v in obj.get("aux", {}).items()}
+    """Inverse of the JSON export; a malformed file raises DslError naming the bad field."""
+    try:
+        obj = json.loads(text)
+    except ValueError as err:
+        raise DslError(f"not valid JSON: {err}") from None
+    if not isinstance(obj, dict):
+        raise DslError("expected a JSON object at the top level")
+    for key in ("name", "generators", "relations"):
+        if key not in obj:
+            raise DslError("missing field", path=key)
+    if not isinstance(obj["name"], str):
+        raise DslError("expected a string", path="name")
+    labels = obj["generators"]
+    if not isinstance(labels, list) or not labels:
+        raise DslError("expected a nonempty list of labels", path="generators")
+    for k, label in enumerate(labels):
+        if not isinstance(label, str):
+            raise DslError("expected a string", path=f"generators[{k}]")
+    if len(set(labels)) != len(labels):
+        raise DslError("duplicate generator labels", path="generators")
+    m = len(labels)
+    star = obj.get("star")
+    if star is not None:
+        star = _json_vector(star, m, "star")
+    aux = obj.get("aux", {})
+    if not isinstance(aux, dict):
+        raise DslError("expected an object", path="aux")
+    aux = {k: _json_vector(v, m, f"aux.{k}") for k, v in aux.items()}
+    if not isinstance(obj["relations"], list):
+        raise DslError("expected a list", path="relations")
+    relations = []
+    for r, rel in enumerate(obj["relations"]):
+        path = f"relations[{r}]"
+        if not isinstance(rel, dict):
+            raise DslError("expected an object", path=path)
+        coeffs = {}
+        for block, key in enumerate(("L", "R")):
+            if key not in rel:
+                raise DslError("missing field", path=f"{path}.{key}")
+            rows = rel[key]
+            if not isinstance(rows, list) or len(rows) != m:
+                raise DslError(f"expected a list of {m} rows", path=f"{path}.{key}")
+            for i, row in enumerate(rows):
+                row = _json_vector(row, m, f"{path}.{key}[{i}]")
+                for j, c in enumerate(row):
+                    if c:
+                        coeffs[block * m * m + i * m + j] = c
+        relations.append(RelationElement.from_coeffs(m, coeffs))
     return TypePresentation(
-        gens, star, relations, aux=aux, star_unresolved=star is None
+        GeneratorSpace(obj["name"], tuple(labels)),
+        star,
+        relations,
+        aux=aux,
+        star_unresolved=star is None,
     )
+
+
+def _json_vector(value, m: int, path: str) -> list[Fraction]:
+    if not isinstance(value, list) or len(value) != m:
+        raise DslError(f"expected a list of {m} rationals", path=path)
+    return [_json_rational(x, f"{path}[{k}]") for k, x in enumerate(value)]
+
+
+_COMMON_RATIONALS = {"0": Fraction(0), "1": Fraction(1), "-1": Fraction(-1)}
+
+
+def _json_rational(value, path: str) -> Fraction:
+    known = _COMMON_RATIONALS.get(value) if isinstance(value, str) else None
+    if known is not None:
+        return known
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise DslError(f"expected a rational such as \"-1/2\", found {value!r}", path=path)
 
 
 def _to_latex(t: TypePresentation) -> str:
@@ -423,29 +485,13 @@ def _to_latex(t: TypePresentation) -> str:
 
     labels = [latex_symbol(l) for l in t.generators.labels]
 
-    def side(mat: Matrix, shape: str) -> str:
-        parts = []
-        for i, row in enumerate(mat.rows):
-            for j, c in enumerate(row):
-                if not c:
-                    continue
-                if shape == "left":
-                    term = f"(x {labels[i]} y) {labels[j]} z"
-                else:
-                    term = f"x {labels[i]} (y {labels[j]} z)"
-                if abs(c) != 1:
-                    term = f"{format_scalar(abs(c))}\\,{term}"
-                parts.append(("-" if c < 0 else "+", term))
-        if not parts:
-            return "0"
-        sign, first = parts[0]
-        text = ("-" if sign == "-" else "") + first
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+    def term(block, i, j):
+        if block == 0:
+            return f"(x {labels[i]} y) {labels[j]} z"
+        return f"x {labels[i]} (y {labels[j]} z)"
 
-    rows = [
-        f"{side(rel.left, 'left')} &= {side(rel.right, 'right')} \\\\"
-        for rel in t.relations
-    ]
+    rows = []
+    for rel in t.relations:
+        left, right = format_sides(rel, term, scale="\\,")
+        rows.append(f"{left} &= {right} \\\\")
     return "\\begin{array}{rcl}\n" + "\n".join(rows) + "\n\\end{array}\n"

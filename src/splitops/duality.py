@@ -16,8 +16,7 @@ from fractions import Fraction
 from .exactalg import (
     DimensionMismatch,
     ExactAlgebraError,
-    Matrix,
-    nullspace,
+    Subspace,
     subspace_query,
 )
 from .typecore import (
@@ -36,23 +35,16 @@ def pair2(u: RelationElement, v: RelationElement):
     if u.size != v.size:
         raise DimensionMismatch("pairing needs equal generator dimensions")
     total = Fraction(0)
-    for ur, vr in zip(u.left.rows, v.left.rows):
-        for a, b in zip(ur, vr):
-            if a and b:
-                total += a * b
-    for ur, vr in zip(u.right.rows, v.right.rows):
-        for a, b in zip(ur, vr):
-            if a and b:
-                total -= a * b
+    for block, i, j, a in u.nonzero():
+        b = v.coeff(block, i, j)
+        if b:
+            total += -a * b if block else a * b
     return total
 
 
-def _signed_flatten(rel: RelationElement):
-    vec = list(rel.flatten())
-    half = len(vec) // 2
-    for i in range(half, len(vec)):
-        vec[i] = -vec[i]
-    return vec
+def _signed_coeffs(rel: RelationElement) -> dict:
+    half = rel.size * rel.size
+    return {k: -c if k >= half else c for k, c in rel.coeffs.items()}
 
 
 DUAL_SUFFIX = "^"
@@ -75,9 +67,9 @@ def dual(
     """
     require_valid(t)
     m = t.dim
-    rows = [_signed_flatten(r) for r in t.relations]
-    ann = nullspace(Matrix(rows, ncols=2 * m * m))
-    relations = [RelationElement.unflatten(row, m) for row in ann.basis]
+    rows = [_signed_coeffs(r) for r in t.relations]
+    ann = Subspace.from_rows(2 * m * m, rows).annihilator()
+    relations = [RelationElement.from_coeffs(m, row) for row in ann.sparse_basis()]
     gens = GeneratorSpace(
         name or f"{t.name}!",
         labels or tuple(l + DUAL_SUFFIX for l in t.generators.labels),
@@ -117,7 +109,7 @@ def find_star(t: TypePresentation, bound: int = 1) -> list[tuple[Fraction, ...]]
     for cand in itertools.product(values, repeat=m):
         if not any(cand):
             continue
-        if space.contains_vector(star_associativity(cand).flatten()):
+        if space.contains_vector(star_associativity(cand).coeffs):
             hits.append(cand)
     return hits
 
@@ -179,9 +171,7 @@ def non_duality_witness() -> NonDualityReport:
     # relation 4 of the associative dialgebra, so the pair is in the maltese span.
     i_lv, i_rv = ad.generators.index("lv"), ad.generators.index("rv")
     f1 = ad.relations[3]
-    f2 = RelationElement(
-        _unit_matrix(2, i_rv, i_rv), _unit_matrix(2, i_rv, i_lv)
-    )
+    f2 = RelationElement.from_coeffs(2, {i_rv * 2 + i_rv: 1, 4 + i_rv * 2 + i_lv: 1})
     witness = box_relation(f1, f2)
 
     # the square relation it fails against: r2 box r2 for dendriform
@@ -198,11 +188,11 @@ def non_duality_witness() -> NonDualityReport:
         dual_square_dim=aq.relation_subspace.dim,
         witness=witness,
         witness_display=format_relation(witness, m.generators.labels),
-        witness_in_maltese=m.relation_subspace.contains_vector(witness.flatten()),
+        witness_in_maltese=m.relation_subspace.contains_vector(witness.coeffs),
         pairing_value=value,
         paired_relation=paired,
         paired_display=format_relation(paired, quadri.generators.labels),
-        paired_relation_in_square=quadri.relation_subspace.contains_vector(paired.flatten()),
+        paired_relation_in_square=quadri.relation_subspace.contains_vector(paired.coeffs),
         witness_annihilates_square=annihilates,
     )
     if report.inclusion_holds:
@@ -211,10 +201,3 @@ def non_duality_witness() -> NonDualityReport:
             "contained in dual(square(D, D))"
         )
     return report
-
-
-def _unit_matrix(m: int, i: int, j: int) -> Matrix:
-    return Matrix(
-        [[Fraction(int(r == i and c == j)) for c in range(m)] for r in range(m)],
-        ncols=m,
-    )

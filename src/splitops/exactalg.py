@@ -1,27 +1,38 @@
-"""Exact scalars and dense linear algebra over Q and Q(l).
+"""Exact scalars and sparse integer linear algebra over Q.
 
-Everything downstream (relation subspaces, annihilators, operator
-verification) reduces to linear algebra over the rationals or over the
-field Q(l) of rational functions in one formal weight parameter, written
-``l`` in serialized form.  No floating point is used anywhere.
+Everything downstream (relation subspaces, annihilators, push-forwards)
+reduces to linear algebra over the rationals.  The operator verifier also
+computes over the field Q(l) of rational functions in one formal weight
+parameter, written ``l`` in serialized form, with its own echelon.  No
+floating point is used anywhere.
 
-Scalars come in two kinds that are never mixed inside one matrix:
+Scalars:
 
 * plain rationals, represented by :class:`fractions.Fraction`;
 * rational functions, represented by :class:`RatFunc` (reduced fraction
   of polynomials, monic denominator, so equal values have identical
   representations).
 
-Row reduction is deterministic - first nonzero column, topmost unreduced
-row - which makes the reduced row-echelon form of a subspace a canonical
-object; two subspaces are equal iff their basis matrices are equal.
+:class:`Matrix` is a small dense rational matrix (generator maps and
+their products).  Relation spaces are large and sparse, so every row
+reduction goes through one routine, :class:`Echelon`: rows are primitive
+integer ``{column: value}`` dicts, an elimination step is the
+fraction-free combination ``a*v - b*r`` trimmed by its gcd (Bareiss), and
+a vector is reduced only at the pivot columns where it is nonzero
+(structured sparse elimination, LaMacchia-Odlyzko), so sparse rows stay
+sparse.
+
+Row reduction is deterministic and the echelon is kept fully reduced,
+which makes the reduced row-echelon form of a subspace a canonical
+object; two subspaces are equal iff their basis rows are equal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from collections.abc import Iterable, Mapping, Sequence
+from typing import Union
 
 
 class ExactAlgebraError(Exception):
@@ -261,14 +272,6 @@ LAMBDA = RatFunc._raw((Fraction(0), Fraction(1)), _PONE)
 Scalar = Union[Fraction, RatFunc]
 
 
-def scalar_kind(x) -> str:
-    if isinstance(x, (Fraction, int)):
-        return "q"
-    if isinstance(x, RatFunc):
-        return "ql"
-    raise ScalarKindMismatch(f"not a scalar: {x!r}")
-
-
 # ---------------------------------------------------------------------------
 # serialization: "p/q", "p", "(poly)/(poly)" with variable literal "l"
 
@@ -348,10 +351,23 @@ def _parse_poly(text: str) -> tuple:
 # matrices
 
 
-class Matrix:
-    """Immutable dense matrix over one scalar kind."""
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
-    __slots__ = ("rows", "nrows", "ncols", "kind")
+
+def rational(x) -> Fraction:
+    """``x`` as a Fraction; anything but an int or a Fraction is refused."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise ScalarKindMismatch("scalar kind mismatch")
+
+
+class Matrix:
+    """Immutable dense rational matrix."""
+
+    __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows: Sequence[Sequence], ncols: int | None = None):
         rows = [list(r) for r in rows]
@@ -361,32 +377,20 @@ class Matrix:
             width = ncols
         else:
             raise DimensionMismatch("empty matrix needs an explicit column count")
-        kind = None
         for r in rows:
             if len(r) != width:
                 raise DimensionMismatch("ragged rows")
-            for x in r:
-                k = scalar_kind(x)
-                if kind is None:
-                    kind = k
-                elif kind != k:
-                    raise ScalarKindMismatch("scalar kind mismatch")
-        if kind is None:
-            kind = "q"
-        if kind == "q":
-            rows = [[Fraction(x) for x in r] for r in rows]
-        self.rows = tuple(tuple(r) for r in rows)
+        self.rows = tuple(tuple(rational(x) for x in r) for r in rows)
         self.nrows = len(rows)
         self.ncols = width
-        self.kind = kind
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], ncols=n)
+        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], ncols=n)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[Fraction(0)] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls([[_ZERO] * ncols for _ in range(nrows)], ncols=ncols)
 
     def __eq__(self, other):
         return (
@@ -436,14 +440,18 @@ class Matrix:
         if self.nrows != self.ncols:
             raise DimensionMismatch("only square matrices invert")
         n = self.nrows
-        aug = Matrix(
-            [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(self.rows)],
-            ncols=2 * n,
-        )
-        red, pivots, rank = rref(aug)
-        if rank < n or any(p >= n for p in pivots[:n]):
+        augmented = Echelon(2 * n)
+        for i, r in enumerate(self.rows):
+            row = {j: x for j, x in enumerate(r) if x}
+            row[n + i] = _ONE
+            augmented.add(row)
+        rows = augmented.rows
+        if any(k not in rows for k in range(n)):
             raise ExactAlgebraError("matrix is singular")
-        return Matrix([r[n:] for r in red.rows], ncols=n)
+        return Matrix(
+            [[Fraction(rows[k].get(n + j, 0), rows[k][k]) for j in range(n)] for k in range(n)],
+            ncols=n,
+        )
 
     def is_zero(self) -> bool:
         return all(not x for r in self.rows for x in r)
@@ -460,117 +468,104 @@ def _dot(a: Sequence, b: Sequence):
 
 
 # ---------------------------------------------------------------------------
-# row reduction
+# the elimination kernel
+
+
+def _primitive(row: dict) -> dict:
+    g = gcd(*row.values())
+    if g > 1:
+        return {k: x // g for k, x in row.items()}
+    return row
+
+
+def _eliminate(v: dict, r: dict, p: int) -> dict:
+    """a*v - b*r with column ``p`` cancelled; a > 0 when r[p] > 0."""
+    a, b = r[p], v[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = dict(v) if a == 1 else {k: a * x for k, x in v.items()}
+    for k, y in r.items():
+        x = out.get(k, 0) - b * y
+        if x:
+            out[k] = x
+        else:
+            del out[k]
+    return out if a == 1 else _primitive(out)
+
+
+class Echelon:
+    """A subspace of Q^ambient in reduced row-echelon form, grown one vector at a time.
+
+    ``rows`` maps each pivot column to its row: a primitive integer
+    ``{column: value}`` dict whose pivot entry is positive and is its
+    first nonzero column, and which is zero in every other pivot column.
+    Dividing a row by its pivot entry gives the row of the canonical
+    reduced row-echelon basis, so the rows do not depend on the order in
+    which vectors were added.
+    """
+
+    __slots__ = ("ambient", "rows")
+
+    def __init__(self, ambient: int):
+        self.ambient = ambient
+        self.rows: dict[int, dict[int, int]] = {}
+
+    def integer_row(self, vec) -> dict:
+        """A rational vector, dense or as {index: value}, as a primitive integer row."""
+        if isinstance(vec, Mapping):
+            items = [(k, x) for k, x in vec.items() if x]
+            if items and not 0 <= min(items)[0] <= max(items)[0] < self.ambient:
+                raise DimensionMismatch("vector index outside the ambient dimension")
+        else:
+            if len(vec) != self.ambient:
+                raise DimensionMismatch("vector length differs from ambient dimension")
+            items = [(k, x) for k, x in enumerate(vec) if x]
+        mult = 1
+        for _, x in items:
+            if type(x) is not int:
+                mult = lcm(mult, rational(x).denominator)
+        if mult == 1:
+            return _primitive({k: x.numerator for k, x in items})
+        return _primitive({k: (x * mult).numerator for k, x in items})
+
+    def reduce(self, row: dict) -> dict:
+        """The remainder of an integer row after elimination at the pivots, primitive."""
+        rows = self.rows
+        hits = [p for p in row if p in rows]
+        for p in hits:
+            row = _eliminate(row, rows[p], p)
+        return _primitive(row) if hits else row
+
+    def add(self, vec) -> bool:
+        """Add a vector to the span; True when the rank grew."""
+        v = self.reduce(self.integer_row(vec))
+        if not v:
+            return False
+        p = min(v)
+        if v[p] < 0:
+            v = {k: -x for k, x in v.items()}
+        rows = self.rows
+        for q, r in rows.items():
+            if p in r:
+                rows[q] = _primitive(_eliminate(r, v, p))
+        rows[p] = v
+        return True
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row-echelon form.
 
     Returns ``(reduced, pivot_columns, rank)``.  Pivoting is positional
-    (first nonzero column, topmost unreduced row) so the output is the
-    same on every run and never depends on entry magnitudes.
+    (first nonzero column) so the output is the same on every run and
+    never depends on entry magnitudes.
     """
-    if m.kind == "q":
-        reduced = _rref_rational([list(r) for r in m.rows], m.ncols)
-    else:
-        reduced = _rref_field([list(r) for r in m.rows], m.ncols, RF_ZERO, RF_ONE)
-    pivots = []
-    for row in reduced:
-        for j, x in enumerate(row):
-            if x:
-                pivots.append(j)
-                break
-    rank = len(pivots)
-    return Matrix(reduced, ncols=m.ncols) if reduced else Matrix([], ncols=m.ncols), tuple(pivots), rank
-
-
-def _rref_rational(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    # Fraction-free integer elimination: scale each row to integers, keep
-    # rows gcd-trimmed so entries stay small, divide by the pivot at the end.
-    irows: list[list[int]] = []
-    for r in rows:
-        mult = lcm(*(x.denominator for x in r)) if r else 1
-        ir = [int(x * mult) for x in r]
-        g = gcd(*ir) if any(ir) else 0
-        if g > 1:
-            ir = [x // g for x in ir]
-        irows.append(ir)
-    nrows = len(irows)
-    pr = 0
-    for c in range(ncols):
-        piv = next((i for i in range(pr, nrows) if irows[i][c]), None)
-        if piv is None:
-            continue
-        if piv != pr:
-            irows[pr], irows[piv] = irows[piv], irows[pr]
-        prow = irows[pr]
-        a = prow[c]
-        for j in range(nrows):
-            row = irows[j]
-            if j == pr or not row[c]:
-                continue
-            b = row[c]
-            g = gcd(a, b)
-            fa, fb = a // g, b // g
-            new = [fa * x - fb * y for x, y in zip(row, prow)]
-            g2 = gcd(*new) if any(new) else 0
-            if g2 > 1:
-                new = [x // g2 for x in new]
-            irows[j] = new
-        pr += 1
-        if pr == nrows:
-            break
-    out = []
-    for row in irows:
-        lead = next((x for x in row if x), None)
-        if lead is None:
-            continue
-        out.append([Fraction(x, lead) for x in row])
-    return out
-
-
-def _rref_field(rows, ncols, zero, one):
-    nrows = len(rows)
-    pr = 0
-    for c in range(ncols):
-        piv = next((i for i in range(pr, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        if piv != pr:
-            rows[pr], rows[piv] = rows[piv], rows[pr]
-        inv = one / rows[pr][c]
-        rows[pr] = [x * inv for x in rows[pr]]
-        prow = rows[pr]
-        for j in range(nrows):
-            if j == pr or not rows[j][c]:
-                continue
-            f = rows[j][c]
-            rows[j] = [x - f * y for x, y in zip(rows[j], prow)]
-        pr += 1
-        if pr == nrows:
-            break
-    return [r for r in rows if any(r)]
+    space = Subspace.from_rows(m.ncols, m.rows)
+    return Matrix(list(space.basis), ncols=m.ncols), space.pivots, space.dim
 
 
 def nullspace(m: Matrix) -> "Subspace":
     """Right kernel of ``m``, as a canonical subspace of Q^ncols."""
-    red, pivots, rank = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
-    if m.kind == "q":
-        zero, one = Fraction(0), Fraction(1)
-    else:
-        zero, one = RF_ZERO, RF_ONE
-    basis = []
-    for f in free:
-        v = [zero] * m.ncols
-        v[f] = one
-        for k, p in enumerate(pivots):
-            x = red.rows[k][f]
-            if x:
-                v[p] = -x
-        basis.append(v)
-    return Subspace.from_rows(m.ncols, basis)
+    return Subspace.from_rows(m.ncols, m.rows).annihilator()
 
 
 # ---------------------------------------------------------------------------
@@ -578,63 +573,129 @@ def nullspace(m: Matrix) -> "Subspace":
 
 
 class Subspace:
-    """A linear subspace held as its unique reduced row-echelon basis."""
+    """A linear subspace held as its unique reduced row-echelon basis.
 
-    __slots__ = ("ambient", "basis", "pivots")
+    ``pivots`` are the pivot columns in increasing order and ``int_rows``
+    the basis rows as primitive integer ``{column: value}`` dicts in the
+    same order (see :class:`Echelon`).  ``basis`` shows the same rows
+    densely over Q, with pivot entries 1, built row by row on access.
+    Vectors passed in may be dense sequences or ``{index: value}`` dicts.
+    """
 
-    def __init__(self, ambient: int, basis: tuple, pivots: tuple):
-        self.ambient = ambient
-        self.basis = basis
-        self.pivots = pivots
+    __slots__ = ("ambient", "pivots", "_echelon", "_hash")
+
+    def __init__(self, echelon: Echelon):
+        self.ambient = echelon.ambient
+        self.pivots = tuple(sorted(echelon.rows))
+        self._echelon = echelon
+        self._hash = None
 
     @classmethod
-    def from_rows(cls, ambient: int, rows: Iterable[Sequence]) -> "Subspace":
-        rows = [list(r) for r in rows]
+    def from_rows(cls, ambient: int, rows: Iterable) -> "Subspace":
+        ech = Echelon(ambient)
         for r in rows:
-            if len(r) != ambient:
-                raise DimensionMismatch("row length differs from ambient dimension")
-        if not rows:
-            return cls(ambient, (), ())
-        red, pivots, rank = rref(Matrix(rows, ncols=ambient))
-        return cls(ambient, red.rows[:rank], pivots)
+            ech.add(r)
+        return cls(ech)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
+
+    @property
+    def int_rows(self) -> tuple[dict, ...]:
+        rows = self._echelon.rows
+        return tuple(rows[p] for p in self.pivots)
+
+    @property
+    def basis(self) -> "_DenseRows":
+        return _DenseRows(self)
+
+    def sparse_basis(self) -> list[dict[int, Fraction]]:
+        """The reduced row-echelon basis as ``{column: Fraction}`` dicts."""
+        out = []
+        for p, row in zip(self.pivots, self.int_rows):
+            lead = row[p]
+            out.append({k: Fraction(x, lead) for k, x in sorted(row.items())})
+        return out
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
-            and self.basis == other.basis
+            and self._echelon.rows == other._echelon.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        if self._hash is None:
+            self._hash = hash(
+                (self.ambient, tuple(frozenset(r.items()) for r in self.int_rows))
+            )
+        return self._hash
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
-    def reduce_vector(self, vec: Sequence) -> list:
-        if len(vec) != self.ambient:
-            raise DimensionMismatch("vector length differs from ambient dimension")
-        v = list(vec)
-        for row, p in zip(self.basis, self.pivots):
-            x = v[p]
-            if x:
-                v = [a - x * b for a, b in zip(v, row)]
-        return v
-
-    def contains_vector(self, vec: Sequence) -> bool:
-        return not any(self.reduce_vector(vec))
+    def contains_vector(self, vec) -> bool:
+        ech = self._echelon
+        return not ech.reduce(ech.integer_row(vec))
 
     def leq(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
             raise DimensionMismatch("ambient dimension mismatch")
-        return all(other.contains_vector(r) for r in self.basis)
+        return all(other.contains_vector(r) for r in self.int_rows)
 
     def contains(self, other: "Subspace") -> bool:
         return other.leq(self)
+
+    def annihilator(self) -> "Subspace":
+        """All vectors whose plain dot product with every vector here is 0.
+
+        One spanning vector per free column f: e_f minus, for each basis
+        row with a nonzero entry in column f, that entry over the row's
+        pivot entry at the row's pivot column.
+        """
+        entries: dict[int, list] = {}
+        for p, row in zip(self.pivots, self.int_rows):
+            lead = row[p]
+            for c, x in row.items():
+                if c != p:
+                    entries.setdefault(c, []).append((p, lead, x))
+        pivot_set = set(self.pivots)
+        ech = Echelon(self.ambient)
+        for f in range(self.ambient):
+            if f in pivot_set:
+                continue
+            hits = entries.get(f, ())
+            scale = lcm(*(lead for _, lead, _ in hits))
+            vec = {f: scale}
+            for p, lead, x in hits:
+                vec[p] = -x * (scale // lead)
+            ech.add(vec)
+        return Subspace(ech)
+
+
+class _DenseRows(Sequence):
+    """The basis rows of a subspace as dense tuples of Fractions, built on access."""
+
+    __slots__ = ("_space",)
+
+    def __init__(self, space: Subspace):
+        self._space = space
+
+    def __len__(self):
+        return self._space.dim
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        space = self._space
+        p = space.pivots[k]
+        row = space._echelon.rows[p]
+        lead = row[p]
+        out = [_ZERO] * space.ambient
+        for c, x in row.items():
+            out[c] = Fraction(x, lead)
+        return tuple(out)
 
 
 def subspace_query(a: Subspace, b, mode: str) -> bool:

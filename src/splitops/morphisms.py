@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
 
 from .exactalg import (
     DimensionMismatch,
@@ -18,7 +17,6 @@ from .exactalg import (
     Matrix,
     Subspace,
     format_scalar,
-    nullspace,
     parse_scalar,
 )
 from .typecore import TypePresentation, push_relation
@@ -70,7 +68,7 @@ def check_morphism(f: TypeMorphism) -> bool:
     target_space = f.target.relation_subspace
     for rel in f.source.relations:
         image = push_relation(rel, f.matrix)
-        if not target_space.contains_vector(image.flatten()):
+        if not target_space.contains_vector(image.coeffs):
             return False
     return True
 
@@ -85,7 +83,7 @@ def check_isomorphism(f: TypeMorphism) -> bool:
         return False
     pushed = Subspace.from_rows(
         2 * f.target.dim ** 2,
-        [push_relation(r, f.matrix).flatten() for r in f.source.relations],
+        [push_relation(r, f.matrix).coeffs for r in f.source.relations],
     )
     return pushed == f.target.relation_subspace
 
@@ -148,9 +146,9 @@ def monomial_automorphisms(
     if any(not e for e in entries):
         raise ValueError("monomial entries must be nonzero")
 
-    # Annihilator rows of R under the plain dot product, scaled to integers.
-    ann_rows = _integer_rows(nullspace(Matrix([r.flatten() for r in t.relations], ncols=2 * m * m)))
-    sparse_rels = [_sparse_relation(r, m) for r in t.relations]
+    # Annihilator rows of R under the plain dot product, as integer rows.
+    ann_rows = t.relation_subspace.annihilator().int_rows
+    sparse_rels = [list(r.nonzero()) for r in t.relations]
 
     found = []
     star = t.star
@@ -198,27 +196,6 @@ def _star_consistent_signs(star, perm, entries, m):
                 return
             options.append((ratio,))
     yield from itertools.product(*options)
-
-
-def _sparse_relation(rel, m):
-    entries = []
-    for i, row in enumerate(rel.left.rows):
-        for j, c in enumerate(row):
-            if c:
-                entries.append((0, i, j, c))
-    for i, row in enumerate(rel.right.rows):
-        for j, c in enumerate(row):
-            if c:
-                entries.append((1, i, j, c))
-    return entries
-
-
-def _integer_rows(space: Subspace) -> list[dict[int, int]]:
-    rows = []
-    for row in space.basis:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        rows.append({i: int(x * mult) for i, x in enumerate(row) if x})
-    return rows
 
 
 def _relations_preserved(sparse_rels, ann_rows, perm, signs, m) -> bool:

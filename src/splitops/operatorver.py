@@ -353,14 +353,11 @@ def relation_instance(
     wrapped in a context word."""
     wu, wv, ww = triple
     comb: dict = {}
-    for i, row in enumerate(rel.left.rows):
-        for j, c in enumerate(row):
-            if c:
-                _accumulate(comb, (0, i, j, wu, wv, ww, (), context), RatFunc(c))
-    for i, row in enumerate(rel.right.rows):
-        for j, c in enumerate(row):
-            if c:
-                _accumulate(comb, (1, j, i, wu, wv, ww, (), context), -RatFunc(c))
+    for block, i, j, c in rel.nonzero():
+        if block == 0:
+            _accumulate(comb, (0, i, j, wu, wv, ww, (), context), RatFunc(c))
+        else:
+            _accumulate(comb, (1, j, i, wu, wv, ww, (), context), -RatFunc(c))
     return comb
 
 
@@ -575,26 +572,19 @@ class _Verifier:
     def substitute(self, rel: RelationElement) -> dict:
         """LHS - RHS of a product relation under the derived operations."""
         comb: dict = {}
-        for i, row in enumerate(rel.left.rows):
-            for j, c in enumerate(row):
-                if not c:
-                    continue
-                b_in, taus_in = self._decompose(i)
-                b_out, taus_out = self._decompose(j)
-                for c1, wl1, wr1, wp1 in self._entries(taus_in):
-                    for c2, wl2, wr2, wp2 in self._entries(taus_out):
+        for block, i, j, c in rel.nonzero():
+            # L: (x g_i y) g_j z, R: x g_i (y g_j z)
+            inner, outer = (i, j) if block == 0 else (j, i)
+            b_in, taus_in = self._decompose(inner)
+            b_out, taus_out = self._decompose(outer)
+            coeff = -RatFunc(c) if block else RatFunc(c)
+            for c1, wl1, wr1, wp1 in self._entries(taus_in):
+                for c2, wl2, wr2, wp2 in self._entries(taus_out):
+                    if block == 0:
                         term = (0, b_in, b_out, wl1, wr1, wr2, _merge(wl2, wp1), wp2)
-                        _accumulate(comb, term, RatFunc(c) * c1 * c2)
-        for i, row in enumerate(rel.right.rows):
-            for j, c in enumerate(row):
-                if not c:
-                    continue
-                b_out, taus_out = self._decompose(i)
-                b_in, taus_in = self._decompose(j)
-                for c1, wl1, wr1, wp1 in self._entries(taus_in):
-                    for c2, wl2, wr2, wp2 in self._entries(taus_out):
+                    else:
                         term = (1, b_in, b_out, wl2, wl1, wr1, _merge(wr2, wp1), wp2)
-                        _accumulate(comb, term, -(RatFunc(c) * c1 * c2))
+                    _accumulate(comb, term, coeff * c1 * c2)
         return comb
 
     def verify_relation(self, index: int) -> RelationVerdict:
@@ -729,11 +719,6 @@ class LemmaReport:
 
     def describe(self) -> str:
         return f"{self.name}: {'ok' if self.ok else 'FAILED ' + self.detail}"
-
-
-def _affine_leaf(scalars):
-    """[(coeff, word)] for an affine operator expression applied to a leaf."""
-    return list(scalars)
 
 
 def _two_leaf_product(left_parts, right_parts, wout=()):

@@ -11,6 +11,7 @@ reduction rather than taken on trust.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .exactalg import ExactAlgebraError, Matrix, Subspace
@@ -78,8 +79,22 @@ def _flat_label(label: str) -> str:
 
 
 def box_relation(f1: RelationElement, f2: RelationElement) -> RelationElement:
-    """The product relation: Kronecker on the L blocks and on the R blocks."""
-    return RelationElement(f1.left.kron(f2.left), f1.right.kron(f2.right))
+    """The product relation: Kronecker on the L blocks and on the R blocks.
+
+    A sparse Kronecker product: every pair of nonzero coefficients in the
+    same block gives one coefficient, at ((i1,i2), (j1,j2)).
+    """
+    m1, m2 = f1.size, f2.size
+    m = m1 * m2
+    second: tuple[list, list] = ([], [])
+    for block, i2, j2, c2 in f2.nonzero():
+        second[block].append((i2, j2, c2))
+    coeffs = {}
+    for block, i1, j1, c1 in f1.nonzero():
+        base = block * m * m + i1 * m2 * m + j1 * m2
+        for i2, j2, c2 in second[block]:
+            coeffs[base + i2 * m + j2] = c1 * c2
+    return RelationElement.from_coeffs(m, coeffs)
 
 
 def _product_generators(t1: TypePresentation, t2: TypePresentation, name: str) -> GeneratorSpace:
@@ -132,8 +147,8 @@ def maltese(t1: TypePresentation, t2: TypePresentation, name: str | None = None)
     span += [box_relation(g1, f2) for g1 in full1 for f2 in t2.relations]
 
     m = m1 * m2
-    sub = Subspace.from_rows(2 * m * m, [r.flatten() for r in span])
-    relations = [RelationElement.unflatten(row, m) for row in sub.basis]
+    sub = Subspace.from_rows(2 * m * m, [r.coeffs for r in span])
+    relations = [RelationElement.from_coeffs(m, row) for row in sub.sparse_basis()]
     return TypePresentation(
         gens, star, relations, provenance=f"maltese product of {t1.name} and {t2.name}"
     )
@@ -141,16 +156,11 @@ def maltese(t1: TypePresentation, t2: TypePresentation, name: str | None = None)
 
 def _full_space_basis(m: int) -> list[RelationElement]:
     """Standard basis of the double tensor square for an m-dim generator space."""
+    mm = m * m
     out = []
-    zero = Matrix.zero(m, m)
-    for i in range(m):
-        for j in range(m):
-            e = Matrix(
-                [[Fraction(int(r == i and c == j)) for c in range(m)] for r in range(m)],
-                ncols=m,
-            )
-            out.append(RelationElement(e, zero))
-            out.append(RelationElement(zero, e))
+    for k in range(mm):
+        out.append(RelationElement.from_coeffs(m, {k: Fraction(1)}))
+        out.append(RelationElement.from_coeffs(m, {mm + k: Fraction(1)}))
     return out
 
 
@@ -226,15 +236,10 @@ def verify_tensor_model(t1: TypePresentation, t2: TypePresentation) -> bool:
     for f1 in t1.relations:
         for f2 in t2.relations:
             prod = box_relation(f1, f2)
-            for side1, side2, side in (
-                (f1.left, f2.left, prod.left),
-                (f1.right, f2.right, prod.right),
-            ):
-                for i1 in range(m1):
-                    for j1 in range(m1):
-                        for i2 in range(m2):
-                            for j2 in range(m2):
-                                got = side.entry(i1 * m2 + i2, j1 * m2 + j2)
-                                if got != side1.entry(i1, j1) * side2.entry(i2, j2):
-                                    return False
+            for block in (0, 1):
+                indices = itertools.product(range(m1), range(m1), range(m2), range(m2))
+                for i1, j1, i2, j2 in indices:
+                    got = prod.coeff(block, i1 * m2 + i2, j1 * m2 + j2)
+                    if got != f1.coeff(block, i1, j1) * f2.coeff(block, i2, j2):
+                        return False
     return True

@@ -16,15 +16,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .exactalg import (
     DimensionMismatch,
+    Echelon,
     ExactAlgebraError,
     Matrix,
     Subspace,
     format_scalar,
+    rational,
 )
+
+_ZERO = Fraction(0)
 
 
 class InvalidPresentation(ExactAlgebraError):
@@ -57,64 +61,112 @@ class GeneratorSpace:
 
 
 class RelationElement:
-    """One element of the double tensor square, as an (L, R) matrix pair."""
+    """One element of the double tensor square, an (L, R) pair of m x m blocks.
 
-    __slots__ = ("left", "right")
+    Stored sparsely: ``coeffs`` maps the flat index of every nonzero
+    coefficient to a Fraction, in increasing index order (L[i][j] sits at
+    i*m + j, R[i][j] at m*m + i*m + j; see the module docstring).  The
+    dense ``left`` and ``right`` matrices are built on access, for display.
+    """
+
+    __slots__ = ("size", "coeffs")
 
     def __init__(self, left: Matrix, right: Matrix):
         if left.nrows != left.ncols or right.nrows != right.ncols:
             raise DimensionMismatch("relation matrices must be square")
         if left.nrows != right.nrows:
             raise DimensionMismatch("relation matrices must share one size")
-        if left.kind != "q" or right.kind != "q":
-            raise DimensionMismatch("relation matrices are rational")
-        self.left = left
-        self.right = right
+        m = left.nrows
+        self.size = m
+        self.coeffs = {
+            block * m * m + i * m + j: c
+            for block, mat in enumerate((left, right))
+            for i, row in enumerate(mat.rows)
+            for j, c in enumerate(row)
+            if c
+        }
+
+    @classmethod
+    def from_coeffs(cls, m: int, coeffs: Mapping[int, Fraction]) -> "RelationElement":
+        """The element with the given {flat index: coefficient}; zeros are dropped."""
+        if coeffs and (min(coeffs) < 0 or max(coeffs) >= 2 * m * m):
+            raise DimensionMismatch("flat index outside 2*m^2")
+        out = object.__new__(cls)
+        out.size = m
+        out.coeffs = {k: rational(c) for k, c in sorted(coeffs.items()) if c}
+        return out
+
+    def nonzero(self) -> Iterator[tuple[int, int, int, Fraction]]:
+        """(block, i, j, c) for each nonzero coefficient, in flat index order.
+
+        Block 0 is L, where c weighs (x g_i y) g_j z; block 1 is R, where
+        c weighs x g_i (y g_j z).
+        """
+        m = self.size
+        mm = m * m
+        for k, c in self.coeffs.items():
+            block, rest = divmod(k, mm)
+            i, j = divmod(rest, m)
+            yield block, i, j, c
+
+    def coeff(self, block: int, i: int, j: int) -> Fraction:
+        m = self.size
+        return self.coeffs.get(block * m * m + i * m + j, _ZERO)
+
+    def _block(self, block: int) -> Matrix:
+        m = self.size
+        rows = [[_ZERO] * m for _ in range(m)]
+        for b, i, j, c in self.nonzero():
+            if b == block:
+                rows[i][j] = c
+        return Matrix(rows, ncols=m)
 
     @property
-    def size(self) -> int:
-        return self.left.nrows
+    def left(self) -> Matrix:
+        return self._block(0)
+
+    @property
+    def right(self) -> Matrix:
+        return self._block(1)
 
     def flatten(self) -> tuple[Fraction, ...]:
-        return tuple(x for r in self.left.rows for x in r) + tuple(
-            x for r in self.right.rows for x in r
-        )
+        vec = [_ZERO] * (2 * self.size * self.size)
+        for k, c in self.coeffs.items():
+            vec[k] = c
+        return tuple(vec)
 
     @classmethod
     def unflatten(cls, vec: Sequence, m: int) -> "RelationElement":
         if len(vec) != 2 * m * m:
             raise DimensionMismatch("flattened relation has length 2*m^2")
-        left = Matrix([vec[i * m : (i + 1) * m] for i in range(m)], ncols=m)
-        right = Matrix(
-            [vec[m * m + i * m : m * m + (i + 1) * m] for i in range(m)], ncols=m
-        )
-        return cls(left, right)
+        return cls.from_coeffs(m, {k: x for k, x in enumerate(vec) if x})
 
     def is_zero(self) -> bool:
-        return self.left.is_zero() and self.right.is_zero()
+        return not self.coeffs
 
     def __eq__(self, other):
         return (
             isinstance(other, RelationElement)
-            and self.left == other.left
-            and self.right == other.right
+            and self.size == other.size
+            and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.left, self.right))
+        return hash((self.size, tuple(self.coeffs.items())))
 
     def __repr__(self):
         return f"RelationElement(m={self.size})"
 
 
-def tensor_square_vector(u: Sequence[Fraction], v: Sequence[Fraction]) -> Matrix:
-    """Coefficient matrix of u (x) v in the tensor square."""
-    return Matrix([[a * b for b in v] for a in u], ncols=len(v))
-
-
 def star_associativity(star: Sequence[Fraction]) -> RelationElement:
-    m = tensor_square_vector(star, star)
-    return RelationElement(m, m)
+    """(x * y) * z = x * (y * z) for the star * = sum star_i g_i."""
+    m = len(star)
+    coeffs = {}
+    for i, a in enumerate(star):
+        for j, b in enumerate(star):
+            if a and b:
+                coeffs[i * m + j] = coeffs[m * m + i * m + j] = a * b
+    return RelationElement.from_coeffs(m, coeffs)
 
 
 class TypePresentation:
@@ -174,7 +226,7 @@ class TypePresentation:
     def relation_subspace(self) -> Subspace:
         if self._subspace is None:
             self._subspace = Subspace.from_rows(
-                2 * self.dim * self.dim, [r.flatten() for r in self.relations]
+                2 * self.dim * self.dim, [r.coeffs for r in self.relations]
             )
         return self._subspace
 
@@ -251,7 +303,7 @@ def validate(t: TypePresentation) -> ValidationReport:
     star_nonzero = any(t.star)
     star_assoc = False
     if star_nonzero:
-        star_assoc = t.relation_subspace.contains_vector(t.star_relation().flatten())
+        star_assoc = t.relation_subspace.contains_vector(t.star_relation().coeffs)
     if count == 0:
         notes.append("empty relation list: splitting associativity cannot hold")
     return ValidationReport(t.name, count, rank, star_nonzero, star_assoc, notes=tuple(notes))
@@ -280,41 +332,44 @@ def splitting_basis(
     m = t.dim
 
     unit = [tuple(Fraction(int(i == j)) for j in range(m)) for i in range(m)]
-    chosen = _complete_descending([t.star], unit, m)
+    chosen = [unit[k] for k in _complete_descending(m, [t.star], unit, m)]
     first = list(t.star)
     for v in chosen:
         first = [a - b for a, b in zip(first, v)]
     gen_basis = (tuple(first),) + tuple(chosen)
 
-    assoc = t.star_relation().flatten()
-    rel_vecs = [r.flatten() for r in t.relations]
-    chosen_rel = _complete_descending([assoc], rel_vecs, len(t.relations))
-    first_rel = list(assoc)
-    for v in chosen_rel:
-        first_rel = [a - b for a, b in zip(first_rel, v)]
-    rel_basis = (RelationElement.unflatten(first_rel, m),) + tuple(
-        RelationElement.unflatten(v, m) for v in chosen_rel
-    )
+    assoc = t.star_relation()
+    rel_vecs = [r.coeffs for r in t.relations]
+    chosen_rel = [
+        t.relations[k]
+        for k in _complete_descending(2 * m * m, [assoc.coeffs], rel_vecs, len(t.relations))
+    ]
+    first_rel = dict(assoc.coeffs)
+    for r in chosen_rel:
+        for k, c in r.coeffs.items():
+            first_rel[k] = first_rel.get(k, _ZERO) - c
+    rel_basis = (RelationElement.from_coeffs(m, first_rel),) + tuple(chosen_rel)
     return gen_basis, rel_basis
 
 
-def _complete_descending(seed, candidates, target_rank):
+def _complete_descending(ambient, seed, candidates, target_rank) -> list[int]:
     """Greedy completion of ``seed`` to rank ``target_rank``.
 
     Scans ``candidates`` from the last to the first (so catalog bases
-    that already sum to the seed come back unchanged) and returns the
-    chosen vectors in their original order.
+    that already sum to the seed come back unchanged), adding each one
+    that raises the rank to one echelon, and returns the positions of the
+    chosen candidates in increasing order.
     """
-    ambient = len(seed[0])
+    span = Echelon(ambient)
+    for v in seed:
+        span.add(v)
     picked = []
-    span = Subspace.from_rows(ambient, seed)
-    for v in reversed(candidates):
-        if span.dim >= target_rank:
+    for k in reversed(range(len(candidates))):
+        if len(span.rows) >= target_rank:
             break
-        if not span.contains_vector(v):
-            picked.append(v)
-            span = Subspace.from_rows(ambient, list(span.basis) + [list(v)])
-    if span.dim < target_rank:
+        if span.add(candidates[k]):
+            picked.append(k)
+    if len(span.rows) < target_rank:
         raise InvalidPresentation("candidates do not span the space")
     picked.reverse()
     return picked
@@ -372,36 +427,63 @@ def relabel(t: TypePresentation, mapping) -> TypePresentation:
 
 
 def push_relation(rel: RelationElement, f: Matrix) -> RelationElement:
-    """Image of a relation element under a generator map on both slots."""
-    ft = f.transpose()
-    return RelationElement(f @ rel.left @ ft, f @ rel.right @ ft)
+    """Image of a relation element under a generator map on both slots.
+
+    The coefficient at (i, j) of a block lands at every (a, b) with weight
+    f[a][i] * f[b][j]; the sum runs over the nonzero entries of columns i
+    and j of f only, so a permutation or monomial matrix moves each
+    coefficient to exactly one place.
+    """
+    if f.ncols != rel.size:
+        raise DimensionMismatch("generator map does not match the relation size")
+    n = f.nrows
+    nn = n * n
+    columns = [
+        [(a, f.rows[a][i]) for a in range(n) if f.rows[a][i]] for i in range(f.ncols)
+    ]
+    image: dict[int, Fraction] = {}
+    for block, i, j, c in rel.nonzero():
+        for a, x in columns[i]:
+            cx = c * x
+            base = block * nn + a * n
+            for b, y in columns[j]:
+                k = base + b
+                image[k] = image.get(k, _ZERO) + cx * y
+    return RelationElement.from_coeffs(n, image)
+
+
+def format_sides(rel: RelationElement, term, scale: str = "*") -> tuple[str, str]:
+    """The L and R sides as signed sums of ``term(block, i, j)``.
+
+    Coefficients other than 1 and -1 are written as ``|c|`` followed by
+    ``scale`` and the term; an empty side is ``0``.
+    """
+    parts: tuple[list, list] = ([], [])
+    for block, i, j, c in rel.nonzero():
+        body = term(block, i, j)
+        if abs(c) != 1:
+            body = f"{format_scalar(abs(c))}{scale}{body}"
+        parts[block].append(("-" if c < 0 else "+", body))
+    return _signed_sum(parts[0]), _signed_sum(parts[1])
+
+
+def _signed_sum(parts) -> str:
+    if not parts:
+        return "0"
+    sign, first = parts[0]
+    text = ("-" if sign == "-" else "") + first
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
 
 
 def format_relation(rel: RelationElement, labels: Sequence[str]) -> str:
     """Human-readable identity, e.g. ``(x lt y) lt z = x lt (y lt z) + ...``."""
 
-    def side(mat: Matrix, shape: str) -> str:
-        parts = []
-        for i, row in enumerate(mat.rows):
-            for j, c in enumerate(row):
-                if not c:
-                    continue
-                if shape == "left":
-                    term = f"(x {labels[i]} y) {labels[j]} z"
-                else:
-                    term = f"x {labels[i]} (y {labels[j]} z)"
-                if c == 1:
-                    parts.append(("+", term))
-                elif c == -1:
-                    parts.append(("-", term))
-                else:
-                    parts.append(("+" if c > 0 else "-", f"{format_scalar(abs(c))}*{term}"))
-        if not parts:
-            return "0"
-        sign, first = parts[0]
-        text = ("-" if sign == "-" else "") + first
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+    def term(block, i, j):
+        if block == 0:
+            return f"(x {labels[i]} y) {labels[j]} z"
+        return f"x {labels[i]} (y {labels[j]} z)"
 
-    return f"{side(rel.left, 'left')} = {side(rel.right, 'right')}"
+    left, right = format_sides(rel, term)
+    return f"{left} = {right}"

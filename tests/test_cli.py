@@ -1,9 +1,17 @@
 """Command-line surface and exit codes."""
 
+import contextlib
+import io
 import json
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from splitops.cli import (
     EXIT_CHECK_FAILED,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     main,
@@ -195,3 +203,132 @@ def test_verify_operator_on_user_defined_type(tmp_path, capsys):
     code, out = run(capsys, "verify-operator", str(path), "--law", "nijenhuis")
     assert code == EXIT_OK
     assert "12/12" in out
+
+
+# -- malformed JSON type files -------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+SMALL_GOLDEN = ("associative", "dendriform", "trialgebra", "ns", "assoc_dialgebra", "quadri")
+
+
+def run_quiet(*argv):
+    """Exit code, stdout and stderr of main; any escaping exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _dendriform_json():
+    return json.loads((GOLDEN / "dendriform.json").read_text())
+
+
+def _without_relations():
+    return {"name": "x", "generators": ["a"], "star": ["1"]}
+
+
+def _generators_not_a_list():
+    data = _dendriform_json()
+    data["generators"] = 5
+    return data
+
+
+def _relation_without_r():
+    data = _dendriform_json()
+    del data["relations"][0]["R"]
+    return data
+
+
+def _non_square_l():
+    data = _dendriform_json()
+    data["relations"][1]["L"][0].append("0")
+    return data
+
+
+@pytest.mark.parametrize(
+    "make, path",
+    [
+        (_without_relations, "relations"),
+        (_generators_not_a_list, "generators"),
+        (_relation_without_r, "relations[0].R"),
+        (lambda: [1, 2], None),
+        (_non_square_l, "relations[1].L[0]"),
+    ],
+)
+def test_malformed_json_is_a_usage_error(tmp_path, make, path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(make()))
+    code, _, err = run_quiet("validate", str(bad))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ")
+    if path is not None:
+        assert f"error: {path}: " in err
+
+
+def test_json_that_is_not_json_is_a_usage_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"name": "x", ')
+    code, _, err = run_quiet("validate", str(bad))
+    assert code == EXIT_USAGE and "not valid JSON" in err
+
+
+def _json_paths(obj, prefix=()):
+    """Every path into a parsed JSON document, the root included."""
+    yield prefix
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _json_paths(v, prefix + (k,))
+    elif isinstance(obj, list):
+        for k, v in enumerate(obj):
+            yield from _json_paths(v, prefix + (k,))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.sampled_from(["0", "1", "-1/2", "1/0", "l", "", "(l)/(1)", "x"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["L", "R", "a"]), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_exports(draw):
+    name = draw(st.sampled_from(SMALL_GOLDEN))
+    text = (GOLDEN / f"{name}.json").read_text()
+    data = json.loads(text)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_json_paths(data))
+        path = draw(st.sampled_from(paths))
+        action = draw(st.sampled_from(["replace", "delete", "append"]))
+        if not path:
+            data = draw(json_values)
+            continue
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if action == "delete":
+            del parent[key]
+        elif action == "append" and isinstance(parent[key], list):
+            parent[key].append(draw(json_values))
+        else:
+            parent[key] = draw(json_values)
+    text = json.dumps(data, indent=2)
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_exports())
+def test_mutated_json_exports_keep_the_exit_code_contract(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "type.json"
+    path.write_text(text)
+    code, out, err = run_quiet("validate", str(path))
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_INTERNAL)
+    assert "Traceback" not in out + err
+    if code in (EXIT_USAGE, EXIT_INTERNAL):
+        assert err.strip(), "a usage or internal error must say what went wrong"
+    if code == EXIT_CHECK_FAILED:
+        assert "INVALID" in out
