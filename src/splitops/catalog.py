@@ -18,7 +18,7 @@ from .duality import dual
 from .dsl import parse_type
 from .exactalg import ExactAlgebraError, Matrix
 from .morphisms import TypeMorphism
-from .typecore import TypePresentation, push_relation
+from .typecore import GeneratorSpace, TypePresentation, push_relation
 from .products import pair_label, power, square, split_pair_label
 
 
@@ -445,26 +445,16 @@ def table_isomorphism(name: str) -> TypeMorphism:
 
 
 def _label_map_morphism(source, target, images: dict[str, str]) -> TypeMorphism:
-    from fractions import Fraction
-
-    rows = [[Fraction(0)] * source.dim for _ in range(target.dim)]
-    for j, label in enumerate(source.generators.labels):
-        rows[target.generators.index(images[label])][j] = Fraction(1)
-    return TypeMorphism(source, target, Matrix(rows, ncols=source.dim))
+    rows = [target.generators.index(images[label]) for label in source.generators.labels]
+    return TypeMorphism(source, target, Matrix.monomial(rows))
 
 
 def _pullback(name, order, images, target) -> TypePresentation:
     """Relabel the product through the inverse of a table bijection."""
-    from .typecore import GeneratorSpace
-
-    from fractions import Fraction
-
-    m = target.dim
-    fwd = [[Fraction(0)] * m for _ in range(m)]
+    inverse = [0] * target.dim
     for j, label in enumerate(order):
-        fwd[target.generators.index(images[label])][j] = Fraction(1)
-    fmat = Matrix(fwd, ncols=m)
-    inv = fmat.inverse()
+        inverse[target.generators.index(images[label])] = j
+    inv = Matrix.monomial(inverse)
     relations = [push_relation(r, inv) for r in target.relations]
     star = inv.apply(target.star)
     return TypePresentation(

@@ -367,13 +367,6 @@ def _signed_coordinate_maps(t):
     }
 
 
-def _permutation_morphism(t, images):
-    rows = [[Fraction(0)] * t.dim for _ in range(t.dim)]
-    for j, i in enumerate(images):
-        rows[i][j] = Fraction(1)
-    return morphisms.TypeMorphism(t, t, Matrix(rows, ncols=t.dim))
-
-
 def _is_rotation(perm, flips) -> bool:
     inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
     return (inversions + sum(flips)) % 2 == 0
@@ -397,9 +390,7 @@ def _non_morphism_witness(t, images):
     m = t.dim
     by_size = sorted(enumerate(t.relations, 1), key=lambda kr: len(kr[1].coeffs))
     for k, rel in by_size:
-        image = {
-            (block * m + images[i]) * m + images[j]: c for block, i, j, c in rel.nonzero()
-        }
+        image = typecore.remap_relation(rel, images)
         if not t.relation_subspace.contains_vector(image):
             pushed = RelationElement.from_coeffs(m, image)
             return f"relation {k} goes to {format_relation(pushed, t.generators.labels)}"
@@ -434,11 +425,7 @@ def check_symmetries():
         (o, o_autos, "cube rotations of octo", lambda key: _is_rotation(*key)),
     ):
         maps = _signed_coordinate_maps(t)
-        expected = {
-            _permutation_morphism(t, images).matrix
-            for key, images in maps.items()
-            if not any(key[1])
-        }
+        expected = {Matrix.monomial(images) for key, images in maps.items() if not any(key[1])}
         found = [f.matrix for f in autos]
         groups_ok = groups_ok and len(found) == len(expected) and set(found) == expected
         claimed = [key for key in maps if is_claimed(key)]
@@ -447,7 +434,8 @@ def check_symmetries():
             if not any(key[1]):
                 continue  # a coordinate permutation, in the group
             witness = _non_morphism_witness(t, maps[key])
-            if witness is None or morphisms.check_morphism(_permutation_morphism(t, maps[key])):
+            f = morphisms.TypeMorphism(t, t, Matrix.monomial(maps[key]))
+            if witness is None or morphisms.check_morphism(f):
                 unrefuted.append(f"{t.name} {_map_name(*key)}")
             else:
                 refuted += 1
@@ -713,7 +701,7 @@ def main(argv=None) -> int:
 
     try:
         return args.fn(args, out)
-    except (dsl.DslError, catalog.UnknownTypeError, FileNotFoundError, ValueError) as err:
+    except (dsl.DslError, catalog.UnknownTypeError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except dsl.DslValidationError as err:

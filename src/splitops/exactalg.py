@@ -47,8 +47,6 @@ class DimensionMismatch(ExactAlgebraError):
     pass
 
 
-QQ = Fraction
-
 # ---------------------------------------------------------------------------
 # polynomials over Q, as tuples of Fractions in ascending degree
 
@@ -238,14 +236,6 @@ class RatFunc:
     def __rtruediv__(self, other):
         return RatFunc(other) / self
 
-    def is_rational(self) -> bool:
-        return self.den == _PONE and len(self.num) <= 1
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not a constant")
-        return self.num[0] if self.num else Fraction(0)
-
     def evaluate(self, value: Fraction) -> Fraction:
         """Evaluate at a rational point; the denominator must not vanish."""
         value = Fraction(value)
@@ -389,6 +379,21 @@ class Matrix:
         return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], ncols=n)
 
     @classmethod
+    def monomial(cls, images: Sequence[int], signs: Sequence | None = None) -> "Matrix":
+        """The square matrix whose column j holds ``signs[j]`` (default 1) at row ``images[j]``.
+
+        A generator map given as an index map: ``images`` must be a
+        permutation of ``range(len(images))``.
+        """
+        n = len(images)
+        if sorted(images) != list(range(n)):
+            raise DimensionMismatch("monomial images must be a permutation of the columns")
+        rows = [[_ZERO] * n for _ in range(n)]
+        for j, i in enumerate(images):
+            rows[i][j] = _ONE if signs is None else signs[j]
+        return cls(rows, ncols=n)
+
+    @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Matrix":
         return cls([[_ZERO] * ncols for _ in range(nrows)], ncols=ncols)
 
@@ -452,9 +457,6 @@ class Matrix:
             [[Fraction(rows[k].get(n + j, 0), rows[k][k]) for j in range(n)] for k in range(n)],
             ncols=n,
         )
-
-    def is_zero(self) -> bool:
-        return all(not x for r in self.rows for x in r)
 
 
 def _dot(a: Sequence, b: Sequence):

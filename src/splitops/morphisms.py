@@ -17,9 +17,9 @@ from .exactalg import (
     Matrix,
     Subspace,
     format_scalar,
-    parse_scalar,
 )
-from .typecore import TypePresentation, push_relation
+from .dsl import DslError, _json_vector
+from .typecore import TypePresentation, push_relation, remap_relation
 
 
 class TypeMorphism:
@@ -56,9 +56,6 @@ class TypeMorphism:
 
     def __hash__(self):
         return hash(self.matrix)
-
-    def apply_generator(self, index: int) -> tuple:
-        return tuple(row[index] for row in self.matrix.rows)
 
 
 def check_morphism(f: TypeMorphism) -> bool:
@@ -130,11 +127,11 @@ def monomial_automorphisms(
 
     The search is exhaustive over permutations combined with entry
     choices that already satisfy the star condition (for an all-ones
-    star that forces a plain permutation matrix).  Candidates are
-    prefiltered against the annihilator of the relation subspace, which
-    rejects a non-automorphism after a handful of integer dot products;
-    survivors get the full isomorphism check.  The result is sorted
-    canonically and verified to be closed under composition.
+    star that forces a plain permutation matrix).  Each candidate pushes
+    the relations by an index remap and is dropped at the first image
+    outside the relation subspace; survivors get the full isomorphism
+    check.  The result is sorted canonically and verified to be closed
+    under composition.
     """
     m = t.dim
     if m > guard and not allow_large:
@@ -146,18 +143,14 @@ def monomial_automorphisms(
     if any(not e for e in entries):
         raise ValueError("monomial entries must be nonzero")
 
-    # Annihilator rows of R under the plain dot product, as integer rows.
-    ann_rows = t.relation_subspace.annihilator().int_rows
-    sparse_rels = [list(r.nonzero()) for r in t.relations]
-
     found = []
     star = t.star
     for perm in itertools.permutations(range(m)):
         # perm maps source generator j to target generator perm[j]
         for signs in _star_consistent_signs(star, perm, entries, m):
-            if not _relations_preserved(sparse_rels, ann_rows, perm, signs, m):
+            if not _relations_preserved(t, perm, signs):
                 continue
-            f = TypeMorphism(t, t, _monomial_matrix(perm, signs, m))
+            f = TypeMorphism(t, t, Matrix.monomial(perm, signs))
             if check_isomorphism(f):
                 found.append(f)
     found.sort(key=lambda f: f.matrix.rows)
@@ -168,13 +161,6 @@ def monomial_automorphisms(
             if (a.matrix @ b.matrix) not in mats:
                 raise ExactAlgebraError("automorphism set is not closed under composition")
     return found
-
-
-def _monomial_matrix(perm, signs, m) -> Matrix:
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    for j in range(m):
-        rows[perm[j]][j] = signs[j]
-    return Matrix(rows, ncols=m)
 
 
 def _star_consistent_signs(star, perm, entries, m):
@@ -198,22 +184,12 @@ def _star_consistent_signs(star, perm, entries, m):
     yield from itertools.product(*options)
 
 
-def _relations_preserved(sparse_rels, ann_rows, perm, signs, m) -> bool:
-    mm = m * m
-    for rel in sparse_rels:
-        image = {}
-        for block, i, j, c in rel:
-            idx = block * mm + perm[i] * m + perm[j]
-            image[idx] = image.get(idx, 0) + c * signs[i] * signs[j]
-        for ann in ann_rows:
-            acc = 0
-            for idx, c in image.items():
-                a = ann.get(idx)
-                if a:
-                    acc += a * c
-            if acc:
-                return False
-    return True
+def _relations_preserved(t, perm, signs) -> bool:
+    """Whether the signed permutation carries every relation of ``t`` into its span."""
+    space = t.relation_subspace
+    return all(
+        space.contains_vector(remap_relation(rel, perm, signs)) for rel in t.relations
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -231,5 +207,20 @@ def morphism_to_json(f: TypeMorphism) -> dict:
 def morphism_from_json(
     data: dict, source: TypePresentation, target: TypePresentation
 ) -> TypeMorphism:
-    matrix = Matrix([[parse_scalar(x) for x in row] for row in data["matrix"]])
+    """Inverse of :func:`morphism_to_json`.
+
+    The matrix must have ``target.dim`` rows of ``source.dim`` rationals;
+    anything else raises DslError naming the JSON path of the bad field.
+    """
+    if not isinstance(data, dict):
+        raise DslError("expected a JSON object at the top level")
+    if "matrix" not in data:
+        raise DslError("missing field", path="matrix")
+    rows = data["matrix"]
+    if not isinstance(rows, list) or len(rows) != target.dim:
+        raise DslError(f"expected a list of {target.dim} rows", path="matrix")
+    matrix = Matrix(
+        [_json_vector(row, source.dim, f"matrix[{i}]") for i, row in enumerate(rows)],
+        ncols=source.dim,
+    )
     return TypeMorphism(source, target, matrix)

@@ -194,16 +194,15 @@ def reassociation_isomorphism(src: TypePresentation, dst: TypePresentation) -> T
     flat_dst = {flatten_label(l): i for i, l in enumerate(dst.generators.labels)}
     if len(flat_dst) != dst.dim:
         raise InvalidPresentation("flattened target labels collide")
-    m = src.dim
-    if dst.dim != m:
+    if dst.dim != src.dim:
         raise InvalidPresentation("bracketings of different products")
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    for j, label in enumerate(src.generators.labels):
+    images = []
+    for label in src.generators.labels:
         key = flatten_label(label)
         if key not in flat_dst:
             raise InvalidPresentation(f"label {label!r} has no counterpart")
-        rows[flat_dst[key]][j] = Fraction(1)
-    return TypeMorphism(src, dst, Matrix(rows, ncols=m))
+        images.append(flat_dst[key])
+    return TypeMorphism(src, dst, Matrix.monomial(images))
 
 
 def transpose_swap(t1: TypePresentation, t2: TypePresentation) -> TypeMorphism:
@@ -211,12 +210,8 @@ def transpose_swap(t1: TypePresentation, t2: TypePresentation) -> TypeMorphism:
     src = square(t1, t2)
     dst = square(t2, t1)
     m1, m2 = t1.dim, t2.dim
-    m = m1 * m2
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    for a in range(m1):
-        for b in range(m2):
-            rows[b * m1 + a][a * m2 + b] = Fraction(1)
-    return TypeMorphism(src, dst, Matrix(rows, ncols=m))
+    images = [b * m1 + a for a in range(m1) for b in range(m2)]
+    return TypeMorphism(src, dst, Matrix.monomial(images))
 
 
 def verify_tensor_model(t1: TypePresentation, t2: TypePresentation) -> bool:

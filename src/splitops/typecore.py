@@ -141,9 +141,6 @@ class RelationElement:
             raise DimensionMismatch("flattened relation has length 2*m^2")
         return cls.from_coeffs(m, {k: x for k, x in enumerate(vec) if x})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other):
         return (
             isinstance(other, RelationElement)
@@ -398,21 +395,15 @@ def relabel(t: TypePresentation, mapping) -> TypePresentation:
         labels = t.generators.labels
         if set(mapping) != set(labels) or set(mapping.values()) != set(labels):
             raise InvalidPresentation("label map must be a bijection on the labels")
-        f = Matrix(
-            [
-                [Fraction(int(mapping[labels[j]] == labels[i])) for j in range(m)]
-                for i in range(m)
-            ],
-            ncols=m,
-        )
+        f = Matrix.monomial([t.generators.index(mapping[label]) for label in labels])
     else:
         f = mapping if isinstance(mapping, Matrix) else Matrix(mapping)
         if f.nrows != m or f.ncols != m:
             raise DimensionMismatch("relabel matrix must be m x m")
-    try:
-        f.inverse()
-    except ExactAlgebraError:
-        raise InvalidPresentation("relabel map must be invertible") from None
+        try:
+            f.inverse()
+        except ExactAlgebraError:
+            raise InvalidPresentation("relabel map must be invertible") from None
     new_rels = [push_relation(r, f) for r in t.relations]
     new_star = f.apply(t.star) if t.star is not None else None
     new_aux = {k: f.apply(v) for k, v in t.aux.items()}
@@ -450,6 +441,25 @@ def push_relation(rel: RelationElement, f: Matrix) -> RelationElement:
                 k = base + b
                 image[k] = image.get(k, _ZERO) + cx * y
     return RelationElement.from_coeffs(n, image)
+
+
+def remap_relation(
+    rel: RelationElement, images: Sequence[int], signs: Sequence | None = None
+) -> dict[int, Fraction]:
+    """Coefficients of a relation pushed through a monomial generator map.
+
+    The map sends generator j to ``signs[j]`` (default 1) times generator
+    ``images[j]``, so every coefficient moves to exactly one flat index:
+    the result equals ``push_relation(rel, Matrix.monomial(images,
+    signs)).coeffs`` up to key order, without building the matrix.
+    """
+    m = rel.size
+    if signs is None:
+        signs = (1,) * m
+    return {
+        (b * m + images[i]) * m + images[j]: c * signs[i] * signs[j]
+        for b, i, j, c in rel.nonzero()
+    }
 
 
 def format_sides(rel: RelationElement, term, scale: str = "*") -> tuple[str, str]:

@@ -161,6 +161,45 @@ def test_check_morphism(tmp_path, capsys):
     assert "isomorphism: True" in out
 
 
+_IDENTITY_4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({}, "matrix: missing field"),
+        ({"matrix": 5}, "matrix: expected a list of 4 rows"),
+        ({"matrix": [_IDENTITY_4[0], ["0", "1"]] + _IDENTITY_4[2:]}, "matrix[1]: "),
+        ({"matrix": [["1", "0"], ["0", "1"]]}, "matrix: expected a list of 4 rows"),
+        ({"matrix": [["(l)/(1)"] + _IDENTITY_4[0][1:]] + _IDENTITY_4[1:]}, "matrix[0][0]: "),
+        ([_IDENTITY_4], "expected a JSON object"),
+    ],
+)
+def test_malformed_morphism_json_is_a_usage_error(tmp_path, data, message):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_quiet("check-morphism", "quadri", "quadri", "--map", str(path))
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "{dir}"),
+        ("show", "{dir}"),
+        ("check-morphism", "quadri", "quadri", "--map", "{dir}"),
+        ("export", "dendriform", "-o", "{dir}"),
+    ],
+)
+def test_a_directory_in_place_of_a_file_is_a_usage_error(tmp_path, argv):
+    directory = tmp_path / "d.json"
+    directory.mkdir()
+    code, _, err = run_quiet(*(a.format(dir=directory) for a in argv))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
 def test_unknown_type_is_usage_error(capsys):
     code = main(["show", "no_such_type"])
     capsys.readouterr()

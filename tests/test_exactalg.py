@@ -118,6 +118,26 @@ def test_matrix_inverse_round_trip():
     assert m @ m.inverse() == Matrix.identity(2)
 
 
+@pytest.mark.parametrize(
+    "images, signs",
+    [((0,), None), ((1, 0), None), ((2, 0, 3, 1), None), ((2, 0, 1), (F(-1), F(1), F(-1)))],
+)
+def test_monomial_matches_the_dense_builder(images, signs):
+    n = len(images)
+    entry = [F(1)] * n if signs is None else signs
+    dense = Matrix(
+        [[entry[j] if images[j] == i else F(0) for j in range(n)] for i in range(n)], ncols=n
+    )
+    assert Matrix.monomial(images, signs) == dense
+
+
+def test_monomial_refuses_a_non_permutation():
+    with pytest.raises(DimensionMismatch):
+        Matrix.monomial((0, 0))
+    with pytest.raises(DimensionMismatch):
+        Matrix.monomial((1, 2))
+
+
 def test_kron_index_pairing():
     a = mat([[1, 2]])
     b = mat([[3], [4]])

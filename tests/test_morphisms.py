@@ -145,6 +145,23 @@ def test_monomial_guard():
     assert len(monomial_automorphisms(q, guard=3, allow_large=True)) == 2
 
 
+@pytest.mark.parametrize(
+    "name", [n for n in catalog.list_names() if catalog.get(n).dim <= 4]
+)
+def test_monomial_search_matches_brute_force(name):
+    # every signed permutation matrix, checked as an isomorphism
+    t = catalog.get(name)
+    m = t.dim
+    brute = []
+    for perm in itertools.permutations(range(m)):
+        for signs in itertools.product((F(1), F(-1)), repeat=m):
+            f = TypeMorphism(t, t, Matrix.monomial(perm, signs))
+            if check_isomorphism(f):
+                brute.append(f.matrix)
+    brute.sort(key=lambda mat: mat.rows)
+    assert [f.matrix for f in monomial_automorphisms(t)] == brute
+
+
 def test_isomorphism_implies_morphism_both_ways():
     for name in ("quadri", "ennea", "m2"):
         f = catalog.table_isomorphism(name)
@@ -159,6 +176,9 @@ def test_morphism_json_round_trip():
     assert data["source"] == "quadri_lit" and data["target"] == "quadri"
     g = morphism_from_json(data, f.source, f.target)
     assert g.matrix == f.matrix
+    # JSON integers are rationals too
+    data["matrix"][0][0] = int(data["matrix"][0][0])
+    assert morphism_from_json(data, f.source, f.target).matrix == f.matrix
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ from splitops.typecore import (
     RelationElement,
     TypePresentation,
     arity3_dimension,
+    push_relation,
     relabel,
+    remap_relation,
     splitting_basis,
     validate,
 )
@@ -227,6 +229,16 @@ def test_arity3_invariant_under_relabel():
     assert arity3_dimension(opposite) == arity3_dimension(tri)
     mixed = relabel(tri, Matrix([[F(1), F(1), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]))
     assert arity3_dimension(mixed) == arity3_dimension(tri)
+
+
+@pytest.mark.parametrize("name", ["dendriform", "trialgebra", "quadri_lit", "m1"])
+def test_remap_relation_is_the_monomial_push(name):
+    t = catalog.get(name)
+    for images in itertools.permutations(range(t.dim)):
+        for signs in (None, [F(-1) if (j + images[0]) % 2 else F(1) for j in range(t.dim)]):
+            f = Matrix.monomial(images, signs)
+            for rel in t.relations:
+                assert remap_relation(rel, images, signs) == push_relation(rel, f).coeffs
 
 
 def test_relation_subspace_ignores_basis_order():
