@@ -136,6 +136,11 @@ class RatFunc:
                 raise TypeError("RatFunc(num) takes no denominator")
             self.num, self.den = num.num, num.den
             return
+        if den is None and isinstance(num, (int, Fraction)):
+            # a constant is already canonical: no gcd to take
+            self.num = (Fraction(num),) if num else ()
+            self.den = _PONE
+            return
         n = self._coerce_poly(num)
         d = _PONE if den is None else self._coerce_poly(den)
         if not d:
@@ -231,6 +236,9 @@ class RatFunc:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by zero rational function")
+        if self.den == _PONE and other.den == _PONE and len(other.num) == 1:
+            inv = 1 / other.num[0]
+            return RatFunc._raw(tuple(x * inv for x in self.num), _PONE)
         return RatFunc(_pmul(self.num, other.den), _pmul(self.den, other.num))
 
     def __rtruediv__(self, other):

@@ -209,11 +209,19 @@ def morphism_from_json(
 ) -> TypeMorphism:
     """Inverse of :func:`morphism_to_json`.
 
-    The matrix must have ``target.dim`` rows of ``source.dim`` rationals;
-    anything else raises DslError naming the JSON path of the bad field.
+    The matrix must have ``target.dim`` rows of ``source.dim`` rationals,
+    and the ``source`` and ``target`` names, where present, must be those
+    of the given types; anything else raises DslError naming the JSON
+    path of the bad field.
     """
     if not isinstance(data, dict):
         raise DslError("expected a JSON object at the top level")
+    for field, t in (("source", source), ("target", target)):
+        if field in data and data[field] != t.name:
+            raise DslError(
+                f"the map was written for {data[field]!r}, not for {t.name!r}",
+                path=field,
+            )
     if "matrix" not in data:
         raise DslError("missing field", path="matrix")
     rows = data["matrix"]

@@ -16,7 +16,9 @@ whose operands both carry the law's operator outermost:
 
 and the residual must be an exact Q(weight)-linear combination of
 base-type relation instances on decorated arguments, wrapped in operator
-words.  The combination found is returned as a certificate.
+words.  The combination found is returned as a certificate, after it has
+been summed again from freshly normalized instances and compared with the
+residual.
 
 Terms are product trees with three leaves x, y, z in fixed order (two
 leaves for the operator-identity lemmas); every leaf and every product
@@ -418,7 +420,7 @@ def _candidate_geometry(residual: dict):
                         triples.add((x2, _merge(wy, ay), _merge(wz, az)))
                 else:
                     triples.add((_merge(wx, to_sub), _merge(wy, to_leaf), ()))
-    return sorted(triples), sorted(contexts)
+    return tuple(sorted(triples)), tuple(sorted(contexts))
 
 
 class _Echelon:
@@ -587,16 +589,52 @@ class _Verifier:
                     _accumulate(comb, term, coeff * c1 * c2)
         return comb
 
-    def verify_relation(self, index: int) -> RelationVerdict:
+    def _residual(self, index: int):
+        """Label and normalized LHS - RHS of one product relation."""
         from .typecore import format_relation
 
         rel = self.product.relations[index]
         label = format_relation(rel, self.product.generators.labels)
-        residual = self.normalizer.normalize(self.substitute(rel))
+        return label, self.normalizer.normalize(self.substitute(rel))
+
+    def verify_relation(self, index: int) -> RelationVerdict:
+        label, residual = self._residual(index)
         if not residual:
             return RelationVerdict(index, label, True, residual_zero=True)
-        triples, contexts = _candidate_geometry(residual)
-        solved = self._solve_membership(residual, triples, contexts)
+        echelon = self._echelon(*_candidate_geometry(residual))
+        return self._certify(index, label, residual, echelon)
+
+    def run(self, type_name: str, law_desc: str, experimental=False) -> VerificationReport:
+        """Verify every product relation, one membership echelon per geometry.
+
+        Relations whose residuals have the same candidate geometry are
+        solved against one echelon, built in the same insertion order as
+        :meth:`verify_relation` builds it, so every certificate is the
+        same; only one echelon is alive at a time.
+        """
+        verdicts = [None] * len(self.product.relations)
+        groups: dict = {}
+        for index in range(len(verdicts)):
+            label, residual = self._residual(index)
+            if not residual:
+                verdicts[index] = RelationVerdict(index, label, True, residual_zero=True)
+                continue
+            groups.setdefault(_candidate_geometry(residual), []).append(
+                (index, label, residual)
+            )
+        for (triples, contexts), group in groups.items():
+            echelon = self._echelon(triples, contexts)
+            for index, label, residual in group:
+                verdicts[index] = self._certify(index, label, residual, echelon)
+            # freed before the next one is built, so peak memory stays that
+            # of the largest single echelon
+            del echelon
+        return VerificationReport(
+            type_name, law_desc, self.product.name, tuple(verdicts), experimental
+        )
+
+    def _certify(self, index: int, label: str, residual: dict, echelon) -> RelationVerdict:
+        solved = echelon.solve(residual)
         if solved is None:
             # one retry at extended depth: every word one symbol longer
             total = max(
@@ -612,18 +650,20 @@ class _Verifier:
                 if len(a) + len(b) + len(c) <= total + 1
             ]
             depth = max(len(t[7]) for t in residual) + 1
-            solved = self._solve_membership(residual, triples, _sorted_words(self.symbols, depth))
-        if solved is None:
-            labels = self.base.generators.labels
-            names = [law.name for law in self.laws]
-            shown = tuple(
-                f"{format_scalar(c)} * {term_str(t, labels, names)}"
-                for t, c in sorted(residual.items())
-            )
-            return RelationVerdict(index, label, False, residual=shown)
-        return RelationVerdict(index, label, True, certificate=tuple(solved.items()))
+            wider = self._echelon(triples, _sorted_words(self.symbols, depth))
+            solved = wider.solve(residual)
+        if solved is not None and self._rebuild(solved) == residual:
+            return RelationVerdict(index, label, True, certificate=tuple(solved.items()))
+        labels = self.base.generators.labels
+        names = [law.name for law in self.laws]
+        shown = tuple(
+            f"{format_scalar(c)} * {term_str(t, labels, names)}"
+            for t, c in sorted(residual.items())
+        )
+        return RelationVerdict(index, label, False, residual=shown)
 
-    def _solve_membership(self, residual: dict, triples, contexts):
+    def _echelon(self, triples, contexts) -> _Echelon:
+        """Membership echelon of every base-relation instance of one geometry."""
         ech = _Echelon()
         for r_idx, rel in enumerate(self.base.relations):
             for triple in triples:
@@ -631,21 +671,22 @@ class _Verifier:
                     inst = self.normalizer.normalize(relation_instance(rel, triple, ctx))
                     if inst:
                         ech.insert(inst, (r_idx, triple, ctx))
-        return ech.solve(residual)
+        return ech
+
+    def _rebuild(self, certificate: dict) -> dict:
+        """Sum of coefficient times freshly normalized instance, not read
+        from the echelon, so a certificate is checked independently."""
+        out: dict = {}
+        for tag, coeff in certificate.items():
+            for term, c in self.instance_vector(tag).items():
+                _accumulate(out, term, coeff * c)
+        return out
 
     def instance_vector(self, tag) -> dict:
         """Normalized relation instance for re-evaluating certificates."""
         r_idx, triple, ctx = tag
         return self.normalizer.normalize(
             relation_instance(self.base.relations[r_idx], triple, ctx)
-        )
-
-    def run(self, type_name: str, law_desc: str, experimental=False) -> VerificationReport:
-        verdicts = tuple(
-            self.verify_relation(k) for k in range(len(self.product.relations))
-        )
-        return VerificationReport(
-            type_name, law_desc, self.product.name, verdicts, experimental
         )
 
 

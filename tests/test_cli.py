@@ -161,6 +161,39 @@ def test_check_morphism(tmp_path, capsys):
     assert "isomorphism: True" in out
 
 
+@pytest.mark.parametrize(
+    "a, b, path, written, loaded",
+    [
+        ("m2", "quadri", "source", "quadri_lit", "m2"),
+        ("quadri_lit", "m2", "target", "quadri", "m2"),
+    ],
+)
+def test_a_map_written_for_other_types_is_a_usage_error(tmp_path, a, b, path, written, loaded):
+    from splitops import catalog
+    from splitops.morphisms import morphism_to_json
+
+    data = morphism_to_json(catalog.table_isomorphism("quadri"))  # quadri_lit -> quadri
+    map_file = tmp_path / "map.json"
+    map_file.write_text(json.dumps(data))
+    code, out, err = run_quiet("check-morphism", a, b, "--map", str(map_file))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"error: {path}: ")
+    assert repr(written) in err and repr(loaded) in err
+
+
+def test_a_map_without_type_names_is_accepted(tmp_path, capsys):
+    from splitops import catalog
+    from splitops.morphisms import morphism_to_json
+
+    data = morphism_to_json(catalog.table_isomorphism("quadri"))
+    del data["source"], data["target"]
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "check-morphism", "quadri_lit", "quadri", "--map", str(path))
+    assert code == EXIT_OK
+    assert "isomorphism: True" in out
+
+
 _IDENTITY_4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
 
 

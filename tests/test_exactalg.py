@@ -255,3 +255,42 @@ def test_ratfunc_canonical_form_unique():
     # monic denominator: (l+1)/(2l+2) = 1/2
     c = RatFunc((F(1), F(1)), (F(2), F(2)))
     assert c == RatFunc(F(1, 2))
+
+
+# -- constant fast paths of RatFunc -----------------------------------------------
+
+wide_fracs = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+
+
+def _same_representation(a, b):
+    assert (a.num, a.den) == (b.num, b.den)
+    assert all(type(x) is Fraction for x in a.num + a.den)
+    assert hash(a) == hash(b) and a == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(wide_fracs, st.integers(-10**6, 10**6)))
+def test_constant_ratfunc_matches_the_general_path(c):
+    # RatFunc(c) skips the polynomial gcd; RatFunc((c,), (1,)) takes it
+    _same_representation(RatFunc(c), RatFunc((c,), (1,)))
+    assert bool(RatFunc(c)) == bool(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(wide_fracs, min_size=0, max_size=3), wide_fracs)
+def test_division_by_a_constant_matches_the_general_path(num, c):
+    if not c:
+        with pytest.raises(ZeroDivisionError):
+            RatFunc(tuple(num)) / RatFunc(c)
+        return
+    quotient = RatFunc(tuple(num)) / RatFunc(c)
+    _same_representation(quotient, RatFunc(tuple(num), (c,)))
+    _same_representation(RatFunc(c) / RatFunc(c), RatFunc((1,), (1,)))
+
+
+def test_zero_constant_is_falsy():
+    assert not RatFunc(0)
+    assert not RatFunc(F(0))
+    assert not RatFunc(0) / RatFunc(F(3, 2))
+    assert RatFunc(0).num == () and RatFunc(0).den == (F(1),)
+    assert hash(RatFunc(0)) == hash(F(0))

@@ -1,13 +1,17 @@
 """Symbolic operator verification: rewriting, certificates, lemmas."""
 
 import json
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import splitops.operatorver as ov
 from splitops import catalog
+from splitops.cli import main
 from splitops.exactalg import LAMBDA, RF_ONE, RatFunc
+from splitops.typecore import format_relation
 
 F = Fraction
 P = 0  # the only operator symbol in single-law tests
@@ -277,3 +281,117 @@ def test_law_constructors():
         ov.law_from_name("averaging")
     with pytest.raises(ValueError):
         ov.OperatorLaw("nijenhuis", F(1))
+
+
+# -- one membership echelon per geometry ------------------------------------------
+
+
+def _oracle_verdicts(v):
+    """The per-relation rebuild: one fresh echelon for every relation.
+
+    This is the verifier before echelons were shared between relations
+    of one candidate geometry, kept as the reference for ``run``.
+    """
+    verdicts = []
+    for index, rel in enumerate(v.product.relations):
+        label = format_relation(rel, v.product.generators.labels)
+        residual = v.normalizer.normalize(v.substitute(rel))
+        if not residual:
+            verdicts.append(ov.RelationVerdict(index, label, True, residual_zero=True))
+            continue
+        triples, contexts = ov._candidate_geometry(residual)
+        ech = ov._Echelon()
+        for r_idx, base_rel in enumerate(v.base.relations):
+            for triple in triples:
+                for ctx in contexts:
+                    inst = v.normalizer.normalize(ov.relation_instance(base_rel, triple, ctx))
+                    if inst:
+                        ech.insert(inst, (r_idx, triple, ctx))
+        solved = ech.solve(residual)
+        assert solved is not None, index  # these runs certify at the first depth
+        verdicts.append(
+            ov.RelationVerdict(index, label, True, certificate=tuple(solved.items()))
+        )
+    return tuple(verdicts)
+
+
+def _verifier(name, laws):
+    if len(laws) > 1:
+        # the operator names verify_commuting_family gives a family
+        laws = [
+            ov.OperatorLaw(law.kind, law.weight, f"{law.name}{k + 1}")
+            for k, law in enumerate(laws)
+        ]
+    return ov._make_verifier(
+        catalog.get(name), laws, ov.DEFAULT_NESTING_CAP, ov.DEFAULT_STEP_BUDGET
+    )
+
+
+_CRITERION_6_SINGLES = [
+    (name, law)
+    for name in ("associative", "dendriform", "trialgebra", "ns", "dipterous")
+    for law in ("rb", "nijenhuis", "left_rb", "right_rb")
+]
+_FAMILIES = [("trialgebra", ("rb", "rb")), ("ns", ("rb", "rb")), ("dendriform", ("rb", "rb"))]
+_LAWS = {"rb": ov.rb, "nijenhuis": ov.nijenhuis, "left_rb": ov.left_rb, "right_rb": ov.right_rb}
+
+
+@pytest.mark.parametrize(
+    "name, laws",
+    [(name, (law,)) for name, law in _CRITERION_6_SINGLES] + _FAMILIES,
+    ids=lambda x: "+".join(x) if isinstance(x, tuple) else x,
+)
+def test_shared_echelons_match_the_per_relation_rebuild(name, laws):
+    laws = [_LAWS[law]() for law in laws]
+    report = _verifier(name, laws).run(name, "law")
+    oracle = _oracle_verdicts(_verifier(name, laws))
+    assert report.verdicts == oracle
+    rebuilt = ov.VerificationReport(name, "law", report.product_name, oracle)
+    assert report.to_json() == rebuilt.to_json()
+
+
+def test_one_echelon_per_geometry_and_one_alive_at_a_time(monkeypatch):
+    built = []
+    live = weakref.WeakSet()
+    real = ov._Verifier._echelon
+
+    def counting(self, triples, contexts):
+        assert len(live) == 0, "an earlier echelon is still alive"
+        ech = real(self, triples, contexts)
+        built.append((tuple(triples), tuple(contexts)))
+        live.add(ech)
+        return ech
+
+    monkeypatch.setattr(ov._Verifier, "_echelon", counting)
+    report = ov.verify_commuting_family(catalog.get("trialgebra"), [ov.rb(None), ov.rb(None)])
+    assert report.all_verified and len(report.verdicts) == 343
+    assert len(built) == len(set(built)) == 49
+
+
+def test_a_wrong_certificate_is_reported_failed(monkeypatch):
+    real = ov._Echelon.solve
+
+    def off_by_one(self, target):
+        solved = real(self, target)
+        if solved:
+            tag = next(iter(solved))
+            solved[tag] = solved[tag] + RF_ONE
+        return solved
+
+    monkeypatch.setattr(ov._Echelon, "solve", off_by_one)
+    a = catalog.get("associative")
+    report = ov.verify_operator_theorem(a, ov.rb(None))
+    assert not report.all_verified
+    for verdict in report.verdicts:
+        assert verdict.verified == verdict.residual_zero
+        assert not verdict.certificate
+        assert verdict.residual_zero or verdict.residual
+    v = ov._make_verifier(a, [ov.rb(None)], ov.DEFAULT_NESTING_CAP, ov.DEFAULT_STEP_BUDGET)
+    verdict = v.verify_relation(2)
+    assert not verdict.verified and verdict.residual
+
+
+def test_golden_certificate_export(capsys):
+    golden = Path(__file__).parent / "golden" / "certificates" / "ns_nijenhuis.json"
+    assert main(["verify-operator", "ns", "--law", "nijenhuis", "--json"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
