@@ -36,14 +36,14 @@ def _load_type(spec: str):
     return catalog.get(spec)
 
 
-def _parse_law(kind: str, weight: str | None):
-    if kind in ("rb", "rb0"):
-        if kind == "rb0":
-            return operatorver.rb(0)
-        if weight is None or weight == "formal":
-            return operatorver.rb(None)
-        return operatorver.rb(Fraction(weight))
-    return operatorver.law_from_name(kind)
+def _option(name: str, parse, *args):
+    """``parse(*args)``; a value it refuses is a usage error naming the option."""
+    try:
+        return parse(*args)
+    except ZeroDivisionError:
+        raise ValueError(f"{name}: zero denominator") from None
+    except ValueError as err:
+        raise ValueError(f"{name}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +73,9 @@ def _show(args, out):
     if args.relation_basis:
         for k, rel in enumerate(t.relations):
             out(f"  basis element {k + 1}:")
-            for tag, mat in (("L", rel.left), ("R", rel.right)):
-                for row in mat.rows:
-                    out(f"    {tag} " + " ".join(format_scalar(x) for x in row))
+            for tag, rows in dsl._json_blocks(rel).items():
+                for row in rows:
+                    out(f"    {tag} " + " ".join(row))
     return EXIT_OK
 
 
@@ -149,7 +149,7 @@ def _check_morphism(args, out):
 
 def _auto_group(args, out):
     t = _load_type(args.type)
-    entries = tuple(Fraction(e) for e in args.entries.split(","))
+    entries = _option("--entries", lambda: tuple(Fraction(e) for e in args.entries.split(",")))
     autos = morphisms.monomial_automorphisms(t, entries=entries, allow_large=args.allow_large)
     out(f"monomial automorphism group of {t.name}: order {len(autos)}")
     if args.json:
@@ -166,7 +166,7 @@ def _tensor_model(args, out):
 
 def _verify_operator(args, out):
     t = _load_type(args.type)
-    law = _parse_law(args.law, args.weight)
+    law = _option("--weight", operatorver.law_from_name, args.law, args.weight)
     report = operatorver.verify_operator_theorem(
         t, law, cap=args.nesting_cap, budget=args.steps
     )
@@ -179,7 +179,9 @@ def _verify_family(args, out):
     laws = []
     for part in args.laws.split(","):
         kind, _, weight = part.partition(":")
-        laws.append(_parse_law(kind.strip(), weight.strip() or None))
+        laws.append(
+            _option("--laws", operatorver.law_from_name, kind.strip(), weight.strip() or None)
+        )
     report = operatorver.verify_commuting_family(
         t, laws, cap=args.nesting_cap, budget=args.steps
     )
@@ -392,7 +394,7 @@ def _non_morphism_witness(t, images):
     for k, rel in by_size:
         image = typecore.remap_relation(rel, images)
         if not t.relation_subspace.contains_vector(image):
-            pushed = RelationElement.from_coeffs(m, image)
+            pushed = RelationElement(m, image)
             return f"relation {k} goes to {format_relation(pushed, t.generators.labels)}"
     return None
 

@@ -303,7 +303,7 @@ def parse_type_report(text: str):
         p.expect("|")
         coeffs.update((m * m + k, c) for k, c in p.bilin(names, m).items())
         p.expect(")")
-        relations.append(RelationElement.from_coeffs(m, coeffs))
+        relations.append(RelationElement(m, coeffs))
     if not relations:
         raise DslError("a type needs at least one relation", p.peek().span)
     p.expect("}")
@@ -447,7 +447,7 @@ def parse_type_json(text: str) -> TypePresentation:
                 for j, c in enumerate(row):
                     if c:
                         coeffs[block * m * m + i * m + j] = c
-        relations.append(RelationElement.from_coeffs(m, coeffs))
+        relations.append(RelationElement(m, coeffs))
     return TypePresentation(
         GeneratorSpace(obj["name"], tuple(labels)),
         star,

@@ -17,7 +17,6 @@ from .exactalg import (
     DimensionMismatch,
     ExactAlgebraError,
     Subspace,
-    subspace_query,
 )
 from .typecore import (
     GeneratorSpace,
@@ -69,7 +68,7 @@ def dual(
     m = t.dim
     rows = [_signed_coeffs(r) for r in t.relations]
     ann = Subspace.from_rows(2 * m * m, rows).annihilator()
-    relations = [RelationElement.from_coeffs(m, row) for row in ann.sparse_basis()]
+    relations = [RelationElement(m, row) for row in ann.sparse_basis()]
     gens = GeneratorSpace(
         name or f"{t.name}!",
         labels or tuple(l + DUAL_SUFFIX for l in t.generators.labels),
@@ -165,13 +164,13 @@ def non_duality_witness() -> NonDualityReport:
     aq = dual(quadri, search_star=False)
     m = maltese(ad, ad)
 
-    inclusion = subspace_query(m.relation_subspace, aq.relation_subspace, "leq")
+    inclusion = m.relation_subspace.leq(aq.relation_subspace)
 
     # witness: (rv x lv, rv x lv) box (rv x rv, rv x lv); the first factor is
     # relation 4 of the associative dialgebra, so the pair is in the maltese span.
     i_lv, i_rv = ad.generators.index("lv"), ad.generators.index("rv")
     f1 = ad.relations[3]
-    f2 = RelationElement.from_coeffs(2, {i_rv * 2 + i_rv: 1, 4 + i_rv * 2 + i_lv: 1})
+    f2 = RelationElement(2, {i_rv * 2 + i_rv: 1, 4 + i_rv * 2 + i_lv: 1})
     witness = box_relation(f1, f2)
 
     # the square relation it fails against: r2 box r2 for dendriform

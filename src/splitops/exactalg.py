@@ -401,10 +401,6 @@ class Matrix:
             rows[i][j] = _ONE if signs is None else signs[j]
         return cls(rows, ncols=n)
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[_ZERO] * ncols for _ in range(nrows)], ncols=ncols)
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -418,9 +414,6 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(format_scalar(x) for x in r) for r in self.rows)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -440,14 +433,6 @@ class Matrix:
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length mismatch")
         return tuple(_dot(r, vec) for r in self.rows)
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product, row-major index pairing."""
-        out = []
-        for a in self.rows:
-            for c in other.rows:
-                out.append([x * y for x in a for y in c])
-        return Matrix(out, ncols=self.ncols * other.ncols)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -573,11 +558,6 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     return Matrix(list(space.basis), ncols=m.ncols), space.pivots, space.dim
 
 
-def nullspace(m: Matrix) -> "Subspace":
-    """Right kernel of ``m``, as a canonical subspace of Q^ncols."""
-    return Subspace.from_rows(m.ncols, m.rows).annihilator()
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -590,6 +570,9 @@ class Subspace:
     same order (see :class:`Echelon`).  ``basis`` shows the same rows
     densely over Q, with pivot entries 1, built row by row on access.
     Vectors passed in may be dense sequences or ``{index: value}`` dicts.
+
+    The queries are ``leq`` (inclusion), ``==`` (equality),
+    ``contains_vector`` (membership) and ``annihilator``.
     """
 
     __slots__ = ("ambient", "pivots", "_echelon", "_hash")
@@ -654,9 +637,6 @@ class Subspace:
             raise DimensionMismatch("ambient dimension mismatch")
         return all(other.contains_vector(r) for r in self.int_rows)
 
-    def contains(self, other: "Subspace") -> bool:
-        return other.leq(self)
-
     def annihilator(self) -> "Subspace":
         """All vectors whose plain dot product with every vector here is 0.
 
@@ -707,21 +687,3 @@ class _DenseRows(Sequence):
             out[c] = Fraction(x, lead)
         return tuple(out)
 
-
-def subspace_query(a: Subspace, b, mode: str) -> bool:
-    """Exact membership / comparison queries.
-
-    ``contains``: does ``a`` contain ``b`` (a vector or a subspace)?
-    ``leq``: is ``a`` a subspace of ``b``?  ``equal``: mutual inclusion.
-    """
-    if mode == "contains":
-        if isinstance(b, Subspace):
-            return a.contains(b)
-        return a.contains_vector(b)
-    if not isinstance(b, Subspace):
-        raise TypeError(f"mode {mode!r} needs two subspaces")
-    if mode == "equal":
-        return a == b
-    if mode == "leq":
-        return a.leq(b)
-    raise ValueError(f"unknown mode {mode!r}")

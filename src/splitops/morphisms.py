@@ -100,17 +100,6 @@ def identity_morphism(t: TypePresentation) -> TypeMorphism:
     return TypeMorphism(t, t, Matrix.identity(t.dim))
 
 
-def tensor_morphism(f: TypeMorphism, g: TypeMorphism) -> TypeMorphism:
-    """The induced map between square products (Kronecker of the matrices)."""
-    from .products import square
-
-    return TypeMorphism(
-        square(f.source, g.source),
-        square(f.target, g.target),
-        f.matrix.kron(g.matrix),
-    )
-
-
 # ---------------------------------------------------------------------------
 # monomial automorphism search
 

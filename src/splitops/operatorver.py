@@ -97,8 +97,13 @@ class OperatorLaw:
 
 
 def rb(weight=None, name: str = "P") -> OperatorLaw:
-    w = None if weight in (None, "formal") else Fraction(weight)
-    return OperatorLaw("rb", w, name)
+    """Rota-Baxter of a rational ``weight`` or its text; None or "formal" is the formal weight."""
+    if weight in (None, "formal"):
+        return OperatorLaw("rb", None, name)
+    try:
+        return OperatorLaw("rb", Fraction(weight), name)
+    except ZeroDivisionError:
+        raise ValueError(f"weight {weight} has a zero denominator") from None
 
 
 def nijenhuis(name: str = "N") -> OperatorLaw:
@@ -114,17 +119,26 @@ def right_rb(name: str = "P") -> OperatorLaw:
 
 
 def law_from_name(kind: str, weight=None, name: str | None = None) -> OperatorLaw:
+    """The law called ``kind``; only ``rb`` takes a ``weight`` (see :func:`rb`).
+
+    An unknown kind, a malformed weight or one with a zero denominator, and
+    a weight given to any other law raise ValueError.
+    """
     if kind == "rb":
         return rb(weight, name or "P")
     if kind == "rb0":
-        return rb(0, name or "P")
-    if kind == "nijenhuis":
-        return nijenhuis(name or "N")
-    if kind == "leftrb" or kind == "left_rb":
-        return left_rb(name or "P")
-    if kind == "rightrb" or kind == "right_rb":
-        return right_rb(name or "P")
-    raise ValueError(f"unknown law {kind!r}")
+        law = rb(0, name or "P")
+    elif kind == "nijenhuis":
+        law = nijenhuis(name or "N")
+    elif kind == "leftrb" or kind == "left_rb":
+        law = left_rb(name or "P")
+    elif kind == "rightrb" or kind == "right_rb":
+        law = right_rb(name or "P")
+    else:
+        raise ValueError(f"unknown law {kind!r}")
+    if weight is not None:
+        raise ValueError(f"law {kind!r} takes no weight")
+    return law
 
 
 def predicted_factor_name(law: OperatorLaw) -> str:
@@ -363,22 +377,6 @@ def relation_instance(
     return comb
 
 
-def _sorted_words(symbols: tuple[int, ...], max_len: int):
-    """All sorted operator words of length at most max_len."""
-    words = [()]
-    frontier = [()]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for s in symbols:
-                if w and s < w[-1]:
-                    continue
-                nxt.append(w + (s,))
-        words.extend(nxt)
-        frontier = nxt
-    return words
-
-
 def _splits2(word: tuple):
     """All ways to split a sorted word into two sorted sub-multisets."""
     if not word:
@@ -533,13 +531,12 @@ class VerificationReport:
 class _Verifier:
     """Shared machinery for single laws, families and the closing lemma."""
 
-    def __init__(self, base, laws, factors, tables, cap, budget, strategy="innermost"):
+    def __init__(self, base, laws, factors, tables, cap, budget):
         self.base = base
         self.laws = tuple(laws)
         self.symbols = tuple(range(len(self.laws)))
-        self.factors = factors
         self.tables = tables
-        self.normalizer = Normalizer(self.laws, self.symbols, cap, budget, strategy)
+        self.normalizer = Normalizer(self.laws, self.symbols, cap, budget)
         product = base
         for k, factor in enumerate(factors):
             product = square(product, factor)
@@ -634,24 +631,12 @@ class _Verifier:
         )
 
     def _certify(self, index: int, label: str, residual: dict, echelon) -> RelationVerdict:
+        """A verdict for one residual against the echelon of its geometry.
+
+        A residual the echelon cannot express, or whose certificate does
+        not sum back to it, fails with the residual shown.
+        """
         solved = echelon.solve(residual)
-        if solved is None:
-            # one retry at extended depth: every word one symbol longer
-            total = max(
-                len(t[3]) + len(t[4]) + len(t[5]) + len(t[6]) + len(t[7])
-                for t in residual
-            )
-            words = _sorted_words(self.symbols, total + 1)
-            triples = [
-                (a, b, c)
-                for a in words
-                for b in words
-                for c in words
-                if len(a) + len(b) + len(c) <= total + 1
-            ]
-            depth = max(len(t[7]) for t in residual) + 1
-            wider = self._echelon(triples, _sorted_words(self.symbols, depth))
-            solved = wider.solve(residual)
         if solved is not None and self._rebuild(solved) == residual:
             return RelationVerdict(index, label, True, certificate=tuple(solved.items()))
         labels = self.base.generators.labels
@@ -698,18 +683,16 @@ def _merge(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(a + b))
 
 
-def _make_verifier(t, laws, cap, budget, strategy="innermost", tables=None, factors=None):
+def _make_verifier(t, laws, cap, budget):
     from . import catalog
 
     require_valid(t)
-    if factors is None:
-        factors = [catalog.get(predicted_factor_name(law)) for law in laws]
-    if tables is None:
-        tables = [
-            derived_table(law, factor, symbol)
-            for symbol, (law, factor) in enumerate(zip(laws, factors))
-        ]
-    return _Verifier(t, laws, factors, tables, cap, budget, strategy)
+    factors = [catalog.get(predicted_factor_name(law)) for law in laws]
+    tables = [
+        derived_table(law, factor, symbol)
+        for symbol, (law, factor) in enumerate(zip(laws, factors))
+    ]
+    return _Verifier(t, laws, factors, tables, cap, budget)
 
 
 def verify_operator_theorem(
@@ -717,10 +700,9 @@ def verify_operator_theorem(
     law: OperatorLaw,
     cap: int = DEFAULT_NESTING_CAP,
     budget: int = DEFAULT_STEP_BUDGET,
-    strategy: str = "innermost",
 ) -> VerificationReport:
     """Verify that one operator induces the predicted product structure."""
-    v = _make_verifier(t, [law], cap, budget, strategy)
+    v = _make_verifier(t, [law], cap, budget)
     return v.run(t.name, law.describe())
 
 

@@ -94,7 +94,7 @@ def box_relation(f1: RelationElement, f2: RelationElement) -> RelationElement:
         base = block * m * m + i1 * m2 * m + j1 * m2
         for i2, j2, c2 in second[block]:
             coeffs[base + i2 * m + j2] = c1 * c2
-    return RelationElement.from_coeffs(m, coeffs)
+    return RelationElement(m, coeffs)
 
 
 def _product_generators(t1: TypePresentation, t2: TypePresentation, name: str) -> GeneratorSpace:
@@ -148,7 +148,7 @@ def maltese(t1: TypePresentation, t2: TypePresentation, name: str | None = None)
 
     m = m1 * m2
     sub = Subspace.from_rows(2 * m * m, [r.coeffs for r in span])
-    relations = [RelationElement.from_coeffs(m, row) for row in sub.sparse_basis()]
+    relations = [RelationElement(m, row) for row in sub.sparse_basis()]
     return TypePresentation(
         gens, star, relations, provenance=f"maltese product of {t1.name} and {t2.name}"
     )
@@ -159,8 +159,8 @@ def _full_space_basis(m: int) -> list[RelationElement]:
     mm = m * m
     out = []
     for k in range(mm):
-        out.append(RelationElement.from_coeffs(m, {k: Fraction(1)}))
-        out.append(RelationElement.from_coeffs(m, {mm + k: Fraction(1)}))
+        out.append(RelationElement(m, {k: Fraction(1)}))
+        out.append(RelationElement(m, {mm + k: Fraction(1)}))
     return out
 
 

@@ -7,9 +7,10 @@ pair of m x m rational matrices (L, R) encoding the arity-3 identity
 
     sum_ij L[i][j] (x g_i y) g_j z  =  sum_ij R[i][j] x g_i (y g_j z).
 
-Relation elements flatten to vectors of length 2*m^2 - the L block
-row-major, then the R block row-major.  Every subspace comparison in the
-package goes through this one flattening convention.
+A relation element is built from its ``{flat index: coefficient}`` dict
+on vectors of length 2*m^2 - the L block row-major, then the R block
+row-major.  Every subspace comparison in the package goes through this
+one flattening convention.
 """
 
 from __future__ import annotations
@@ -65,36 +66,17 @@ class RelationElement:
 
     Stored sparsely: ``coeffs`` maps the flat index of every nonzero
     coefficient to a Fraction, in increasing index order (L[i][j] sits at
-    i*m + j, R[i][j] at m*m + i*m + j; see the module docstring).  The
-    dense ``left`` and ``right`` matrices are built on access, for display.
+    i*m + j, R[i][j] at m*m + i*m + j; see the module docstring).
     """
 
     __slots__ = ("size", "coeffs")
 
-    def __init__(self, left: Matrix, right: Matrix):
-        if left.nrows != left.ncols or right.nrows != right.ncols:
-            raise DimensionMismatch("relation matrices must be square")
-        if left.nrows != right.nrows:
-            raise DimensionMismatch("relation matrices must share one size")
-        m = left.nrows
-        self.size = m
-        self.coeffs = {
-            block * m * m + i * m + j: c
-            for block, mat in enumerate((left, right))
-            for i, row in enumerate(mat.rows)
-            for j, c in enumerate(row)
-            if c
-        }
-
-    @classmethod
-    def from_coeffs(cls, m: int, coeffs: Mapping[int, Fraction]) -> "RelationElement":
+    def __init__(self, m: int, coeffs: Mapping[int, Fraction]):
         """The element with the given {flat index: coefficient}; zeros are dropped."""
         if coeffs and (min(coeffs) < 0 or max(coeffs) >= 2 * m * m):
             raise DimensionMismatch("flat index outside 2*m^2")
-        out = object.__new__(cls)
-        out.size = m
-        out.coeffs = {k: rational(c) for k, c in sorted(coeffs.items()) if c}
-        return out
+        self.size = m
+        self.coeffs = {k: rational(c) for k, c in sorted(coeffs.items()) if c}
 
     def nonzero(self) -> Iterator[tuple[int, int, int, Fraction]]:
         """(block, i, j, c) for each nonzero coefficient, in flat index order.
@@ -113,33 +95,11 @@ class RelationElement:
         m = self.size
         return self.coeffs.get(block * m * m + i * m + j, _ZERO)
 
-    def _block(self, block: int) -> Matrix:
-        m = self.size
-        rows = [[_ZERO] * m for _ in range(m)]
-        for b, i, j, c in self.nonzero():
-            if b == block:
-                rows[i][j] = c
-        return Matrix(rows, ncols=m)
-
-    @property
-    def left(self) -> Matrix:
-        return self._block(0)
-
-    @property
-    def right(self) -> Matrix:
-        return self._block(1)
-
     def flatten(self) -> tuple[Fraction, ...]:
         vec = [_ZERO] * (2 * self.size * self.size)
         for k, c in self.coeffs.items():
             vec[k] = c
         return tuple(vec)
-
-    @classmethod
-    def unflatten(cls, vec: Sequence, m: int) -> "RelationElement":
-        if len(vec) != 2 * m * m:
-            raise DimensionMismatch("flattened relation has length 2*m^2")
-        return cls.from_coeffs(m, {k: x for k, x in enumerate(vec) if x})
 
     def __eq__(self, other):
         return (
@@ -163,7 +123,7 @@ def star_associativity(star: Sequence[Fraction]) -> RelationElement:
         for j, b in enumerate(star):
             if a and b:
                 coeffs[i * m + j] = coeffs[m * m + i * m + j] = a * b
-    return RelationElement.from_coeffs(m, coeffs)
+    return RelationElement(m, coeffs)
 
 
 class TypePresentation:
@@ -345,7 +305,7 @@ def splitting_basis(
     for r in chosen_rel:
         for k, c in r.coeffs.items():
             first_rel[k] = first_rel.get(k, _ZERO) - c
-    rel_basis = (RelationElement.from_coeffs(m, first_rel),) + tuple(chosen_rel)
+    rel_basis = (RelationElement(m, first_rel),) + tuple(chosen_rel)
     return gen_basis, rel_basis
 
 
@@ -440,7 +400,7 @@ def push_relation(rel: RelationElement, f: Matrix) -> RelationElement:
             for b, y in columns[j]:
                 k = base + b
                 image[k] = image.get(k, _ZERO) + cx * y
-    return RelationElement.from_coeffs(n, image)
+    return RelationElement(n, image)
 
 
 def remap_relation(

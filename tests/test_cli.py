@@ -43,6 +43,13 @@ def test_show_relation_basis(capsys):
     assert "L 1" in out
 
 
+@pytest.mark.parametrize("name", ["quadri", "assoc_trialgebra"])
+def test_show_relation_basis_matches_golden(capsys, name):
+    code, out = run(capsys, "show", name, "--relation-basis")
+    assert code == EXIT_OK
+    assert out == (Path(__file__).parent / "golden" / "show" / f"{name}.txt").read_text()
+
+
 def test_square(capsys):
     code, out = run(capsys, "square", "dendriform", "dendriform")
     assert code == EXIT_OK
@@ -231,6 +238,31 @@ def test_a_directory_in_place_of_a_file_is_a_usage_error(tmp_path, argv):
     code, _, err = run_quiet(*(a.format(dir=directory) for a in argv))
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and "Is a directory" in err
+
+
+@pytest.mark.parametrize(
+    "argv, option, message",
+    [
+        (("verify-operator", "dendriform", "--law", "rb", "--weight", "1/0"),
+         "--weight", "zero denominator"),
+        (("verify-family", "dendriform", "--laws", "rb:1/0"), "--laws", "zero denominator"),
+        (("verify-family", "dendriform", "--laws", "rb:formal,rb:3/0"),
+         "--laws", "zero denominator"),
+        (("auto-group", "dendriform", "--entries", "1/0"), "--entries", "zero denominator"),
+        (("auto-group", "dendriform", "--entries", "1,-1/0"), "--entries", "zero denominator"),
+        (("verify-operator", "dendriform", "--law", "nijenhuis", "--weight", "2"),
+         "--weight", "takes no weight"),
+        (("verify-operator", "dendriform", "--law", "rb0", "--weight", "1"),
+         "--weight", "takes no weight"),
+        (("verify-family", "dendriform", "--laws", "leftrb:1"), "--laws", "takes no weight"),
+        (("verify-operator", "dendriform", "--law", "rb", "--weight", "half"),
+         "--weight", "Invalid literal"),
+    ],
+)
+def test_a_bad_rational_option_is_a_usage_error(argv, option, message):
+    code, out, err = run_quiet(*argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"error: {option}: ") and message in err
 
 
 def test_unknown_type_is_usage_error(capsys):

@@ -64,7 +64,7 @@ def test_parse_aux_and_coefficients():
         " relations: (a.a | a.a + 1/2*a.b - 1/2*a.b)"
         " (a.b + b.a + b.b | a.b + b.a + b.b) }"
     )
-    assert half.relations[0].right.entry(0, 1) == 0
+    assert half.relations[0].coeff(1, 0, 1) == 0
 
 
 def test_parse_rejects_bad_star():

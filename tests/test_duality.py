@@ -25,25 +25,32 @@ def unit(m, i, j):
     )
 
 
+def dense(left, right):
+    """The relation with dense m x m blocks ``left`` and ``right``."""
+    m = left.nrows
+    flat = [x for mat in (left, right) for row in mat.rows for x in row]
+    return RelationElement(m, dict(enumerate(flat)))
+
+
 def test_pairing_delta_formula():
     # <(e_ij, e_kl), (dual e_ij, dual e_uv)> = 1 when (u,v) != (k,l)
-    u = RelationElement(unit(2, 0, 1), unit(2, 1, 0))
-    v = RelationElement(unit(2, 0, 1), unit(2, 1, 1))
+    u = dense(unit(2, 0, 1), unit(2, 1, 0))
+    v = dense(unit(2, 0, 1), unit(2, 1, 1))
     assert pair2(u, v) == 1
     # and 0 minus 1 when only the right blocks meet
-    w = RelationElement(unit(2, 1, 1), unit(2, 1, 0))
+    w = dense(unit(2, 1, 1), unit(2, 1, 0))
     assert pair2(u, w) == -1
 
 
 def test_pairing_symmetric_cancellation():
     a = Matrix([[F(1), F(2)], [F(0), F(1)]])
     c = Matrix([[F(3), F(0)], [F(1), F(1)]])
-    assert pair2(RelationElement(a, a), RelationElement(c, c)) == 0
+    assert pair2(dense(a, a), dense(c, c)) == 0
 
 
 def test_pairing_dimension_mismatch():
-    u = RelationElement(unit(2, 0, 0), unit(2, 0, 0))
-    v = RelationElement(unit(3, 0, 0), unit(3, 0, 0))
+    u = dense(unit(2, 0, 0), unit(2, 0, 0))
+    v = dense(unit(3, 0, 0), unit(3, 0, 0))
     with pytest.raises(DimensionMismatch):
         pair2(u, v)
 
@@ -51,13 +58,13 @@ def test_pairing_dimension_mismatch():
 def test_pairing_gram_matrix_is_diagonal_pm_one():
     m = 2
     basis = []
-    zero = Matrix.zero(m, m)
+    zero = Matrix([[F(0)] * m for _ in range(m)])
     for i in range(m):
         for j in range(m):
-            basis.append(RelationElement(unit(m, i, j), zero))
+            basis.append(dense(unit(m, i, j), zero))
     for i in range(m):
         for j in range(m):
-            basis.append(RelationElement(zero, unit(m, i, j)))
+            basis.append(dense(zero, unit(m, i, j)))
     for a, u in enumerate(basis):
         for b, v in enumerate(basis):
             expected = 0
@@ -84,7 +91,7 @@ def test_dual_ns_matches_the_fourteen_relations():
     lit = catalog.get("assoc_nijenhuis_tri")
     assert len(ans.relations) == 14
     assert ans.relation_subspace == lit.relation_subspace
-    circle = RelationElement(unit(3, 2, 2), unit(3, 2, 2))
+    circle = dense(unit(3, 2, 2), unit(3, 2, 2))
     assert ans.relation_subspace.contains_vector(circle.flatten())
 
 

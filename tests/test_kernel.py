@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splitops import catalog
-from splitops.exactalg import Matrix, Subspace, nullspace, rref
+from splitops.exactalg import Matrix, Subspace, rref
 from splitops.products import box_relation
 from splitops.typecore import RelationElement, push_relation, star_associativity
 
@@ -108,6 +108,30 @@ def assert_same_space(space, rows, ncols):
     assert space.dim == rank
 
 
+# -- dense L and R blocks ------------------------------------------------------
+
+
+def _blocks(rel):
+    """The L and R blocks of a relation as dense m x m matrices."""
+    m = rel.size
+    rows = [[[F(0)] * m for _ in range(m)] for _ in range(2)]
+    for block, i, j, c in rel.nonzero():
+        rows[block][i][j] = c
+    return Matrix(rows[0], ncols=m), Matrix(rows[1], ncols=m)
+
+
+def _from_blocks(left, right):
+    """The relation with dense blocks ``left`` and ``right``."""
+    m = left.nrows
+    flat = [x for mat in (left, right) for row in mat.rows for x in row]
+    return RelationElement(m, dict(enumerate(flat)))
+
+
+def _kron(a, b):
+    """Kronecker product, row-major index pairing."""
+    return Matrix([[x * y for x in ra for y in rb] for ra in a.rows for rb in b.rows])
+
+
 # -- random integer matrices ---------------------------------------------------
 
 entries = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))
@@ -137,7 +161,8 @@ def test_rref_matches_oracle(case):
 @given(matrices())
 def test_nullspace_matches_oracle(case):
     ncols, rows = case
-    assert list(nullspace(Matrix(rows, ncols=ncols)).basis) == oracle_nullspace(rows, ncols)
+    kernel = Subspace.from_rows(ncols, rows).annihilator()
+    assert list(kernel.basis) == oracle_nullspace(rows, ncols)
 
 
 @settings(max_examples=200, deadline=None)
@@ -209,7 +234,8 @@ def _small_pairs():
 
 
 def _dense_box(f1, f2):
-    return RelationElement(f1.left.kron(f2.left), f1.right.kron(f2.right))
+    (l1, r1), (l2, r2) = _blocks(f1), _blocks(f2)
+    return _from_blocks(_kron(l1, l2), _kron(r1, r2))
 
 
 @pytest.mark.parametrize("a, b", _small_pairs())
@@ -233,7 +259,8 @@ def test_square_relation_space_matches_oracle(a, b):
 
 def _dense_push(rel, f):
     ft = f.transpose()
-    return RelationElement(f @ rel.left @ ft, f @ rel.right @ ft)
+    left, right = _blocks(rel)
+    return _from_blocks(f @ left @ ft, f @ right @ ft)
 
 
 @st.composite
@@ -252,7 +279,7 @@ def relations(draw, m):
         st.fractions(min_value=-3, max_value=3, max_denominator=4),
         max_size=2 * m * m,
     ))
-    return RelationElement.from_coeffs(m, coeffs)
+    return RelationElement(m, coeffs)
 
 
 @settings(max_examples=150, deadline=None)

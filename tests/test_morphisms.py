@@ -225,13 +225,12 @@ class _RotaBaxterModel:
     def holds(self, rel, labels, sigma=lambda ops: ops):
         """Whether the relation, with each label moved by ``sigma``, holds."""
         total = {}
-        for mat, values, sign in ((rel.left, self.left, 1), (rel.right, self.right, -1)):
-            for i, row in enumerate(mat.rows):
-                for j, c in enumerate(row):
-                    if c:
-                        key = sigma(flatten_label(labels[i])), sigma(flatten_label(labels[j]))
-                        for mono, v in values[key].items():
-                            total[mono] = total.get(mono, 0) + sign * c * v
+        sides = ((self.left, 1), (self.right, -1))
+        for block, i, j, c in rel.nonzero():
+            values, sign = sides[block]
+            key = sigma(flatten_label(labels[i])), sigma(flatten_label(labels[j]))
+            for mono, v in values[key].items():
+                total[mono] = total.get(mono, 0) + sign * c * v
         return not any(total.values())
 
 
@@ -245,8 +244,8 @@ def test_rota_baxter_model_is_dendriform():
     model = _RotaBaxterModel(1)
     assert all(model.holds(rel, dend.generators.labels) for rel in dend.relations)
     # the identity a factor reversal produces: (x lt y) gt z = x lt (y gt z)
-    lt_gt = Matrix([[F(0), F(1)], [F(0), F(0)]])
-    assert not model.holds(RelationElement(lt_gt, lt_gt), ("lt", "gt"))
+    # flat indices: L[0][1] at 1, R[0][1] at 4 + 1
+    assert not model.holds(RelationElement(2, {1: F(1), 5: F(1)}), ("lt", "gt"))
 
 
 @pytest.mark.parametrize("name, n", [("quadri", 2), ("octo", 3)])

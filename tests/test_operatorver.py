@@ -102,13 +102,11 @@ def test_case_three_substitution_matches_proof_chain():
 def test_verifier_substitutions_are_strategy_independent():
     tri = catalog.get("trialgebra")
     law = ov.rb(None)
-    inner = ov._make_verifier(tri, [law], ov.DEFAULT_NESTING_CAP, ov.DEFAULT_STEP_BUDGET)
-    outer = ov._make_verifier(
-        tri, [law], ov.DEFAULT_NESTING_CAP, ov.DEFAULT_STEP_BUDGET, strategy="outermost"
-    )
-    for index in range(0, len(inner.product.relations), 7):
-        comb = inner.substitute(inner.product.relations[index])
-        assert inner.normalizer.normalize(comb) == outer.normalizer.normalize(comb)
+    v = ov._make_verifier(tri, [law], ov.DEFAULT_NESTING_CAP, ov.DEFAULT_STEP_BUDGET)
+    outer = ov.Normalizer(v.laws, v.symbols, strategy="outermost")
+    for index in range(0, len(v.product.relations), 7):
+        comb = v.substitute(v.product.relations[index])
+        assert v.normalizer.normalize(comb) == outer.normalize(comb)
 
 
 def test_normalization_strategy_independent():
@@ -281,6 +279,24 @@ def test_law_constructors():
         ov.law_from_name("averaging")
     with pytest.raises(ValueError):
         ov.OperatorLaw("nijenhuis", F(1))
+    assert ov.law_from_name("rb", "-1/2").weight == F(-1, 2)
+    assert ov.law_from_name("rb", "formal").weight is None
+
+
+@pytest.mark.parametrize(
+    "kind, weight, message",
+    [
+        ("rb", "1/0", "zero denominator"),
+        ("rb", "abc", "Invalid literal"),
+        ("rb0", "1", "takes no weight"),
+        ("nijenhuis", "2", "takes no weight"),
+        ("leftrb", "formal", "takes no weight"),
+        ("averaging", "1", "unknown law"),
+    ],
+)
+def test_law_from_name_refuses_bad_weights(kind, weight, message):
+    with pytest.raises(ValueError, match=message):
+        ov.law_from_name(kind, weight)
 
 
 # -- one membership echelon per geometry ------------------------------------------
@@ -389,6 +405,30 @@ def test_a_wrong_certificate_is_reported_failed(monkeypatch):
     v = ov._make_verifier(a, [ov.rb(None)], ov.DEFAULT_NESTING_CAP, ov.DEFAULT_STEP_BUDGET)
     verdict = v.verify_relation(2)
     assert not verdict.verified and verdict.residual
+
+
+def test_a_wrong_derived_table_fails_visibly():
+    # rb on associative with gt sent to x P(y) instead of P(x) y: five of
+    # the seven relations of associative sq trialgebra no longer follow
+    a, tri = catalog.get("associative"), catalog.get("trialgebra")
+    law = ov.rb(None)
+    table = ov.derived_table(law, tri, P)
+    table[tri.generators.index("gt")] = [(RF_ONE, (), (P,), ())]
+    v = ov._Verifier(a, (law,), [tri], [table], ov.DEFAULT_NESTING_CAP, ov.DEFAULT_STEP_BUDGET)
+    report = v.run(a.name, "rb with a wrong gt")
+    failed = [verdict.index for verdict in report.verdicts if not verdict.verified]
+    assert failed == [0, 1, 2, 3, 4]
+    for verdict in report.verdicts:
+        assert v.verify_relation(verdict.index) == verdict
+        if verdict.verified:
+            assert verdict.certificate
+        else:
+            assert verdict.residual and not verdict.certificate
+    text = report.describe()
+    assert text.startswith("associative with rb with a wrong gt: 2/7 relations")
+    assert [line for line in text.splitlines() if "FAILED" in line] == [
+        f"  relation {k}: FAILED" for k in failed
+    ]
 
 
 def test_golden_certificate_export(capsys):

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from splitops import catalog
-from splitops.exactalg import ExactAlgebraError, Subspace, subspace_query
-from splitops.morphisms import check_isomorphism, identity_morphism, tensor_morphism
+from splitops.exactalg import ExactAlgebraError, Subspace
+from splitops.morphisms import check_isomorphism, identity_morphism
 from splitops.products import (
     flatten_label,
     maltese,
@@ -51,7 +51,7 @@ def test_maltese_contains_square():
     dend = catalog.get("dendriform")
     sq = square(dend, dend)
     mx = maltese(dend, dend)
-    assert subspace_query(sq.relation_subspace, mx.relation_subspace, "leq")
+    assert sq.relation_subspace.leq(mx.relation_subspace)
 
 
 def test_maltese_associative_spans_both_blocks():
@@ -63,7 +63,7 @@ def test_maltese_associative_spans_both_blocks():
     sq = square(a, a)
     assert mx.relation_subspace.dim == 2
     assert sq.relation_subspace.dim == 1
-    assert subspace_query(sq.relation_subspace, mx.relation_subspace, "leq")
+    assert sq.relation_subspace.leq(mx.relation_subspace)
 
 
 def test_maltese_of_duals_is_not_dual_of_square():
@@ -72,7 +72,7 @@ def test_maltese_of_duals_is_not_dual_of_square():
     ad = catalog.get("assoc_dialgebra")
     mx = maltese(ad, ad)
     aq = dual(square(catalog.get("dendriform"), catalog.get("dendriform")), search_star=False)
-    assert not subspace_query(mx.relation_subspace, aq.relation_subspace, "leq")
+    assert not mx.relation_subspace.leq(aq.relation_subspace)
 
 
 def test_power_two_is_square():
@@ -143,7 +143,10 @@ def test_tensor_of_isomorphisms_is_isomorphism():
     opposite = relabel(dend, {"lt": "gt", "gt": "lt"}).with_name("dendriform_op")
     swap = TypeMorphism(dend, opposite, Matrix([[F(0), F(1)], [F(1), F(0)]]))
     assert check_isomorphism(swap)
-    induced = tensor_morphism(swap, identity_morphism(dend))
+    # the induced map on square products is the Kronecker product of the matrices
+    ident = identity_morphism(dend).matrix.rows
+    kron = Matrix([[x * y for x in ra for y in rb] for ra in swap.matrix.rows for rb in ident])
+    induced = TypeMorphism(square(dend, dend), square(opposite, dend), kron)
     assert check_isomorphism(induced)
 
 

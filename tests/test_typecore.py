@@ -251,11 +251,10 @@ def test_relation_subspace_ignores_basis_order():
 
 
 def test_relation_element_flatten_layout():
-    rel = RelationElement(
-        Matrix([[F(1), F(2)], [F(0), F(0)]]),
-        Matrix([[F(0), F(0)], [F(3), F(4)]]),
-    )
+    # L = [[1, 2], [0, 0]] and R = [[0, 0], [3, 4]], zeros given or not
+    rel = RelationElement(2, {0: F(1), 1: F(2), 2: F(0), 6: 3, 7: F(4)})
+    assert (rel.coeff(0, 0, 1), rel.coeff(1, 1, 0), rel.coeff(1, 0, 0)) == (2, 3, 0)
     # L block row-major first, then R block row-major
     assert rel.flatten() == (F(1), F(2), F(0), F(0), F(0), F(0), F(3), F(4))
-    back = RelationElement.unflatten(rel.flatten(), 2)
-    assert back == rel
+    back = RelationElement(2, dict(enumerate(rel.flatten())))
+    assert back == rel and list(back.coeffs) == [0, 1, 6, 7]
