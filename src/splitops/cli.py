@@ -46,6 +46,17 @@ def _option(name: str, parse, *args):
         raise ValueError(f"{name}: {err}") from None
 
 
+def _budget(text: str) -> int:
+    """argparse type of the rewriting budgets: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -664,19 +675,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", required=True,
                    choices=["rb", "rb0", "nijenhuis", "leftrb", "rightrb"])
     p.add_argument("--weight", default=None, help="rational weight or 'formal'")
-    p.add_argument("--nesting-cap", type=int, default=operatorver.DEFAULT_NESTING_CAP)
-    p.add_argument("--steps", type=int, default=operatorver.DEFAULT_STEP_BUDGET)
+    p.add_argument("--nesting-cap", type=_budget, default=operatorver.DEFAULT_NESTING_CAP)
+    p.add_argument("--steps", type=_budget, default=operatorver.DEFAULT_STEP_BUDGET)
 
     p = add("verify-family", _verify_family, help="verify commuting operators")
     p.add_argument("type")
     p.add_argument("--laws", required=True,
                    help="comma list, e.g. rb:formal,rb:formal or rightrb,leftrb")
-    p.add_argument("--nesting-cap", type=int, default=operatorver.DEFAULT_NESTING_CAP)
-    p.add_argument("--steps", type=int, default=operatorver.DEFAULT_STEP_BUDGET)
+    p.add_argument("--nesting-cap", type=_budget, default=operatorver.DEFAULT_NESTING_CAP)
+    p.add_argument("--steps", type=_budget, default=operatorver.DEFAULT_STEP_BUDGET)
 
     p = add("verify-lemmas", _verify_lemmas, help="modified-operator identities")
-    p.add_argument("--nesting-cap", type=int, default=operatorver.DEFAULT_NESTING_CAP)
-    p.add_argument("--steps", type=int, default=operatorver.DEFAULT_STEP_BUDGET)
+    p.add_argument("--nesting-cap", type=_budget, default=operatorver.DEFAULT_NESTING_CAP)
+    p.add_argument("--steps", type=_budget, default=operatorver.DEFAULT_STEP_BUDGET)
 
     p = add("non-duality", _non_duality, help="the square/maltese duality failure")
 

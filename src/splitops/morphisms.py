@@ -8,7 +8,6 @@ relation subspace exactly.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .exactalg import (
@@ -114,13 +113,21 @@ def monomial_automorphisms(
 ) -> list[TypeMorphism]:
     """All monomial-matrix automorphisms with nonzero entries from ``entries``.
 
-    The search is exhaustive over permutations combined with entry
-    choices that already satisfy the star condition (for an all-ones
-    star that forces a plain permutation matrix).  Each candidate pushes
-    the relations by an index remap and is dropped at the first image
-    outside the relation subspace; survivors get the full isomorphism
-    check.  The result is sorted canonically and verified to be closed
-    under composition.
+    ``entries`` must be closed under multiplication (over Q that leaves
+    {1} and {1, -1}), so that the maps found form a group.
+
+    The search backtracks over partial index maps.  Generators are placed
+    one at a time, in a fixed order that at each step places the generator
+    completing the most relations (ties to the lowest index), each on an
+    unused image with an entry that keeps the star condition.  A relation
+    is tested, by an index remap and a membership query in the relation
+    subspace, at the depth where the last generator of its support is
+    placed, and a branch is cut at the first image outside the span.  The
+    image of a relation depends only on the map on its support, so no
+    automorphism is cut.  The worst case is still m! maps, for a type with
+    few relations.  Every complete map gets the full isomorphism check; the
+    result is sorted canonically and verified to be closed under
+    composition.
     """
     m = t.dim
     if m > guard and not allow_large:
@@ -128,57 +135,101 @@ def monomial_automorphisms(
             f"monomial search over {m} generators exceeds the guard ({guard}); "
             "pass allow_large=True to override"
         )
-    entries = tuple(Fraction(e) for e in entries)
+    entries = tuple(dict.fromkeys(Fraction(e) for e in entries))
     if any(not e for e in entries):
         raise ValueError("monomial entries must be nonzero")
+    if any(a * b not in entries for a in entries for b in entries):
+        raise ValueError("monomial entries must be closed under multiplication")
 
+    order, due = _placement_order(t)
+    choices = _star_consistent_choices(t.star, entries, m)
+    images, signs = [None] * m, [None] * m
+    used = [False] * m
     found = []
-    star = t.star
-    for perm in itertools.permutations(range(m)):
-        # perm maps source generator j to target generator perm[j]
-        for signs in _star_consistent_signs(star, perm, entries, m):
-            if not _relations_preserved(t, perm, signs):
-                continue
-            f = TypeMorphism(t, t, Matrix.monomial(perm, signs))
+
+    def place(depth):
+        if depth == m:
+            f = TypeMorphism(t, t, Matrix.monomial(images, signs))
             if check_isomorphism(f):
-                found.append(f)
-    found.sort(key=lambda f: f.matrix.rows)
+                found.append((f, tuple(images), tuple(signs)))
+            return
+        j = order[depth]
+        for i, e in choices[j]:
+            if used[i]:
+                continue
+            images[j], signs[j] = i, e
+            if _relations_preserved(t, images, signs, due[depth]):
+                used[i] = True
+                place(depth + 1)
+                used[i] = False
+        images[j] = signs[j] = None
 
-    mats = {f.matrix for f in found}
-    for a in found:
-        for b in found:
-            if (a.matrix @ b.matrix) not in mats:
-                raise ExactAlgebraError("automorphism set is not closed under composition")
-    return found
+    place(0)
+    found.sort(key=lambda hit: hit[0].matrix.rows)
+    _check_closed([hit[1:] for hit in found])
+    return [hit[0] for hit in found]
 
 
-def _star_consistent_signs(star, perm, entries, m):
-    """Sign vectors e with (monomial matrix) star = star, generator-wise."""
+def _placement_order(t):
+    """Generators in greedy placement order, and the relations due at each depth.
+
+    A relation is due where the last generator of its support (the
+    generators with a nonzero coefficient in it) is placed.
+    """
+    supports = [set().union(*((i, j) for _, i, j, _ in rel.nonzero())) for rel in t.relations]
+    pending = set(range(len(t.relations)))
+    placed: set[int] = set()
+    order, due = [], []
+    for _ in range(t.dim):
+        complete = {
+            g: [k for k in sorted(pending) if supports[k] <= placed | {g}]
+            for g in range(t.dim)
+            if g not in placed
+        }
+        g = max(complete, key=lambda g: (len(complete[g]), -g))
+        order.append(g)
+        due.append([t.relations[k] for k in complete[g]])
+        placed.add(g)
+        pending.difference_update(complete[g])
+    return order, due
+
+
+def _star_consistent_choices(star, entries, m):
+    """For each generator j, the (image i, entry e) pairs with e star[j] = star[i]."""
     if star is None:
-        yield from itertools.product(entries, repeat=m)
-        return
-    options = []
-    for j in range(m):
-        want = star[perm[j]]
-        have = star[j]
-        if have == 0:
-            if want != 0:
-                return
-            options.append(entries)
-        else:
-            ratio = want / have
-            if ratio not in entries:
-                return
-            options.append((ratio,))
-    yield from itertools.product(*options)
+        pairs = [(i, e) for i in range(m) for e in entries]
+        return [pairs] * m
+    return [
+        [(i, e) for i in range(m) for e in entries if e * star[j] == star[i]]
+        for j in range(m)
+    ]
 
 
-def _relations_preserved(t, perm, signs) -> bool:
-    """Whether the signed permutation carries every relation of ``t`` into its span."""
+def _relations_preserved(t, images, signs, relations) -> bool:
+    """Whether the signed index map carries each of ``relations`` into the span of t's.
+
+    The map may be partial: it needs to be defined on the support of
+    every relation given.
+    """
     space = t.relation_subspace
     return all(
-        space.contains_vector(remap_relation(rel, perm, signs)) for rel in t.relations
+        space.contains_vector(remap_relation(rel, images, signs)) for rel in relations
     )
+
+
+def _compose_index_maps(a, b):
+    """The signed index map a after b, each an ``(images, signs)`` pair."""
+    (ia, sa), (ib, sb) = a, b
+    return tuple(ia[k] for k in ib), tuple(sa[k] * s for k, s in zip(ib, sb))
+
+
+def _check_closed(maps):
+    """Raise unless the signed index maps are closed under composition."""
+    members = set(maps)
+    for a in maps:
+        for b in maps:
+            if _compose_index_maps(a, b) not in members:
+                raise ExactAlgebraError("automorphism set is not closed under composition")
 
 
 # ---------------------------------------------------------------------------

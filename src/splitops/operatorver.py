@@ -716,9 +716,7 @@ def verify_commuting_family(
     """Iterated construction for a family of commuting operators."""
     laws = list(laws)
     if not 1 <= len(laws) <= max_family:
-        raise ExactAlgebraError(
-            f"commuting families are limited to {max_family} operators"
-        )
+        raise ValueError(f"commuting families are limited to {max_family} operators")
     laws = [
         OperatorLaw(law.kind, law.weight, f"{law.name}{k + 1}")
         for k, law in enumerate(laws)

@@ -436,3 +436,54 @@ def test_mutated_json_exports_keep_the_exit_code_contract(tmp_path_factory, text
         assert err.strip(), "a usage or internal error must say what went wrong"
     if code == EXIT_CHECK_FAILED:
         assert "INVALID" in out
+
+
+def test_a_family_beyond_the_size_limit_is_a_usage_error():
+    code, out, err = run_quiet("verify-family", "associative", "--laws", "rb,rb,rb,rb")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: commuting families are limited to 3 operators\n"
+
+
+@pytest.mark.parametrize("option", ["--steps", "--nesting-cap"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("verify-operator", "associative", "--law", "rb"),
+        ("verify-family", "associative", "--laws", "rb"),
+        ("verify-lemmas",),
+    ],
+)
+def test_a_negative_budget_is_a_usage_error(command, option):
+    code, out, err = run_quiet(*command, option, "-1")
+    assert code == EXIT_USAGE and out == ""
+    assert f"argument {option}: expected a non-negative integer, got -1" in err
+    # zero is a budget, and running out of it is still a budget error
+    code, _, err = run_quiet(*command, option, "0")
+    assert code == EXIT_INTERNAL
+    assert err.startswith("error: rewrite budget exhausted")
+
+
+def _starless_dendriform(tmp_path):
+    data = _dendriform_json()
+    data["star"] = None
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("entries, order", [("1,1", 1), ("1", 1), ("1,-1", 2), ("-1,1,-1", 2)])
+def test_auto_group_entries_are_a_set(tmp_path, entries, order):
+    # a star-less type lets every entry through, so repeated entries
+    # would list each map more than once
+    code, out, _ = run_quiet("auto-group", _starless_dendriform(tmp_path), f"--entries={entries}")
+    assert code == EXIT_OK
+    assert f"order {order}\n" in out
+
+
+@pytest.mark.parametrize("starless", [True, False])
+@pytest.mark.parametrize("entries", ["-1", "1,2", "1,-1,2"])
+def test_auto_group_entries_must_be_closed(tmp_path, starless, entries):
+    spec = _starless_dendriform(tmp_path) if starless else "dendriform"
+    code, out, err = run_quiet("auto-group", spec, f"--entries={entries}")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: monomial entries must be closed under multiplication\n"

@@ -1,14 +1,17 @@
 """Morphism checks, published tables, monomial automorphism search."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from splitops import catalog
+from splitops import catalog, morphisms
 from splitops.exactalg import ExactAlgebraError, Matrix
 from splitops.morphisms import (
     TypeMorphism,
+    _check_closed,
+    _compose_index_maps,
     check_isomorphism,
     check_morphism,
     compose,
@@ -19,7 +22,7 @@ from splitops.morphisms import (
     morphism_to_json,
 )
 from splitops.products import flatten_label
-from splitops.typecore import RelationElement, relabel
+from splitops.typecore import RelationElement, TypePresentation, relabel
 
 F = Fraction
 
@@ -160,6 +163,167 @@ def test_monomial_search_matches_brute_force(name):
                 brute.append(f.matrix)
     brute.sort(key=lambda mat: mat.rows)
     assert [f.matrix for f in monomial_automorphisms(t)] == brute
+
+
+# ---------------------------------------------------------------------------
+# the backtracking search against the m! sweep it replaced
+#
+# The oracle tries every permutation with every entry choice that keeps
+# the star, pushes the relations by its own index remap, runs the full
+# isomorphism check on every candidate whose images stay in the span and
+# sorts the survivors.
+
+
+def _star_consistent_signs(star, perm, entries, m):
+    if star is None:
+        yield from itertools.product(entries, repeat=m)
+        return
+    options = []
+    for j in range(m):
+        want, have = star[perm[j]], star[j]
+        if have == 0:
+            if want != 0:
+                return
+            options.append(entries)
+        else:
+            if want / have not in entries:
+                return
+            options.append((want / have,))
+    yield from itertools.product(*options)
+
+
+def _pushes_into_the_span(t, perm, signs):
+    # a prefilter that only drops candidates check_isomorphism would refuse
+    m, space = t.dim, t.relation_subspace
+    for rel in t.relations:
+        image = {
+            (b * m + perm[i]) * m + perm[j]: c * signs[i] * signs[j]
+            for b, i, j, c in rel.nonzero()
+        }
+        if not space.contains_vector(image):
+            return False
+    return True
+
+
+def _sweep(t, entries=(F(1), F(-1))):
+    found = []
+    for perm in itertools.permutations(range(t.dim)):
+        for signs in _star_consistent_signs(t.star, perm, entries, t.dim):
+            if not _pushes_into_the_span(t, perm, signs):
+                continue
+            f = TypeMorphism(t, t, Matrix.monomial(perm, signs))
+            if check_isomorphism(f):
+                found.append(f.matrix)
+    return sorted(found, key=lambda mat: mat.rows)
+
+
+def _searched(t, entries=(1, -1)):
+    return [f.matrix for f in monomial_automorphisms(t, entries=entries)]
+
+
+def _shuffled(t, seed):
+    """``t`` relabelled by a seeded permutation, with the matrix it used."""
+    labels = list(t.generators.labels)
+    images = labels[:]
+    random.Random(seed).shuffle(images)
+    mapping = dict(zip(labels, images))
+    return relabel(t, mapping), Matrix.monomial([labels.index(mapping[lbl]) for lbl in labels])
+
+
+def _starless(t):
+    return TypePresentation(t.generators, None, t.relations, star_unresolved=True)
+
+
+SMALL = [n for n in catalog.list_names() if catalog.get(n).dim <= 4]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", SMALL)
+def test_search_matches_the_sweep_after_relabelling(name, seed):
+    # a relabelling moves the supports, so the placement order changes;
+    # published coordinates are covered by the brute-force test above
+    t, _ = _shuffled(catalog.get(name), seed)
+    assert _searched(t) == _sweep(t)
+
+
+@pytest.mark.parametrize("entries", [(1,), (1, -1)])
+@pytest.mark.parametrize("name", SMALL)
+def test_search_matches_the_sweep_without_a_star(name, entries):
+    t = _starless(catalog.get(name))
+    assert _searched(t, entries) == _sweep(t, tuple(F(e) for e in entries))
+
+
+def test_search_matches_the_sweep_on_eight_generators():
+    t = catalog.get("di_dipterous_anti")
+    assert t.dim == 8
+    assert _searched(t) == _sweep(t)
+
+
+def _transpose(t):
+    """The factor swap (a|b) -> (b|a) on the labels of a square product."""
+    labels = [flatten_label(lbl) for lbl in t.generators.labels]
+    return Matrix.monomial([labels.index((b, a)) for a, b in labels])
+
+
+def test_ennea_and_dendriform_nijenhuis_groups():
+    ennea = catalog.get("ennea")
+    assert ennea.dim == 9
+    expected = sorted([Matrix.identity(9), _transpose(ennea)], key=lambda mat: mat.rows)
+    assert _searched(ennea) == expected
+    assert _searched(catalog.get("dendriform_nijenhuis")) == [Matrix.identity(9)]
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+@pytest.mark.parametrize("name", ["octo", "ennea"])
+def test_search_commutes_with_relabelling(name, seed):
+    # the group of the relabelled type is the conjugate of the group
+    t = catalog.get(name)
+    shuffled, p = _shuffled(t, seed)
+    conjugates = [p @ g @ p.inverse() for g in _searched(t)]
+    assert _searched(shuffled) == sorted(conjugates, key=lambda mat: mat.rows)
+
+
+def test_search_prunes_octo(monkeypatch):
+    tested = []
+    node_test = morphisms._relations_preserved
+
+    def counting(*args):
+        tested.append(args)
+        return node_test(*args)
+
+    monkeypatch.setattr(morphisms, "_relations_preserved", counting)
+    assert len(monomial_automorphisms(catalog.get("octo"))) == 6
+    assert 0 < len(tested) < 500  # the sweep tested 8! = 40320 maps
+
+
+def _index_map(matrix):
+    images, signs = [], []
+    for j in range(matrix.ncols):
+        ((i, e),) = [(i, row[j]) for i, row in enumerate(matrix.rows) if row[j]]
+        images.append(i)
+        signs.append(e)
+    return tuple(images), tuple(signs)
+
+
+def test_index_map_composition_is_the_matrix_product():
+    maps = [
+        (perm, signs)
+        for perm in itertools.permutations(range(3))
+        for signs in itertools.product((F(1), F(-1)), repeat=3)
+    ]
+    for a in maps:
+        for b in maps:
+            product = Matrix.monomial(*a) @ Matrix.monomial(*b)
+            assert Matrix.monomial(*_compose_index_maps(a, b)) == product
+
+
+def test_closure_check_catches_a_missing_map():
+    maps = [_index_map(f.matrix) for f in monomial_automorphisms(catalog.get("octo"))]
+    assert len(maps) == 6
+    _check_closed(maps)
+    for k in range(len(maps)):
+        with pytest.raises(ExactAlgebraError, match="not closed"):
+            _check_closed(maps[:k] + maps[k + 1:])
 
 
 def test_isomorphism_implies_morphism_both_ways():
