@@ -125,7 +125,13 @@ class RatFunc:
     """A reduced rational function in the formal weight, over Q.
 
     Canonical form: gcd(num, den) = 1 and den monic, so ``==`` on values
-    coincides with ``==`` on representations.
+    coincides with ``==`` on representations.  A monic denominator of
+    length 1 is ``(1,)``, so a constant is a one-entry ``num`` over a
+    one-entry ``den``.
+
+    Instances are immutable values: nothing may assign ``num`` or ``den``
+    after construction.  Arithmetic relies on this, since multiplying by
+    the constant 1 returns the other operand itself.
     """
 
     __slots__ = ("num", "den")
@@ -138,7 +144,10 @@ class RatFunc:
             return
         if den is None and isinstance(num, (int, Fraction)):
             # a constant is already canonical: no gcd to take
-            self.num = (Fraction(num),) if num else ()
+            if num:
+                self.num = (num if type(num) is Fraction else Fraction(num),)
+            else:
+                self.num = ()
             self.den = _PONE
             return
         n = self._coerce_poly(num)
@@ -164,6 +173,9 @@ class RatFunc:
         if isinstance(v, (int, Fraction)):
             f = Fraction(v)
             return (f,) if f else ()
+        if isinstance(v, (str, bytes, bytearray)):
+            # iterable, but not a coefficient sequence: "12" is not 1 + 2*l
+            raise TypeError(f"cannot build polynomial from {v!r}; use parse_scalar")
         if isinstance(v, Iterable):
             return _ptrim([Fraction(x) for x in v])
         raise TypeError(f"cannot build polynomial from {v!r}")
@@ -178,10 +190,12 @@ class RatFunc:
         return bool(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc(other)
+        # here and in the arithmetic, RatFunc is tested first: a failing
+        # isinstance test against Fraction goes through ABCMeta
         if not isinstance(other, RatFunc):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = RatFunc(other)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -190,10 +204,10 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RatFunc):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = RatFunc(other)
-        elif not isinstance(other, RatFunc):
-            return NotImplemented
         if self.den == _PONE and other.den == _PONE:
             return RatFunc._raw(_padd(self.num, other.num), _PONE)
         return RatFunc(
@@ -204,36 +218,73 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._raw(_pneg(self.num), self.den)
+        n = self.num
+        # most negations are of constants (from -1 products and negated
+        # relation coefficients): skip the generator for one entry
+        if len(n) == 1:
+            return RatFunc._raw((-n[0],), self.den)
+        return RatFunc._raw(_pneg(n), self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RatFunc):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = RatFunc(other)
-        elif not isinstance(other, RatFunc):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RatFunc):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = RatFunc(other)
-        elif not isinstance(other, RatFunc):
-            return NotImplemented
-        if not self.num or not other.num:
+        # the RF_ONE object itself is a side of about half the verifier's
+        # products, and testing identity is cheaper than the value test
+        if self is RF_ONE:
+            return other
+        if other is RF_ONE:
+            return self
+        a, b = self.num, other.num
+        if not a or not b:
             return RF_ZERO
-        if self.den == _PONE and other.den == _PONE:
-            return RatFunc._raw(_pmul(self.num, other.num), _PONE)
-        return RatFunc(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        # the constants first: almost every product the operator verifier
+        # forms has a constant side, most often +1 or -1
+        a_const = len(a) == 1 and len(self.den) == 1
+        b_const = len(b) == 1 and len(other.den) == 1
+        if a_const:
+            if a[0] == 1:
+                return other
+            if a[0] == -1:
+                return -other
+        if b_const:
+            if b[0] == 1:
+                return self
+            if b[0] == -1:
+                return -self
+            if a_const:
+                return RatFunc._raw((a[0] * b[0],), _PONE)
+            return self._scale(b[0])
+        if a_const:
+            return other._scale(a[0])
+        if len(self.den) == 1 and len(other.den) == 1:
+            return RatFunc._raw(_pmul(a, b), _PONE)
+        return RatFunc(_pmul(a, b), _pmul(self.den, other.den))
 
     __rmul__ = __mul__
 
+    def _scale(self, c: Fraction) -> "RatFunc":
+        """``self * c`` for a nonzero rational ``c``: the leading coefficient
+        stays nonzero and ``num`` stays prime to ``den``, so nothing is
+        trimmed or reduced."""
+        return RatFunc._raw(tuple(x * c for x in self.num), self.den)
+
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RatFunc):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = RatFunc(other)
-        elif not isinstance(other, RatFunc):
-            return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by zero rational function")
         if self.den == _PONE and other.den == _PONE and len(other.num) == 1:

@@ -542,6 +542,7 @@ class _Verifier:
             product = square(product, factor)
         self.product = product
         self.factor_dims = [f.dim for f in factors]
+        self._entry_cache: dict = {}
 
     def _decompose(self, index: int):
         taus = []
@@ -551,7 +552,13 @@ class _Verifier:
         taus.reverse()
         return index, tuple(taus)
 
-    def _entries(self, taus: tuple[int, ...]):
+    def _entries(self, taus: tuple[int, ...]) -> tuple:
+        """The (coeff, left word, right word, wrap word) entries of the
+        derived operation of one product generator, composed over the
+        factor tables once per index tuple and then shared."""
+        cached = self._entry_cache.get(taus)
+        if cached is not None:
+            return cached
         entries = [(RF_ONE, (), (), ())]
         for table, tau in zip(self.tables, taus):
             nxt = []
@@ -566,7 +573,8 @@ class _Verifier:
                         )
                     )
             entries = nxt
-        return entries
+        cached = self._entry_cache[taus] = tuple(entries)
+        return cached
 
     def substitute(self, rel: RelationElement) -> dict:
         """LHS - RHS of a product relation under the derived operations."""

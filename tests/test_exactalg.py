@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from splitops.exactalg import (
     LAMBDA,
+    RF_ONE,
     DimensionMismatch,
     Matrix,
     RatFunc,
@@ -17,6 +18,7 @@ from splitops.exactalg import (
     parse_scalar,
     rref,
 )
+from splitops.exactalg import _padd, _pmul
 
 F = Fraction
 
@@ -282,6 +284,60 @@ def test_division_by_a_constant_matches_the_general_path(num, c):
     quotient = RatFunc(tuple(num)) / RatFunc(c)
     _same_representation(quotient, RatFunc(tuple(num), (c,)))
     _same_representation(RatFunc(c) / RatFunc(c), RatFunc((1,), (1,)))
+
+
+def _general_product(a, b):
+    return RatFunc(_pmul(a.num, b.num), _pmul(a.den, b.den))
+
+
+def _general_sum(a, b):
+    return RatFunc(_padd(_pmul(a.num, b.den), _pmul(b.num, a.den)), _pmul(a.den, b.den))
+
+
+def scalar_operands():
+    """Units (RF_ONE itself and equal copies), zero, constants, polynomials
+    of degree 1 to 3 and rational functions with a nonconstant denominator."""
+    return st.one_of(
+        st.sampled_from([RF_ONE, RatFunc(1), RatFunc(F(-1)), RatFunc(0)]),
+        wide_fracs.map(RatFunc),
+        st.lists(wide_fracs, min_size=2, max_size=4).map(lambda c: RatFunc(tuple(c))),
+        poly_ratfuncs(),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_operands(), scalar_operands())
+def test_unit_and_constant_paths_match_the_general_path(a, b):
+    # products: +-1 on either side, constant x constant, polynomial x constant
+    _same_representation(a * b, _general_product(a, b))
+    _same_representation(b * a, _general_product(b, a))
+    for unit in (1, -1, F(1), F(-1)):
+        _same_representation(a * unit, _general_product(a, RatFunc(unit)))
+        _same_representation(unit * a, _general_product(RatFunc(unit), a))
+    # sums, including constant sums that cancel to zero
+    _same_representation(a + b, _general_sum(a, b))
+    _same_representation(a - b, _general_sum(a, RatFunc(_pmul(b.num, (F(-1),)), b.den)))
+    _same_representation(a + (-a), RatFunc(0))
+    # negation of constants and of polynomials
+    _same_representation(-a, RatFunc(_pmul(a.num, (F(-1),)), a.den))
+    _same_representation(-(-a), a)
+
+
+def test_unit_operands_return_the_other_operand_itself():
+    # safe only because RatFunc values are immutable
+    assert RF_ONE * LAMBDA is LAMBDA and LAMBDA * RF_ONE is LAMBDA
+    assert RatFunc(1) * LAMBDA is LAMBDA and LAMBDA * F(1) is LAMBDA
+
+
+@pytest.mark.parametrize("text", ["12", "", b"12", bytearray(b"1")])
+def test_ratfunc_refuses_text(text):
+    # a string is iterable but is not a coefficient sequence: "12" once
+    # built the polynomial 1 + 2*l
+    with pytest.raises(TypeError):
+        RatFunc(text)
+    with pytest.raises(TypeError):
+        RatFunc((1,), text)
+    assert parse_scalar("(12)/(1)") == RatFunc(12)
 
 
 def test_zero_constant_is_falsy():

@@ -435,3 +435,21 @@ def test_golden_certificate_export(capsys):
     golden = Path(__file__).parent / "golden" / "certificates" / "ns_nijenhuis.json"
     assert main(["verify-operator", "ns", "--law", "nijenhuis", "--json"]) == 0
     assert capsys.readouterr().out == golden.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        # coefficients 1, l and l^2
+        (["verify-operator", "associative", "--law", "rb"], "associative_rb.json"),
+        # coefficients 1, 1/2 and 1/4
+        (
+            ["verify-operator", "dendriform", "--law", "rb", "--weight", "1/2"],
+            "dendriform_rb_half.json",
+        ),
+    ],
+)
+def test_golden_certificate_export_with_weights(capsys, argv, name):
+    golden = Path(__file__).parent / "golden" / "certificates" / name
+    assert main(argv + ["--json"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
