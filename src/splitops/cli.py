@@ -84,8 +84,9 @@ def _show(args, out):
     if args.relation_basis:
         for k, rel in enumerate(t.relations):
             out(f"  basis element {k + 1}:")
-            for tag, rows in dsl._json_blocks(rel).items():
-                for row in rows:
+            for block, tag in enumerate(("L", "R")):
+                for i in range(t.dim):
+                    row = (format_scalar(rel.coeff(block, i, j)) for j in range(t.dim))
                     out(f"    {tag} " + " ".join(row))
     return EXIT_OK
 

@@ -28,6 +28,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .exactalg import ExactAlgebraError, format_scalar
 from .typecore import (
@@ -381,22 +382,62 @@ def _to_dsl(t: TypePresentation) -> str:
 
 
 def _to_json(t: TypePresentation) -> str:
-    obj = {
-        "name": t.name,
-        "generators": list(t.generators.labels),
-        "star": [format_scalar(x) for x in t.star] if t.star is not None else None,
-        "aux": {k: [format_scalar(x) for x in v] for k, v in t.aux.items()},
-        "relations": [_json_blocks(rel) for rel in t.relations],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    """The JSON export, written directly for its fixed schema.
+
+    The text is byte for byte what ``json.dumps(obj, indent=2) + "\n"``
+    gives for the object with keys ``name``, ``generators``, ``star`` (a
+    list of rational strings, or ``null``), ``aux`` and ``relations`` (one
+    ``{"L": rows, "R": rows}`` object per relation, m rows of m strings
+    each); strings are escaped to ASCII as ``json.dumps`` does.  Most rows
+    are zero, so the text of a zero row is built once per export and a
+    relation only formats the rows its nonzero coefficients fall in.
+    """
+    m = t.dim
+    labels = [_json_string(label) for label in t.generators.labels]
+    if t.star is None:
+        star = "null"
+    else:
+        star = _json_array([_json_string(format_scalar(x)) for x in t.star], 1)
+    if t.aux:
+        defs = ",".join(
+            f"\n    {_json_string(k)}: "
+            + _json_array([_json_string(format_scalar(x)) for x in v], 2)
+            for k, v in t.aux.items()
+        )
+        aux = "{" + defs + "\n  }"
+    else:
+        aux = "{}"
+    zero_row = _json_array(['"0"'] * m, 4)
+    relations = [_relation_json(rel, m, zero_row) for rel in t.relations]
+    return (
+        f'{{\n  "name": {_json_string(t.name)},\n  "generators": {_json_array(labels, 1)},'
+        f'\n  "star": {star},\n  "aux": {aux},'
+        f'\n  "relations": {_json_array(relations, 1)}\n}}\n'
+    )
 
 
-def _json_blocks(rel: RelationElement) -> dict:
-    m = rel.size
-    blocks = [[["0"] * m for _ in range(m)] for _ in range(2)]
+def _json_array(items: list[str], level: int) -> str:
+    """A list of encoded items, laid out as ``json.dumps(indent=2)`` at nesting ``level``."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (level + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
+
+
+def _relation_json(rel: RelationElement, m: int, zero_row: str) -> str:
+    rows = [zero_row] * (2 * m)
+    cells: dict[int, list[str]] = {}
     for block, i, j, c in rel.nonzero():
-        blocks[block][i][j] = format_scalar(c)
-    return {"L": blocks[0], "R": blocks[1]}
+        r = block * m + i
+        if r not in cells:
+            cells[r] = ['"0"'] * m
+        cells[r][j] = _json_string(format_scalar(c))
+    for r, row in cells.items():
+        rows[r] = _json_array(row, 4)
+    return (
+        f'{{\n      "L": {_json_array(rows[:m], 3)},'
+        f'\n      "R": {_json_array(rows[m:], 3)}\n    }}'
+    )
 
 
 def parse_type_json(text: str) -> TypePresentation:
@@ -412,13 +453,16 @@ def parse_type_json(text: str) -> TypePresentation:
             raise DslError("missing field", path=key)
     if not isinstance(obj["name"], str):
         raise DslError("expected a string", path="name")
+    _check_writable(obj["name"], "name")
     labels = obj["generators"]
     if not isinstance(labels, list) or not labels:
         raise DslError("expected a nonempty list of labels", path="generators")
     for k, label in enumerate(labels):
         if not isinstance(label, str):
             raise DslError("expected a string", path=f"generators[{k}]")
-    if len(set(labels)) != len(labels):
+        _check_writable(label, f"generators[{k}]")
+    seen = set(labels)
+    if len(seen) != len(labels):
         raise DslError("duplicate generator labels", path="generators")
     m = len(labels)
     star = obj.get("star")
@@ -427,27 +471,14 @@ def parse_type_json(text: str) -> TypePresentation:
     aux = obj.get("aux", {})
     if not isinstance(aux, dict):
         raise DslError("expected an object", path="aux")
+    for k in aux:
+        _check_writable(k, f"aux.{k}")
+        if k in seen:
+            raise DslError("duplicate name", path=f"aux.{k}")
     aux = {k: _json_vector(v, m, f"aux.{k}") for k, v in aux.items()}
     if not isinstance(obj["relations"], list):
         raise DslError("expected a list", path="relations")
-    relations = []
-    for r, rel in enumerate(obj["relations"]):
-        path = f"relations[{r}]"
-        if not isinstance(rel, dict):
-            raise DslError("expected an object", path=path)
-        coeffs = {}
-        for block, key in enumerate(("L", "R")):
-            if key not in rel:
-                raise DslError("missing field", path=f"{path}.{key}")
-            rows = rel[key]
-            if not isinstance(rows, list) or len(rows) != m:
-                raise DslError(f"expected a list of {m} rows", path=f"{path}.{key}")
-            for i, row in enumerate(rows):
-                row = _json_vector(row, m, f"{path}.{key}[{i}]")
-                for j, c in enumerate(row):
-                    if c:
-                        coeffs[block * m * m + i * m + j] = c
-        relations.append(RelationElement(m, coeffs))
+    relations = [_relation_from_json(rel, m, r) for r, rel in enumerate(obj["relations"])]
     return TypePresentation(
         GeneratorSpace(obj["name"], tuple(labels)),
         star,
@@ -457,16 +488,60 @@ def parse_type_json(text: str) -> TypePresentation:
     )
 
 
+def _relation_from_json(rel, m: int, r: int) -> RelationElement:
+    """``relations[r]`` of a JSON export.
+
+    A ``"0"`` cell is skipped before any conversion, and a row of ``"0"``
+    cells as a whole; every other cell goes through ``_json_rational``.
+    """
+    if not isinstance(rel, dict):
+        raise DslError("expected an object", path=f"relations[{r}]")
+    coeffs = {}
+    for block, key in enumerate(("L", "R")):
+        if key not in rel:
+            raise DslError("missing field", path=f"relations[{r}].{key}")
+        rows = rel[key]
+        if not isinstance(rows, list) or len(rows) != m:
+            raise DslError(f"expected a list of {m} rows", path=f"relations[{r}].{key}")
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != m:
+                raise DslError(
+                    f"expected a list of {m} rationals", path=f"relations[{r}].{key}[{i}]"
+                )
+            if row.count("0") == m:
+                continue
+            path = f"relations[{r}].{key}[{i}]"
+            offset = (block * m + i) * m
+            for j, x in enumerate(row):
+                if x == "0":
+                    continue
+                c = _json_rational(x, path, j)
+                if c:
+                    coeffs[offset + j] = c
+    return RelationElement(m, coeffs)
+
+
+def _check_writable(name: str, path: str) -> None:
+    """Refuse a name the definition language cannot write back.
+
+    A quoted name ends at ``"`` or a line break, and text files read back
+    with universal newlines turn ``\\r`` into a line break.
+    """
+    if '"' in name or "\n" in name or "\r" in name:
+        raise DslError("a name cannot contain '\"' or a line break", path=path)
+
+
 def _json_vector(value, m: int, path: str) -> list[Fraction]:
     if not isinstance(value, list) or len(value) != m:
         raise DslError(f"expected a list of {m} rationals", path=path)
-    return [_json_rational(x, f"{path}[{k}]") for k, x in enumerate(value)]
+    return [_json_rational(x, path, k) for k, x in enumerate(value)]
 
 
 _COMMON_RATIONALS = {"0": Fraction(0), "1": Fraction(1), "-1": Fraction(-1)}
 
 
-def _json_rational(value, path: str) -> Fraction:
+def _json_rational(value, path: str, k: int) -> Fraction:
+    """Entry ``k`` of the JSON list at ``path`` as a rational."""
     known = _COMMON_RATIONALS.get(value) if isinstance(value, str) else None
     if known is not None:
         return known
@@ -477,7 +552,7 @@ def _json_rational(value, path: str) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             pass
-    raise DslError(f"expected a rational such as \"-1/2\", found {value!r}", path=path)
+    raise DslError(f"expected a rational such as \"-1/2\", found {value!r}", path=f"{path}[{k}]")
 
 
 def _to_latex(t: TypePresentation) -> str:

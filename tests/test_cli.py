@@ -349,6 +349,15 @@ def _non_square_l():
     return data
 
 
+def _bad_cell(value):
+    def make():
+        data = _dendriform_json()
+        data["relations"][0]["R"][1][0] = value
+        return data
+
+    return make
+
+
 @pytest.mark.parametrize(
     "make, path",
     [
@@ -357,6 +366,8 @@ def _non_square_l():
         (_relation_without_r, "relations[0].R"),
         (lambda: [1, 2], None),
         (_non_square_l, "relations[1].L[0]"),
+        (_bad_cell("1/0"), "relations[0].R[1][0]"),
+        (_bad_cell(True), "relations[0].R[1][0]"),
     ],
 )
 def test_malformed_json_is_a_usage_error(tmp_path, make, path):
@@ -374,6 +385,61 @@ def test_json_that_is_not_json_is_a_usage_error(tmp_path):
     bad.write_text('{"name": "x", ')
     code, _, err = run_quiet("validate", str(bad))
     assert code == EXIT_USAGE and "not valid JSON" in err
+
+
+def _renamed(field, value, index=None):
+    """The dendriform export with one name replaced: the type name, a label or an aux name."""
+
+    def make():
+        data = _dendriform_json()
+        if field == "aux":
+            data["aux"] = {value: ["1", "1"]}
+        elif index is None:
+            data[field] = value
+        else:
+            data[field][index] = value
+        return data
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (_renamed("aux", "lt"), "aux.lt: duplicate name"),
+        (_renamed("name", 'a"b'), "name: a name cannot contain"),
+        (_renamed("name", "a\nb"), "name: a name cannot contain"),
+        (_renamed("generators", 'g"t', 1), "generators[1]: a name cannot contain"),
+        (_renamed("generators", "g\nt", 1), "generators[1]: a name cannot contain"),
+        (_renamed("generators", "g\rt", 0), "generators[0]: a name cannot contain"),
+        (_renamed("aux", 'st"'), 'aux.st": a name cannot contain'),
+    ],
+)
+@pytest.mark.parametrize("command", [("validate",), ("export", "--format", "dsl")])
+def test_a_json_name_the_definition_language_cannot_write_is_a_usage_error(
+    tmp_path, make, message, command
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(make()))
+    code, out, err = run_quiet(command[0], str(bad), *command[1:])
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: {message}")
+    assert not out
+
+
+def test_escaped_json_names_survive_the_definition_language(tmp_path):
+    source = tmp_path / "type.json"
+    data = _renamed("generators", "g\\t\u00e9", 1)()
+    data["aux"] = {"s\u03bb": ["1", "1"]}
+    source.write_text(json.dumps(data))
+    code, text, _ = run_quiet("export", str(source), "--format", "dsl")
+    assert code == EXIT_OK
+    back = tmp_path / "type.type"
+    back.write_text(text)
+    code, json_text, _ = run_quiet("export", str(back), "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(json_text)["generators"] == ["lt", "g\\t\u00e9"]
+    assert json.loads(json_text)["aux"] == {"s\u03bb": ["1", "1"]}
 
 
 def _json_paths(obj, prefix=()):
