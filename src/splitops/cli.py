@@ -17,7 +17,13 @@ from pathlib import Path
 
 from . import catalog, dsl, duality, morphisms, operatorver, products, typecore
 from .exactalg import ExactAlgebraError, Matrix, format_scalar
-from .typecore import RelationElement, format_relation, star_associativity, validate
+from .typecore import (
+    InvalidPresentation,
+    RelationElement,
+    format_relation,
+    star_associativity,
+    validate,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -720,6 +726,14 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except dsl.DslValidationError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except InvalidPresentation as err:
+        # with a validation report, the input (or a product of inputs) is
+        # not a presentation, as ``validate`` would say
+        if err.report is None:
+            print(f"internal error: {err}", file=sys.stderr)
+            return EXIT_INTERNAL
+        print(f"error: {err}\n{err.report.describe()}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except operatorver.RewriteBudget as err:
         print(f"error: {err}", file=sys.stderr)

@@ -360,6 +360,14 @@ def _lincomb_str(vec, labels) -> str:
 
 def _to_dsl(t: TypePresentation) -> str:
     labels = t.generators.labels
+    # the names the JSON reader accepts, checked with its rules and paths
+    _check_writable(t.name, "name")
+    for k, label in enumerate(labels):
+        _check_writable(label, f"generators[{k}]")
+    for k in t.aux:
+        _check_writable(k, f"aux.{k}")
+        if k in labels:
+            raise DslError("duplicate name", path=f"aux.{k}")
 
     def term(_block, i, j):
         return f"{_name_out(labels[i])}.{_name_out(labels[j])}"

@@ -8,10 +8,11 @@ floating point is used anywhere.
 
 Scalars:
 
-* plain rationals, represented by :class:`fractions.Fraction`;
+* plain rationals, represented by :class:`fractions.Fraction` or, where
+  integral and speed matters, by ``int``;
 * rational functions, represented by :class:`RatFunc` (reduced fraction
-  of polynomials, monic denominator, so equal values have identical
-  representations).
+  of polynomials, monic denominator, int coefficients where integral, so
+  equal values have identical representations).
 
 :class:`Matrix` is a small dense rational matrix (generator maps and
 their products).  Relation spaces are large and sparse, so every row
@@ -48,7 +49,16 @@ class DimensionMismatch(ExactAlgebraError):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q, as tuples of Fractions in ascending degree
+# polynomials over Q, as tuples of coefficients in ascending degree; a
+# coefficient is an int when it is integral and a Fraction otherwise
+
+
+def canonical(x):
+    """An exact scalar in canonical form: an integral Fraction as its int,
+    any other value unchanged."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
 
 
 def _ptrim(c: list) -> tuple:
@@ -62,7 +72,7 @@ def _padd(a: tuple, b: tuple) -> tuple:
         a, b = b, a
     out = list(a)
     for i, x in enumerate(b):
-        out[i] += x
+        out[i] = canonical(out[i] + x)
     return _ptrim(out)
 
 
@@ -73,61 +83,66 @@ def _pneg(a: tuple) -> tuple:
 def _pmul(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
                     out[i + j] += x * y
-    return _ptrim(out)
+    return _ptrim([canonical(x) for x in out])
 
 
 def _pdivmod(a: tuple, b: tuple) -> tuple:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    q = [0] * max(len(a) - len(b) + 1, 0)
     r = list(a)
-    inv = 1 / b[-1]
+    inv = Fraction(1) / b[-1]
     while len(r) >= len(b):
-        c = r[-1] * inv
+        c = canonical(r[-1] * inv)
         d = len(r) - len(b)
         q[d] = c
         for i, y in enumerate(b):
-            r[d + i] -= c * y
+            r[d + i] = canonical(r[d + i] - c * y)
         del r[-1]
         while r and not r[-1]:
             del r[-1]
     return _ptrim(q), _ptrim(r)
 
 
+def _pscale(a: tuple, c) -> tuple:
+    """``a`` times a nonzero rational ``c``."""
+    return tuple(canonical(x * c) for x in a)
+
+
 def _pgcd(a: tuple, b: tuple) -> tuple:
     while b:
         a, b = b, _pdivmod(a, b)[1]
     if a and a[-1] != 1:
-        inv = 1 / a[-1]
-        a = tuple(x * inv for x in a)
+        a = _pscale(a, Fraction(1) / a[-1])
     return a
 
 
-def _pmonic(a: tuple) -> tuple[tuple, Fraction]:
+def _pmonic(a: tuple) -> tuple:
     """Return (a/lead, lead)."""
     lead = a[-1]
     if lead == 1:
         return a, lead
-    inv = 1 / lead
-    return tuple(x * inv for x in a), lead
+    return _pscale(a, Fraction(1) / lead), lead
 
 
-_PONE = (Fraction(1),)
+_PONE = (1,)
 
 
 class RatFunc:
     """A reduced rational function in the formal weight, over Q.
 
     Canonical form: gcd(num, den) = 1 and den monic, so ``==`` on values
-    coincides with ``==`` on representations.  A monic denominator of
-    length 1 is ``(1,)``, so a constant is a one-entry ``num`` over a
-    one-entry ``den``.
+    coincides with ``==`` on representations.  Every coefficient of
+    ``num`` and ``den`` is an int when it is integral and a Fraction
+    otherwise, never a float.  A monic denominator of length 1 is
+    ``(1,)``, so a constant is a one-entry ``num`` over a one-entry
+    ``den``.
 
     Instances are immutable values: nothing may assign ``num`` or ``den``
     after construction.  Arithmetic relies on this, since multiplying by
@@ -144,10 +159,7 @@ class RatFunc:
             return
         if den is None and isinstance(num, (int, Fraction)):
             # a constant is already canonical: no gcd to take
-            if num:
-                self.num = (num if type(num) is Fraction else Fraction(num),)
-            else:
-                self.num = ()
+            self.num = (canonical(num),) if num else ()
             self.den = _PONE
             return
         n = self._coerce_poly(num)
@@ -161,8 +173,7 @@ class RatFunc:
                 d = _pdivmod(d, g)[0]
             d, lead = _pmonic(d)
             if lead != 1:
-                inv = 1 / lead
-                n = tuple(x * inv for x in n)
+                n = _pscale(n, Fraction(1) / lead)
         else:
             d = _PONE
         self.num = n
@@ -171,13 +182,12 @@ class RatFunc:
     @staticmethod
     def _coerce_poly(v) -> tuple:
         if isinstance(v, (int, Fraction)):
-            f = Fraction(v)
-            return (f,) if f else ()
+            return (canonical(v),) if v else ()
         if isinstance(v, (str, bytes, bytearray)):
             # iterable, but not a coefficient sequence: "12" is not 1 + 2*l
             raise TypeError(f"cannot build polynomial from {v!r}; use parse_scalar")
         if isinstance(v, Iterable):
-            return _ptrim([Fraction(x) for x in v])
+            return _ptrim([x if type(x) is int else canonical(Fraction(x)) for x in v])
         raise TypeError(f"cannot build polynomial from {v!r}")
 
     @classmethod
@@ -200,7 +210,7 @@ class RatFunc:
 
     def __hash__(self):
         if self.den == _PONE and len(self.num) <= 1:
-            return hash(self.num[0] if self.num else Fraction(0))
+            return hash(self.num[0] if self.num else 0)
         return hash((self.num, self.den))
 
     def __add__(self, other):
@@ -239,13 +249,14 @@ class RatFunc:
         if not isinstance(other, RatFunc):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            other = RatFunc(other)
-        # the RF_ONE object itself is a side of about half the verifier's
-        # products, and testing identity is cheaper than the value test
-        if self is RF_ONE:
-            return other
-        if other is RF_ONE:
-            return self
+            # a rational operand scales the numerator without a wrapper
+            if other == 1:
+                return self
+            if other == -1:
+                return -self
+            if not other:
+                return RF_ZERO
+            return self._scale(other)
         a, b = self.num, other.num
         if not a or not b:
             return RF_ZERO
@@ -264,7 +275,7 @@ class RatFunc:
             if b[0] == -1:
                 return -self
             if a_const:
-                return RatFunc._raw((a[0] * b[0],), _PONE)
+                return RatFunc._raw((canonical(a[0] * b[0]),), _PONE)
             return self._scale(b[0])
         if a_const:
             return other._scale(a[0])
@@ -274,11 +285,11 @@ class RatFunc:
 
     __rmul__ = __mul__
 
-    def _scale(self, c: Fraction) -> "RatFunc":
+    def _scale(self, c) -> "RatFunc":
         """``self * c`` for a nonzero rational ``c``: the leading coefficient
         stays nonzero and ``num`` stays prime to ``den``, so nothing is
         trimmed or reduced."""
-        return RatFunc._raw(tuple(x * c for x in self.num), self.den)
+        return RatFunc._raw(_pscale(self.num, c), self.den)
 
     def __truediv__(self, other):
         if not isinstance(other, RatFunc):
@@ -288,8 +299,7 @@ class RatFunc:
         if not other.num:
             raise ZeroDivisionError("division by zero rational function")
         if self.den == _PONE and other.den == _PONE and len(other.num) == 1:
-            inv = 1 / other.num[0]
-            return RatFunc._raw(tuple(x * inv for x in self.num), _PONE)
+            return RatFunc._raw(_pscale(self.num, Fraction(1) / other.num[0]), _PONE)
         return RatFunc(_pmul(self.num, other.den), _pmul(self.den, other.num))
 
     def __rtruediv__(self, other):
@@ -316,7 +326,7 @@ def _peval(p: tuple, x: Fraction) -> Fraction:
 
 RF_ZERO = RatFunc(0)
 RF_ONE = RatFunc(1)
-LAMBDA = RatFunc._raw((Fraction(0), Fraction(1)), _PONE)
+LAMBDA = RatFunc._raw((0, 1), _PONE)
 
 Scalar = Union[Fraction, RatFunc]
 

@@ -24,6 +24,11 @@ Terms are product trees with three leaves x, y, z in fixed order (two
 leaves for the operator-identity lemmas); every leaf and every product
 node carries an operator word.  Words are kept canonically sorted, which
 makes commuting families definitional rather than rewritten.
+
+A coefficient is a plain exact number, an int or a Fraction, unless its
+value involves the formal weight, when it is a RatFunc; mixed arithmetic
+between the three is exact.  Certificates and printed residuals show
+every coefficient as a RatFunc.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import LAMBDA, RatFunc, RF_ONE, ExactAlgebraError, format_scalar
+from .exactalg import LAMBDA, RatFunc, ExactAlgebraError, canonical, format_scalar
 from .typecore import RelationElement, TypePresentation, require_valid
 from .products import square
 
@@ -66,10 +71,11 @@ class OperatorLaw:
         if self.kind != "rb" and self.weight is not None:
             raise ValueError(f"{self.kind} takes no weight")
 
-    def weight_scalar(self) -> RatFunc:
+    def weight_scalar(self):
+        """The formal weight ``LAMBDA``, or the rational weight as a plain scalar."""
         if self.weight is None:
             return LAMBDA
-        return RatFunc(self.weight)
+        return canonical(self.weight)
 
     def describe(self) -> str:
         if self.kind == "rb":
@@ -81,19 +87,15 @@ class OperatorLaw:
         """(coeff, keep_left_operator, keep_right_operator, wraps_added)."""
         if self.kind == "rb":
             w = self.weight_scalar()
-            out = [(RF_ONE, True, False, 1), (RF_ONE, False, True, 1)]
+            out = [(1, True, False, 1), (1, False, True, 1)]
             if w:
                 out.append((w, False, False, 1))
             return out
         if self.kind == "nijenhuis":
-            return [
-                (RF_ONE, True, False, 1),
-                (RF_ONE, False, True, 1),
-                (-RF_ONE, False, False, 2),
-            ]
+            return [(1, True, False, 1), (1, False, True, 1), (-1, False, False, 2)]
         if self.kind == "left_rb":
-            return [(RF_ONE, False, True, 1)]
-        return [(RF_ONE, True, False, 1)]
+            return [(1, False, True, 1)]
+        return [(1, True, False, 1)]
 
 
 def rb(weight=None, name: str = "P") -> OperatorLaw:
@@ -163,20 +165,20 @@ def derived_table(law: OperatorLaw, factor: TypePresentation, symbol: int):
     empty = ()
     table = {}
     if law.kind == "rb":
-        table[labels.index("lt")] = [(RF_ONE, empty, sym, empty)]
-        table[labels.index("gt")] = [(RF_ONE, sym, empty, empty)]
+        table[labels.index("lt")] = [(1, empty, sym, empty)]
+        table[labels.index("gt")] = [(1, sym, empty, empty)]
         if law.weight != 0:
             table[labels.index("cir")] = [(law.weight_scalar(), empty, empty, empty)]
     elif law.kind == "nijenhuis":
-        table[labels.index("lt")] = [(RF_ONE, empty, sym, empty)]
-        table[labels.index("gt")] = [(RF_ONE, sym, empty, empty)]
-        table[labels.index("bul")] = [(-RF_ONE, empty, empty, sym)]
+        table[labels.index("lt")] = [(1, empty, sym, empty)]
+        table[labels.index("gt")] = [(1, sym, empty, empty)]
+        table[labels.index("bul")] = [(-1, empty, empty, sym)]
     elif law.kind == "left_rb":
-        table[labels.index("gt")] = [(RF_ONE, sym, empty, empty)]
-        table[labels.index("st")] = [(RF_ONE, empty, sym, empty)]
+        table[labels.index("gt")] = [(1, sym, empty, empty)]
+        table[labels.index("st")] = [(1, empty, sym, empty)]
     else:  # right_rb
-        table[labels.index("lt")] = [(RF_ONE, empty, sym, empty)]
-        table[labels.index("st")] = [(RF_ONE, sym, empty, empty)]
+        table[labels.index("lt")] = [(1, empty, sym, empty)]
+        table[labels.index("st")] = [(1, sym, empty, empty)]
     if len(table) != factor.dim:
         raise ExactAlgebraError("derived table does not cover the factor type")
     return table
@@ -256,7 +258,7 @@ class Normalizer:
             return known
         redex = self._find_redex(term)
         if redex is None:
-            result = {term: RF_ONE}
+            result = {term: 1}
         else:
             law, symbol, position = redex
             self._spend()
@@ -371,9 +373,9 @@ def relation_instance(
     comb: dict = {}
     for block, i, j, c in rel.nonzero():
         if block == 0:
-            _accumulate(comb, (0, i, j, wu, wv, ww, (), context), RatFunc(c))
+            _accumulate(comb, (0, i, j, wu, wv, ww, (), context), canonical(c))
         else:
-            _accumulate(comb, (1, j, i, wu, wv, ww, (), context), -RatFunc(c))
+            _accumulate(comb, (1, j, i, wu, wv, ww, (), context), -canonical(c))
     return comb
 
 
@@ -436,20 +438,27 @@ class _Echelon:
             if hit is None:
                 return vec, cert, lead
             pvec, pcert = hit
-            f = vec[lead]
+            f = -vec[lead]
             for t, c in pvec.items():
-                _accumulate(vec, t, -f * c)
+                _accumulate(vec, t, f * c)
             for k, c in pcert.items():
-                _accumulate(cert, k, -f * c)
+                _accumulate(cert, k, f * c)
         return vec, cert, None
 
     def insert(self, vec: dict, tag) -> None:
-        vec, cert, lead = self.reduce(vec, {tag: RF_ONE})
+        vec, cert, lead = self.reduce(vec, {tag: 1})
         if lead is None:
             return
-        inv = RF_ONE / vec[lead]
-        vec = {t: c * inv for t, c in vec.items()}
-        cert = {k: c * inv for k, c in cert.items()}
+        head = vec[lead]
+        if head == -1:
+            vec = {t: -c for t, c in vec.items()}
+            cert = {k: -c for k, c in cert.items()}
+        elif head != 1:
+            # exact for every kind of head: Fraction(1) / 3 is 1/3, where
+            # 1 / 3 would be a float
+            inv = Fraction(1) / head
+            vec = {t: c * inv for t, c in vec.items()}
+            cert = {k: c * inv for k, c in cert.items()}
         self.pivots[lead] = (vec, cert)
 
     def solve(self, target: dict):
@@ -559,7 +568,7 @@ class _Verifier:
         cached = self._entry_cache.get(taus)
         if cached is not None:
             return cached
-        entries = [(RF_ONE, (), (), ())]
+        entries = [(1, (), (), ())]
         for table, tau in zip(self.tables, taus):
             nxt = []
             for c1, wl1, wr1, wp1 in entries:
@@ -584,7 +593,7 @@ class _Verifier:
             inner, outer = (i, j) if block == 0 else (j, i)
             b_in, taus_in = self._decompose(inner)
             b_out, taus_out = self._decompose(outer)
-            coeff = -RatFunc(c) if block else RatFunc(c)
+            coeff = -canonical(c) if block else canonical(c)
             for c1, wl1, wr1, wp1 in self._entries(taus_in):
                 for c2, wl2, wr2, wp2 in self._entries(taus_out):
                     if block == 0:
@@ -646,11 +655,12 @@ class _Verifier:
         """
         solved = echelon.solve(residual)
         if solved is not None and self._rebuild(solved) == residual:
-            return RelationVerdict(index, label, True, certificate=tuple(solved.items()))
+            certificate = tuple((tag, RatFunc(c)) for tag, c in solved.items())
+            return RelationVerdict(index, label, True, certificate=certificate)
         labels = self.base.generators.labels
         names = [law.name for law in self.laws]
         shown = tuple(
-            f"{format_scalar(c)} * {term_str(t, labels, names)}"
+            f"{format_scalar(RatFunc(c))} * {term_str(t, labels, names)}"
             for t, c in sorted(residual.items())
         )
         return RelationVerdict(index, label, False, residual=shown)
@@ -773,18 +783,18 @@ def _check_modified_operator(kind: str) -> LemmaReport:
     sym = (0,)
     if kind == "rb":
         law = rb(None)
-        modified = [(-LAMBDA, ()), (-RF_ONE, sym)]
+        modified = [(-LAMBDA, ()), (-1, sym)]
         inner = [
-            _two_leaf_product(modified, [(RF_ONE, ())]),
-            _two_leaf_product([(RF_ONE, ())], modified),
-            _two_leaf_product([(LAMBDA, ())], [(RF_ONE, ())]),
+            _two_leaf_product(modified, [(1, ())]),
+            _two_leaf_product([(1, ())], modified),
+            _two_leaf_product([(LAMBDA, ())], [(1, ())]),
         ]
         name = "modified Rota-Baxter operator (-weight*id - P)"
     else:
         law = nijenhuis()
-        modified = [(RF_ONE, ()), (-RF_ONE, sym)]
+        modified = [(1, ()), (-1, sym)]
         wrapped_inner: dict = {}
-        for term, coeff in _two_leaf_product([(RF_ONE, ())], [(RF_ONE, ())]).items():
+        for term, coeff in _two_leaf_product([(1, ())], [(1, ())]).items():
             shape, gin, gout, wx, wy, wz, win, wout = term
             for c, w in modified:
                 _accumulate(
@@ -793,8 +803,8 @@ def _check_modified_operator(kind: str) -> LemmaReport:
                     -(coeff * c),
                 )
         inner = [
-            _two_leaf_product(modified, [(RF_ONE, ())]),
-            _two_leaf_product([(RF_ONE, ())], modified),
+            _two_leaf_product(modified, [(1, ())]),
+            _two_leaf_product([(1, ())], modified),
             wrapped_inner,
         ]
         name = "modified Nijenhuis operator (id - N)"
@@ -813,7 +823,7 @@ def _check_modified_operator(kind: str) -> LemmaReport:
     residual = normalizer.normalize(diff)
     if residual:
         shown = "; ".join(
-            f"{format_scalar(c)} * {term_str(t, ['o'], [law.name])}"
+            f"{format_scalar(RatFunc(c))} * {term_str(t, ['o'], [law.name])}"
             for t, c in sorted(residual.items())
         )
         return LemmaReport(name, False, f"residual {shown}")
@@ -835,11 +845,8 @@ def verify_operator_lemmas(
     for name in include:
         t = catalog.get(name)
         table = {
-            dend.generators.index("lt"): [(RF_ONE, (), (0,), ())],
-            dend.generators.index("gt"): [
-                (LAMBDA, (), (), ()),
-                (RF_ONE, (0,), (), ()),
-            ],
+            dend.generators.index("lt"): [(1, (), (0,), ())],
+            dend.generators.index("gt"): [(LAMBDA, (), (), ()), (1, (0,), (), ())],
         }
         v = _Verifier(t, (law,), [dend], [table], cap, budget)
         report = v.run(t.name, "dendriform splitting by -(modified P)")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exactalg import ExactAlgebraError, Matrix, Subspace
+from .exactalg import Matrix, Subspace
 from .morphisms import TypeMorphism
 from .typecore import (
     GeneratorSpace,
@@ -121,9 +121,12 @@ def square(t1: TypePresentation, t2: TypePresentation, name: str | None = None) 
     )
     report = validate(result)
     if not report.valid:
-        raise ExactAlgebraError(
-            f"internal inconsistency: square({t1.name}, {t2.name}) failed validation:\n"
-            + report.describe()
+        # valid factors give a nonzero, associative star, so only the rank
+        # can fail: pairs of factor relations that share whole sides
+        raise InvalidPresentation(
+            f"square({t1.name}, {t2.name}): the box relations are dependent, "
+            "so the product is not a valid presentation",
+            report,
         )
     return result
 

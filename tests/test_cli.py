@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from splitops import cli, products
 from splitops.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
@@ -16,6 +17,7 @@ from splitops.cli import (
     EXIT_USAGE,
     main,
 )
+from splitops.typecore import GeneratorSpace, InvalidPresentation, TypePresentation
 
 
 def run(capsys, *argv):
@@ -553,3 +555,58 @@ def test_auto_group_entries_must_be_closed(tmp_path, starless, entries):
     code, out, err = run_quiet("auto-group", spec, f"--entries={entries}")
     assert code == EXIT_USAGE and out == ""
     assert err == "error: monomial entries must be closed under multiplication\n"
+
+
+# -- presentations that are not valid, reached from user input ----------------------
+
+
+def test_a_square_with_dependent_box_relations_fails_like_validate():
+    code, out, err = run_quiet("square", "assoc_dialgebra", "assoc_trialgebra")
+    assert code == EXIT_CHECK_FAILED and out == ""
+    assert err.startswith(
+        "error: square(assoc_dialgebra, assoc_trialgebra): the box relations are dependent"
+    )
+    assert "INVALID\n  relations: 55 given, rank 51\n" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("verify-operator", "{}", "--law", "rb"),
+        ("verify-family", "{}", "--laws", "rb,rb"),
+        ("square", "{}", "dendriform"),
+        ("dual", "{}"),
+    ],
+)
+def test_a_duplicated_json_relation_fails_like_validate(tmp_path, command):
+    # the JSON reader accepts a dependent relation list; every command
+    # that needs a valid presentation then reports it as validate does
+    data = _dendriform_json()
+    data["relations"].append(data["relations"][1])
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_quiet("validate", str(path))
+    assert code == EXIT_CHECK_FAILED and "relations: 4 given, rank 3" in out
+    code, out, err = run_quiet(*(part.format(path) for part in command))
+    assert code == EXIT_CHECK_FAILED and out == ""
+    assert err.startswith("error: dendriform: invalid presentation\ntype dendriform: INVALID\n")
+    assert "relations: 4 given, rank 3" in err
+
+
+def test_an_invalid_presentation_without_a_report_is_internal(monkeypatch):
+    def broken(t1, t2):
+        raise InvalidPresentation("no report here")
+
+    monkeypatch.setattr(products, "square", broken)
+    code, out, err = run_quiet("square", "dendriform", "dendriform")
+    assert code == EXIT_INTERNAL and out == ""
+    assert err == "internal error: no report here\n"
+
+
+def test_a_name_the_definition_language_cannot_write_is_a_usage_error_on_export(monkeypatch):
+    d = cli.catalog.get("dendriform")
+    named = TypePresentation(GeneratorSpace("d", ('l"t', "gt")), d.star, d.relations)
+    monkeypatch.setattr(cli, "_load_type", lambda spec: named)
+    code, out, err = run_quiet("export", "d", "--format", "dsl")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: generators[0]: a name cannot contain '\"' or a line break\n"

@@ -318,3 +318,31 @@ def test_json_export_and_parse_match_the_oracles_on_random_presentations(t):
     back = _assert_json_export_and_parse(t)
     assert back.name == t.name and back.generators == t.generators
     assert serialize(back, "json") == text
+
+
+def _dendriform_named(name="d", labels=("lt", "gt"), aux=None):
+    """Dendriform's star and relations under other names, built through the API."""
+    d = catalog.get("dendriform")
+    return TypePresentation(GeneratorSpace(name, labels), d.star, d.relations, aux=aux)
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ({"labels": ('l"t', "gt")}, "generators[0]: a name cannot contain"),
+        ({"labels": ("lt", "g\nt")}, "generators[1]: a name cannot contain"),
+        ({"labels": ("lt", "g\rt")}, "generators[1]: a name cannot contain"),
+        ({"name": 'd"'}, "name: a name cannot contain"),
+        ({"aux": {'s"t': (1, 1)}}, 'aux.s"t: a name cannot contain'),
+        ({"aux": {"lt": (1, 1)}}, "aux.lt: duplicate name"),
+    ],
+)
+def test_dsl_export_refuses_the_names_the_json_reader_refuses(names, message):
+    # 'l"t' once exported as `generators: "l"t", gt;`, which does not parse
+    t = _dendriform_named(**names)
+    with pytest.raises(DslError) as dsl_err:
+        serialize(t, "dsl")
+    assert str(dsl_err.value).startswith(message)
+    with pytest.raises(DslError) as json_err:
+        parse_type_json(serialize(t, "json"))
+    assert str(json_err.value) == str(dsl_err.value)

@@ -260,9 +260,14 @@ def test_ratfunc_canonical_form_unique():
 wide_fracs = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
 
 
+def _canonical_coefficient(x):
+    """An int, or a Fraction that is not integral; never a float."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
 def _same_representation(a, b):
     assert (a.num, a.den) == (b.num, b.den)
-    assert all(type(x) is Fraction for x in a.num + a.den)
+    assert all(_canonical_coefficient(x) for x in a.num + a.den + b.num + b.den)
     assert hash(a) == hash(b) and a == b
 
 
@@ -321,6 +326,25 @@ def test_unit_and_constant_paths_match_the_general_path(a, b):
     # negation of constants and of polynomials
     _same_representation(-a, RatFunc(_pmul(a.num, (F(-1),)), a.den))
     _same_representation(-(-a), a)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (RatFunc(F(1, 2)), RatFunc(2)),  # constant x constant
+        (RatFunc(F(2, 3)), RatFunc(F(3, 2))),
+        (RatFunc((F(1, 2), F(3, 2))), RatFunc(2)),  # polynomial x constant
+        (RatFunc((F(1, 2), F(1, 2))), RatFunc((2, -2))),  # polynomial x polynomial
+        (RatFunc((F(1, 2),), (1, 1)), RatFunc((4,), (1, 1))),  # rational functions
+    ],
+)
+def test_integral_results_have_int_coefficients(a, b):
+    # every product here has integer coefficients, from Fraction inputs;
+    # each path (and the sums and quotients) must normalize them to ints
+    for value in (a * b, b * a, a + a, a / a, (a * b) / b, a * 2, 2 * a):
+        _same_representation(value, RatFunc(value.num, value.den))
+    product = a * b
+    assert all(type(x) is int for x in product.num + product.den)
 
 
 def test_unit_operands_return_the_other_operand_itself():

@@ -30,8 +30,9 @@ F = Fraction
 def _rref_rational(rows, ncols):
     irows = []
     for r in rows:
-        mult = lcm(*(Fraction(x).denominator for x in r)) if r else 1
-        ir = [int(Fraction(x) * mult) for x in r]
+        # ints and Fractions both carry numerator and denominator
+        mult = lcm(*(x.denominator for x in r)) if r else 1
+        ir = [x.numerator * (mult // x.denominator) for x in r]
         g = gcd(*ir) if any(ir) else 0
         if g > 1:
             ir = [x // g for x in ir]
@@ -91,8 +92,8 @@ def oracle_nullspace(rows, ncols):
     return oracle_rref(basis, ncols)[0]
 
 
-def oracle_contains(rows, ncols, vec):
-    red, pivots, _ = oracle_rref(rows, ncols)
+def oracle_contains(red, pivots, vec):
+    """Membership in the span of the rows ``oracle_rref`` reduced to ``red``."""
     v = [F(x) for x in vec]
     for row, p in zip(red, pivots):
         if v[p]:
@@ -102,10 +103,12 @@ def oracle_contains(rows, ncols, vec):
 
 
 def assert_same_space(space, rows, ncols):
+    """Compare with the oracle; returns its reduced rows and pivots."""
     red, pivots, rank = oracle_rref(rows, ncols)
     assert list(space.basis) == red
     assert space.pivots == pivots
     assert space.dim == rank
+    return red, pivots
 
 
 # -- dense L and R blocks ------------------------------------------------------
@@ -171,7 +174,8 @@ def test_contains_vector_matches_oracle(case, data):
     ncols, rows = case
     space = Subspace.from_rows(ncols, rows)
     vec = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
-    assert space.contains_vector(vec) == oracle_contains(rows, ncols, vec)
+    red, pivots, _ = oracle_rref(rows, ncols)
+    assert space.contains_vector(vec) == oracle_contains(red, pivots, vec)
     # a combination of the rows is always inside, densely or sparsely
     weights = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
     combo = [sum(w * r[j] for w, r in zip(weights, rows)) for j in range(ncols)]
@@ -217,10 +221,10 @@ def test_catalog_relation_space_matches_oracle(name):
     t = catalog.get(name)
     ambient = 2 * t.dim * t.dim
     rows = _flat_rows(t.relations)
-    assert_same_space(t.relation_subspace, rows, ambient)
+    red, pivots = assert_same_space(t.relation_subspace, rows, ambient)
     if t.star is not None:
         star = star_associativity(t.star).flatten()
-        assert t.relation_subspace.contains_vector(star) == oracle_contains(rows, ambient, star)
+        assert t.relation_subspace.contains_vector(star) == oracle_contains(red, pivots, star)
     # the annihilator under the plain dot product is the dense nullspace
     assert list(t.relation_subspace.annihilator().basis) == oracle_nullspace(rows, ambient)
 
@@ -247,11 +251,12 @@ def test_square_relation_space_matches_oracle(a, b):
     assert rels == [_dense_box(f1, f2) for f1 in t1.relations for f2 in t2.relations]
     rows = _flat_rows(rels)
     space = Subspace.from_rows(2 * m * m, [r.coeffs for r in rels])
-    assert_same_space(space, rows, 2 * m * m)
+    # one dense elimination per case, shared by the basis and membership checks
+    red, pivots = assert_same_space(space, rows, 2 * m * m)
     if t1.star is not None and t2.star is not None:
         star = [x * y for x in t1.star for y in t2.star]
         vec = star_associativity(star).flatten()
-        assert space.contains_vector(vec) == oracle_contains(rows, 2 * m * m, vec)
+        assert space.contains_vector(vec) == oracle_contains(red, pivots, vec)
 
 
 # -- push-forwards --------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Symbolic operator verification: rewriting, certificates, lemmas."""
 
+import hashlib
 import json
 import weakref
 from fractions import Fraction
@@ -11,7 +12,7 @@ import splitops.operatorver as ov
 from splitops import catalog
 from splitops.cli import main
 from splitops.exactalg import LAMBDA, RF_ONE, RatFunc
-from splitops.typecore import format_relation
+from splitops.typecore import RelationElement, TypePresentation, format_relation
 
 F = Fraction
 P = 0  # the only operator symbol in single-law tests
@@ -209,7 +210,8 @@ def test_specialization_coherence_at_weight_zero():
         )
         specialized = {}
         for term, coeff in formal_residual.items():
-            value = coeff.evaluate(F(0))
+            # a coefficient without the formal weight is a plain int or Fraction
+            value = RatFunc(coeff).evaluate(F(0))
             if value:
                 specialized[term] = RatFunc(value)
         zero_residual = at_zero.normalizer.normalize(
@@ -260,6 +262,38 @@ def test_operator_lemmas():
     names = [r.name for r in reports]
     assert any("Rota-Baxter" in n for n in names)
     assert any("Nijenhuis" in n for n in names)
+
+
+def test_a_failing_lemma_prints_its_residual(monkeypatch):
+    # with the weight fixed at 1, -weight*id - P is not Rota-Baxter of the
+    # formal weight; the residual keeps the rational-function format
+    monkeypatch.setattr(ov, "rb", lambda weight=None, name="P": ov.OperatorLaw("rb", F(1), name))
+    report = ov._check_modified_operator("rb")
+    assert not report.ok
+    assert report.describe() == (
+        "modified Rota-Baxter operator (-weight*id - P): FAILED residual (-l+1)/(1) * P(x o y)"
+    )
+    # and with N one-sided, id - N is not Nijenhuis: plain int residuals
+    monkeypatch.setattr(ov, "nijenhuis", lambda name="N": ov.OperatorLaw("left_rb", name=name))
+    assert ov._check_modified_operator("nijenhuis").describe() == (
+        "modified Nijenhuis operator (id - N): FAILED residual "
+        "(1)/(1) * N(N(x o y)); (-1)/(1) * N(N(x) o y)"
+    )
+
+
+def test_coefficients_without_the_formal_weight_are_plain_numbers():
+    # the sources of every coefficient the verifier computes with
+    assert ov.rb(None).weight_scalar() is LAMBDA
+    assert type(ov.rb("2").weight_scalar()) is int and ov.rb("2").weight_scalar() == 2
+    assert ov.rb("1/2").weight_scalar() == F(1, 2)
+    for law in (ov.rb(None), ov.rb(0), ov.rb("-3"), ov.nijenhuis(), ov.left_rb(), ov.right_rb()):
+        factor = catalog.get(ov.predicted_factor_name(law))
+        coeffs = [c for c, *_ in law.expansions()]
+        coeffs += [c for entries in ov.derived_table(law, factor, P).values() for c, *_ in entries]
+        assert all(type(c) is int or c is LAMBDA for c in coeffs), law
+    assert nf({term2((), (P,)): 1}, ov.rb(None)) == {term2((), (P,)): 1}
+    inst = ov.relation_instance(catalog.get("dendriform").relations[0], ((), (), ()), ())
+    assert inst and all(type(c) is int for c in inst.values())
 
 
 def test_report_json_shape():
@@ -325,9 +359,9 @@ def _oracle_verdicts(v):
                         ech.insert(inst, (r_idx, triple, ctx))
         solved = ech.solve(residual)
         assert solved is not None, index  # these runs certify at the first depth
-        verdicts.append(
-            ov.RelationVerdict(index, label, True, certificate=tuple(solved.items()))
-        )
+        # certificates show every coefficient as a RatFunc
+        certificate = tuple((tag, RatFunc(c)) for tag, c in solved.items())
+        verdicts.append(ov.RelationVerdict(index, label, True, certificate=certificate))
     return tuple(verdicts)
 
 
@@ -424,6 +458,13 @@ def test_a_wrong_derived_table_fails_visibly():
             assert verdict.certificate
         else:
             assert verdict.residual and not verdict.certificate
+    # every residual coefficient is printed as a rational function, as
+    # certificates are, even where the verifier computed a plain int
+    assert report.verdicts[0].residual == (
+        "(1)/(1) * (x dot P(y)) dot P(z)",
+        "(-l)/(1) * x dot P((y dot z))",
+        "(-2)/(1) * x dot P((y dot P(z)))",
+    )
     text = report.describe()
     assert text.startswith("associative with rb with a wrong gt: 2/7 relations")
     assert [line for line in text.splitlines() if "FAILED" in line] == [
@@ -453,3 +494,87 @@ def test_golden_certificate_export_with_weights(capsys, argv, name):
     golden = Path(__file__).parent / "golden" / "certificates" / name
     assert main(argv + ["--json"]) == 0
     assert capsys.readouterr().out == golden.read_text()
+
+
+def _golden_digests():
+    """(SHA-256 of the standard output, command line) pairs, one per line."""
+    text = (Path(__file__).parent / "golden" / "certificates" / "SHA256SUMS").read_text()
+    pairs = (line.split("  ", 1) for line in text.splitlines())
+    return [pytest.param(digest, command, id=command) for digest, command in pairs]
+
+
+@pytest.mark.parametrize("digest, command", _golden_digests())
+def test_verifier_output_matches_its_golden_digest(capsys, digest, command):
+    # the full outputs (the family alone is 193 KB) are kept as digests
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+# -- scaled base relations: the non-unit pivots and the Fraction paths ---------
+
+
+def _scaled(t, factor):
+    """``t`` with every relation multiplied by ``factor``: the same span."""
+    relations = [
+        RelationElement(rel.size, {k: c * factor for k, c in rel.coeffs.items()})
+        for rel in t.relations
+    ]
+    return TypePresentation(t.generators, t.star, relations, aux=t.aux)
+
+
+def _assert_exact(value):
+    """An int, a Fraction or a RatFunc with int or Fraction coefficients."""
+    assert type(value) in (int, Fraction, RatFunc), value
+    if type(value) is RatFunc:
+        assert all(type(x) in (int, Fraction) for x in value.num + value.den), value
+
+
+@pytest.mark.parametrize("factor", [F(2), F(-1, 3)], ids=["2", "-1/3"])
+@pytest.mark.parametrize("name", ["dendriform", "trialgebra", "ns"])
+def test_scaled_base_relations_scale_certificates_inversely(monkeypatch, name, factor):
+    # the product, and so every residual, stays that of the catalog type;
+    # every relation instance scales by the factor, so the pivot heads move
+    # away from +-1 and every certificate coefficient scales by its inverse
+    t = catalog.get(name)
+    built, residuals = [], []
+    make_echelon, make_residual = ov._Verifier._echelon, ov._Verifier._residual
+
+    def keep_echelon(self, triples, contexts):
+        built.append(make_echelon(self, triples, contexts))
+        return built[-1]
+
+    def keep_residual(self, index):
+        label, residual = make_residual(self, index)
+        residuals.append(residual)
+        return label, residual
+
+    laws = (ov.rb(None), ov.rb("1/2"), ov.nijenhuis())
+    references = [ov.verify_operator_theorem(t, law) for law in laws]
+    monkeypatch.setattr(ov._Verifier, "_echelon", keep_echelon)
+    monkeypatch.setattr(ov._Verifier, "_residual", keep_residual)
+    for law, reference in zip(laws, references):
+        v = ov._make_verifier(t, [law], ov.DEFAULT_NESTING_CAP, ov.DEFAULT_STEP_BUDGET)
+        v.base = _scaled(t, factor)
+        report = v.run(t.name, law.describe())
+        assert reference.all_verified and report.all_verified
+        assert len(report.verdicts) == len(reference.verdicts)
+        for got, want in zip(report.verdicts, reference.verdicts):
+            assert got.residual_zero == want.residual_zero
+            assert [tag for tag, _ in got.certificate] == [tag for tag, _ in want.certificate]
+            for (_, c_got), (_, c_want) in zip(got.certificate, want.certificate):
+                _assert_exact(c_got)
+                assert type(c_got) is RatFunc and c_got * factor == c_want
+    assert built and residuals
+    for residual in residuals:
+        for value in residual.values():
+            _assert_exact(value)
+    for ech in built:
+        # every head was divided out, and the certificates show by how much
+        assert all(vec[lead] == 1 for lead, (vec, _) in ech.pivots.items())
+        assert any(
+            abs(c) == abs(1 / factor) for _, cert in ech.pivots.values() for c in cert.values()
+        )
+        for vec, cert in ech.pivots.values():
+            for value in list(vec.values()) + list(cert.values()):
+                _assert_exact(value)

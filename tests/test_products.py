@@ -18,7 +18,7 @@ from splitops.products import (
     transpose_swap,
     verify_tensor_model,
 )
-from splitops.typecore import relabel, validate
+from splitops.typecore import InvalidPresentation, relabel, validate
 
 F = Fraction
 
@@ -172,10 +172,14 @@ def test_square_star_is_associative():
 
 def test_square_of_dual_types_degenerates():
     # relations of the associative dialgebra share whole sides, so the
-    # pairwise products drop rank; the construction reports it
+    # pairwise products drop rank; the construction reports it as an
+    # invalid presentation (an ExactAlgebraError) carrying the report
     ad = catalog.get("assoc_dialgebra")
-    with pytest.raises(ExactAlgebraError, match="internal inconsistency"):
+    with pytest.raises(ExactAlgebraError, match="box relations are dependent") as info:
         square(ad, ad)
+    assert isinstance(info.value, InvalidPresentation)
+    report = info.value.report
+    assert not report.valid and (report.relation_count, report.relation_rank) == (25, 23)
 
 
 def test_label_helpers():
