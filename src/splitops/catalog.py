@@ -26,25 +26,6 @@ class UnknownTypeError(ExactAlgebraError):
     pass
 
 
-# unicode names the ASCII aliases stand for
-UNICODE_NAMES = {
-    "lt": "≺",      # precedes
-    "gt": "≻",      # succeeds
-    "cir": "∘",
-    "bul": "•",
-    "lv": "⊣",      # left turnstile
-    "rv": "⊢",
-    "st": "★",
-    "dot": "·",
-    "nw": "↖",
-    "ne": "↗",
-    "sw": "↙",
-    "se": "↘",
-    "up": "↑",
-    "dn": "↓",
-    "perp": "⊥",
-}
-
 _LATEX = {
     "lt": r"\prec",
     "gt": r"\succ",

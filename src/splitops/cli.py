@@ -37,7 +37,12 @@ def _load_type(spec: str):
     if spec.endswith(".json") or spec.endswith(".type") or path.exists():
         text = path.read_text()
         if spec.endswith(".json") or text.lstrip().startswith("{"):
-            return dsl.parse_type_json(text)
+            # validated here, as parse_type validates a definition-language file
+            t = dsl.parse_type_json(text)
+            report = validate(t)
+            if not report.valid:
+                raise dsl.DslValidationError(report)
+            return t
         return dsl.parse_type(text)
     return catalog.get(spec)
 

@@ -36,6 +36,7 @@ from .typecore import (
     InvalidPresentation,
     RelationElement,
     TypePresentation,
+    _signed_sum,
     format_sides,
     validate,
 )
@@ -170,57 +171,42 @@ class _Parser:
                 return True
         return False
 
-    def lincomb(self, names: dict[str, tuple[Fraction, ...]], m: int) -> tuple[Fraction, ...]:
-        vec = [Fraction(0)] * m
-        first = True
+    def _signed_terms(self, term) -> None:
+        """A signed sum of terms ``[q *] t``, any of them a bare ``0``;
+        ``term(c)`` reads each ``t`` and takes its signed coefficient ``c``."""
         while True:
             sign = Fraction(1)
             tok = self.peek()
             if tok.text in ("+", "-"):
                 self.next()
                 sign = Fraction(-1) if tok.text == "-" else Fraction(1)
-            elif not first:
+            if not self._zero_term():
+                coeff = Fraction(1)
+                if self.peek().kind == "int":
+                    coeff = self.rational()
+                    self.expect("*")
+                term(sign * coeff)
+            if self.peek().text not in ("+", "-"):
                 break
-            if self._zero_term():
-                first = False
-                if self.peek().text not in ("+", "-"):
-                    break
-                continue
-            coeff = Fraction(1)
-            if self.peek().kind == "int":
-                coeff = self.rational()
-                self.expect("*")
+
+    def lincomb(self, names: dict[str, tuple[Fraction, ...]], m: int) -> tuple[Fraction, ...]:
+        vec = [Fraction(0)] * m
+
+        def term(coeff):
             name = self.expect_id("generator name")
             if name.text not in names:
                 raise DslError(f"unknown identifier {name.text!r}", name.span)
             for k, c in enumerate(names[name.text]):
-                vec[k] += sign * coeff * c
-            first = False
-            if self.peek().text not in ("+", "-"):
-                break
+                vec[k] += coeff * c
+
+        self._signed_terms(term)
         return tuple(vec)
 
     def bilin(self, names, m) -> dict[int, Fraction]:
         """A bilinear combination as {a*m + b: coefficient of a.b}."""
         coeffs: dict[int, Fraction] = {}
-        first = True
-        while True:
-            sign = Fraction(1)
-            tok = self.peek()
-            if tok.text in ("+", "-"):
-                self.next()
-                sign = Fraction(-1) if tok.text == "-" else Fraction(1)
-            elif not first:
-                break
-            if self._zero_term():
-                first = False
-                if self.peek().text not in ("+", "-"):
-                    break
-                continue
-            coeff = Fraction(1)
-            if self.peek().kind == "int":
-                coeff = self.rational()
-                self.expect("*")
+
+        def term(coeff):
             u = self.factor(names, m)
             self.expect(".")
             v = self.factor(names, m)
@@ -230,10 +216,9 @@ class _Parser:
                 for b in range(m):
                     if v[b]:
                         k = a * m + b
-                        coeffs[k] = coeffs.get(k, 0) + sign * coeff * u[a] * v[b]
-            first = False
-            if self.peek().text not in ("+", "-"):
-                break
+                        coeffs[k] = coeffs.get(k, 0) + coeff * u[a] * v[b]
+
+        self._signed_terms(term)
         return coeffs
 
     def factor(self, names, m) -> tuple[Fraction, ...]:
@@ -349,13 +334,7 @@ def _lincomb_str(vec, labels) -> str:
             continue
         body = _name_out(lbl) if abs(c) == 1 else f"{format_scalar(abs(c))}*{_name_out(lbl)}"
         parts.append(("-" if c < 0 else "+", body))
-    if not parts:
-        return "0"
-    sign, first = parts[0]
-    text = ("-" if sign == "-" else "") + first
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    return _signed_sum(parts)
 
 
 def _to_dsl(t: TypePresentation) -> str:

@@ -27,6 +27,7 @@ from .typecore import (
 )
 
 STAR_SEARCH_DIM_GUARD = 6
+_STAR_ENTRIES = (Fraction(0), Fraction(1), Fraction(-1))
 
 
 def pair2(u: RelationElement, v: RelationElement):
@@ -97,15 +98,12 @@ def double_dual_check(t: TypePresentation) -> bool:
     return dd.relation_subspace == t.relation_subspace
 
 
-def find_star(t: TypePresentation, bound: int = 1) -> list[tuple[Fraction, ...]]:
-    """All nonzero vectors with entries in [-bound, bound] whose
-    associativity element lies in the relation subspace."""
-    m = t.dim
+def find_star(t: TypePresentation) -> list[tuple[Fraction, ...]]:
+    """All nonzero vectors with entries in {-1, 0, 1} whose associativity
+    element lies in the relation subspace, in the order 0, 1, -1 per entry."""
     space = t.relation_subspace
-    values = [Fraction(k) for k in range(0, bound + 1)]
-    values += [Fraction(-k) for k in range(1, bound + 1)]
     hits = []
-    for cand in itertools.product(values, repeat=m):
+    for cand in itertools.product(_STAR_ENTRIES, repeat=t.dim):
         if not any(cand):
             continue
         if space.contains_vector(star_associativity(cand).coeffs):

@@ -146,7 +146,7 @@ class RatFunc:
 
     Instances are immutable values: nothing may assign ``num`` or ``den``
     after construction.  Arithmetic relies on this, since multiplying by
-    the constant 1 returns the other operand itself.
+    a rational 1 returns the operand itself.
     """
 
     __slots__ = ("num", "den")
@@ -183,10 +183,8 @@ class RatFunc:
     def _coerce_poly(v) -> tuple:
         if isinstance(v, (int, Fraction)):
             return (canonical(v),) if v else ()
-        if isinstance(v, (str, bytes, bytearray)):
-            # iterable, but not a coefficient sequence: "12" is not 1 + 2*l
-            raise TypeError(f"cannot build polynomial from {v!r}; use parse_scalar")
-        if isinstance(v, Iterable):
+        # a string is iterable, but not a coefficient sequence: "12" is not 1 + 2*l
+        if isinstance(v, Iterable) and not isinstance(v, (str, bytes, bytearray)):
             return _ptrim([x if type(x) is int else canonical(Fraction(x)) for x in v])
         raise TypeError(f"cannot build polynomial from {v!r}")
 
@@ -228,12 +226,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        n = self.num
-        # most negations are of constants (from -1 products and negated
-        # relation coefficients): skip the generator for one entry
-        if len(n) == 1:
-            return RatFunc._raw((-n[0],), self.den)
-        return RatFunc._raw(_pneg(n), self.den)
+        return RatFunc._raw(_pneg(self.num), self.den)
 
     def __sub__(self, other):
         if not isinstance(other, RatFunc):
@@ -257,31 +250,10 @@ class RatFunc:
             if not other:
                 return RF_ZERO
             return self._scale(other)
-        a, b = self.num, other.num
-        if not a or not b:
-            return RF_ZERO
-        # the constants first: almost every product the operator verifier
-        # forms has a constant side, most often +1 or -1
-        a_const = len(a) == 1 and len(self.den) == 1
-        b_const = len(b) == 1 and len(other.den) == 1
-        if a_const:
-            if a[0] == 1:
-                return other
-            if a[0] == -1:
-                return -other
-        if b_const:
-            if b[0] == 1:
-                return self
-            if b[0] == -1:
-                return -self
-            if a_const:
-                return RatFunc._raw((canonical(a[0] * b[0]),), _PONE)
-            return self._scale(b[0])
-        if a_const:
-            return other._scale(a[0])
-        if len(self.den) == 1 and len(other.den) == 1:
-            return RatFunc._raw(_pmul(a, b), _PONE)
-        return RatFunc(_pmul(a, b), _pmul(self.den, other.den))
+        num = _pmul(self.num, other.num)
+        if self.den == _PONE and other.den == _PONE:
+            return RatFunc._raw(num, _PONE)
+        return RatFunc(num, _pmul(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -298,8 +270,6 @@ class RatFunc:
             other = RatFunc(other)
         if not other.num:
             raise ZeroDivisionError("division by zero rational function")
-        if self.den == _PONE and other.den == _PONE and len(other.num) == 1:
-            return RatFunc._raw(_pscale(self.num, Fraction(1) / other.num[0]), _PONE)
         return RatFunc(_pmul(self.num, other.den), _pmul(self.den, other.num))
 
     def __rtruediv__(self, other):
@@ -371,39 +341,6 @@ def _format_poly(p: tuple) -> str:
     for sign, body in parts[1:]:
         text += sign + body
     return text
-
-
-def parse_scalar(text: str) -> Scalar:
-    """Inverse of :func:`format_scalar`."""
-    text = text.strip()
-    if text.startswith("("):
-        mid = text.index(")/(")
-        return RatFunc(_parse_poly(text[1:mid]), _parse_poly(text[mid + 3 : -1]))
-    return Fraction(text)
-
-
-def _parse_poly(text: str) -> tuple:
-    text = text.strip().replace("-", "+-")
-    coeffs: dict[int, Fraction] = {}
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = Fraction(1)
-        if chunk.startswith("-"):
-            sign = Fraction(-1)
-            chunk = chunk[1:]
-        if "l" in chunk:
-            coef_s, _, tail = chunk.partition("l")
-            coef = Fraction(coef_s.rstrip("*")) if coef_s.rstrip("*") else Fraction(1)
-            deg = int(tail[1:]) if tail.startswith("^") else 1
-        else:
-            coef, deg = Fraction(chunk), 0
-        coeffs[deg] = coeffs.get(deg, Fraction(0)) + sign * coef
-    out = [Fraction(0)] * (max(coeffs, default=0) + 1)
-    for d, c in coeffs.items():
-        out[d] = c
-    return _ptrim(out)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from .products import square
 
 DEFAULT_NESTING_CAP = 6
 DEFAULT_STEP_BUDGET = 100_000
+MAX_FAMILY = 3  # operators in one commuting family
 
 
 class RewriteBudget(ExactAlgebraError):
@@ -729,12 +730,11 @@ def verify_commuting_family(
     laws,
     cap: int = DEFAULT_NESTING_CAP,
     budget: int = DEFAULT_STEP_BUDGET,
-    max_family: int = 3,
 ) -> VerificationReport:
     """Iterated construction for a family of commuting operators."""
     laws = list(laws)
-    if not 1 <= len(laws) <= max_family:
-        raise ValueError(f"commuting families are limited to {max_family} operators")
+    if not 1 <= len(laws) <= MAX_FAMILY:
+        raise ValueError(f"commuting families are limited to {MAX_FAMILY} operators")
     laws = [
         OperatorLaw(law.kind, law.weight, f"{law.name}{k + 1}")
         for k, law in enumerate(laws)
@@ -778,7 +778,7 @@ def _wrap_combination(comb: dict, parts) -> dict:
     return out
 
 
-def _check_modified_operator(kind: str) -> LemmaReport:
+def _check_modified_operator(kind: str, cap: int, budget: int) -> LemmaReport:
     """-weight*id - P is again Rota-Baxter; id - N is again Nijenhuis."""
     sym = (0,)
     if kind == "rb":
@@ -793,19 +793,11 @@ def _check_modified_operator(kind: str) -> LemmaReport:
     else:
         law = nijenhuis()
         modified = [(1, ()), (-1, sym)]
-        wrapped_inner: dict = {}
-        for term, coeff in _two_leaf_product([(1, ())], [(1, ())]).items():
-            shape, gin, gout, wx, wy, wz, win, wout = term
-            for c, w in modified:
-                _accumulate(
-                    wrapped_inner,
-                    (shape, gin, gout, wx, wy, wz, win, _merge(wout, w)),
-                    -(coeff * c),
-                )
+        negated = [(-c, w) for c, w in modified]
         inner = [
             _two_leaf_product(modified, [(1, ())]),
             _two_leaf_product([(1, ())], modified),
-            wrapped_inner,
+            _wrap_combination(_two_leaf_product([(1, ())], [(1, ())]), negated),
         ]
         name = "modified Nijenhuis operator (id - N)"
     lhs = _two_leaf_product(modified, modified)
@@ -814,7 +806,7 @@ def _check_modified_operator(kind: str) -> LemmaReport:
         for term, coeff in part.items():
             _accumulate(rhs_arg, term, coeff)
     rhs = _wrap_combination(rhs_arg, modified)
-    normalizer = Normalizer((law,), (0,))
+    normalizer = Normalizer((law,), (0,), cap, budget)
     diff: dict = {}
     for t, c in lhs.items():
         _accumulate(diff, t, c)
@@ -839,7 +831,7 @@ def verify_operator_lemmas(
     construction x (w|lt) y = x w P(y), x (w|gt) y = weight*(x w y) + P(x) w y."""
     from . import catalog
 
-    reports = [_check_modified_operator("rb"), _check_modified_operator("nijenhuis")]
+    reports = [_check_modified_operator(kind, cap, budget) for kind in ("rb", "nijenhuis")]
     law = rb(None)
     dend = catalog.get("dendriform")
     for name in include:

@@ -531,6 +531,16 @@ def test_a_negative_budget_is_a_usage_error(command, option):
     assert err.startswith("error: rewrite budget exhausted")
 
 
+def test_verify_lemmas_rewrites_the_identities_under_the_given_budgets():
+    # the modified Nijenhuis identity rewrites N(N(uv)), a word of depth 2
+    code, out, err = run_quiet("verify-lemmas", "--nesting-cap", "1")
+    assert code == EXIT_INTERNAL and out == ""
+    assert err == "error: rewrite budget exhausted: operator word beyond nesting cap 1\n"
+    for option, value in (("--nesting-cap", "2"), ("--steps", "20")):
+        code, out, _ = run_quiet("verify-lemmas", option, value)
+        assert code == EXIT_OK and out.count(": ok\n") == 4
+
+
 def _starless_dendriform(tmp_path):
     data = _dendriform_json()
     data["star"] = None
@@ -576,11 +586,13 @@ def test_a_square_with_dependent_box_relations_fails_like_validate():
         ("verify-family", "{}", "--laws", "rb,rb"),
         ("square", "{}", "dendriform"),
         ("dual", "{}"),
+        ("show", "{}"),
+        ("auto-group", "{}"),
     ],
 )
 def test_a_duplicated_json_relation_fails_like_validate(tmp_path, command):
-    # the JSON reader accepts a dependent relation list; every command
-    # that needs a valid presentation then reports it as validate does
+    # a JSON file is validated on load, as a definition-language file is:
+    # every command reports a dependent relation list as validate does
     data = _dendriform_json()
     data["relations"].append(data["relations"][1])
     path = tmp_path / "dup.json"
@@ -589,7 +601,7 @@ def test_a_duplicated_json_relation_fails_like_validate(tmp_path, command):
     assert code == EXIT_CHECK_FAILED and "relations: 4 given, rank 3" in out
     code, out, err = run_quiet(*(part.format(path) for part in command))
     assert code == EXIT_CHECK_FAILED and out == ""
-    assert err.startswith("error: dendriform: invalid presentation\ntype dendriform: INVALID\n")
+    assert err.startswith("error: parsed type failed validation:\ntype dendriform: INVALID\n")
     assert "relations: 4 given, rank 3" in err
 
 

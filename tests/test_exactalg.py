@@ -15,7 +15,6 @@ from splitops.exactalg import (
     ScalarKindMismatch,
     Subspace,
     format_scalar,
-    parse_scalar,
     rref,
 )
 from splitops.exactalg import _padd, _pmul
@@ -234,18 +233,6 @@ def test_scalar_formats():
     assert format_scalar(quad / LAMBDA) == "(l^2+1)/(l)"
 
 
-@settings(max_examples=60, deadline=None)
-@given(poly_ratfuncs())
-def test_scalar_string_round_trip(a):
-    assert parse_scalar(format_scalar(a)) == a
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_fracs)
-def test_rational_string_round_trip(a):
-    assert parse_scalar(format_scalar(a)) == a
-
-
 def test_ratfunc_canonical_form_unique():
     a = RatFunc((F(2),), (F(4),))  # 2/4 reduces to 1/2
     b = RatFunc((F(1),), (F(2),))
@@ -255,7 +242,7 @@ def test_ratfunc_canonical_form_unique():
     assert c == RatFunc(F(1, 2))
 
 
-# -- constant fast paths of RatFunc -----------------------------------------------
+# -- the constant constructor and the rational-operand paths of RatFunc ---------
 
 wide_fracs = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
 
@@ -349,8 +336,7 @@ def test_integral_results_have_int_coefficients(a, b):
 
 def test_unit_operands_return_the_other_operand_itself():
     # safe only because RatFunc values are immutable
-    assert RF_ONE * LAMBDA is LAMBDA and LAMBDA * RF_ONE is LAMBDA
-    assert RatFunc(1) * LAMBDA is LAMBDA and LAMBDA * F(1) is LAMBDA
+    assert LAMBDA * F(1) is LAMBDA and F(1) * LAMBDA is LAMBDA and 1 * LAMBDA is LAMBDA
 
 
 @pytest.mark.parametrize("text", ["12", "", b"12", bytearray(b"1")])
@@ -361,7 +347,6 @@ def test_ratfunc_refuses_text(text):
         RatFunc(text)
     with pytest.raises(TypeError):
         RatFunc((1,), text)
-    assert parse_scalar("(12)/(1)") == RatFunc(12)
 
 
 def test_zero_constant_is_falsy():

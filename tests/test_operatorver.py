@@ -268,14 +268,14 @@ def test_a_failing_lemma_prints_its_residual(monkeypatch):
     # with the weight fixed at 1, -weight*id - P is not Rota-Baxter of the
     # formal weight; the residual keeps the rational-function format
     monkeypatch.setattr(ov, "rb", lambda weight=None, name="P": ov.OperatorLaw("rb", F(1), name))
-    report = ov._check_modified_operator("rb")
+    report = ov.verify_operator_lemmas(include=())[0]
     assert not report.ok
     assert report.describe() == (
         "modified Rota-Baxter operator (-weight*id - P): FAILED residual (-l+1)/(1) * P(x o y)"
     )
     # and with N one-sided, id - N is not Nijenhuis: plain int residuals
     monkeypatch.setattr(ov, "nijenhuis", lambda name="N": ov.OperatorLaw("left_rb", name=name))
-    assert ov._check_modified_operator("nijenhuis").describe() == (
+    assert ov.verify_operator_lemmas(include=())[1].describe() == (
         "modified Nijenhuis operator (id - N): FAILED residual "
         "(1)/(1) * N(N(x o y)); (-1)/(1) * N(N(x) o y)"
     )
