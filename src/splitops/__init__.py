@@ -1,9 +1,7 @@
 """Exact computer algebra for operad presentations with a splitting star."""
 
 from .exactalg import (
-    LAMBDA,
     Matrix,
-    RatFunc,
     Subspace,
     format_scalar,
     rref,
@@ -56,9 +54,7 @@ from .operatorver import (
 )
 
 __all__ = [
-    "LAMBDA",
     "Matrix",
-    "RatFunc",
     "Subspace",
     "format_scalar",
     "rref",

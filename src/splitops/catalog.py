@@ -19,7 +19,7 @@ from .dsl import parse_type
 from .exactalg import ExactAlgebraError, Matrix
 from .morphisms import TypeMorphism
 from .typecore import GeneratorSpace, TypePresentation, push_relation
-from .products import pair_label, power, square, split_pair_label
+from .products import label_factors, pair_label, power, square, split_pair_label
 
 
 class UnknownTypeError(ExactAlgebraError):
@@ -51,9 +51,14 @@ _LATEX = {
 
 
 def latex_symbol(label: str) -> str:
-    if label.startswith("(") and label.endswith(")"):
-        a, b = split_pair_label(label)
-        return rf"\binom{{{latex_symbol(a)}}}{{{latex_symbol(b)}}}"
+    """A generator label in LaTeX.  A product label is a stack of binomials;
+    a power label (a|b|c) stacks left-nested, as ((a|b)|c) does."""
+    first, *rest = label_factors(label)
+    if rest:
+        out = latex_symbol(first)
+        for part in rest:
+            out = rf"\binom{{{out}}}{{{latex_symbol(part)}}}"
+        return out
     if label in _LATEX:
         return _LATEX[label]
     if label.startswith("bul") and label[3:].isdigit():

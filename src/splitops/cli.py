@@ -686,7 +686,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("type")
     p.add_argument("--law", required=True,
                    choices=["rb", "rb0", "nijenhuis", "leftrb", "rightrb"])
-    p.add_argument("--weight", default=None, help="rational weight or 'formal'")
+    p.add_argument("--weight", default=None,
+                   help="rational weight or 'formal'; a negative one as --weight=-3/4")
     p.add_argument("--nesting-cap", type=_budget, default=operatorver.DEFAULT_NESTING_CAP)
     p.add_argument("--steps", type=_budget, default=operatorver.DEFAULT_STEP_BUDGET)
 

@@ -1,18 +1,10 @@
 """Exact scalars and sparse integer linear algebra over Q.
 
-Everything downstream (relation subspaces, annihilators, push-forwards)
-reduces to linear algebra over the rationals.  The operator verifier also
-computes over the field Q(l) of rational functions in one formal weight
-parameter, written ``l`` in serialized form, with its own echelon.  No
-floating point is used anywhere.
-
-Scalars:
-
-* plain rationals, represented by :class:`fractions.Fraction` or, where
-  integral and speed matters, by ``int``;
-* rational functions, represented by :class:`RatFunc` (reduced fraction
-  of polynomials, monic denominator, int coefficients where integral, so
-  equal values have identical representations).
+Everything downstream (relation subspaces, annihilators, push-forwards,
+the operator verifier's certificates) reduces to linear algebra over the
+rationals.  A scalar is a :class:`fractions.Fraction` or, where it is
+integral and speed matters, an ``int``; no floating point is used
+anywhere.
 
 :class:`Matrix` is a small dense rational matrix (generator maps and
 their products).  Relation spaces are large and sparse, so every row
@@ -33,7 +25,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from collections.abc import Iterable, Mapping, Sequence
-from typing import Union
 
 
 class ExactAlgebraError(Exception):
@@ -49,8 +40,7 @@ class DimensionMismatch(ExactAlgebraError):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q, as tuples of coefficients in ascending degree; a
-# coefficient is an int when it is integral and a Fraction otherwise
+# scalars and their serialization: "p/q" or "p"
 
 
 def canonical(x):
@@ -61,286 +51,12 @@ def canonical(x):
     return x
 
 
-def _ptrim(c: list) -> tuple:
-    while c and not c[-1]:
-        c.pop()
-    return tuple(c)
-
-
-def _padd(a: tuple, b: tuple) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] = canonical(out[i] + x)
-    return _ptrim(out)
-
-
-def _pneg(a: tuple) -> tuple:
-    return tuple(-x for x in a)
-
-
-def _pmul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _ptrim([canonical(x) for x in out])
-
-
-def _pdivmod(a: tuple, b: tuple) -> tuple:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    inv = Fraction(1) / b[-1]
-    while len(r) >= len(b):
-        c = canonical(r[-1] * inv)
-        d = len(r) - len(b)
-        q[d] = c
-        for i, y in enumerate(b):
-            r[d + i] = canonical(r[d + i] - c * y)
-        del r[-1]
-        while r and not r[-1]:
-            del r[-1]
-    return _ptrim(q), _ptrim(r)
-
-
-def _pscale(a: tuple, c) -> tuple:
-    """``a`` times a nonzero rational ``c``."""
-    return tuple(canonical(x * c) for x in a)
-
-
-def _pgcd(a: tuple, b: tuple) -> tuple:
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a and a[-1] != 1:
-        a = _pscale(a, Fraction(1) / a[-1])
-    return a
-
-
-def _pmonic(a: tuple) -> tuple:
-    """Return (a/lead, lead)."""
-    lead = a[-1]
-    if lead == 1:
-        return a, lead
-    return _pscale(a, Fraction(1) / lead), lead
-
-
-_PONE = (1,)
-
-
-class RatFunc:
-    """A reduced rational function in the formal weight, over Q.
-
-    Canonical form: gcd(num, den) = 1 and den monic, so ``==`` on values
-    coincides with ``==`` on representations.  Every coefficient of
-    ``num`` and ``den`` is an int when it is integral and a Fraction
-    otherwise, never a float.  A monic denominator of length 1 is
-    ``(1,)``, so a constant is a one-entry ``num`` over a one-entry
-    ``den``.
-
-    Instances are immutable values: nothing may assign ``num`` or ``den``
-    after construction.  Arithmetic relies on this, since multiplying by
-    a rational 1 returns the operand itself.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if isinstance(num, RatFunc):
-            if den is not None:
-                raise TypeError("RatFunc(num) takes no denominator")
-            self.num, self.den = num.num, num.den
-            return
-        if den is None and isinstance(num, (int, Fraction)):
-            # a constant is already canonical: no gcd to take
-            self.num = (canonical(num),) if num else ()
-            self.den = _PONE
-            return
-        n = self._coerce_poly(num)
-        d = _PONE if den is None else self._coerce_poly(den)
-        if not d:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if n:
-            g = _pgcd(n, d)
-            if len(g) > 1:
-                n = _pdivmod(n, g)[0]
-                d = _pdivmod(d, g)[0]
-            d, lead = _pmonic(d)
-            if lead != 1:
-                n = _pscale(n, Fraction(1) / lead)
-        else:
-            d = _PONE
-        self.num = n
-        self.den = d
-
-    @staticmethod
-    def _coerce_poly(v) -> tuple:
-        if isinstance(v, (int, Fraction)):
-            return (canonical(v),) if v else ()
-        # a string is iterable, but not a coefficient sequence: "12" is not 1 + 2*l
-        if isinstance(v, Iterable) and not isinstance(v, (str, bytes, bytearray)):
-            return _ptrim([x if type(x) is int else canonical(Fraction(x)) for x in v])
-        raise TypeError(f"cannot build polynomial from {v!r}")
-
-    @classmethod
-    def _raw(cls, num: tuple, den: tuple) -> "RatFunc":
-        out = object.__new__(cls)
-        out.num, out.den = num, den
-        return out
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        # here and in the arithmetic, RatFunc is tested first: a failing
-        # isinstance test against Fraction goes through ABCMeta
-        if not isinstance(other, RatFunc):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = RatFunc(other)
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        if self.den == _PONE and len(self.num) <= 1:
-            return hash(self.num[0] if self.num else 0)
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        if not isinstance(other, RatFunc):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = RatFunc(other)
-        if self.den == _PONE and other.den == _PONE:
-            return RatFunc._raw(_padd(self.num, other.num), _PONE)
-        return RatFunc(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc._raw(_pneg(self.num), self.den)
-
-    def __sub__(self, other):
-        if not isinstance(other, RatFunc):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = RatFunc(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, RatFunc):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            # a rational operand scales the numerator without a wrapper
-            if other == 1:
-                return self
-            if other == -1:
-                return -self
-            if not other:
-                return RF_ZERO
-            return self._scale(other)
-        num = _pmul(self.num, other.num)
-        if self.den == _PONE and other.den == _PONE:
-            return RatFunc._raw(num, _PONE)
-        return RatFunc(num, _pmul(self.den, other.den))
-
-    __rmul__ = __mul__
-
-    def _scale(self, c) -> "RatFunc":
-        """``self * c`` for a nonzero rational ``c``: the leading coefficient
-        stays nonzero and ``num`` stays prime to ``den``, so nothing is
-        trimmed or reduced."""
-        return RatFunc._raw(_pscale(self.num, c), self.den)
-
-    def __truediv__(self, other):
-        if not isinstance(other, RatFunc):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = RatFunc(other)
-        if not other.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(_pmul(self.num, other.den), _pmul(self.den, other.num))
-
-    def __rtruediv__(self, other):
-        return RatFunc(other) / self
-
-    def evaluate(self, value: Fraction) -> Fraction:
-        """Evaluate at a rational point; the denominator must not vanish."""
-        value = Fraction(value)
-        den = _peval(self.den, value)
-        if den == 0:
-            raise ZeroDivisionError(f"denominator of {self} vanishes at {value}")
-        return _peval(self.num, value) / den
-
-    def __repr__(self):
-        return f"RatFunc({format_scalar(self)!r})"
-
-
-def _peval(p: tuple, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-RF_ZERO = RatFunc(0)
-RF_ONE = RatFunc(1)
-LAMBDA = RatFunc._raw((0, 1), _PONE)
-
-Scalar = Union[Fraction, RatFunc]
-
-
-# ---------------------------------------------------------------------------
-# serialization: "p/q", "p", "(poly)/(poly)" with variable literal "l"
-
-
-def format_scalar(x: Scalar) -> str:
+def format_scalar(x) -> str:
     if isinstance(x, int):
         x = Fraction(x)
     if isinstance(x, Fraction):
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, RatFunc):
-        return f"({_format_poly(x.num)})/({_format_poly(x.den)})"
     raise ScalarKindMismatch(f"not a scalar: {x!r}")
-
-
-def _format_poly(p: tuple) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for k in range(len(p) - 1, -1, -1):
-        c = p[k]
-        if not c:
-            continue
-        if k == 0:
-            mono = ""
-        elif k == 1:
-            mono = "l"
-        else:
-            mono = f"l^{k}"
-        if not mono:
-            body = format_scalar(abs(c))
-        elif abs(c) == 1:
-            body = mono
-        else:
-            body = f"{format_scalar(abs(c))}*{mono}"
-        parts.append(("-" if c < 0 else "+", body))
-    sign, first = parts[0]
-    text = ("-" if sign == "-" else "") + first
-    for sign, body in parts[1:]:
-        text += sign + body
-    return text
 
 
 # ---------------------------------------------------------------------------

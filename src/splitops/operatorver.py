@@ -25,10 +25,27 @@ leaves for the operator-identity lemmas); every leaf and every product
 node carries an operator word.  Words are kept canonically sorted, which
 makes commuting families definitional rather than rewritten.
 
-A coefficient is a plain exact number, an int or a Fraction, unless its
-value involves the formal weight, when it is a RatFunc; mixed arithmetic
-between the three is exact.  Certificates and printed residuals show
-every coefficient as a RatFunc.
+Every coefficient is an int or a Fraction: the formal weight l is a
+grading.  Give l and each symbol of a formal-weight operator degree 1,
+and let d(t) count those symbols in the words of a term t.  The rb rule
+(Ebrahimi-Fard, Lett. Math. Phys. 2002), each entry of a formal-weight
+law's derived table (x P(y), P(x) y, l * x y) and each relation instance
+(no l) are homogeneous, so a product
+relation substitutes to degree D, twice the number of formal-weight
+laws, and every coefficient of a term t is c_t * l^(D - d(t)).  Scaling
+the coordinate of each t by l^(d(t) - D) is invertible and turns every
+homogeneous vector into a power of l times its value at l = 1.  So a
+residual lies in the Q(l)-span of the relation instances iff its value
+at l = 1 lies in the Q-span of theirs, and rational coefficients a_i
+there scale back to the certificate a_i * l^(D - d(i)), d(i) counting
+the symbols in the words of instance i.  Pivots depend on supports only,
+which the scaling keeps, so these are the certificates an echelon over
+Q(l) finds.  The verifier therefore computes at l = 1 and restores the
+powers of l when it prints, as quotients of polynomials in l such as
+(-2*l^3)/(1).  The one precondition, checked once per table, is that a
+table written at l = 1 lifts to a homogeneous one: an entry with n
+formal-weight symbols stands for l^(1 - n) times itself, so it carries
+at most one, and none unless its law has the formal weight.
 """
 
 from __future__ import annotations
@@ -38,7 +55,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import LAMBDA, RatFunc, ExactAlgebraError, canonical, format_scalar
+from .exactalg import ExactAlgebraError, canonical, format_scalar
 from .typecore import RelationElement, TypePresentation, require_valid
 from .products import square
 
@@ -72,10 +89,15 @@ class OperatorLaw:
         if self.kind != "rb" and self.weight is not None:
             raise ValueError(f"{self.kind} takes no weight")
 
+    @property
+    def formal(self) -> bool:
+        return self.kind == "rb" and self.weight is None
+
     def weight_scalar(self):
-        """The formal weight ``LAMBDA``, or the rational weight as a plain scalar."""
+        """The rational weight as a plain scalar; 1 for the formal weight,
+        whose powers the grading restores (see the module docstring)."""
         if self.weight is None:
-            return LAMBDA
+            return 1
         return canonical(self.weight)
 
     def describe(self) -> str:
@@ -361,6 +383,46 @@ def term_str(term, labels, sym_names) -> str:
     return wrap(wout, f"{x} {labels[gout]} {inner}")
 
 
+def _power_of_l(k: int) -> str:
+    return "" if not k else "l" if k == 1 else f"l^{k}"
+
+
+def format_weight_monomial(c, power: int) -> str:
+    """``c * l**power`` as a quotient of polynomials in the formal weight l:
+    (1/2)/(1), (-l)/(1), (3*l^2)/(1), (2)/(l)."""
+    num, den = _power_of_l(max(power, 0)), _power_of_l(max(-power, 0)) or "1"
+    body = format_scalar(abs(c))
+    if num:
+        body = num if abs(c) == 1 else f"{body}*{num}"
+    return f"({'-' if c < 0 else ''}{body})/({den})"
+
+
+class _Grading:
+    """The powers of l that computing at l = 1 leaves out (see the module
+    docstring): words with d formal-weight symbols go with l^(degree - d)."""
+
+    def __init__(self, laws, symbols):
+        self.formal = tuple(s for law, s in zip(laws, symbols) if law.formal)
+        self.degree = 2 * len(self.formal)
+
+    def symbols_in(self, words) -> int:
+        return sum(word.count(s) for word in words for s in self.formal)
+
+    def power(self, words) -> int:
+        return self.degree - self.symbols_in(words)
+
+    def show(self, residual: dict, labels, names) -> tuple[str, ...]:
+        return tuple(
+            f"{format_weight_monomial(c, self.power(t[3:]))} * {term_str(t, labels, names)}"
+            for t, c in sorted(residual.items())
+        )
+
+    def check_table(self, table: dict, symbol: int) -> None:
+        allowed = symbol in self.formal
+        if any(self.symbols_in(words) > allowed for e in table.values() for _c, *words in e):
+            raise ExactAlgebraError("derived table is not homogeneous in the formal weight")
+
+
 # ---------------------------------------------------------------------------
 # relation instances and the membership solver
 
@@ -401,7 +463,8 @@ def _candidate_geometry(residual: dict):
     relation instances a residual can come from are recovered by
     redistributing each term's wrap words back onto the operands, in
     every multiset split.  Whatever part of the outermost wrap is not
-    pushed down stays as the instance's context.
+    pushed down stays as the instance's context.  Residuals come from
+    :meth:`_Verifier.substitute`, so every term has three leaves.
     """
     triples = set()
     contexts = {()}
@@ -414,13 +477,11 @@ def _candidate_geometry(residual: dict):
                     z2 = _merge(wz, to_leaf)
                     for ax, ay in _splits2(pool):
                         triples.add((_merge(wx, ax), _merge(wy, ay), z2))
-                elif shape == 1:
+                else:  # shape 1
                     pool = _merge(win, to_sub)
                     x2 = _merge(wx, to_leaf)
                     for ay, az in _splits2(pool):
                         triples.add((x2, _merge(wy, ay), _merge(wz, az)))
-                else:
-                    triples.add((_merge(wx, to_sub), _merge(wy, to_leaf), ()))
     return tuple(sorted(triples)), tuple(sorted(contexts))
 
 
@@ -475,6 +536,9 @@ class _Echelon:
 
 @dataclass(frozen=True)
 class RelationVerdict:
+    """``certificate`` holds (instance tag, c, k): the instance enters with
+    coefficient c * l^k, for the formal weight l."""
+
     index: int
     relation: str
     verified: bool
@@ -526,9 +590,9 @@ class VerificationReport:
                             "relation_index": idx,
                             "leaf_words": [list(w) for w in triple],
                             "context": list(ctx),
-                            "coefficient": format_scalar(coeff),
+                            "coefficient": format_weight_monomial(coeff, power),
                         }
-                        for (idx, triple, ctx), coeff in v.certificate
+                        for (idx, triple, ctx), coeff, power in v.certificate
                     ],
                     "residual": list(v.residual),
                 }
@@ -546,6 +610,9 @@ class _Verifier:
         self.laws = tuple(laws)
         self.symbols = tuple(range(len(self.laws)))
         self.tables = tables
+        self.grading = _Grading(self.laws, self.symbols)
+        for symbol, table in zip(self.symbols, tables):
+            self.grading.check_table(table, symbol)
         self.normalizer = Normalizer(self.laws, self.symbols, cap, budget)
         product = base
         for k, factor in enumerate(factors):
@@ -656,14 +723,12 @@ class _Verifier:
         """
         solved = echelon.solve(residual)
         if solved is not None and self._rebuild(solved) == residual:
-            certificate = tuple((tag, RatFunc(c)) for tag, c in solved.items())
+            certificate = tuple(
+                (tag, c, self.grading.power(tag[1] + (tag[2],))) for tag, c in solved.items()
+            )
             return RelationVerdict(index, label, True, certificate=certificate)
-        labels = self.base.generators.labels
         names = [law.name for law in self.laws]
-        shown = tuple(
-            f"{format_scalar(RatFunc(c))} * {term_str(t, labels, names)}"
-            for t, c in sorted(residual.items())
-        )
+        shown = self.grading.show(residual, self.base.generators.labels, names)
         return RelationVerdict(index, label, False, residual=shown)
 
     def _echelon(self, triples, contexts) -> _Echelon:
@@ -779,15 +844,18 @@ def _wrap_combination(comb: dict, parts) -> dict:
 
 
 def _check_modified_operator(kind: str, cap: int, budget: int) -> LemmaReport:
-    """-weight*id - P is again Rota-Baxter; id - N is again Nijenhuis."""
+    """-weight*id - P is again Rota-Baxter; id - N is again Nijenhuis.
+
+    The weight is the formal one, written 1 (see the module docstring).
+    """
     sym = (0,)
     if kind == "rb":
         law = rb(None)
-        modified = [(-LAMBDA, ()), (-1, sym)]
+        modified = [(-1, ()), (-1, sym)]
         inner = [
             _two_leaf_product(modified, [(1, ())]),
             _two_leaf_product([(1, ())], modified),
-            _two_leaf_product([(LAMBDA, ())], [(1, ())]),
+            _two_leaf_product([(1, ())], [(1, ())]),
         ]
         name = "modified Rota-Baxter operator (-weight*id - P)"
     else:
@@ -814,10 +882,7 @@ def _check_modified_operator(kind: str, cap: int, budget: int) -> LemmaReport:
         _accumulate(diff, t, -c)
     residual = normalizer.normalize(diff)
     if residual:
-        shown = "; ".join(
-            f"{format_scalar(RatFunc(c))} * {term_str(t, ['o'], [law.name])}"
-            for t, c in sorted(residual.items())
-        )
+        shown = "; ".join(_Grading((law,), (0,)).show(residual, ["o"], [law.name]))
         return LemmaReport(name, False, f"residual {shown}")
     return LemmaReport(name, True)
 
@@ -838,7 +903,8 @@ def verify_operator_lemmas(
         t = catalog.get(name)
         table = {
             dend.generators.index("lt"): [(1, (), (0,), ())],
-            dend.generators.index("gt"): [(LAMBDA, (), (), ()), (1, (0,), (), ())],
+            # weight*(x w y) at weight 1, which the grading reads as l
+            dend.generators.index("gt"): [(1, (), (), ()), (1, (0,), (), ())],
         }
         v = _Verifier(t, (law,), [dend], [table], cap, budget)
         report = v.run(t.name, "dendriform splitting by -(modified P)")

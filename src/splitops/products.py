@@ -47,8 +47,9 @@ def split_pair_label(label: str) -> tuple[str, str]:
     raise ValueError(f"not a product label: {label!r}")
 
 
-def flatten_label(label: str) -> tuple[str, ...]:
-    """Atomic factor labels of an iterated product label, left to right."""
+def label_factors(label: str) -> tuple[str, ...]:
+    """Top-level factor labels of a product label, left to right: (a|b|c)
+    gives (a, b, c) and ((a|b)|c) gives ((a|b), c); an atom is its own factor."""
     if not (label.startswith("(") and label.endswith(")")):
         return (label,)
     parts = []
@@ -63,10 +64,15 @@ def flatten_label(label: str) -> tuple[str, ...]:
             parts.append(label[start:k])
             start = k + 1
     parts.append(label[start:-1])
-    out: tuple[str, ...] = ()
-    for part in parts:
-        out += flatten_label(part)
-    return out
+    return tuple(parts)
+
+
+def flatten_label(label: str) -> tuple[str, ...]:
+    """Atomic factor labels of an iterated product label, left to right."""
+    parts = label_factors(label)
+    if parts == (label,):
+        return parts
+    return tuple(atom for part in parts for atom in flatten_label(part))
 
 
 def _flat_label(label: str) -> str:

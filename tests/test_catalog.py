@@ -4,6 +4,7 @@ import pytest
 
 from splitops import catalog
 from splitops.duality import dual
+from splitops.dsl import serialize
 from splitops.typecore import validate
 
 
@@ -82,6 +83,17 @@ def test_latex_symbols():
     assert catalog.latex_symbol("(lt|gt)") == r"\binom{\prec}{\succ}"
     assert catalog.latex_symbol("bul3") == r"\bullet_{3}"
     assert catalog.latex_symbol("weird") == r"\mathtt{weird}"
+    # a right-nested pair keeps its nesting
+    assert catalog.latex_symbol("(lt|(lt|gt))") == r"\binom{\prec}{\binom{\prec}{\succ}}"
+
+
+def test_latex_power_labels_stack_left_nested():
+    # the flattened octo label and its unflattened spelling write one stack
+    want = r"\binom{\binom{\prec}{\prec}}{\succ}"
+    assert catalog.latex_symbol("(lt|lt|gt)") == want
+    assert catalog.latex_symbol("((lt|lt)|gt)") == want
+    text = serialize(catalog.get("octo"), "latex")
+    assert want in text and r"\mathtt" not in text
 
 
 def test_table_isomorphism_unknown():

@@ -102,6 +102,17 @@ def test_verify_operator(capsys):
     assert "7/7" in out
 
 
+def test_a_negative_weight_is_passed_after_an_equals_sign(capsys, monkeypatch):
+    code, out = run(capsys, "verify-operator", "associative", "--law", "rb", "--weight=-3/4")
+    assert code == EXIT_OK
+    assert "rb(weight=-3/4, P): 7/7" in out
+    # wide enough that the help text is not wrapped inside the option
+    monkeypatch.setenv("COLUMNS", "200")
+    code, out = run(capsys, "verify-operator", "--help")
+    assert code == EXIT_OK
+    assert "--weight=-3/4" in out
+
+
 def test_verify_operator_json(capsys):
     code, out = run(capsys, "verify-operator", "associative", "--law", "nijenhuis",
                     "--json")

@@ -11,7 +11,7 @@ import pytest
 import splitops.operatorver as ov
 from splitops import catalog
 from splitops.cli import main
-from splitops.exactalg import LAMBDA, RF_ONE, RatFunc
+from splitops.exactalg import ExactAlgebraError
 from splitops.typecore import RelationElement, TypePresentation, format_relation
 
 F = Fraction
@@ -22,59 +22,68 @@ def nf(comb, law, **kwargs):
     return ov.Normalizer((law,), (0,), **kwargs).normalize(comb)
 
 
+def powers(comb, law):
+    """The power of the formal weight that goes with each term's coefficient."""
+    grading = ov._Grading((law,), (0,))
+    return {term: grading.power(term[3:]) for term in comb}
+
+
 def term2(wx, wy, wout=()):
     return (2, -1, 0, tuple(wx), tuple(wy), (), (), tuple(wout))
 
 
 def test_rb_single_step():
-    # P(x) o P(y) -> P(P(x) o y) + P(x o P(y)) + weight * P(x o y)
-    out = nf({term2((P,), (P,)): RF_ONE}, ov.rb(None))
+    # P(x) o P(y) -> P(P(x) o y) + P(x o P(y)) + weight * P(x o y), with
+    # the formal weight written 1 and its power read from the grading
+    out = nf({term2((P,), (P,)): 1}, ov.rb(None))
     assert out == {
-        term2((P,), (), (P,)): RF_ONE,
-        term2((), (P,), (P,)): RF_ONE,
-        term2((), (), (P,)): LAMBDA,
+        term2((P,), (), (P,)): 1,
+        term2((), (P,), (P,)): 1,
+        term2((), (), (P,)): 1,
     }
+    assert list(powers(out, ov.rb(None)).values()) == [0, 0, 1]
 
 
 def test_rb_weight_zero_single_step():
-    out = nf({term2((P,), (P,)): RF_ONE}, ov.rb(0))
+    out = nf({term2((P,), (P,)): 1}, ov.rb(0))
     assert out == {
-        term2((P,), (), (P,)): RF_ONE,
-        term2((), (P,), (P,)): RF_ONE,
+        term2((P,), (), (P,)): 1,
+        term2((), (P,), (P,)): 1,
     }
 
 
 def test_no_redex_is_fixed():
-    start = {term2((), (P,)): RF_ONE}
+    start = {term2((), (P,)): 1}
     assert nf(start, ov.rb(None)) == start
 
 
 def test_nijenhuis_single_step():
-    out = nf({term2((P,), (P,)): RF_ONE}, ov.nijenhuis())
+    out = nf({term2((P,), (P,)): 1}, ov.nijenhuis())
     assert out == {
-        term2((P,), (), (P,)): RF_ONE,
-        term2((), (P,), (P,)): RF_ONE,
-        term2((), (), (P, P)): -RF_ONE,
+        term2((P,), (), (P,)): 1,
+        term2((), (P,), (P,)): 1,
+        term2((), (), (P, P)): -1,
     }
 
 
 def test_one_sided_laws_single_step():
-    out = nf({term2((P,), (P,)): RF_ONE}, ov.left_rb())
-    assert out == {term2((), (P,), (P,)): RF_ONE}
-    out = nf({term2((P,), (P,)): RF_ONE}, ov.right_rb())
-    assert out == {term2((P,), (), (P,)): RF_ONE}
+    out = nf({term2((P,), (P,)): 1}, ov.left_rb())
+    assert out == {term2((), (P,), (P,)): 1}
+    out = nf({term2((P,), (P,)): 1}, ov.right_rb())
+    assert out == {term2((P,), (), (P,)): 1}
 
 
 def test_three_leaf_case_three_expansion():
     # (P(x) o P(y)) o z normalizes through the inner redex exactly as the
     # proof of the associative case expands it
-    start = {(0, 0, 0, (P,), (P,), (), (), ()): RF_ONE}
+    start = {(0, 0, 0, (P,), (P,), (), (), ()): 1}
     out = nf(start, ov.rb(None))
     assert out == {
-        (0, 0, 0, (P,), (), (), (P,), ()): RF_ONE,
-        (0, 0, 0, (), (P,), (), (P,), ()): RF_ONE,
-        (0, 0, 0, (), (), (), (P,), ()): LAMBDA,
+        (0, 0, 0, (P,), (), (), (P,), ()): 1,
+        (0, 0, 0, (), (P,), (), (P,), ()): 1,
+        (0, 0, 0, (), (), (), (P,), ()): 1,
     }
+    assert list(powers(out, ov.rb(None)).values()) == [0, 0, 1]
 
 
 def test_case_three_substitution_matches_proof_chain():
@@ -87,16 +96,17 @@ def test_case_three_substitution_matches_proof_chain():
     rel = v.product.relations[2]
     diff = v.normalizer.normalize(v.substitute(rel))
     assert diff == {
-        (0, 0, 0, (), (P,), (), (P,), ()): RF_ONE,
-        (0, 0, 0, (P,), (), (), (P,), ()): RF_ONE,
-        (0, 0, 0, (), (), (), (P,), ()): LAMBDA,
-        (1, 0, 0, (P,), (P,), (), (), ()): -RF_ONE,
+        (0, 0, 0, (), (P,), (), (P,), ()): 1,
+        (0, 0, 0, (P,), (), (), (P,), ()): 1,
+        (0, 0, 0, (), (), (), (P,), ()): 1,
+        (1, 0, 0, (P,), (P,), (), (), ()): -1,
     }
+    assert list(powers(diff, ov.rb(None)).values()) == [0, 0, 1, 0]
     # and the residual is certified by the associativity instance on
     # (P(x), P(y), z): its left half rewrites into the three wrapped terms
     verdict = v.verify_relation(2)
     assert verdict.verified
-    tags = [tag for tag, _ in verdict.certificate]
+    tags = [tag for tag, *_ in verdict.certificate]
     assert (0, ((P,), (P,), ()), ()) in tags
 
 
@@ -112,10 +122,10 @@ def test_verifier_substitutions_are_strategy_independent():
 
 def test_normalization_strategy_independent():
     inputs = [
-        {(0, 0, 0, (P,), (P,), (P,), (), ()): RF_ONE},
-        {(1, 0, 0, (P,), (P,), (P,), (), ()): RF_ONE},
-        {(0, 0, 0, (P, P), (P,), (P,), (), ()): RF_ONE},
-        {term2((P, P), (P, P)): RF_ONE},
+        {(0, 0, 0, (P,), (P,), (P,), (), ()): 1},
+        {(1, 0, 0, (P,), (P,), (P,), (), ()): 1},
+        {(0, 0, 0, (P, P), (P,), (P,), (), ()): 1},
+        {term2((P, P), (P, P)): 1},
     ]
     for law in (ov.rb(None), ov.nijenhuis(), ov.left_rb(), ov.right_rb()):
         for comb in inputs:
@@ -126,14 +136,14 @@ def test_normalization_strategy_independent():
 
 def test_normal_forms_have_no_redex():
     law = ov.rb(None)
-    comb = {(0, 0, 0, (P, P), (P,), (P,), (), ()): RF_ONE}
+    comb = {(0, 0, 0, (P, P), (P,), (P,), (), ()): 1}
     normalizer = ov.Normalizer((law,), (0,))
     for term in normalizer.normalize(comb):
         assert normalizer._find_redex(term) is None
 
 
 def test_step_budget_guard():
-    comb = {(0, 0, 0, (P, P), (P, P), (P, P), (), ()): RF_ONE}
+    comb = {(0, 0, 0, (P, P), (P, P), (P, P), (), ()): 1}
     with pytest.raises(ov.RewriteBudget, match="rewrite budget exhausted"):
         ov.Normalizer((ov.rb(None),), (0,), budget=2).normalize(comb)
 
@@ -141,7 +151,7 @@ def test_step_budget_guard():
 def test_nesting_cap_guard():
     with pytest.raises(ov.RewriteBudget, match="nesting cap"):
         ov.Normalizer((ov.nijenhuis(),), (0,), cap=1).normalize(
-            {term2((P,), (P,)): RF_ONE}
+            {term2((P,), (P,)): 1}
         )
 
 
@@ -191,7 +201,7 @@ def test_certificates_reproduce_residuals():
         assert verdict.verified
         residual = v.normalizer.normalize(v.substitute(v.product.relations[index]))
         rebuilt = {}
-        for tag, coeff in verdict.certificate:
+        for tag, coeff, _power in verdict.certificate:
             for term, c in v.instance_vector(tag).items():
                 ov._accumulate(rebuilt, term, coeff * c)
         assert rebuilt == residual
@@ -208,12 +218,13 @@ def test_specialization_coherence_at_weight_zero():
         formal_residual = formal.normalizer.normalize(
             formal.substitute(formal.product.relations[t_index])
         )
-        specialized = {}
-        for term, coeff in formal_residual.items():
-            # a coefficient without the formal weight is a plain int or Fraction
-            value = RatFunc(coeff).evaluate(F(0))
-            if value:
-                specialized[term] = RatFunc(value)
+        # at weight 0 only the terms whose coefficient has no power of the
+        # formal weight survive
+        specialized = {
+            term: coeff
+            for term, coeff in formal_residual.items()
+            if formal.grading.power(term[3:]) == 0
+        }
         zero_residual = at_zero.normalizer.normalize(
             at_zero.substitute(at_zero.product.relations[d_index])
         )
@@ -265,13 +276,13 @@ def test_operator_lemmas():
 
 
 def test_a_failing_lemma_prints_its_residual(monkeypatch):
-    # with the weight fixed at 1, -weight*id - P is not Rota-Baxter of the
-    # formal weight; the residual keeps the rational-function format
-    monkeypatch.setattr(ov, "rb", lambda weight=None, name="P": ov.OperatorLaw("rb", F(1), name))
+    # with P of weight 2, -1*id - P (the formal weight written 1) is not
+    # Rota-Baxter of weight 2; the residual keeps the rational-function format
+    monkeypatch.setattr(ov, "rb", lambda weight=None, name="P": ov.OperatorLaw("rb", F(2), name))
     report = ov.verify_operator_lemmas(include=())[0]
     assert not report.ok
     assert report.describe() == (
-        "modified Rota-Baxter operator (-weight*id - P): FAILED residual (-l+1)/(1) * P(x o y)"
+        "modified Rota-Baxter operator (-weight*id - P): FAILED residual (1)/(1) * P(x o y)"
     )
     # and with N one-sided, id - N is not Nijenhuis: plain int residuals
     monkeypatch.setattr(ov, "nijenhuis", lambda name="N": ov.OperatorLaw("left_rb", name=name))
@@ -281,16 +292,17 @@ def test_a_failing_lemma_prints_its_residual(monkeypatch):
     )
 
 
-def test_coefficients_without_the_formal_weight_are_plain_numbers():
-    # the sources of every coefficient the verifier computes with
-    assert ov.rb(None).weight_scalar() is LAMBDA
+def test_every_coefficient_is_a_plain_number():
+    # the sources of every coefficient the verifier computes with; the
+    # formal weight is written 1
+    assert type(ov.rb(None).weight_scalar()) is int and ov.rb(None).weight_scalar() == 1
     assert type(ov.rb("2").weight_scalar()) is int and ov.rb("2").weight_scalar() == 2
     assert ov.rb("1/2").weight_scalar() == F(1, 2)
     for law in (ov.rb(None), ov.rb(0), ov.rb("-3"), ov.nijenhuis(), ov.left_rb(), ov.right_rb()):
         factor = catalog.get(ov.predicted_factor_name(law))
         coeffs = [c for c, *_ in law.expansions()]
         coeffs += [c for entries in ov.derived_table(law, factor, P).values() for c, *_ in entries]
-        assert all(type(c) is int or c is LAMBDA for c in coeffs), law
+        assert all(type(c) is int for c in coeffs), law
     assert nf({term2((), (P,)): 1}, ov.rb(None)) == {term2((), (P,)): 1}
     inst = ov.relation_instance(catalog.get("dendriform").relations[0], ((), (), ()), ())
     assert inst and all(type(c) is int for c in inst.values())
@@ -359,8 +371,9 @@ def _oracle_verdicts(v):
                         ech.insert(inst, (r_idx, triple, ctx))
         solved = ech.solve(residual)
         assert solved is not None, index  # these runs certify at the first depth
-        # certificates show every coefficient as a RatFunc
-        certificate = tuple((tag, RatFunc(c)) for tag, c in solved.items())
+        certificate = tuple(
+            (tag, c, v.grading.power(tag[1] + (tag[2],))) for tag, c in solved.items()
+        )
         verdicts.append(ov.RelationVerdict(index, label, True, certificate=certificate))
     return tuple(verdicts)
 
@@ -425,7 +438,7 @@ def test_a_wrong_certificate_is_reported_failed(monkeypatch):
         solved = real(self, target)
         if solved:
             tag = next(iter(solved))
-            solved[tag] = solved[tag] + RF_ONE
+            solved[tag] = solved[tag] + 1
         return solved
 
     monkeypatch.setattr(ov._Echelon, "solve", off_by_one)
@@ -447,7 +460,7 @@ def test_a_wrong_derived_table_fails_visibly():
     a, tri = catalog.get("associative"), catalog.get("trialgebra")
     law = ov.rb(None)
     table = ov.derived_table(law, tri, P)
-    table[tri.generators.index("gt")] = [(RF_ONE, (), (P,), ())]
+    table[tri.generators.index("gt")] = [(1, (), (P,), ())]
     v = ov._Verifier(a, (law,), [tri], [table], ov.DEFAULT_NESTING_CAP, ov.DEFAULT_STEP_BUDGET)
     report = v.run(a.name, "rb with a wrong gt")
     failed = [verdict.index for verdict in report.verdicts if not verdict.verified]
@@ -470,6 +483,119 @@ def test_a_wrong_derived_table_fails_visibly():
     assert [line for line in text.splitlines() if "FAILED" in line] == [
         f"  relation {k}: FAILED" for k in failed
     ]
+
+
+def test_a_table_without_a_homogeneous_lift_is_refused():
+    # an entry with two symbols of a formal-weight law would stand for
+    # l^-1 times itself; a formal-weight symbol in another law's table for
+    # an entry of the wrong degree
+    a, tri = catalog.get("associative"), catalog.get("trialgebra")
+    cap, budget = ov.DEFAULT_NESTING_CAP, ov.DEFAULT_STEP_BUDGET
+    law = ov.rb(None)
+    table = ov.derived_table(law, tri, P)
+    table[tri.generators.index("gt")] = [(1, (P, P), (), ())]
+    with pytest.raises(ExactAlgebraError, match="not homogeneous"):
+        ov._Verifier(a, (law,), [tri], [table], cap, budget)
+    laws = (ov.rb(None), ov.rb(0))
+    dend = catalog.get("dendriform")
+    tables = [ov.derived_table(laws[0], tri, 0), ov.derived_table(laws[1], dend, 1)]
+    tables[1][dend.generators.index("lt")] = [(1, (), (0, 1), ())]
+    with pytest.raises(ExactAlgebraError, match="not homogeneous"):
+        ov._Verifier(a, laws, [tri, dend], tables, cap, budget)
+    # a rational weight carries no grading: two symbols are fine
+    law = ov.rb(1)
+    table = ov.derived_table(law, tri, P)
+    table[tri.generators.index("gt")] = [(1, (P, P), (), ())]
+    assert not ov._Verifier(a, (law,), [tri], [table], cap, budget).run("a", "x").all_verified
+
+
+@pytest.mark.parametrize(
+    "c, power, text",
+    [
+        (1, 0, "(1)/(1)"),
+        (-1, 0, "(-1)/(1)"),
+        (F(1, 2), 0, "(1/2)/(1)"),
+        (1, 1, "(l)/(1)"),
+        (-1, 1, "(-l)/(1)"),
+        (-2, 3, "(-2*l^3)/(1)"),
+        (F(-1, 4), 2, "(-1/4*l^2)/(1)"),
+        (2, -1, "(2)/(l)"),
+        (F(-3, 2), -2, "(-3/2)/(l^2)"),
+    ],
+)
+def test_weight_monomial_format(c, power, text):
+    assert ov.format_weight_monomial(c, power) == text
+
+
+# -- the grading, checked without trusting it ------------------------------------
+
+# the formal-weight runs of criterion 6 and three larger families
+_FORMAL_RUNS = [
+    (name, ("rb",)) for name in ("associative", "dendriform", "trialgebra", "ns", "dipterous")
+] + [
+    ("associative", ("rb", "rb")),
+    ("trialgebra", ("rb", "rb")),
+    ("associative", ("rb", "rb", "rb")),
+    ("ns", ("rb", "nijenhuis")),
+]
+# distinct nonzero weights, at least D + 1 = 7 for three formal weights
+_WEIGHTS = (F(2), F(-1), F(1, 2), F(3), F(-2, 3), F(5), F(1, 3))
+
+
+def _holds_at(name, laws, verdicts, weight):
+    """Whether every certificate, its coefficients c * l^k evaluated at
+    ``weight``, sums the instances normalized at that weight to the residual
+    a verifier built with rb(weight) computes."""
+    at_weight = [ov.rb(weight) if law.formal else law for law in laws]
+    v = _verifier(name, at_weight)
+    for verdict in verdicts:
+        residual = v.normalizer.normalize(v.substitute(v.product.relations[verdict.index]))
+        rebuilt = {}
+        for tag, c, k in verdict.certificate:
+            for term, x in v.instance_vector(tag).items():
+                ov._accumulate(rebuilt, term, c * weight**k * x)
+        if rebuilt != residual:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "name, laws", _FORMAL_RUNS, ids=lambda x: "+".join(x) if isinstance(x, tuple) else x
+)
+def test_certificates_hold_at_enough_weights(name, laws):
+    # for every term, both sides are polynomials of degree <= D in the
+    # weight, so agreeing at D + 1 points is an identity over Q(l)
+    laws = [_LAWS[law]() for law in laws]
+    v = _verifier(name, laws)
+    report = v.run(name, "law")
+    assert report.all_verified
+    degree = v.grading.degree
+    assert degree == 2 * laws.count(ov.rb(None))
+    assert all(0 <= k <= degree for verdict in report.verdicts for *_, k in verdict.certificate)
+    for weight in _WEIGHTS[: degree + 1]:
+        assert _holds_at(name, laws, report.verdicts, weight), weight
+
+
+def test_a_context_word_counts_toward_the_power():
+    # no catalog run certifies through an instance in a formal-weight
+    # context, so certify P((P(x) y) z - P(x) (y z)) directly: its two
+    # symbols make degree D = 2, so its coefficient carries no l
+    tag = (0, ((P,), (), ()), (P,))
+    v = _verifier("associative", [ov.rb(None)])
+    target = v.instance_vector(tag)
+    verdict = v._certify(0, "instance", target, v._echelon(*ov._candidate_geometry(target)))
+    assert verdict.certificate == ((tag, 1, 0),)
+
+
+def test_a_power_off_by_one_fails_at_some_weight():
+    laws = [ov.rb(None)]
+    report = _verifier("associative", laws).run("associative", "law")
+    verdict = next(verdict for verdict in report.verdicts if verdict.certificate)
+    (tag, c, k), *rest = verdict.certificate
+    wrong = ov.RelationVerdict(
+        verdict.index, verdict.relation, True, certificate=((tag, c, k + 1), *rest)
+    )
+    assert not all(_holds_at("associative", laws, [wrong], w) for w in _WEIGHTS[:3])
 
 
 def test_golden_certificate_export(capsys):
@@ -524,10 +650,8 @@ def _scaled(t, factor):
 
 
 def _assert_exact(value):
-    """An int, a Fraction or a RatFunc with int or Fraction coefficients."""
-    assert type(value) in (int, Fraction, RatFunc), value
-    if type(value) is RatFunc:
-        assert all(type(x) in (int, Fraction) for x in value.num + value.den), value
+    """An int or a Fraction."""
+    assert type(value) in (int, Fraction), value
 
 
 @pytest.mark.parametrize("factor", [F(2), F(-1, 3)], ids=["2", "-1/3"])
@@ -561,10 +685,12 @@ def test_scaled_base_relations_scale_certificates_inversely(monkeypatch, name, f
         assert len(report.verdicts) == len(reference.verdicts)
         for got, want in zip(report.verdicts, reference.verdicts):
             assert got.residual_zero == want.residual_zero
-            assert [tag for tag, _ in got.certificate] == [tag for tag, _ in want.certificate]
-            for (_, c_got), (_, c_want) in zip(got.certificate, want.certificate):
+            assert [(tag, k) for tag, _, k in got.certificate] == [
+                (tag, k) for tag, _, k in want.certificate
+            ]
+            for (_, c_got, _), (_, c_want, _) in zip(got.certificate, want.certificate):
                 _assert_exact(c_got)
-                assert type(c_got) is RatFunc and c_got * factor == c_want
+                assert c_got * factor == c_want
     assert built and residuals
     for residual in residuals:
         for value in residual.values():

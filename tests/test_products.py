@@ -9,6 +9,7 @@ from splitops.exactalg import ExactAlgebraError, Subspace
 from splitops.morphisms import check_isomorphism, identity_morphism
 from splitops.products import (
     flatten_label,
+    label_factors,
     maltese,
     pair_label,
     power,
@@ -188,3 +189,6 @@ def test_label_helpers():
     assert flatten_label("((a|b)|c)") == ("a", "b", "c")
     assert flatten_label("(a|b|c)") == ("a", "b", "c")
     assert flatten_label("plain") == ("plain",)
+    assert label_factors("((a|b)|c)") == ("(a|b)", "c")
+    assert label_factors("(a|b|c)") == ("a", "b", "c")
+    assert label_factors("plain") == ("plain",)
