@@ -19,7 +19,7 @@ from .dsl import parse_type
 from .exactalg import ExactAlgebraError, Matrix
 from .morphisms import TypeMorphism
 from .typecore import GeneratorSpace, TypePresentation, push_relation
-from .products import label_factors, pair_label, power, square, split_pair_label
+from .products import label_factors, pair_label, power, square
 
 
 class UnknownTypeError(ExactAlgebraError):
@@ -421,7 +421,7 @@ def table_isomorphism(name: str) -> TypeMorphism:
         source = square(get("quadri_lit"), get("dendriform"), name="octo_lit")
         images = {}
         for label in source.generators.labels:
-            arrow, d = split_pair_label(label)
+            arrow, d = label_factors(label)
             a, b = _QUADRI_TABLE[arrow]
             images[label] = f"({a}|{b}|{d})"
         return _label_map_morphism(source, target, images)

@@ -172,6 +172,12 @@ def _check_morphism(args, out):
 
 def _auto_group(args, out):
     t = _load_type(args.type)
+    guard = morphisms.DEFAULT_MONOMIAL_GUARD
+    if t.dim > guard and not args.allow_large:
+        raise ValueError(
+            f"{t.name} has {t.dim} generators, more than the monomial search "
+            f"guard ({guard}); pass --allow-large to search anyway"
+        )
     entries = _option("--entries", lambda: tuple(Fraction(e) for e in args.entries.split(",")))
     autos = morphisms.monomial_automorphisms(t, entries=entries, allow_large=args.allow_large)
     out(f"monomial automorphism group of {t.name}: order {len(autos)}")
@@ -330,7 +336,7 @@ def check_duality():
     lit = catalog.get("assoc_nijenhuis_tri")
     if ans.relation_subspace != lit.relation_subspace:
         return False, "dual(ns) differs from the 14 transcribed relations"
-    cir = tuple(Fraction(int(i == 2)) for i in range(3))
+    cir = tuple(int(i == 2) for i in range(3))
     if not ans.relation_subspace.contains_vector(star_associativity(cir).coeffs):
         return False, "dual(ns) misses the circle associativity"
     for name in catalog.list_names():
@@ -349,7 +355,7 @@ def check_non_duality():
     ok = (
         not report.inclusion_holds
         and report.witness_in_maltese
-        and report.pairing_value == Fraction(-1)
+        and report.pairing_value == -1
         and report.paired_relation_in_square
     )
     return ok, f"witness pairing {report.pairing_value}, inclusion {report.inclusion_holds}"

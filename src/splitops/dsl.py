@@ -148,17 +148,17 @@ class _Parser:
 
     # -- numbers and linear combinations ------------------------------------
 
-    def rational(self) -> Fraction:
+    def scalar(self):
         tok = self.next()
         if tok.kind != "int":
             raise DslError("expected a number", tok.span)
-        value = Fraction(int(tok.text))
+        value = int(tok.text)
         if self.peek().text == "/":
             self.next()
             den = self.next()
             if den.kind != "int" or int(den.text) == 0:
                 raise DslError("expected a nonzero denominator", den.span)
-            value /= int(den.text)
+            value = Fraction(value, int(den.text))
         return value
 
     def _zero_term(self) -> bool:
@@ -175,22 +175,22 @@ class _Parser:
         """A signed sum of terms ``[q *] t``, any of them a bare ``0``;
         ``term(c)`` reads each ``t`` and takes its signed coefficient ``c``."""
         while True:
-            sign = Fraction(1)
+            sign = 1
             tok = self.peek()
             if tok.text in ("+", "-"):
                 self.next()
-                sign = Fraction(-1) if tok.text == "-" else Fraction(1)
+                sign = -1 if tok.text == "-" else 1
             if not self._zero_term():
-                coeff = Fraction(1)
+                coeff = 1
                 if self.peek().kind == "int":
-                    coeff = self.rational()
+                    coeff = self.scalar()
                     self.expect("*")
                 term(sign * coeff)
             if self.peek().text not in ("+", "-"):
                 break
 
-    def lincomb(self, names: dict[str, tuple[Fraction, ...]], m: int) -> tuple[Fraction, ...]:
-        vec = [Fraction(0)] * m
+    def lincomb(self, names: dict[str, tuple], m: int) -> tuple:
+        vec = [0] * m
 
         def term(coeff):
             name = self.expect_id("generator name")
@@ -202,9 +202,9 @@ class _Parser:
         self._signed_terms(term)
         return tuple(vec)
 
-    def bilin(self, names, m) -> dict[int, Fraction]:
+    def bilin(self, names, m) -> dict:
         """A bilinear combination as {a*m + b: coefficient of a.b}."""
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict = {}
 
         def term(coeff):
             u = self.factor(names, m)
@@ -221,7 +221,7 @@ class _Parser:
         self._signed_terms(term)
         return coeffs
 
-    def factor(self, names, m) -> tuple[Fraction, ...]:
+    def factor(self, names, m) -> tuple:
         tok = self.peek()
         if tok.text == "(":
             self.next()
@@ -254,9 +254,7 @@ def parse_type_report(text: str):
         seen.add(tok.text)
     labels_t = tuple(tok.text for tok in labels)
     m = len(labels_t)
-    names = {
-        lbl: tuple(Fraction(int(i == j)) for j in range(m)) for i, lbl in enumerate(labels_t)
-    }
+    names = {lbl: tuple(int(i == j) for j in range(m)) for i, lbl in enumerate(labels_t)}
     p.expect(";")
 
     p.expect("star")
@@ -264,7 +262,7 @@ def parse_type_report(text: str):
     star = p.lincomb(names, m)
     p.expect(";")
 
-    aux: dict[str, tuple[Fraction, ...]] = {}
+    aux: dict[str, tuple] = {}
     if p.peek().text == "aux":
         p.next()
         p.expect(":")
@@ -338,6 +336,12 @@ def _lincomb_str(vec, labels) -> str:
 
 
 def _to_dsl(t: TypePresentation) -> str:
+    if t.star is None:
+        # a star of 0 would read back as an invalid presentation
+        raise DslError(
+            "the definition language has no unresolved star; export the type as JSON",
+            path="star",
+        )
     labels = t.generators.labels
     # the names the JSON reader accepts, checked with its rules and paths
     _check_writable(t.name, "name")
@@ -353,8 +357,7 @@ def _to_dsl(t: TypePresentation) -> str:
 
     lines = [f"type {_name_out(t.name)} {{"]
     lines.append("  generators: " + ", ".join(_name_out(l) for l in labels) + ";")
-    star = t.star if t.star is not None else (Fraction(0),) * t.dim
-    lines.append("  star: " + _lincomb_str(star, labels) + ";")
+    lines.append("  star: " + _lincomb_str(t.star, labels) + ";")
     if t.aux:
         defs = ", ".join(
             f"{_name_out(k)} = {_lincomb_str(v, labels)}" for k, v in t.aux.items()
@@ -479,7 +482,7 @@ def _relation_from_json(rel, m: int, r: int) -> RelationElement:
     """``relations[r]`` of a JSON export.
 
     A ``"0"`` cell is skipped before any conversion, and a row of ``"0"``
-    cells as a whole; every other cell goes through ``_json_rational``.
+    cells as a whole; every other cell goes through ``_json_scalar``.
     """
     if not isinstance(rel, dict):
         raise DslError("expected an object", path=f"relations[{r}]")
@@ -502,7 +505,7 @@ def _relation_from_json(rel, m: int, r: int) -> RelationElement:
             for j, x in enumerate(row):
                 if x == "0":
                     continue
-                c = _json_rational(x, path, j)
+                c = _json_scalar(x, path, j)
                 if c:
                     coeffs[offset + j] = c
     return RelationElement(m, coeffs)
@@ -518,22 +521,22 @@ def _check_writable(name: str, path: str) -> None:
         raise DslError("a name cannot contain '\"' or a line break", path=path)
 
 
-def _json_vector(value, m: int, path: str) -> list[Fraction]:
+def _json_vector(value, m: int, path: str) -> list:
     if not isinstance(value, list) or len(value) != m:
         raise DslError(f"expected a list of {m} rationals", path=path)
-    return [_json_rational(x, path, k) for k, x in enumerate(value)]
+    return [_json_scalar(x, path, k) for k, x in enumerate(value)]
 
 
-_COMMON_RATIONALS = {"0": Fraction(0), "1": Fraction(1), "-1": Fraction(-1)}
+_COMMON_SCALARS = {"0": 0, "1": 1, "-1": -1}
 
 
-def _json_rational(value, path: str, k: int) -> Fraction:
-    """Entry ``k`` of the JSON list at ``path`` as a rational."""
-    known = _COMMON_RATIONALS.get(value) if isinstance(value, str) else None
+def _json_scalar(value, path: str, k: int):
+    """Entry ``k`` of the JSON list at ``path`` as an exact scalar."""
+    known = _COMMON_SCALARS.get(value) if isinstance(value, str) else None
     if known is not None:
         return known
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+    if type(value) is int:
+        return value
     if isinstance(value, str):
         try:
             return Fraction(value)

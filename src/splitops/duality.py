@@ -17,6 +17,7 @@ from .exactalg import (
     DimensionMismatch,
     ExactAlgebraError,
     Subspace,
+    canonical,
 )
 from .typecore import (
     GeneratorSpace,
@@ -27,19 +28,19 @@ from .typecore import (
 )
 
 STAR_SEARCH_DIM_GUARD = 6
-_STAR_ENTRIES = (Fraction(0), Fraction(1), Fraction(-1))
+_STAR_ENTRIES = (0, 1, -1)
 
 
 def pair2(u: RelationElement, v: RelationElement):
     """The signed perfect pairing: sum(L*L') - sum(R*R'), coordinatewise."""
     if u.size != v.size:
         raise DimensionMismatch("pairing needs equal generator dimensions")
-    total = Fraction(0)
+    total = 0
     for block, i, j, a in u.nonzero():
         b = v.coeff(block, i, j)
         if b:
             total += -a * b if block else a * b
-    return total
+    return canonical(total)
 
 
 def _signed_coeffs(rel: RelationElement) -> dict:
@@ -98,7 +99,7 @@ def double_dual_check(t: TypePresentation) -> bool:
     return dd.relation_subspace == t.relation_subspace
 
 
-def find_star(t: TypePresentation) -> list[tuple[Fraction, ...]]:
+def find_star(t: TypePresentation) -> list[tuple[int, ...]]:
     """All nonzero vectors with entries in {-1, 0, 1} whose associativity
     element lies in the relation subspace, in the order 0, 1, -1 per entry."""
     space = t.relation_subspace
@@ -121,7 +122,7 @@ class NonDualityReport:
     witness: RelationElement
     witness_display: str
     witness_in_maltese: bool
-    pairing_value: Fraction
+    pairing_value: int | Fraction
     paired_relation: RelationElement
     paired_display: str
     paired_relation_in_square: bool

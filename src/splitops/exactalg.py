@@ -2,9 +2,11 @@
 
 Everything downstream (relation subspaces, annihilators, push-forwards,
 the operator verifier's certificates) reduces to linear algebra over the
-rationals.  A scalar is a :class:`fractions.Fraction` or, where it is
-integral and speed matters, an ``int``; no floating point is used
-anywhere.
+rationals.  Every stored scalar is in one canonical form, made by
+:func:`canonical`: an ``int`` when it is integral, else a
+:class:`fractions.Fraction`; no floating point is used anywhere.  The
+product, sum and difference of two such scalars are exact, but ``a / b``
+on two ints is a float, so a quotient is written ``Fraction(a, b)``.
 
 :class:`Matrix` is a small dense rational matrix (generator maps and
 their products).  Relation spaces are large and sparse, so every row
@@ -44,40 +46,30 @@ class DimensionMismatch(ExactAlgebraError):
 
 
 def canonical(x):
-    """An exact scalar in canonical form: an integral Fraction as its int,
-    any other value unchanged."""
-    if type(x) is Fraction and x.denominator == 1:
-        return x.numerator
-    return x
+    """An exact scalar in canonical form: an ``int`` when it is integral,
+    else a Fraction.  An int subclass such as ``bool`` reads as its int;
+    anything but an int or a Fraction is refused."""
+    kind = type(x)
+    if kind is int:
+        return x
+    if kind is Fraction:
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, (int, Fraction)):
+        return canonical(Fraction(x))
+    raise ScalarKindMismatch(f"scalar kind mismatch: {x!r}")
 
 
 def format_scalar(x) -> str:
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    raise ScalarKindMismatch(f"not a scalar: {x!r}")
+    """A scalar as ``p/q``, or ``p`` when it is integral."""
+    return str(canonical(x))
 
 
 # ---------------------------------------------------------------------------
 # matrices
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def rational(x) -> Fraction:
-    """``x`` as a Fraction; anything but an int or a Fraction is refused."""
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise ScalarKindMismatch("scalar kind mismatch")
-
-
 class Matrix:
-    """Immutable dense rational matrix."""
+    """Immutable dense rational matrix; its entries are canonical scalars."""
 
     __slots__ = ("rows", "nrows", "ncols")
 
@@ -92,13 +84,13 @@ class Matrix:
         for r in rows:
             if len(r) != width:
                 raise DimensionMismatch("ragged rows")
-        self.rows = tuple(tuple(rational(x) for x in r) for r in rows)
+        self.rows = tuple(tuple(canonical(x) for x in r) for r in rows)
         self.nrows = len(rows)
         self.ncols = width
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], ncols=n)
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], ncols=n)
 
     @classmethod
     def monomial(cls, images: Sequence[int], signs: Sequence | None = None) -> "Matrix":
@@ -110,9 +102,9 @@ class Matrix:
         n = len(images)
         if sorted(images) != list(range(n)):
             raise DimensionMismatch("monomial images must be a permutation of the columns")
-        rows = [[_ZERO] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for j, i in enumerate(images):
-            rows[i][j] = _ONE if signs is None else signs[j]
+            rows[i][j] = 1 if signs is None else signs[j]
         return cls(rows, ncols=n)
 
     def __eq__(self, other):
@@ -155,7 +147,7 @@ class Matrix:
         augmented = Echelon(2 * n)
         for i, r in enumerate(self.rows):
             row = {j: x for j, x in enumerate(r) if x}
-            row[n + i] = _ONE
+            row[n + i] = 1
             augmented.add(row)
         rows = augmented.rows
         if any(k not in rows for k in range(n)):
@@ -232,7 +224,7 @@ class Echelon:
         mult = 1
         for _, x in items:
             if type(x) is not int:
-                mult = lcm(mult, rational(x).denominator)
+                mult = lcm(mult, canonical(x).denominator)
         if mult == 1:
             return _primitive({k: x.numerator for k, x in items})
         return _primitive({k: (x * mult).numerator for k, x in items})
@@ -396,7 +388,7 @@ class _DenseRows(Sequence):
         p = space.pivots[k]
         row = space._echelon.rows[p]
         lead = row[p]
-        out = [_ZERO] * space.ambient
+        out = [Fraction(0)] * space.ambient
         for c, x in row.items():
             out[c] = Fraction(x, lead)
         return tuple(out)

@@ -8,13 +8,12 @@ relation subspace exactly.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exactalg import (
     DimensionMismatch,
     ExactAlgebraError,
     Matrix,
     Subspace,
+    canonical,
     format_scalar,
 )
 from .dsl import DslError, _json_vector
@@ -135,7 +134,7 @@ def monomial_automorphisms(
             f"monomial search over {m} generators exceeds the guard ({guard}); "
             "pass allow_large=True to override"
         )
-    entries = tuple(dict.fromkeys(Fraction(e) for e in entries))
+    entries = tuple(dict.fromkeys(canonical(e) for e in entries))
     if any(not e for e in entries):
         raise ValueError("monomial entries must be nonzero")
     if any(a * b not in entries for a in entries for b in entries):

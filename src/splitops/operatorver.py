@@ -122,11 +122,16 @@ class OperatorLaw:
 
 
 def rb(weight=None, name: str = "P") -> OperatorLaw:
-    """Rota-Baxter of a rational ``weight`` or its text; None or "formal" is the formal weight."""
+    """Rota-Baxter of a rational ``weight`` or its text; None or "formal" is the formal weight.
+
+    A weight that is neither text nor an exact scalar, such as a float,
+    raises ScalarKindMismatch.
+    """
     if weight in (None, "formal"):
         return OperatorLaw("rb", None, name)
     try:
-        return OperatorLaw("rb", Fraction(weight), name)
+        exact = Fraction(weight) if isinstance(weight, str) else weight
+        return OperatorLaw("rb", canonical(exact), name)
     except ZeroDivisionError:
         raise ValueError(f"weight {weight} has a zero denominator") from None
 
@@ -436,9 +441,9 @@ def relation_instance(
     comb: dict = {}
     for block, i, j, c in rel.nonzero():
         if block == 0:
-            _accumulate(comb, (0, i, j, wu, wv, ww, (), context), canonical(c))
+            _accumulate(comb, (0, i, j, wu, wv, ww, (), context), c)
         else:
-            _accumulate(comb, (1, j, i, wu, wv, ww, (), context), -canonical(c))
+            _accumulate(comb, (1, j, i, wu, wv, ww, (), context), -c)
     return comb
 
 
@@ -661,7 +666,7 @@ class _Verifier:
             inner, outer = (i, j) if block == 0 else (j, i)
             b_in, taus_in = self._decompose(inner)
             b_out, taus_out = self._decompose(outer)
-            coeff = -canonical(c) if block else canonical(c)
+            coeff = -c if block else c
             for c1, wl1, wr1, wp1 in self._entries(taus_in):
                 for c2, wl2, wr2, wp2 in self._entries(taus_out):
                     if block == 0:

@@ -12,7 +12,6 @@ reduction rather than taken on trust.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .exactalg import Matrix, Subspace
 from .morphisms import TypeMorphism
@@ -31,20 +30,6 @@ from .typecore import (
 
 def pair_label(a: str, b: str) -> str:
     return f"({a}|{b})"
-
-
-def split_pair_label(label: str) -> tuple[str, str]:
-    if not (label.startswith("(") and label.endswith(")")):
-        raise ValueError(f"not a product label: {label!r}")
-    depth = 0
-    for k, ch in enumerate(label):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "|" and depth == 1:
-            return label[1:k], label[k + 1 : -1]
-    raise ValueError(f"not a product label: {label!r}")
 
 
 def label_factors(label: str) -> tuple[str, ...]:
@@ -110,25 +95,33 @@ def _product_generators(t1: TypePresentation, t2: TypePresentation, name: str) -
     return GeneratorSpace(name, labels)
 
 
-def _kron_vector(u, v):
-    return tuple(a * b for a in u for b in v)
+def _product_star(t1: TypePresentation, t2: TypePresentation):
+    """The Kronecker product of the factor stars; None when a factor has none."""
+    if t1.star is None or t2.star is None:
+        return None
+    return tuple(a * b for a in t1.star for b in t2.star)
 
 
 def square(t1: TypePresentation, t2: TypePresentation, name: str | None = None) -> TypePresentation:
-    """The square (type) product of two valid presentations."""
+    """The square (type) product of two valid presentations.
+
+    A factor without a resolved star (a dual) gives a product without one,
+    flagged and validated like a dual.
+    """
     require_valid(t1)
     require_valid(t2)
     name = name or f"({t1.name} sq {t2.name})"
     gens = _product_generators(t1, t2, name)
-    star = _kron_vector(t1.star, t2.star)
+    star = _product_star(t1, t2)
     relations = [box_relation(f1, f2) for f1 in t1.relations for f2 in t2.relations]
     result = TypePresentation(
-        gens, star, relations, provenance=f"square product of {t1.name} and {t2.name}"
+        gens, star, relations, star_unresolved=star is None,
+        provenance=f"square product of {t1.name} and {t2.name}",
     )
     report = validate(result)
     if not report.valid:
-        # valid factors give a nonzero, associative star, so only the rank
-        # can fail: pairs of factor relations that share whole sides
+        # valid factors give a nonzero, associative star (or none), so only
+        # the rank can fail: pairs of factor relations that share whole sides
         raise InvalidPresentation(
             f"square({t1.name}, {t2.name}): the box relations are dependent, "
             "so the product is not a valid presentation",
@@ -141,14 +134,15 @@ def maltese(t1: TypePresentation, t2: TypePresentation, name: str | None = None)
     """The maltese product; relations span pairs with one factor a relation.
 
     The spanning set (R1 box full2) union (full1 box R2) is not linearly
-    independent, so the canonical row-reduced basis is taken.
+    independent, so the canonical row-reduced basis is taken.  As for
+    :func:`square`, a starless factor gives a starless product.
     """
     require_valid(t1)
     require_valid(t2)
     name = name or f"({t1.name} mx {t2.name})"
     m1, m2 = t1.dim, t2.dim
     gens = _product_generators(t1, t2, name)
-    star = _kron_vector(t1.star, t2.star)
+    star = _product_star(t1, t2)
 
     full1 = _full_space_basis(m1)
     full2 = _full_space_basis(m2)
@@ -159,7 +153,8 @@ def maltese(t1: TypePresentation, t2: TypePresentation, name: str | None = None)
     sub = Subspace.from_rows(2 * m * m, [r.coeffs for r in span])
     relations = [RelationElement(m, row) for row in sub.sparse_basis()]
     return TypePresentation(
-        gens, star, relations, provenance=f"maltese product of {t1.name} and {t2.name}"
+        gens, star, relations, star_unresolved=star is None,
+        provenance=f"maltese product of {t1.name} and {t2.name}",
     )
 
 
@@ -168,8 +163,8 @@ def _full_space_basis(m: int) -> list[RelationElement]:
     mm = m * m
     out = []
     for k in range(mm):
-        out.append(RelationElement(m, {k: Fraction(1)}))
-        out.append(RelationElement(m, {mm + k: Fraction(1)}))
+        out.append(RelationElement(m, {k: 1}))
+        out.append(RelationElement(m, {mm + k: 1}))
     return out
 
 

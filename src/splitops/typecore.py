@@ -16,7 +16,6 @@ one flattening convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .exactalg import (
@@ -25,11 +24,9 @@ from .exactalg import (
     ExactAlgebraError,
     Matrix,
     Subspace,
+    canonical,
     format_scalar,
-    rational,
 )
-
-_ZERO = Fraction(0)
 
 
 class InvalidPresentation(ExactAlgebraError):
@@ -65,20 +62,20 @@ class RelationElement:
     """One element of the double tensor square, an (L, R) pair of m x m blocks.
 
     Stored sparsely: ``coeffs`` maps the flat index of every nonzero
-    coefficient to a Fraction, in increasing index order (L[i][j] sits at
-    i*m + j, R[i][j] at m*m + i*m + j; see the module docstring).
+    coefficient to a canonical scalar, in increasing index order (L[i][j]
+    sits at i*m + j, R[i][j] at m*m + i*m + j; see the module docstring).
     """
 
     __slots__ = ("size", "coeffs")
 
-    def __init__(self, m: int, coeffs: Mapping[int, Fraction]):
+    def __init__(self, m: int, coeffs: Mapping):
         """The element with the given {flat index: coefficient}; zeros are dropped."""
         if coeffs and (min(coeffs) < 0 or max(coeffs) >= 2 * m * m):
             raise DimensionMismatch("flat index outside 2*m^2")
         self.size = m
-        self.coeffs = {k: rational(c) for k, c in sorted(coeffs.items()) if c}
+        self.coeffs = {k: x for k, c in sorted(coeffs.items()) if (x := canonical(c))}
 
-    def nonzero(self) -> Iterator[tuple[int, int, int, Fraction]]:
+    def nonzero(self) -> Iterator[tuple]:
         """(block, i, j, c) for each nonzero coefficient, in flat index order.
 
         Block 0 is L, where c weighs (x g_i y) g_j z; block 1 is R, where
@@ -91,12 +88,12 @@ class RelationElement:
             i, j = divmod(rest, m)
             yield block, i, j, c
 
-    def coeff(self, block: int, i: int, j: int) -> Fraction:
+    def coeff(self, block: int, i: int, j: int):
         m = self.size
-        return self.coeffs.get(block * m * m + i * m + j, _ZERO)
+        return self.coeffs.get(block * m * m + i * m + j, 0)
 
-    def flatten(self) -> tuple[Fraction, ...]:
-        vec = [_ZERO] * (2 * self.size * self.size)
+    def flatten(self) -> tuple:
+        vec = [0] * (2 * self.size * self.size)
         for k, c in self.coeffs.items():
             vec[k] = c
         return tuple(vec)
@@ -115,7 +112,7 @@ class RelationElement:
         return f"RelationElement(m={self.size})"
 
 
-def star_associativity(star: Sequence[Fraction]) -> RelationElement:
+def star_associativity(star: Sequence) -> RelationElement:
     """(x * y) * z = x * (y * z) for the star * = sum star_i g_i."""
     m = len(star)
     coeffs = {}
@@ -131,7 +128,8 @@ class TypePresentation:
 
     ``star`` may be ``None`` for dual-derived presentations whose
     associative element has not been resolved; validation is then relaxed
-    and the presentation is flagged accordingly.
+    and the presentation is flagged accordingly.  The star and the aux
+    vectors are stored as tuples of canonical scalars.
     """
 
     __slots__ = (
@@ -147,15 +145,15 @@ class TypePresentation:
     def __init__(
         self,
         generators: GeneratorSpace,
-        star: Sequence[Fraction] | None,
+        star: Sequence | None,
         relations: Sequence[RelationElement],
-        aux: Mapping[str, Sequence[Fraction]] | None = None,
+        aux: Mapping[str, Sequence] | None = None,
         star_unresolved: bool = False,
         provenance: str = "",
     ):
         m = generators.dim
         if star is not None:
-            star = tuple(Fraction(x) for x in star)
+            star = tuple(canonical(x) for x in star)
             if len(star) != m:
                 raise DimensionMismatch("star length differs from generator count")
         elif not star_unresolved:
@@ -166,7 +164,7 @@ class TypePresentation:
         self.generators = generators
         self.star = star
         self.relations = tuple(relations)
-        self.aux = {k: tuple(Fraction(x) for x in v) for k, v in (aux or {}).items()}
+        self.aux = {k: tuple(canonical(x) for x in v) for k, v in (aux or {}).items()}
         self.star_unresolved = star_unresolved
         self.provenance = provenance
         self._subspace = None
@@ -274,7 +272,7 @@ def require_valid(t: TypePresentation) -> None:
 
 def splitting_basis(
     t: TypePresentation,
-) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[RelationElement, ...]]:
+) -> tuple[tuple[tuple, ...], tuple[RelationElement, ...]]:
     """Bases exhibiting the splitting explicitly.
 
     Returns a generator basis (w_1 .. w_m) with star = sum w_i and a
@@ -288,7 +286,7 @@ def splitting_basis(
         raise InvalidPresentation("no splitting associativity", report)
     m = t.dim
 
-    unit = [tuple(Fraction(int(i == j)) for j in range(m)) for i in range(m)]
+    unit = [tuple(int(i == j) for j in range(m)) for i in range(m)]
     chosen = [unit[k] for k in _complete_descending(m, [t.star], unit, m)]
     first = list(t.star)
     for v in chosen:
@@ -304,7 +302,7 @@ def splitting_basis(
     first_rel = dict(assoc.coeffs)
     for r in chosen_rel:
         for k, c in r.coeffs.items():
-            first_rel[k] = first_rel.get(k, _ZERO) - c
+            first_rel[k] = first_rel.get(k, 0) - c
     rel_basis = (RelationElement(m, first_rel),) + tuple(chosen_rel)
     return gen_basis, rel_basis
 
@@ -392,20 +390,20 @@ def push_relation(rel: RelationElement, f: Matrix) -> RelationElement:
     columns = [
         [(a, f.rows[a][i]) for a in range(n) if f.rows[a][i]] for i in range(f.ncols)
     ]
-    image: dict[int, Fraction] = {}
+    image: dict = {}
     for block, i, j, c in rel.nonzero():
         for a, x in columns[i]:
             cx = c * x
             base = block * nn + a * n
             for b, y in columns[j]:
                 k = base + b
-                image[k] = image.get(k, _ZERO) + cx * y
+                image[k] = image.get(k, 0) + cx * y
     return RelationElement(n, image)
 
 
 def remap_relation(
     rel: RelationElement, images: Sequence[int], signs: Sequence | None = None
-) -> dict[int, Fraction]:
+) -> dict:
     """Coefficients of a relation pushed through a monomial generator map.
 
     The map sends generator j to ``signs[j]`` (default 1) times generator

@@ -560,6 +560,54 @@ def _starless_dendriform(tmp_path):
     return str(path)
 
 
+@pytest.mark.parametrize(
+    "command, first_line_end",
+    [
+        (("square", "{}", "dendriform"), "4 generators, 9 relations"),
+        (("maltese", "dendriform", "{}"), "4 generators, 30 relations"),
+        (("power", "{}", "2"), "4 generators, 9 relations"),
+        (("verify-operator", "{}", "--law", "rb"),
+         " 21/21 relations of (dendriform sq trialgebra) verified"),
+        (("verify-family", "{}", "--laws", "rb,rb"),
+         " 147/147 relations of ((dendriform sq trialgebra) sq trialgebra) verified"),
+    ],
+    ids=["square", "maltese", "power", "verify-operator", "verify-family"],
+)
+def test_a_product_with_a_starless_factor_has_no_star(tmp_path, command, first_line_end):
+    spec = _starless_dendriform(tmp_path)
+    code, out, err = run_quiet(*(spec if part == "{}" else part for part in command))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[0].endswith(first_line_end)
+
+
+def test_a_starless_product_exports_as_json_with_a_null_star(tmp_path):
+    code, out, _ = run_quiet("square", _starless_dendriform(tmp_path), "dendriform", "--json")
+    assert code == EXIT_OK
+    assert json.loads(out.split("\n", 1)[1])["star"] is None
+
+
+def test_dsl_export_of_a_starless_type_is_a_usage_error(tmp_path):
+    code, out, err = run_quiet("export", _starless_dendriform(tmp_path), "--format", "dsl")
+    assert code == EXIT_USAGE and out == ""
+    assert err == (
+        "error: star: the definition language has no unresolved star; "
+        "export the type as JSON\n"
+    )
+
+
+def test_auto_group_over_the_guard_is_a_usage_error(tmp_path):
+    path = tmp_path / "d4.json"
+    code, out, _ = run_quiet("power", "dendriform", "4", "--json")
+    assert code == EXIT_OK
+    path.write_text(out.split("\n", 1)[1])
+    code, out, err = run_quiet("auto-group", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err == (
+        "error: (dendriform^4) has 16 generators, more than the monomial search "
+        "guard (9); pass --allow-large to search anyway\n"
+    )
+
+
 @pytest.mark.parametrize("entries, order", [("1,1", 1), ("1", 1), ("1,-1", 2), ("-1,1,-1", 2)])
 def test_auto_group_entries_are_a_set(tmp_path, entries, order):
     # a star-less type lets every entry through, so repeated entries

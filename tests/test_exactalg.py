@@ -11,6 +11,7 @@ from splitops.exactalg import (
     Matrix,
     ScalarKindMismatch,
     Subspace,
+    canonical,
     format_scalar,
     rref,
 )
@@ -188,3 +189,21 @@ def test_scalar_formats():
     assert format_scalar(F(-1, 2)) == "-1/2"
     with pytest.raises(ScalarKindMismatch):
         format_scalar(0.5)
+
+
+def test_canonical_is_an_int_when_integral_else_a_fraction():
+    for value, want in ((3, 3), (F(6, 3), 2), (F(-1, 2), F(-1, 2)), (True, 1), (False, 0)):
+        got = canonical(value)
+        assert got == want and type(got) is type(want)
+    for value in (0.5, 1.0, "1", None):
+        with pytest.raises(ScalarKindMismatch):
+            canonical(value)
+    assert format_scalar(True) == "1" and format_scalar(F(4, 2)) == "2"
+
+
+def test_matrix_entries_are_canonical():
+    m = Matrix([[F(2, 1), F(1, 2)], [True, 0]])
+    assert [[type(x) for x in r] for r in m.rows] == [[int, F], [int, int]]
+    assert all(type(x) is int for r in Matrix.identity(3).rows for x in r)
+    inv = Matrix([[2, 0], [0, 1]]).inverse()
+    assert [[type(x) for x in r] for r in inv.rows] == [[F, int], [int, int]]

@@ -186,9 +186,9 @@ def _star_consistent_signs(star, perm, entries, m):
                 return
             options.append(entries)
         else:
-            if want / have not in entries:
+            if F(want, have) not in entries:
                 return
-            options.append((want / have,))
+            options.append((F(want, have),))
     yield from itertools.product(*options)
 
 

@@ -11,7 +11,7 @@ import pytest
 import splitops.operatorver as ov
 from splitops import catalog
 from splitops.cli import main
-from splitops.exactalg import ExactAlgebraError
+from splitops.exactalg import ExactAlgebraError, ScalarKindMismatch
 from splitops.typecore import RelationElement, TypePresentation, format_relation
 
 F = Fraction
@@ -343,6 +343,14 @@ def test_law_constructors():
 def test_law_from_name_refuses_bad_weights(kind, weight, message):
     with pytest.raises(ValueError, match=message):
         ov.law_from_name(kind, weight)
+
+
+def test_an_rb_weight_is_a_canonical_scalar():
+    assert [type(ov.rb(w).weight) for w in ("4/2", Fraction(3, 1), True, "1/2")] == [
+        int, int, int, Fraction,
+    ]
+    with pytest.raises(ScalarKindMismatch):
+        ov.rb(0.1)
 
 
 # -- one membership echelon per geometry ------------------------------------------

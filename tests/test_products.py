@@ -14,7 +14,6 @@ from splitops.products import (
     pair_label,
     power,
     reassociation_isomorphism,
-    split_pair_label,
     square,
     transpose_swap,
     verify_tensor_model,
@@ -185,7 +184,6 @@ def test_square_of_dual_types_degenerates():
 
 def test_label_helpers():
     assert pair_label("lt", "gt") == "(lt|gt)"
-    assert split_pair_label("((a|b)|c)") == ("(a|b)", "c")
     assert flatten_label("((a|b)|c)") == ("a", "b", "c")
     assert flatten_label("(a|b|c)") == ("a", "b", "c")
     assert flatten_label("plain") == ("plain",)

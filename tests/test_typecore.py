@@ -1,12 +1,17 @@
 """Presentations, validation, splitting bases and relabelling."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
 from splitops import catalog
-from splitops.exactalg import Matrix
+from splitops.dsl import parse_type, parse_type_json, parse_type_report, serialize
+from splitops.duality import dual
+from splitops.exactalg import Matrix, ScalarKindMismatch
+from splitops.morphisms import monomial_automorphisms
+from splitops.products import square
 from splitops.typecore import (
     GeneratorSpace,
     InvalidPresentation,
@@ -258,3 +263,68 @@ def test_relation_element_flatten_layout():
     assert rel.flatten() == (F(1), F(2), F(0), F(0), F(0), F(0), F(3), F(4))
     back = RelationElement(2, dict(enumerate(rel.flatten())))
     assert back == rel and list(back.coeffs) == [0, 1, 6, 7]
+
+
+# -- one scalar form: an int when integral, else a Fraction ------------------
+
+
+def _canonical(x):
+    return type(x) is int or (type(x) is F and x.denominator != 1)
+
+
+def _stored_scalars(t):
+    for rel in t.relations:
+        yield from rel.coeffs.values()
+    yield from t.star or ()
+    for vec in t.aux.values():
+        yield from vec
+
+
+def test_every_stored_scalar_is_an_int_or_a_non_integral_fraction():
+    catalog_types = [catalog.get(name) for name in catalog.list_names()]
+    assert len(catalog_types) == 17
+    types = list(catalog_types)
+    types += [dual(t) for t in catalog_types]
+    for a, b in itertools.product(catalog_types, repeat=2):
+        if a.dim * b.dim <= 9:
+            try:
+                types.append(square(a, b))
+            except InvalidPresentation:  # dependent box relations
+                pass
+    types += [parse_type(serialize(t, "dsl")) for t in catalog_types]
+    types += [parse_type_json(serialize(t, "json")) for t in catalog_types]
+    types.append(parse_type_report(
+        "type halves { generators: a, b; star: 2/2*a + 4/2*b; aux: h = 1/2*a - 3/3*b;"
+        " relations: (a.a | 2/4*a.a + 6/3*h.b) (b.b | b.b) }"
+    )[0])
+    data = json.loads(serialize(catalog.get("dendriform"), "json"))
+    data["aux"] = {"h": ["2/2", "-3/6"]}
+    data["relations"][0]["L"][0][0] = 1
+    data["relations"][0]["R"][0][1] = "4/2"
+    types.append(parse_type_json(json.dumps(data)))
+    for t in types:
+        bad = [x for x in _stored_scalars(t) if not _canonical(x)]
+        assert not bad, (t.name, bad[:3])
+
+    matrices = [catalog.table_isomorphism(name).matrix for name in catalog.TABLE_NAMES]
+    for t in catalog_types:
+        if t.dim <= 9:
+            matrices += [f.matrix for f in monomial_automorphisms(t)]
+    for f in matrices:
+        assert all(_canonical(x) for row in f.rows for x in row)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g, rels: TypePresentation(g, (1.0, 1), rels),
+        lambda g, rels: TypePresentation(g, (1, 1), rels, aux={"h": (0.5, 0)}),
+        lambda g, rels: RelationElement(2, {0: 0.5}),
+        lambda g, rels: Matrix([[1, 0], [0, 2.0]]),
+    ],
+    ids=["star", "aux", "coefficient", "matrix"],
+)
+def test_a_float_scalar_is_refused(build):
+    dend = catalog.get("dendriform")
+    with pytest.raises(ScalarKindMismatch):
+        build(dend.generators, dend.relations)
