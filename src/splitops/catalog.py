@@ -371,7 +371,6 @@ _ENNEA_TABLE = {
     "lt": ("cir", "lt"), "cir": ("cir", "cir"), "gt": ("cir", "gt"),
     "sw": ("gt", "lt"), "dn": ("gt", "cir"), "se": ("gt", "gt"),
 }
-_ENNEA_ORDER = ("nw", "up", "ne", "lt", "cir", "gt", "sw", "dn", "se")
 
 _DN_TABLE = {
     # dendriform-Nijenhuis operations against trialgebra x NS pairs
@@ -379,7 +378,6 @@ _DN_TABLE = {
     "nw": ("lt", "lt"), "up": ("lt", "bul"), "dn": ("gt", "bul"),
     "tlt": ("cir", "lt"), "tgt": ("cir", "gt"), "tbul": ("cir", "bul"),
 }
-_DN_ORDER = ("ne", "se", "sw", "nw", "up", "dn", "tlt", "tgt", "tbul")
 
 _M2_TABLE = {
     "bul1": ("gt", "gt"),
@@ -387,7 +385,14 @@ _M2_TABLE = {
     "bul3": ("st", "gt"),
     "bul4": ("st", "st"),
 }
-_M2_ORDER = ("bul1", "bul2", "bul3", "bul4")
+
+# the tables whose literature side is the pullback of the product, with
+# the pullback's name; its generators come in the table's key order
+_PULLBACK_TABLES = {
+    "ennea": ("ennea_lit", _ENNEA_TABLE),
+    "dendriform_nijenhuis": ("dendriform_nijenhuis_lit", _DN_TABLE),
+    "m2": ("m2_lit", _M2_TABLE),
+}
 
 TABLE_NAMES = ("quadri", "ennea", "dendriform_nijenhuis", "octo", "m2")
 
@@ -401,20 +406,11 @@ def table_isomorphism(name: str) -> TypeMorphism:
             g: pair_label(*_QUADRI_TABLE[g]) for g in source.generators.labels
         }
         return _label_map_morphism(source, target, images)
-    if name == "ennea":
-        target = get("ennea")
-        images = {g: pair_label(*_ENNEA_TABLE[g]) for g in _ENNEA_ORDER}
-        source = _pullback("ennea_lit", _ENNEA_ORDER, images, target)
-        return _label_map_morphism(source, target, images)
-    if name == "dendriform_nijenhuis":
-        target = get("dendriform_nijenhuis")
-        images = {g: pair_label(*_DN_TABLE[g]) for g in _DN_ORDER}
-        source = _pullback("dendriform_nijenhuis_lit", _DN_ORDER, images, target)
-        return _label_map_morphism(source, target, images)
-    if name == "m2":
-        target = get("m2")
-        images = {g: pair_label(*_M2_TABLE[g]) for g in _M2_ORDER}
-        source = _pullback("m2_lit", _M2_ORDER, images, target)
+    if name in _PULLBACK_TABLES:
+        target = get(name)
+        source_name, table = _PULLBACK_TABLES[name]
+        images = {g: pair_label(*pair) for g, pair in table.items()}
+        source = _pullback(source_name, images, target)
         return _label_map_morphism(source, target, images)
     if name == "octo":
         target = get("octo")
@@ -435,8 +431,10 @@ def _label_map_morphism(source, target, images: dict[str, str]) -> TypeMorphism:
     return TypeMorphism(source, target, Matrix.monomial(rows))
 
 
-def _pullback(name, order, images, target) -> TypePresentation:
-    """Relabel the product through the inverse of a table bijection."""
+def _pullback(name, images, target) -> TypePresentation:
+    """Relabel the product through the inverse of a table bijection, the
+    generators in the order of ``images``."""
+    order = tuple(images)
     inverse = [0] * target.dim
     for j, label in enumerate(order):
         inverse[target.generators.index(images[label])] = j

@@ -20,6 +20,7 @@ from .exactalg import ExactAlgebraError, Matrix, format_scalar
 from .typecore import (
     InvalidPresentation,
     RelationElement,
+    format_lincomb,
     format_relation,
     star_associativity,
     validate,
@@ -58,7 +59,7 @@ def _option(name: str, parse, *args):
 
 
 def _budget(text: str) -> int:
-    """argparse type of the rewriting budgets: a non-negative integer."""
+    """argparse type of the step budget: a non-negative integer."""
     try:
         value = int(text)
     except ValueError:
@@ -78,17 +79,11 @@ def _show(args, out):
     out(f"type {t.name}: {t.dim} generators, {len(t.relations)} relations")
     out("  generators: " + ", ".join(t.generators.labels))
     if t.star is not None:
-        star = " + ".join(
-            (lbl if c == 1 else f"{format_scalar(c)}*{lbl}")
-            for c, lbl in zip(t.star, t.generators.labels)
-            if c
-        )
-        out(f"  star: {star}")
+        out("  star: " + format_lincomb(t.star, t.generators.labels))
     else:
         out("  star: unresolved (dual presentation)")
-    if t.aux:
-        for k, v in t.aux.items():
-            out(f"  aux {k} = " + dsl._lincomb_str(v, t.generators.labels))
+    for k, v in t.aux.items():
+        out(f"  aux {k} = " + format_lincomb(v, t.generators.labels))
     out(f"  valid: {report.valid}")
     for k, rel in enumerate(t.relations):
         out(f"  ({k + 1}) " + format_relation(rel, t.generators.labels))
@@ -196,9 +191,7 @@ def _tensor_model(args, out):
 def _verify_operator(args, out):
     t = _load_type(args.type)
     law = _option("--weight", operatorver.law_from_name, args.law, args.weight)
-    report = operatorver.verify_operator_theorem(
-        t, law, cap=args.nesting_cap, budget=args.steps
-    )
+    report = operatorver.verify_operator_theorem(t, law, budget=args.steps)
     out(report.to_json() if args.json else report.describe())
     return EXIT_OK if report.all_verified else EXIT_CHECK_FAILED
 
@@ -211,17 +204,13 @@ def _verify_family(args, out):
         laws.append(
             _option("--laws", operatorver.law_from_name, kind.strip(), weight.strip() or None)
         )
-    report = operatorver.verify_commuting_family(
-        t, laws, cap=args.nesting_cap, budget=args.steps
-    )
+    report = operatorver.verify_commuting_family(t, laws, budget=args.steps)
     out(report.to_json() if args.json else report.describe())
     return EXIT_OK if report.all_verified else EXIT_CHECK_FAILED
 
 
 def _verify_lemmas(args, out):
-    reports = operatorver.verify_operator_lemmas(
-        cap=args.nesting_cap, budget=args.steps
-    )
+    reports = operatorver.verify_operator_lemmas(budget=args.steps)
     ok = all(r.ok for r in reports)
     for r in reports:
         out(r.describe())
@@ -694,18 +683,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["rb", "rb0", "nijenhuis", "leftrb", "rightrb"])
     p.add_argument("--weight", default=None,
                    help="rational weight or 'formal'; a negative one as --weight=-3/4")
-    p.add_argument("--nesting-cap", type=_budget, default=operatorver.DEFAULT_NESTING_CAP)
     p.add_argument("--steps", type=_budget, default=operatorver.DEFAULT_STEP_BUDGET)
 
     p = add("verify-family", _verify_family, help="verify commuting operators")
     p.add_argument("type")
     p.add_argument("--laws", required=True,
                    help="comma list, e.g. rb:formal,rb:formal or rightrb,leftrb")
-    p.add_argument("--nesting-cap", type=_budget, default=operatorver.DEFAULT_NESTING_CAP)
     p.add_argument("--steps", type=_budget, default=operatorver.DEFAULT_STEP_BUDGET)
 
     p = add("verify-lemmas", _verify_lemmas, help="modified-operator identities")
-    p.add_argument("--nesting-cap", type=_budget, default=operatorver.DEFAULT_NESTING_CAP)
     p.add_argument("--steps", type=_budget, default=operatorver.DEFAULT_STEP_BUDGET)
 
     p = add("non-duality", _non_duality, help="the square/maltese duality failure")

@@ -30,13 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
 
-from .exactalg import ExactAlgebraError, format_scalar
+from .exactalg import ExactAlgebraError, canonical, format_scalar
 from .typecore import (
     GeneratorSpace,
     InvalidPresentation,
     RelationElement,
     TypePresentation,
-    _signed_sum,
+    format_lincomb,
     format_sides,
     validate,
 )
@@ -325,16 +325,6 @@ def _name_out(label: str) -> str:
     return label if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", label) else f'"{label}"'
 
 
-def _lincomb_str(vec, labels) -> str:
-    parts = []
-    for c, lbl in zip(vec, labels):
-        if not c:
-            continue
-        body = _name_out(lbl) if abs(c) == 1 else f"{format_scalar(abs(c))}*{_name_out(lbl)}"
-        parts.append(("-" if c < 0 else "+", body))
-    return _signed_sum(parts)
-
-
 def _to_dsl(t: TypePresentation) -> str:
     if t.star is None:
         # a star of 0 would read back as an invalid presentation
@@ -352,16 +342,16 @@ def _to_dsl(t: TypePresentation) -> str:
         if k in labels:
             raise DslError("duplicate name", path=f"aux.{k}")
 
+    names = [_name_out(l) for l in labels]
+
     def term(_block, i, j):
-        return f"{_name_out(labels[i])}.{_name_out(labels[j])}"
+        return f"{names[i]}.{names[j]}"
 
     lines = [f"type {_name_out(t.name)} {{"]
-    lines.append("  generators: " + ", ".join(_name_out(l) for l in labels) + ";")
-    lines.append("  star: " + _lincomb_str(t.star, labels) + ";")
+    lines.append("  generators: " + ", ".join(names) + ";")
+    lines.append("  star: " + format_lincomb(t.star, names) + ";")
     if t.aux:
-        defs = ", ".join(
-            f"{_name_out(k)} = {_lincomb_str(v, labels)}" for k, v in t.aux.items()
-        )
+        defs = ", ".join(f"{_name_out(k)} = {format_lincomb(v, names)}" for k, v in t.aux.items())
         lines.append(f"  aux: {defs};")
     lines.append("  relations:")
     for rel in t.relations:
@@ -407,7 +397,7 @@ def _to_json(t: TypePresentation) -> str:
 
 
 def _json_array(items: list[str], level: int) -> str:
-    """A list of encoded items, laid out as ``json.dumps(indent=2)`` at nesting ``level``."""
+    """A list of encoded items, laid out as ``json.dumps(indent=2)`` at depth ``level``."""
     if not items:
         return "[]"
     inner = "\n" + "  " * (level + 1)
@@ -528,19 +518,21 @@ def _json_vector(value, m: int, path: str) -> list:
 
 
 _COMMON_SCALARS = {"0": 0, "1": 1, "-1": -1}
+_SCALAR_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the forms format_scalar writes
 
 
 def _json_scalar(value, path: str, k: int):
-    """Entry ``k`` of the JSON list at ``path`` as an exact scalar."""
+    """Entry ``k`` of the JSON list at ``path`` as an exact scalar: a JSON
+    integer, or text in the form ``p`` or ``p/q``."""
     known = _COMMON_SCALARS.get(value) if isinstance(value, str) else None
     if known is not None:
         return known
     if type(value) is int:
         return value
-    if isinstance(value, str):
+    if isinstance(value, str) and _SCALAR_TEXT.fullmatch(value):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+            return canonical(Fraction(value))
+        except ZeroDivisionError:
             pass
     raise DslError(f"expected a rational such as \"-1/2\", found {value!r}", path=f"{path}[{k}]")
 

@@ -309,12 +309,15 @@ class Subspace:
     def basis(self) -> "_DenseRows":
         return _DenseRows(self)
 
-    def sparse_basis(self) -> list[dict[int, Fraction]]:
-        """The reduced row-echelon basis as ``{column: Fraction}`` dicts."""
+    def sparse_basis(self) -> list[dict]:
+        """The reduced row-echelon basis as ``{column: scalar}`` dicts of
+        canonical scalars: an int wherever the pivot entry divides."""
         out = []
         for p, row in zip(self.pivots, self.int_rows):
             lead = row[p]
-            out.append({k: Fraction(x, lead) for k, x in sorted(row.items())})
+            out.append(
+                {k: x // lead if x % lead == 0 else Fraction(x, lead) for k, x in sorted(row.items())}
+            )
         return out
 
     def __eq__(self, other):

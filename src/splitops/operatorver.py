@@ -1,24 +1,32 @@
 """Symbolic verification of operator-induced structures.
 
 Given a valid type and an operator law (Rota-Baxter of formal or rational
-weight, Nijenhuis, left or right Rota-Baxter), the derived operations
+weight, Nijenhuis, left or right Rota-Baxter), the law's table of derived
+operations
 
     x (w|lt) y = x w P(y),   x (w|gt) y = P(x) w y,   ...
 
-are substituted into every relation of the predicted product type.  The
+is substituted into every relation of the predicted product type.  The
 difference of the two sides is normalized by rewriting every product
-whose operands both carry the law's operator outermost:
+whose operands both carry the law's operator outermost, with the one
+rule every law obeys:
 
-    rb:        P(u) o P(v) -> P(P(u) o v) + P(u o P(v)) + weight * P(u o v)
-    nijenhuis: N(u) o N(v) -> N(N(u) o v) + N(u o N(v)) - N(N(u o v))
-    left rb:   P(u) o P(v) -> P(u o P(v))
-    right rb:  P(u) o P(v) -> P(P(u) o v)
+    P(u) o P(v) -> P(u * v),
 
-and the residual must be an exact Q(weight)-linear combination of
-base-type relation instances on decorated arguments, wrapped in operator
-words.  The combination found is returned as a certificate, after it has
-been summed again from freshly normalized instances and compared with the
-residual.
+where * is the predicted factor's star written in the derived
+operations.  For rb it is P(P(u) o v) + P(u o P(v)) + weight * P(u o v)
+(Ebrahimi-Fard, Lett. Math. Phys. 2002); for Nijenhuis the derived
+operation -N(u o v) takes the place of the weight term (Lei-Guo, Front.
+Math. China 2012); the one-sided laws keep one term.  The residual must
+be an exact Q(weight)-linear combination of base-type relation instances
+on decorated arguments, wrapped in operator words.  The combination found
+is returned as a certificate, after it has been summed again from freshly
+normalized instances and compared with the residual.
+
+Every derived operation carries at most one operator symbol, so a rewrite
+step removes two symbols from a product and adds at most two: no word
+grows beyond the two symbols per law that a substitution starts with,
+and rewriting needs no bound on word length, only the step budget.
 
 Terms are product trees with three leaves x, y, z in fixed order (two
 leaves for the operator-identity lemmas); every leaf and every product
@@ -27,10 +35,9 @@ makes commuting families definitional rather than rewritten.
 
 Every coefficient is an int or a Fraction: the formal weight l is a
 grading.  Give l and each symbol of a formal-weight operator degree 1,
-and let d(t) count those symbols in the words of a term t.  The rb rule
-(Ebrahimi-Fard, Lett. Math. Phys. 2002), each entry of a formal-weight
-law's derived table (x P(y), P(x) y, l * x y) and each relation instance
-(no l) are homogeneous, so a product
+and let d(t) count those symbols in the words of a term t.  The rb rule,
+each entry of a formal-weight law's derived table (x P(y), P(x) y,
+l * x y) and each relation instance (no l) are homogeneous, so a product
 relation substitutes to degree D, twice the number of formal-weight
 laws, and every coefficient of a term t is c_t * l^(D - d(t)).  Scaling
 the coordinate of each t by l^(d(t) - D) is invertible and turns every
@@ -55,11 +62,11 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import catalog
 from .exactalg import ExactAlgebraError, canonical, format_scalar
 from .typecore import RelationElement, TypePresentation, require_valid
 from .products import square
 
-DEFAULT_NESTING_CAP = 6
 DEFAULT_STEP_BUDGET = 100_000
 MAX_FAMILY = 3  # operators in one commuting family
 
@@ -71,10 +78,22 @@ class RewriteBudget(ExactAlgebraError):
 # ---------------------------------------------------------------------------
 # operator laws
 
+_WEIGHT = "weight"  # the coefficient that is rb's weight
+
+# kind -> (predicted factor, derived operations); an operation is
+# (factor label, coefficient, P on x, P on y, P around), so gt, x gt y =
+# P(x) y, is ("gt", 1, 1, 0, 0)
+_LAW_TABLE = {
+    "rb": ("trialgebra", (("gt", 1, 1, 0, 0), ("lt", 1, 0, 1, 0), ("cir", _WEIGHT, 0, 0, 0))),
+    "nijenhuis": ("ns", (("gt", 1, 1, 0, 0), ("lt", 1, 0, 1, 0), ("bul", -1, 0, 0, 1))),
+    "left_rb": ("dipterous", (("gt", 1, 1, 0, 0), ("st", 1, 0, 1, 0))),
+    "right_rb": ("anti_dipterous", (("st", 1, 1, 0, 0), ("lt", 1, 0, 1, 0))),
+}
+
 
 @dataclass(frozen=True)
 class OperatorLaw:
-    """One rewrite rule: kind in {rb, nijenhuis, left_rb, right_rb}.
+    """One operator law: kind in {rb, nijenhuis, left_rb, right_rb}.
 
     ``weight`` applies to rb only; ``None`` means the formal weight.
     """
@@ -84,7 +103,7 @@ class OperatorLaw:
     name: str = "P"
 
     def __post_init__(self):
-        if self.kind not in ("rb", "nijenhuis", "left_rb", "right_rb"):
+        if self.kind not in _LAW_TABLE:
             raise ValueError(f"unknown operator law {self.kind!r}")
         if self.kind != "rb" and self.weight is not None:
             raise ValueError(f"{self.kind} takes no weight")
@@ -106,19 +125,16 @@ class OperatorLaw:
             return f"rb(weight={w}, {self.name})"
         return f"{self.kind}({self.name})"
 
-    def expansions(self):
-        """(coeff, keep_left_operator, keep_right_operator, wraps_added)."""
-        if self.kind == "rb":
-            w = self.weight_scalar()
-            out = [(1, True, False, 1), (1, False, True, 1)]
-            if w:
-                out.append((w, False, False, 1))
-            return out
-        if self.kind == "nijenhuis":
-            return [(1, True, False, 1), (1, False, True, 1), (-1, False, False, 2)]
-        if self.kind == "left_rb":
-            return [(1, False, True, 1)]
-        return [(1, True, False, 1)]
+    def operations(self):
+        """The law's derived operations, (factor label, coefficient, P on x,
+        P on y, P around) each: rb's weight is the coefficient of cir,
+        which rb of weight 0 drops with its factor's cir."""
+        out = []
+        for label, c, on_x, on_y, around in _LAW_TABLE[self.kind][1]:
+            c = self.weight_scalar() if c is _WEIGHT else c
+            if c:
+                out.append((label, c, on_x, on_y, around))
+        return out
 
 
 def rb(weight=None, name: str = "P") -> OperatorLaw:
@@ -172,44 +188,35 @@ def law_from_name(kind: str, weight=None, name: str | None = None) -> OperatorLa
 
 
 def predicted_factor_name(law: OperatorLaw) -> str:
-    if law.kind == "rb":
-        return "dendriform" if law.weight == 0 else "trialgebra"
-    if law.kind == "nijenhuis":
-        return "ns"
-    if law.kind == "left_rb":
-        return "dipterous"
-    return "anti_dipterous"
+    return "dendriform" if law.weight == 0 else _LAW_TABLE[law.kind][0]
 
 
 def derived_table(law: OperatorLaw, factor: TypePresentation, symbol: int):
     """Map factor-generator index -> [(coeff, left word, right word, wrap word)].
 
-    The entries are the derived binary operations of the construction;
-    composing tables for commuting families merges the words as
-    multisets.
+    The entries are the law's derived operations; composing tables for
+    commuting families merges the words as multisets.
     """
-    labels = factor.generators.labels
     sym = (symbol,)
-    empty = ()
-    table = {}
-    if law.kind == "rb":
-        table[labels.index("lt")] = [(1, empty, sym, empty)]
-        table[labels.index("gt")] = [(1, sym, empty, empty)]
-        if law.weight != 0:
-            table[labels.index("cir")] = [(law.weight_scalar(), empty, empty, empty)]
-    elif law.kind == "nijenhuis":
-        table[labels.index("lt")] = [(1, empty, sym, empty)]
-        table[labels.index("gt")] = [(1, sym, empty, empty)]
-        table[labels.index("bul")] = [(-1, empty, empty, sym)]
-    elif law.kind == "left_rb":
-        table[labels.index("gt")] = [(1, sym, empty, empty)]
-        table[labels.index("st")] = [(1, empty, sym, empty)]
-    else:  # right_rb
-        table[labels.index("lt")] = [(1, empty, sym, empty)]
-        table[labels.index("st")] = [(1, sym, empty, empty)]
+    table = {
+        factor.generators.index(label): [(c, sym * on_x, sym * on_y, sym * around)]
+        for label, c, on_x, on_y, around in law.operations()
+    }
     if len(table) != factor.dim:
         raise ExactAlgebraError("derived table does not cover the factor type")
     return table
+
+
+def rewrite_rule(law: OperatorLaw):
+    """P(u) o P(v) -> P(u * v) for the predicted factor's star *, as
+    (coeff, keeps P on u, keeps P on v, symbols wrapped around) per term."""
+    factor = catalog.get(predicted_factor_name(law))
+    rule = []
+    for label, c, on_x, on_y, around in law.operations():
+        coeff = factor.star[factor.generators.index(label)] * c
+        if coeff:
+            rule.append((coeff, on_x, on_y, 1 + around))
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +245,22 @@ def _word_remove(word: tuple, symbol: int) -> tuple:
 class Normalizer:
     """Rewrites linear combinations of decorated terms to normal form.
 
-    Memoizes per-term normal forms, counts rewrite steps against a
-    budget and enforces the nesting cap on operator words.
+    Each law's rewrite rule is derived once, from the law alone; the
+    normalizer memoizes per-term normal forms and counts rewrite steps
+    against a budget.
     """
 
     def __init__(
         self,
         laws: tuple[OperatorLaw, ...],
         symbols: tuple[int, ...],
-        cap: int = DEFAULT_NESTING_CAP,
         budget: int = DEFAULT_STEP_BUDGET,
         strategy: str = "innermost",
     ):
         if strategy not in ("innermost", "outermost"):
             raise ValueError(f"unknown strategy {strategy!r}")
-        self.laws = laws
+        self.rules = tuple(rewrite_rule(law) for law in laws)
         self.symbols = symbols
-        self.cap = cap
         self.budget = budget
         self.steps = 0
         self.strategy = strategy
@@ -264,12 +270,6 @@ class Normalizer:
         self.steps += 1
         if self.steps > self.budget:
             raise RewriteBudget("rewrite budget exhausted")
-
-    def _check_cap(self, word: tuple):
-        if len(word) > self.cap:
-            raise RewriteBudget(
-                f"rewrite budget exhausted: operator word beyond nesting cap {self.cap}"
-            )
 
     def normalize(self, comb: dict) -> dict:
         out: dict = {}
@@ -288,10 +288,10 @@ class Normalizer:
         if redex is None:
             result = {term: 1}
         else:
-            law, symbol, position = redex
+            rule, symbol, position = redex
             self._spend()
             result = {}
-            for piece, coeff in self._apply(term, law, symbol, position).items():
+            for piece, coeff in self._apply(term, rule, symbol, position).items():
                 for t2, c2 in self.normalize_term(piece).items():
                     _accumulate(result, t2, coeff * c2)
         self._memo[term] = result
@@ -308,34 +308,31 @@ class Normalizer:
         shape = term[0]
         for position in self._positions(shape):
             wa, wb = _operands(term, position)
-            for law, symbol in zip(self.laws, self.symbols):
+            for rule, symbol in zip(self.rules, self.symbols):
                 if symbol in wa and symbol in wb:
-                    return law, symbol, position
+                    return rule, symbol, position
         return None
 
-    def _apply(self, term, law: OperatorLaw, symbol: int, position: str) -> dict:
+    def _apply(self, term, rule, symbol: int, position: str) -> dict:
         shape, gin, gout, wx, wy, wz, win, wout = term
         wa, wb = _operands(term, position)
         wa_red = _word_remove(wa, symbol)
         wb_red = _word_remove(wb, symbol)
         out: dict = {}
-        for coeff, keep_a, keep_b, wraps in law.expansions():
+        for coeff, keep_a, keep_b, wraps in rule:
             na = wa if keep_a else wa_red
             nb = wb if keep_b else wb_red
             if position == "single":
                 nwout = _word_add(wout, symbol, wraps)
-                self._check_cap(nwout)
                 piece = (2, gin, gout, na, nb, wz, win, nwout)
             elif position == "inner":
                 nwin = _word_add(win, symbol, wraps)
-                self._check_cap(nwin)
                 if shape == 0:
                     piece = (0, gin, gout, na, nb, wz, nwin, wout)
                 else:
                     piece = (1, gin, gout, wx, na, nb, nwin, wout)
             else:  # outer; operand roles follow _operands
                 nwout = _word_add(wout, symbol, wraps)
-                self._check_cap(nwout)
                 if shape == 0:
                     piece = (0, gin, gout, wx, wy, nb, na, nwout)
                 else:
@@ -610,7 +607,7 @@ class VerificationReport:
 class _Verifier:
     """Shared machinery for single laws, families and the closing lemma."""
 
-    def __init__(self, base, laws, factors, tables, cap, budget):
+    def __init__(self, base, laws, factors, tables, budget):
         self.base = base
         self.laws = tuple(laws)
         self.symbols = tuple(range(len(self.laws)))
@@ -618,7 +615,7 @@ class _Verifier:
         self.grading = _Grading(self.laws, self.symbols)
         for symbol, table in zip(self.symbols, tables):
             self.grading.check_table(table, symbol)
-        self.normalizer = Normalizer(self.laws, self.symbols, cap, budget)
+        self.normalizer = Normalizer(self.laws, self.symbols, budget)
         product = base
         for k, factor in enumerate(factors):
             product = square(product, factor)
@@ -772,33 +769,29 @@ def _merge(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(a + b))
 
 
-def _make_verifier(t, laws, cap, budget):
-    from . import catalog
-
+def _make_verifier(t, laws, budget):
     require_valid(t)
     factors = [catalog.get(predicted_factor_name(law)) for law in laws]
     tables = [
         derived_table(law, factor, symbol)
         for symbol, (law, factor) in enumerate(zip(laws, factors))
     ]
-    return _Verifier(t, laws, factors, tables, cap, budget)
+    return _Verifier(t, laws, factors, tables, budget)
 
 
 def verify_operator_theorem(
     t: TypePresentation,
     law: OperatorLaw,
-    cap: int = DEFAULT_NESTING_CAP,
     budget: int = DEFAULT_STEP_BUDGET,
 ) -> VerificationReport:
     """Verify that one operator induces the predicted product structure."""
-    v = _make_verifier(t, [law], cap, budget)
+    v = _make_verifier(t, [law], budget)
     return v.run(t.name, law.describe())
 
 
 def verify_commuting_family(
     t: TypePresentation,
     laws,
-    cap: int = DEFAULT_NESTING_CAP,
     budget: int = DEFAULT_STEP_BUDGET,
 ) -> VerificationReport:
     """Iterated construction for a family of commuting operators."""
@@ -811,7 +804,7 @@ def verify_commuting_family(
     ]
     kinds = {law.kind for law in laws}
     experimental = len(kinds) > 1 and kinds != {"right_rb", "left_rb"}
-    v = _make_verifier(t, laws, cap, budget)
+    v = _make_verifier(t, laws, budget)
     desc = " , ".join(law.describe() for law in laws)
     return v.run(t.name, f"[{desc}]", experimental)
 
@@ -830,11 +823,11 @@ class LemmaReport:
         return f"{self.name}: {'ok' if self.ok else 'FAILED ' + self.detail}"
 
 
-def _two_leaf_product(left_parts, right_parts, wout=()):
+def _two_leaf_product(left_parts, right_parts):
     comb: dict = {}
     for cl, wl in left_parts:
         for cr, wr in right_parts:
-            _accumulate(comb, (2, -1, 0, wl, wr, (), (), wout), cl * cr)
+            _accumulate(comb, (2, -1, 0, wl, wr, (), (), ()), cl * cr)
     return comb
 
 
@@ -848,44 +841,22 @@ def _wrap_combination(comb: dict, parts) -> dict:
     return out
 
 
-def _check_modified_operator(kind: str, cap: int, budget: int) -> LemmaReport:
-    """-weight*id - P is again Rota-Baxter; id - N is again Nijenhuis.
+def _check_modified_operator(name: str, identity: OperatorLaw, law: OperatorLaw, q, budget: int):
+    """Whether Q, given as (coeff, word) parts in the symbol 0 of ``law``,
+    obeys the rule of ``identity``: Q(x) o Q(y) = Q(x * y), with Q in place
+    of P in every derived operation.
 
-    The weight is the formal one, written 1 (see the module docstring).
+    A formal weight is written 1 (see the module docstring).
     """
-    sym = (0,)
-    if kind == "rb":
-        law = rb(None)
-        modified = [(-1, ()), (-1, sym)]
-        inner = [
-            _two_leaf_product(modified, [(1, ())]),
-            _two_leaf_product([(1, ())], modified),
-            _two_leaf_product([(1, ())], [(1, ())]),
-        ]
-        name = "modified Rota-Baxter operator (-weight*id - P)"
-    else:
-        law = nijenhuis()
-        modified = [(1, ()), (-1, sym)]
-        negated = [(-c, w) for c, w in modified]
-        inner = [
-            _two_leaf_product(modified, [(1, ())]),
-            _two_leaf_product([(1, ())], modified),
-            _wrap_combination(_two_leaf_product([(1, ())], [(1, ())]), negated),
-        ]
-        name = "modified Nijenhuis operator (id - N)"
-    lhs = _two_leaf_product(modified, modified)
-    rhs_arg: dict = {}
-    for part in inner:
-        for term, coeff in part.items():
-            _accumulate(rhs_arg, term, coeff)
-    rhs = _wrap_combination(rhs_arg, modified)
-    normalizer = Normalizer((law,), (0,), cap, budget)
-    diff: dict = {}
-    for t, c in lhs.items():
-        _accumulate(diff, t, c)
-    for t, c in rhs.items():
-        _accumulate(diff, t, -c)
-    residual = normalizer.normalize(diff)
+    one = [(1, ())]
+    diff = _two_leaf_product(q, q)
+    for coeff, on_x, on_y, wraps in rewrite_rule(identity):
+        side = _two_leaf_product(q if on_x else one, q if on_y else one)
+        for _ in range(wraps):
+            side = _wrap_combination(side, q)
+        for t, c in side.items():
+            _accumulate(diff, t, -coeff * c)
+    residual = Normalizer((law,), (0,), budget).normalize(diff)
     if residual:
         shown = "; ".join(_Grading((law,), (0,)).show(residual, ["o"], [law.name]))
         return LemmaReport(name, False, f"residual {shown}")
@@ -894,14 +865,21 @@ def _check_modified_operator(kind: str, cap: int, budget: int) -> LemmaReport:
 
 def verify_operator_lemmas(
     include=("associative", "trialgebra"),
-    cap: int = DEFAULT_NESTING_CAP,
     budget: int = DEFAULT_STEP_BUDGET,
 ):
-    """The two modified-operator identities plus the closing dendriform
+    """The two modified-operator identities, -weight*id - P is again
+    Rota-Baxter and id - N is again Nijenhuis, plus the closing dendriform
     construction x (w|lt) y = x w P(y), x (w|gt) y = weight*(x w y) + P(x) w y."""
-    from . import catalog
-
-    reports = [_check_modified_operator(kind, cap, budget) for kind in ("rb", "nijenhuis")]
+    reports = [
+        _check_modified_operator(
+            "modified Rota-Baxter operator (-weight*id - P)",
+            OperatorLaw("rb"), rb(None), [(-1, ()), (-1, (0,))], budget,
+        ),
+        _check_modified_operator(
+            "modified Nijenhuis operator (id - N)",
+            OperatorLaw("nijenhuis"), nijenhuis(), [(1, ()), (-1, (0,))], budget,
+        ),
+    ]
     law = rb(None)
     dend = catalog.get("dendriform")
     for name in include:
@@ -911,7 +889,7 @@ def verify_operator_lemmas(
             # weight*(x w y) at weight 1, which the grading reads as l
             dend.generators.index("gt"): [(1, (), (), ()), (1, (0,), (), ())],
         }
-        v = _Verifier(t, (law,), [dend], [table], cap, budget)
+        v = _Verifier(t, (law,), [dend], [table], budget)
         report = v.run(t.name, "dendriform splitting by -(modified P)")
         reports.append(
             LemmaReport(

@@ -428,11 +428,20 @@ def format_sides(rel: RelationElement, term, scale: str = "*") -> tuple[str, str
     """
     parts: tuple[list, list] = ([], [])
     for block, i, j, c in rel.nonzero():
-        body = term(block, i, j)
-        if abs(c) != 1:
-            body = f"{format_scalar(abs(c))}{scale}{body}"
-        parts[block].append(("-" if c < 0 else "+", body))
+        parts[block].append(_signed_term(c, term(block, i, j), scale))
     return _signed_sum(parts[0]), _signed_sum(parts[1])
+
+
+def format_lincomb(vec, labels: Sequence[str]) -> str:
+    """A vector over ``labels`` as a signed sum, e.g. ``a - 2*b``; ``0`` if it is zero."""
+    return _signed_sum([_signed_term(c, label) for c, label in zip(vec, labels) if c])
+
+
+def _signed_term(c, body: str, scale: str = "*") -> tuple[str, str]:
+    """The sign of ``c`` and ``body``, led by ``|c|`` and ``scale`` unless ``|c|`` is 1."""
+    if abs(c) != 1:
+        body = f"{format_scalar(abs(c))}{scale}{body}"
+    return ("-" if c < 0 else "+", body)
 
 
 def _signed_sum(parts) -> str:

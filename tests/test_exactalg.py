@@ -207,3 +207,13 @@ def test_matrix_entries_are_canonical():
     assert all(type(x) is int for r in Matrix.identity(3).rows for x in r)
     inv = Matrix([[2, 0], [0, 1]]).inverse()
     assert [[type(x) for x in r] for r in inv.rows] == [[F, int], [int, int]]
+
+
+def test_sparse_basis_scalars_are_canonical():
+    # the rows reduce to (1, 2, 0) and (0, 0, 1) with unit pivots, and to
+    # (1, 1/3) with an entry the pivot does not divide
+    basis = Subspace.from_rows(3, [[2, 4, 0], [0, 0, -3]]).sparse_basis()
+    assert basis == [{0: 1, 1: 2}, {2: 1}]
+    assert all(type(x) is int for row in basis for x in row.values())
+    (row,) = Subspace.from_rows(2, [[3, 1]]).sparse_basis()
+    assert row == {0: 1, 1: F(1, 3)} and [type(x) for x in row.values()] == [int, F]

@@ -52,6 +52,29 @@ def test_rb_weight_zero_single_step():
     }
 
 
+# the rewrite rules as they were written by hand, one per law:
+# (coeff, keeps P on u, keeps P on v, symbols wrapped around) per term of
+# P(u) o P(v) -> ...
+_HAND_WRITTEN_RULES = [
+    (ov.rb(None), [(1, True, False, 1), (1, False, True, 1), (1, False, False, 1)]),
+    (ov.rb(0), [(1, True, False, 1), (1, False, True, 1)]),
+    (ov.rb("1/2"), [(1, True, False, 1), (1, False, True, 1), (F(1, 2), False, False, 1)]),
+    (ov.rb("-3"), [(1, True, False, 1), (1, False, True, 1), (-3, False, False, 1)]),
+    (ov.nijenhuis(), [(1, True, False, 1), (1, False, True, 1), (-1, False, False, 2)]),
+    (ov.left_rb(), [(1, False, True, 1)]),
+    (ov.right_rb(), [(1, True, False, 1)]),
+]
+
+
+@pytest.mark.parametrize(
+    "law, rule", [pytest.param(law, rule, id=law.describe()) for law, rule in _HAND_WRITTEN_RULES]
+)
+def test_the_rule_read_off_the_star_is_the_hand_written_one(law, rule):
+    # P(u) o P(v) -> P(u * v), * the predicted factor's star in the derived
+    # operations, term for term and in order
+    assert ov.rewrite_rule(law) == rule
+
+
 def test_no_redex_is_fixed():
     start = {term2((), (P,)): 1}
     assert nf(start, ov.rb(None)) == start
@@ -92,7 +115,7 @@ def test_case_three_substitution_matches_proof_chain():
     #   P(x o P(y)) o z + P(P(x) o y) o z + weight * P(x o y) o z
     # on the left and P(x) o (P(y) o z) on the right, both already normal
     a = catalog.get("associative")
-    v = ov._make_verifier(a, [ov.rb(None)], ov.DEFAULT_NESTING_CAP, ov.DEFAULT_STEP_BUDGET)
+    v = ov._make_verifier(a, [ov.rb(None)], ov.DEFAULT_STEP_BUDGET)
     rel = v.product.relations[2]
     diff = v.normalizer.normalize(v.substitute(rel))
     assert diff == {
@@ -113,7 +136,7 @@ def test_case_three_substitution_matches_proof_chain():
 def test_verifier_substitutions_are_strategy_independent():
     tri = catalog.get("trialgebra")
     law = ov.rb(None)
-    v = ov._make_verifier(tri, [law], ov.DEFAULT_NESTING_CAP, ov.DEFAULT_STEP_BUDGET)
+    v = ov._make_verifier(tri, [law], ov.DEFAULT_STEP_BUDGET)
     outer = ov.Normalizer(v.laws, v.symbols, strategy="outermost")
     for index in range(0, len(v.product.relations), 7):
         comb = v.substitute(v.product.relations[index])
@@ -146,13 +169,6 @@ def test_step_budget_guard():
     comb = {(0, 0, 0, (P, P), (P, P), (P, P), (), ()): 1}
     with pytest.raises(ov.RewriteBudget, match="rewrite budget exhausted"):
         ov.Normalizer((ov.rb(None),), (0,), budget=2).normalize(comb)
-
-
-def test_nesting_cap_guard():
-    with pytest.raises(ov.RewriteBudget, match="nesting cap"):
-        ov.Normalizer((ov.nijenhuis(),), (0,), cap=1).normalize(
-            {term2((P,), (P,)): 1}
-        )
 
 
 # -- the theorem ---------------------------------------------------------------
@@ -195,7 +211,7 @@ def test_every_nonzero_residual_carries_a_certificate():
 def test_certificates_reproduce_residuals():
     t = catalog.get("dendriform")
     law = ov.rb(None)
-    v = ov._make_verifier(t, [law], ov.DEFAULT_NESTING_CAP, ov.DEFAULT_STEP_BUDGET)
+    v = ov._make_verifier(t, [law], ov.DEFAULT_STEP_BUDGET)
     for index in range(len(v.product.relations)):
         verdict = v.verify_relation(index)
         assert verdict.verified
@@ -211,8 +227,8 @@ def test_specialization_coherence_at_weight_zero():
     # verifying with the formal weight and evaluating at 0 agrees with
     # verifying at weight 0 on the relations the two products share
     a = catalog.get("associative")
-    formal = ov._make_verifier(a, [ov.rb(None)], ov.DEFAULT_NESTING_CAP, ov.DEFAULT_STEP_BUDGET)
-    at_zero = ov._make_verifier(a, [ov.rb(0)], ov.DEFAULT_NESTING_CAP, ov.DEFAULT_STEP_BUDGET)
+    formal = ov._make_verifier(a, [ov.rb(None)], ov.DEFAULT_STEP_BUDGET)
+    at_zero = ov._make_verifier(a, [ov.rb(0)], ov.DEFAULT_STEP_BUDGET)
     # trialgebra relations 1-3 mirror the dendriform relations
     for t_index, d_index in ((0, 0), (1, 1), (2, 2)):
         formal_residual = formal.normalizer.normalize(
@@ -300,7 +316,7 @@ def test_every_coefficient_is_a_plain_number():
     assert ov.rb("1/2").weight_scalar() == F(1, 2)
     for law in (ov.rb(None), ov.rb(0), ov.rb("-3"), ov.nijenhuis(), ov.left_rb(), ov.right_rb()):
         factor = catalog.get(ov.predicted_factor_name(law))
-        coeffs = [c for c, *_ in law.expansions()]
+        coeffs = [c for c, *_ in ov.rewrite_rule(law)]
         coeffs += [c for entries in ov.derived_table(law, factor, P).values() for c, *_ in entries]
         assert all(type(c) is int for c in coeffs), law
     assert nf({term2((), (P,)): 1}, ov.rb(None)) == {term2((), (P,)): 1}
@@ -393,9 +409,7 @@ def _verifier(name, laws):
             ov.OperatorLaw(law.kind, law.weight, f"{law.name}{k + 1}")
             for k, law in enumerate(laws)
         ]
-    return ov._make_verifier(
-        catalog.get(name), laws, ov.DEFAULT_NESTING_CAP, ov.DEFAULT_STEP_BUDGET
-    )
+    return ov._make_verifier(catalog.get(name), laws, ov.DEFAULT_STEP_BUDGET)
 
 
 _CRITERION_6_SINGLES = [
@@ -404,7 +418,24 @@ _CRITERION_6_SINGLES = [
     for law in ("rb", "nijenhuis", "left_rb", "right_rb")
 ]
 _FAMILIES = [("trialgebra", ("rb", "rb")), ("ns", ("rb", "rb")), ("dendriform", ("rb", "rb"))]
-_LAWS = {"rb": ov.rb, "nijenhuis": ov.nijenhuis, "left_rb": ov.left_rb, "right_rb": ov.right_rb}
+_LAWS = {
+    "rb": ov.rb,
+    "rb0": lambda: ov.rb(0),
+    "nijenhuis": ov.nijenhuis,
+    "left_rb": ov.left_rb,
+    "right_rb": ov.right_rb,
+}
+# the commuting families of criterion 6, all on associative
+_CRITERION_6_FAMILIES = [
+    ("associative", laws)
+    for laws in (
+        ("rb0", "rb0"),
+        ("rb", "rb"),
+        ("right_rb", "left_rb"),
+        ("left_rb", "left_rb"),
+        ("rb0", "rb0", "rb0"),
+    )
+]
 
 
 @pytest.mark.parametrize(
@@ -419,6 +450,27 @@ def test_shared_echelons_match_the_per_relation_rebuild(name, laws):
     assert report.verdicts == oracle
     rebuilt = ov.VerificationReport(name, "law", report.product_name, oracle)
     assert report.to_json() == rebuilt.to_json()
+
+
+def test_a_rewrite_never_lengthens_a_word_beyond_two_symbols_per_law():
+    # every derived operation carries at most one symbol, so the two a
+    # substitution starts with per law bound every word of every normal
+    # form; the formal-weight family of three reaches the bound
+    for law, _ in _HAND_WRITTEN_RULES:
+        assert all(on_x + on_y + around <= 1 for *_, on_x, on_y, around in law.operations())
+    runs = [(name, (law,)) for name, law in _CRITERION_6_SINGLES] + _CRITERION_6_FAMILIES
+    longest = {}
+    for name, laws in runs + [("associative", ("rb", "rb", "rb"))]:
+        v = _verifier(name, [_LAWS[law]() for law in laws])
+        assert v.run(name, "law").all_verified
+        longest[name, laws] = max(
+            len(word)
+            for result in v.normalizer._memo.values()
+            for term in result
+            for word in term[3:]
+        )
+        assert longest[name, laws] <= 2 * len(laws), (name, laws)
+    assert longest["associative", ("rb", "rb", "rb")] == 6
 
 
 def test_one_echelon_per_geometry_and_one_alive_at_a_time(monkeypatch):
@@ -457,7 +509,7 @@ def test_a_wrong_certificate_is_reported_failed(monkeypatch):
         assert verdict.verified == verdict.residual_zero
         assert not verdict.certificate
         assert verdict.residual_zero or verdict.residual
-    v = ov._make_verifier(a, [ov.rb(None)], ov.DEFAULT_NESTING_CAP, ov.DEFAULT_STEP_BUDGET)
+    v = ov._make_verifier(a, [ov.rb(None)], ov.DEFAULT_STEP_BUDGET)
     verdict = v.verify_relation(2)
     assert not verdict.verified and verdict.residual
 
@@ -469,7 +521,7 @@ def test_a_wrong_derived_table_fails_visibly():
     law = ov.rb(None)
     table = ov.derived_table(law, tri, P)
     table[tri.generators.index("gt")] = [(1, (), (P,), ())]
-    v = ov._Verifier(a, (law,), [tri], [table], ov.DEFAULT_NESTING_CAP, ov.DEFAULT_STEP_BUDGET)
+    v = ov._Verifier(a, (law,), [tri], [table], ov.DEFAULT_STEP_BUDGET)
     report = v.run(a.name, "rb with a wrong gt")
     failed = [verdict.index for verdict in report.verdicts if not verdict.verified]
     assert failed == [0, 1, 2, 3, 4]
@@ -498,23 +550,23 @@ def test_a_table_without_a_homogeneous_lift_is_refused():
     # l^-1 times itself; a formal-weight symbol in another law's table for
     # an entry of the wrong degree
     a, tri = catalog.get("associative"), catalog.get("trialgebra")
-    cap, budget = ov.DEFAULT_NESTING_CAP, ov.DEFAULT_STEP_BUDGET
+    budget = ov.DEFAULT_STEP_BUDGET
     law = ov.rb(None)
     table = ov.derived_table(law, tri, P)
     table[tri.generators.index("gt")] = [(1, (P, P), (), ())]
     with pytest.raises(ExactAlgebraError, match="not homogeneous"):
-        ov._Verifier(a, (law,), [tri], [table], cap, budget)
+        ov._Verifier(a, (law,), [tri], [table], budget)
     laws = (ov.rb(None), ov.rb(0))
     dend = catalog.get("dendriform")
     tables = [ov.derived_table(laws[0], tri, 0), ov.derived_table(laws[1], dend, 1)]
     tables[1][dend.generators.index("lt")] = [(1, (), (0, 1), ())]
     with pytest.raises(ExactAlgebraError, match="not homogeneous"):
-        ov._Verifier(a, laws, [tri, dend], tables, cap, budget)
+        ov._Verifier(a, laws, [tri, dend], tables, budget)
     # a rational weight carries no grading: two symbols are fine
     law = ov.rb(1)
     table = ov.derived_table(law, tri, P)
     table[tri.generators.index("gt")] = [(1, (P, P), (), ())]
-    assert not ov._Verifier(a, (law,), [tri], [table], cap, budget).run("a", "x").all_verified
+    assert not ov._Verifier(a, (law,), [tri], [table], budget).run("a", "x").all_verified
 
 
 @pytest.mark.parametrize(
@@ -686,7 +738,7 @@ def test_scaled_base_relations_scale_certificates_inversely(monkeypatch, name, f
     monkeypatch.setattr(ov._Verifier, "_echelon", keep_echelon)
     monkeypatch.setattr(ov._Verifier, "_residual", keep_residual)
     for law, reference in zip(laws, references):
-        v = ov._make_verifier(t, [law], ov.DEFAULT_NESTING_CAP, ov.DEFAULT_STEP_BUDGET)
+        v = ov._make_verifier(t, [law], ov.DEFAULT_STEP_BUDGET)
         v.base = _scaled(t, factor)
         report = v.run(t.name, law.describe())
         assert reference.all_verified and report.all_verified
