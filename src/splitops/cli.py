@@ -12,11 +12,10 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from . import catalog, dsl, duality, morphisms, operatorver, products, typecore
-from .exactalg import ExactAlgebraError, Matrix, format_scalar
+from .exactalg import ExactAlgebraError, Matrix, format_scalar, rational_from_text
 from .typecore import (
     InvalidPresentation,
     RelationElement,
@@ -173,7 +172,7 @@ def _auto_group(args, out):
             f"{t.name} has {t.dim} generators, more than the monomial search "
             f"guard ({guard}); pass --allow-large to search anyway"
         )
-    entries = _option("--entries", lambda: tuple(Fraction(e) for e in args.entries.split(",")))
+    entries = _option("--entries", lambda: tuple(rational_from_text(e) for e in args.entries.split(",")))
     autos = morphisms.monomial_automorphisms(t, entries=entries, allow_large=args.allow_large)
     out(f"monomial automorphism group of {t.name}: order {len(autos)}")
     if args.json:

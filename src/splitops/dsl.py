@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
 
-from .exactalg import ExactAlgebraError, canonical, format_scalar
+from .exactalg import ExactAlgebraError, format_scalar, rational_from_text
 from .typecore import (
     GeneratorSpace,
     InvalidPresentation,
@@ -518,7 +518,6 @@ def _json_vector(value, m: int, path: str) -> list:
 
 
 _COMMON_SCALARS = {"0": 0, "1": 1, "-1": -1}
-_SCALAR_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the forms format_scalar writes
 
 
 def _json_scalar(value, path: str, k: int):
@@ -529,10 +528,10 @@ def _json_scalar(value, path: str, k: int):
         return known
     if type(value) is int:
         return value
-    if isinstance(value, str) and _SCALAR_TEXT.fullmatch(value):
+    if isinstance(value, str):
         try:
-            return canonical(Fraction(value))
-        except ZeroDivisionError:
+            return rational_from_text(value)
+        except (ValueError, ZeroDivisionError):
             pass
     raise DslError(f"expected a rational such as \"-1/2\", found {value!r}", path=f"{path}[{k}]")
 

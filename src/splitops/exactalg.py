@@ -24,6 +24,7 @@ object; two subspaces are equal iff their basis rows are equal.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from collections.abc import Iterable, Mapping, Sequence
@@ -62,6 +63,18 @@ def canonical(x):
 def format_scalar(x) -> str:
     """A scalar as ``p/q``, or ``p`` when it is integral."""
     return str(canonical(x))
+
+
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the forms format_scalar writes
+
+
+def rational_from_text(text: str):
+    """Text in a form :func:`format_scalar` writes, ``p`` or ``p/q``, as a
+    canonical scalar.  Other text (``0.5``, ``1e5``, ``+2``, `` 3 ``,
+    ``1_0``) raises ValueError, and a zero ``q`` ZeroDivisionError."""
+    if not _RATIONAL_TEXT.fullmatch(text):
+        raise ValueError(f"expected a rational p or p/q such as -1/2, found {text!r}")
+    return canonical(Fraction(text))
 
 
 # ---------------------------------------------------------------------------

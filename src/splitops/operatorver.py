@@ -33,6 +33,15 @@ leaves for the operator-identity lemmas); every leaf and every product
 node carries an operator word.  Words are kept canonically sorted, which
 makes commuting families definitional rather than rewritten.
 
+Rewriting moves operator symbols between words and never reads or changes
+the base generators of a term, so the verifier places the base generators
+after normalization.  It normalizes each relation of the composite factor,
+substituted with base generators 0, and each relation-instance pattern
+once; the residual of the product relation box(r_b, r_f) is the normal
+form of r_f placed at every nonzero of r_b, and a relation instance is
+its pattern's normal form placed at every nonzero of its base relation.
+A rewrite step is thus one rewrite of one word pattern.
+
 Every coefficient is an int or a Fraction: the formal weight l is a
 grading.  Give l and each symbol of a formal-weight operator degree 1,
 and let d(t) count those symbols in the words of a term t.  The rb rule,
@@ -63,9 +72,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog
-from .exactalg import ExactAlgebraError, canonical, format_scalar
+from .exactalg import ExactAlgebraError, canonical, format_scalar, rational_from_text
 from .typecore import RelationElement, TypePresentation, require_valid
-from .products import square
+from .products import box_relation, square
 
 DEFAULT_STEP_BUDGET = 100_000
 MAX_FAMILY = 3  # operators in one commuting family
@@ -138,15 +147,16 @@ class OperatorLaw:
 
 
 def rb(weight=None, name: str = "P") -> OperatorLaw:
-    """Rota-Baxter of a rational ``weight`` or its text; None or "formal" is the formal weight.
+    """Rota-Baxter of a rational ``weight`` or its text, ``p`` or ``p/q``;
+    None or "formal" is the formal weight.
 
-    A weight that is neither text nor an exact scalar, such as a float,
-    raises ScalarKindMismatch.
+    Text in any other form raises ValueError; a weight that is neither text
+    nor an exact scalar, such as a float, raises ScalarKindMismatch.
     """
     if weight in (None, "formal"):
         return OperatorLaw("rb", None, name)
     try:
-        exact = Fraction(weight) if isinstance(weight, str) else weight
+        exact = rational_from_text(weight) if isinstance(weight, str) else weight
         return OperatorLaw("rb", canonical(exact), name)
     except ZeroDivisionError:
         raise ValueError(f"weight {weight} has a zero denominator") from None
@@ -365,6 +375,18 @@ def _accumulate(acc: dict, term, coeff):
             del acc[term]
 
 
+def _place(acc: dict, form: list, gin: int, gout: int, coeff) -> None:
+    """Add ``coeff`` times a normal form, its base generators set to
+    (gin, gout), to ``acc``."""
+    for shape, words, c in form:
+        term = (shape, gin, gout) + words
+        value = acc.get(term, 0) + coeff * c
+        if value:
+            acc[term] = value
+        else:
+            del acc[term]
+
+
 def term_str(term, labels, sym_names) -> str:
     shape, gin, gout, wx, wy, wz, win, wout = term
 
@@ -433,7 +455,12 @@ def relation_instance(
     rel: RelationElement, triple: tuple, context: tuple
 ) -> dict:
     """The combination LHS - RHS of a base relation on decorated leaves,
-    wrapped in a context word."""
+    wrapped in a context word.
+
+    This is the definition :meth:`_Verifier.instance_vector` is tested
+    against: the verifier normalizes each side's pattern once and places
+    the base generators afterwards.
+    """
     wu, wv, ww = triple
     comb: dict = {}
     for block, i, j, c in rel.nonzero():
@@ -470,7 +497,8 @@ def _candidate_geometry(residual: dict):
     """
     triples = set()
     contexts = {()}
-    for shape, _gin, _gout, wx, wy, wz, win, wout in residual:
+    # the geometry reads only the shape and the words of a term
+    for shape, wx, wy, wz, win, wout in {(t[0],) + t[3:] for t in residual}:
         for ctx, moved in _splits2(wout):
             contexts.add(ctx)
             for to_sub, to_leaf in _splits2(moved):
@@ -616,12 +644,35 @@ class _Verifier:
         for symbol, table in zip(self.symbols, tables):
             self.grading.check_table(table, symbol)
         self.normalizer = Normalizer(self.laws, self.symbols, budget)
+        # read for its labels and name, and built to check that the product
+        # is a valid presentation; residuals come from the factors below
         product = base
-        for k, factor in enumerate(factors):
+        for factor in factors:
             product = square(product, factor)
         self.product = product
         self.factor_dims = [f.dim for f in factors]
+        # the relations of the composite factor, in square's order: product
+        # relation k is box(base relation b, factor relation f) for
+        # b, f = divmod(k, len(self.factor_relations))
+        relations = factors[0].relations
+        for factor in factors[1:]:
+            relations = [box_relation(a, b) for a in relations for b in factor.relations]
+        self.factor_relations = relations
+        # each base relation's nonzeros as (block, gin, gout, c): the base
+        # generators of the inner and the outer product of its term
+        self.base_nonzeros = [
+            tuple(
+                (block, i, j, c) if block == 0 else (block, j, i, c)
+                for block, i, j, c in rel.nonzero()
+            )
+            for rel in base.relations
+        ]
         self._entry_cache: dict = {}
+        # normal forms with base generators 0, as (shape, words, coeff)
+        # lists: factor relation f in block b under (f, b), and the
+        # instance pattern of (triple, context) in shape s under
+        # (triple, context, s)
+        self._forms: dict = {}
 
     def _decompose(self, index: int):
         taus = []
@@ -656,7 +707,13 @@ class _Verifier:
         return cached
 
     def substitute(self, rel: RelationElement) -> dict:
-        """LHS - RHS of a product relation under the derived operations."""
+        """LHS - RHS of a product relation under the derived operations.
+
+        Applied to a relation of the composite factor, whose generators
+        decompose with base index 0, it gives the terms the verifier
+        normalizes; the normalized product relation is the definition
+        :meth:`_residual` is tested against.
+        """
         comb: dict = {}
         for block, i, j, c in rel.nonzero():
             # L: (x g_i y) g_j z, R: x g_i (y g_j z)
@@ -673,13 +730,50 @@ class _Verifier:
                     _accumulate(comb, term, coeff * c1 * c2)
         return comb
 
+    def _normal_form(self, comb: dict) -> list:
+        """The normal form of ``comb``, a combination with base generators
+        0, as (shape, words, coeff) triples."""
+        return [(term[0], term[3:], c) for term, c in self.normalizer.normalize(comb).items()]
+
+    def _factor_form(self, f: int, block: int) -> list:
+        """Normalized block ``block`` of the substituted factor relation f."""
+        form = self._forms.get((f, block))
+        if form is None:
+            comb = self.substitute(self.factor_relations[f])
+            form = self._forms[f, block] = self._normal_form(
+                {t: c for t, c in comb.items() if t[0] == block}
+            )
+        return form
+
+    def _instance_form(self, triple: tuple, ctx: tuple, shape: int) -> list:
+        """The normalized instance pattern in one shape: its term with base
+        generators 0, leaf words ``triple`` and context ``ctx``."""
+        form = self._forms.get((triple, ctx, shape))
+        if form is None:
+            wu, wv, ww = triple
+            form = self._forms[triple, ctx, shape] = self._normal_form(
+                {(shape, 0, 0, wu, wv, ww, (), ctx): 1}
+            )
+        return form
+
     def _residual(self, index: int):
-        """Label and normalized LHS - RHS of one product relation."""
+        """Label and normalized LHS - RHS of one product relation.
+
+        Rewriting never reads or changes the base generators of a term, so
+        the residual of box(r_b, r_f) is the normalized factor relation f,
+        block by block, placed at every nonzero of the base relation r_b:
+        it equals ``normalize(substitute(rel))``.
+        """
         from .typecore import format_relation
 
         rel = self.product.relations[index]
         label = format_relation(rel, self.product.generators.labels)
-        return label, self.normalizer.normalize(self.substitute(rel))
+        b, f = divmod(index, len(self.factor_relations))
+        residual: dict = {}
+        for block, gin, gout, c in self.base_nonzeros[b]:
+            # the block's sign is in the substituted factor relation
+            _place(residual, self._factor_form(f, block), gin, gout, c)
+        return label, residual
 
     def verify_relation(self, index: int) -> RelationVerdict:
         label, residual = self._residual(index)
@@ -736,10 +830,10 @@ class _Verifier:
     def _echelon(self, triples, contexts) -> _Echelon:
         """Membership echelon of every base-relation instance of one geometry."""
         ech = _Echelon()
-        for r_idx, rel in enumerate(self.base.relations):
+        for r_idx in range(len(self.base_nonzeros)):
             for triple in triples:
                 for ctx in contexts:
-                    inst = self.normalizer.normalize(relation_instance(rel, triple, ctx))
+                    inst = self.instance_vector((r_idx, triple, ctx))
                     if inst:
                         ech.insert(inst, (r_idx, triple, ctx))
         return ech
@@ -754,11 +848,14 @@ class _Verifier:
         return out
 
     def instance_vector(self, tag) -> dict:
-        """Normalized relation instance for re-evaluating certificates."""
+        """The normalized relation instance of a tag: each side's pattern,
+        normalized once, placed at every nonzero of the base relation with
+        the sign :func:`relation_instance` gives it."""
         r_idx, triple, ctx = tag
-        return self.normalizer.normalize(
-            relation_instance(self.base.relations[r_idx], triple, ctx)
-        )
+        out: dict = {}
+        for block, gin, gout, c in self.base_nonzeros[r_idx]:
+            _place(out, self._instance_form(triple, ctx, block), gin, gout, -c if block else c)
+        return out
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -863,6 +960,18 @@ def _check_modified_operator(name: str, identity: OperatorLaw, law: OperatorLaw,
     return LemmaReport(name, True)
 
 
+def _splitting_verifier(t: TypePresentation, budget: int) -> _Verifier:
+    """The closing construction on ``t`` for P of formal weight:
+    x (w|lt) y = x w P(y), x (w|gt) y = weight*(x w y) + P(x) w y."""
+    dend = catalog.get("dendriform")
+    table = {
+        dend.generators.index("lt"): [(1, (), (0,), ())],
+        # weight*(x w y) at weight 1, which the grading reads as l
+        dend.generators.index("gt"): [(1, (), (), ()), (1, (0,), (), ())],
+    }
+    return _Verifier(t, (rb(None),), [dend], [table], budget)
+
+
 def verify_operator_lemmas(
     include=("associative", "trialgebra"),
     budget: int = DEFAULT_STEP_BUDGET,
@@ -880,16 +989,9 @@ def verify_operator_lemmas(
             OperatorLaw("nijenhuis"), nijenhuis(), [(1, ()), (-1, (0,))], budget,
         ),
     ]
-    law = rb(None)
-    dend = catalog.get("dendriform")
     for name in include:
         t = catalog.get(name)
-        table = {
-            dend.generators.index("lt"): [(1, (), (0,), ())],
-            # weight*(x w y) at weight 1, which the grading reads as l
-            dend.generators.index("gt"): [(1, (), (), ()), (1, (0,), (), ())],
-        }
-        v = _Verifier(t, (law,), [dend], [table], budget)
+        v = _splitting_verifier(t, budget)
         report = v.run(t.name, "dendriform splitting by -(modified P)")
         reports.append(
             LemmaReport(

@@ -288,7 +288,21 @@ def test_a_directory_in_place_of_a_file_is_a_usage_error(tmp_path, argv):
          "--weight", "takes no weight"),
         (("verify-family", "dendriform", "--laws", "leftrb:1"), "--laws", "takes no weight"),
         (("verify-operator", "dendriform", "--law", "rb", "--weight", "half"),
-         "--weight", "Invalid literal"),
+         "--weight", "expected a rational p or p/q such as -1/2, found 'half'"),
+        # text that Fraction reads but format_scalar never writes
+        (("verify-operator", "dendriform", "--law", "rb", "--weight", "0.5"),
+         "--weight", "found '0.5'"),
+        (("verify-operator", "dendriform", "--law", "rb", "--weight", "1e5"),
+         "--weight", "found '1e5'"),
+        (("verify-operator", "dendriform", "--law", "rb", "--weight", "+2"),
+         "--weight", "found '+2'"),
+        (("verify-operator", "dendriform", "--law", "rb", "--weight", " 3 "),
+         "--weight", "found ' 3 '"),
+        (("verify-operator", "dendriform", "--law", "rb", "--weight", "1_0"),
+         "--weight", "found '1_0'"),
+        (("verify-family", "dendriform", "--laws", "rb:formal,rb:0.5"), "--laws", "p or p/q"),
+        (("auto-group", "dendriform", "--entries", "1,-1.0"), "--entries", "p or p/q"),
+        (("auto-group", "dendriform", "--entries", "1, -1"), "--entries", "found ' -1'"),
     ],
 )
 def test_a_bad_rational_option_is_a_usage_error(argv, option, message):

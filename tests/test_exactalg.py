@@ -13,6 +13,7 @@ from splitops.exactalg import (
     Subspace,
     canonical,
     format_scalar,
+    rational_from_text,
     rref,
 )
 
@@ -199,6 +200,19 @@ def test_canonical_is_an_int_when_integral_else_a_fraction():
         with pytest.raises(ScalarKindMismatch):
             canonical(value)
     assert format_scalar(True) == "1" and format_scalar(F(4, 2)) == "2"
+
+
+def test_rational_text_is_read_in_the_forms_format_scalar_writes():
+    for text, want in (("3", 3), ("-1/2", F(-1, 2)), ("4/2", 2), ("-0", 0), ("007", 7)):
+        got = rational_from_text(text)
+        assert got == want and type(got) is type(want)
+    for value in (F(-7, 3), 12, 0):
+        assert rational_from_text(format_scalar(value)) == value
+    for text in ("0.5", "1e5", "+2", " 3 ", "1_0", "1/-2", "half", "", "\u0663"):
+        with pytest.raises(ValueError, match="expected a rational p or p/q"):
+            rational_from_text(text)
+    with pytest.raises(ZeroDivisionError):
+        rational_from_text("1/0")
 
 
 def test_matrix_entries_are_canonical():

@@ -12,7 +12,7 @@ import splitops.operatorver as ov
 from splitops import catalog
 from splitops.cli import main
 from splitops.exactalg import ExactAlgebraError, ScalarKindMismatch
-from splitops.typecore import RelationElement, TypePresentation, format_relation
+from splitops.typecore import RelationElement, TypePresentation, format_relation, relabel
 
 F = Fraction
 P = 0  # the only operator symbol in single-law tests
@@ -349,7 +349,7 @@ def test_law_constructors():
     "kind, weight, message",
     [
         ("rb", "1/0", "zero denominator"),
-        ("rb", "abc", "Invalid literal"),
+        ("rb", "abc", "expected a rational p or p/q"),
         ("rb0", "1", "takes no weight"),
         ("nijenhuis", "2", "takes no weight"),
         ("leftrb", "formal", "takes no weight"),
@@ -450,6 +450,88 @@ def test_shared_echelons_match_the_per_relation_rebuild(name, laws):
     assert report.verdicts == oracle
     rebuilt = ov.VerificationReport(name, "law", report.product_name, oracle)
     assert report.to_json() == rebuilt.to_json()
+
+
+# the runs of criterion 6, the two dendriform splittings of the lemmas, and
+# bases whose generators are relabelled: a 3-cycle and a non-monomial map
+_DIFFERENTIAL_RUNS = (
+    [
+        pytest.param(
+            lambda n=name, ls=laws: _verifier(n, [_LAWS[law]() for law in ls]),
+            id="+".join((name,) + laws),
+        )
+        for name, laws in [(name, (law,)) for name, law in _CRITERION_6_SINGLES]
+        + _CRITERION_6_FAMILIES
+    ]
+    + [
+        pytest.param(
+            lambda n=name: ov._splitting_verifier(catalog.get(n), ov.DEFAULT_STEP_BUDGET),
+            id=f"splitting on {name}",
+        )
+        for name in ("associative", "trialgebra")
+    ]
+    + [
+        pytest.param(
+            lambda: ov._make_verifier(
+                relabel(catalog.get("trialgebra"), {"lt": "gt", "gt": "cir", "cir": "lt"}),
+                [ov.nijenhuis()],
+                ov.DEFAULT_STEP_BUDGET,
+            ),
+            id="trialgebra 3-cycle+nijenhuis",
+        ),
+        pytest.param(
+            lambda: ov._make_verifier(
+                relabel(catalog.get("dendriform"), [[1, 1], [0, 1]]),
+                [ov.rb(None), ov.rb(None)],
+                ov.DEFAULT_STEP_BUDGET,
+            ),
+            id="dendriform sheared+rb+rb",
+        ),
+    ]
+)
+
+
+@pytest.mark.parametrize("make", _DIFFERENTIAL_RUNS)
+def test_generator_blind_rewriting_matches_the_reference_definitions(make):
+    # the verifier normalizes each substituted factor relation and each
+    # instance pattern once, with base generators 0, and then places the
+    # base generators; the reference substitutes the whole product relation
+    # and every instance, and normalizes them term by term
+    v = make()
+    report = v.run("base", "law")
+    assert report.all_verified
+    steps = v.normalizer.steps
+    reference = ov.Normalizer(v.laws, v.symbols)
+    for index, rel in enumerate(v.product.relations):
+        residual = reference.normalize(v.substitute(rel))
+        assert v._residual(index)[1] == residual, index
+        if not residual:
+            continue
+        triples, contexts = ov._candidate_geometry(residual)
+        for r_idx, base_rel in enumerate(v.base.relations):
+            for triple in triples:
+                for ctx in contexts:
+                    want = reference.normalize(ov.relation_instance(base_rel, triple, ctx))
+                    assert v.instance_vector((r_idx, triple, ctx)) == want
+    # every normal form was already there, and no more rewriting than the
+    # reference needed for the same residuals and instances
+    assert v.normalizer.steps == steps <= reference.steps
+
+
+def test_the_step_budget_is_exact(capsys):
+    # the steps a run uses are enough, and one fewer is not
+    t = catalog.get("trialgebra")
+    v = ov._make_verifier(t, [ov.nijenhuis()], ov.DEFAULT_STEP_BUDGET)
+    assert v.run(t.name, "law").all_verified
+    steps = v.normalizer.steps
+    assert steps > 0
+    argv = ["verify-operator", "trialgebra", "--law", "nijenhuis", "--steps"]
+    assert main(argv + [str(steps)]) == 0
+    assert main(argv + [str(steps - 1)]) == 3
+    assert capsys.readouterr().err == "error: rewrite budget exhausted\n"
+    assert ov.verify_operator_theorem(t, ov.nijenhuis(), budget=steps).all_verified
+    with pytest.raises(ov.RewriteBudget):
+        ov.verify_operator_theorem(t, ov.nijenhuis(), budget=steps - 1)
 
 
 def test_a_rewrite_never_lengthens_a_word_beyond_two_symbols_per_law():
@@ -717,9 +799,11 @@ def _assert_exact(value):
 @pytest.mark.parametrize("factor", [F(2), F(-1, 3)], ids=["2", "-1/3"])
 @pytest.mark.parametrize("name", ["dendriform", "trialgebra", "ns"])
 def test_scaled_base_relations_scale_certificates_inversely(monkeypatch, name, factor):
-    # the product, and so every residual, stays that of the catalog type;
-    # every relation instance scales by the factor, so the pivot heads move
-    # away from +-1 and every certificate coefficient scales by its inverse
+    # every residual stays that of the catalog type, read from an unscaled
+    # verifier (the residuals are built from the base relations, which would
+    # scale them too); every relation instance scales by the factor, so the
+    # pivot heads move away from +-1 and every certificate coefficient
+    # scales by its inverse
     t = catalog.get(name)
     built, residuals = [], []
     make_echelon, make_residual = ov._Verifier._echelon, ov._Verifier._residual
@@ -738,8 +822,9 @@ def test_scaled_base_relations_scale_certificates_inversely(monkeypatch, name, f
     monkeypatch.setattr(ov._Verifier, "_echelon", keep_echelon)
     monkeypatch.setattr(ov._Verifier, "_residual", keep_residual)
     for law, reference in zip(laws, references):
-        v = ov._make_verifier(t, [law], ov.DEFAULT_STEP_BUDGET)
-        v.base = _scaled(t, factor)
+        unscaled = ov._make_verifier(t, [law], ov.DEFAULT_STEP_BUDGET)
+        v = ov._make_verifier(_scaled(t, factor), [law], ov.DEFAULT_STEP_BUDGET)
+        monkeypatch.setattr(v, "_residual", unscaled._residual)
         report = v.run(t.name, law.describe())
         assert reference.all_verified and report.all_verified
         assert len(report.verdicts) == len(reference.verdicts)
