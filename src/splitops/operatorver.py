@@ -34,13 +34,27 @@ node carries an operator word.  Words are kept canonically sorted, which
 makes commuting families definitional rather than rewritten.
 
 Rewriting moves operator symbols between words and never reads or changes
-the base generators of a term, so the verifier places the base generators
-after normalization.  It normalizes each relation of the composite factor,
-substituted with base generators 0, and each relation-instance pattern
-once; the residual of the product relation box(r_b, r_f) is the normal
-form of r_f placed at every nonzero of r_b, and a relation instance is
-its pattern's normal form placed at every nonzero of its base relation.
-A rewrite step is thus one rewrite of one word pattern.
+the base generators of a term, so the verifier works on patterns, terms
+keyed by shape and words alone.  The pattern n_f is relation f of the
+composite factor, substituted with base generators 0 and normalized; the
+pattern q_s of an instance s = (leaf words, context) is its normalized
+left-bracketed term minus its right-bracketed one.  Placing a pattern at
+every nonzero of a base relation r_b, with that nonzero's generators and
+coefficient, is linear, and it turns n_f into the residual of the product
+relation box(r_b, r_f) and q_s into the instance (b, s).  Hence the
+placing lemma: if n_f = sum c_s * q_s, then
+
+    residual(b, f) = sum c_s * instance(b, s)   for every base relation b.
+
+So the verifier solves each nonzero n_f once, against an echelon of the
+q_s of its candidate geometry, and places that certificate at every base
+relation.  Each placed certificate is still summed again from the placed
+instances and compared with the placed residual, base by base, and that
+check gives the verdict.  A FAILED verdict means that no pattern
+certificate exists (or that the re-check caught a wrong one).  A
+certificate that exists for one base only, where placing drops a shape
+of a pattern or combines instances of several base relations, is not
+searched for.  A rewrite step is one rewrite of one word pattern.
 
 Every coefficient is an int or a Fraction: the formal weight l is a
 grading.  Give l and each symbol of a formal-weight operator degree 1,
@@ -73,7 +87,7 @@ from fractions import Fraction
 
 from . import catalog
 from .exactalg import ExactAlgebraError, canonical, format_scalar, rational_from_text
-from .typecore import RelationElement, TypePresentation, require_valid
+from .typecore import RelationElement, TypePresentation, format_relation, require_valid
 from .products import box_relation, square
 
 DEFAULT_STEP_BUDGET = 100_000
@@ -375,18 +389,6 @@ def _accumulate(acc: dict, term, coeff):
             del acc[term]
 
 
-def _place(acc: dict, form: list, gin: int, gout: int, coeff) -> None:
-    """Add ``coeff`` times a normal form, its base generators set to
-    (gin, gout), to ``acc``."""
-    for shape, words, c in form:
-        term = (shape, gin, gout) + words
-        value = acc.get(term, 0) + coeff * c
-        if value:
-            acc[term] = value
-        else:
-            del acc[term]
-
-
 def term_str(term, labels, sym_names) -> str:
     shape, gin, gout, wx, wy, wz, win, wout = term
 
@@ -484,21 +486,20 @@ def _splits2(word: tuple):
     return list(dict.fromkeys(out))
 
 
-def _candidate_geometry(residual: dict):
-    """Leaf-word triples and context words that can certify a residual.
+def _candidate_geometry(pattern):
+    """Leaf-word triples and context words that can certify a pattern.
 
     Rewriting only ever moves operator symbols from the two operands of a
     product into that product's wrap word, so the arguments of the
-    relation instances a residual can come from are recovered by
-    redistributing each term's wrap words back onto the operands, in
-    every multiset split.  Whatever part of the outermost wrap is not
-    pushed down stays as the instance's context.  Residuals come from
-    :meth:`_Verifier.substitute`, so every term has three leaves.
+    relation instances a pattern can come from are recovered by
+    redistributing each key's wrap words back onto the operands, in every
+    multiset split.  Whatever part of the outermost wrap is not pushed
+    down stays as the instance's context.  A key is (shape, wx, wy, wz,
+    win, wout) with three leaves, as in :meth:`_Verifier._factor_pattern`.
     """
     triples = set()
     contexts = {()}
-    # the geometry reads only the shape and the words of a term
-    for shape, wx, wy, wz, win, wout in {(t[0],) + t[3:] for t in residual}:
+    for shape, wx, wy, wz, win, wout in pattern:
         for ctx, moved in _splits2(wout):
             contexts.add(ctx)
             for to_sub, to_leaf in _splits2(moved):
@@ -668,11 +669,9 @@ class _Verifier:
             for rel in base.relations
         ]
         self._entry_cache: dict = {}
-        # normal forms with base generators 0, as (shape, words, coeff)
-        # lists: factor relation f in block b under (f, b), and the
-        # instance pattern of (triple, context) in shape s under
-        # (triple, context, s)
-        self._forms: dict = {}
+        # normalized patterns: n_f under the factor-relation index f, and
+        # q_s under the instance's (leaf-word triple, context)
+        self._patterns: dict = {}
 
     def _decompose(self, index: int):
         taus = []
@@ -710,9 +709,9 @@ class _Verifier:
         """LHS - RHS of a product relation under the derived operations.
 
         Applied to a relation of the composite factor, whose generators
-        decompose with base index 0, it gives the terms the verifier
-        normalizes; the normalized product relation is the definition
-        :meth:`_residual` is tested against.
+        decompose with base index 0, it gives the terms of the pattern
+        n_f; the normalized product relation is the definition the placed
+        residual is tested against.
         """
         comb: dict = {}
         for block, i, j, c in rel.nonzero():
@@ -730,117 +729,112 @@ class _Verifier:
                     _accumulate(comb, term, coeff * c1 * c2)
         return comb
 
-    def _normal_form(self, comb: dict) -> list:
+    def _pattern(self, comb: dict) -> dict:
         """The normal form of ``comb``, a combination with base generators
-        0, as (shape, words, coeff) triples."""
-        return [(term[0], term[3:], c) for term, c in self.normalizer.normalize(comb).items()]
+        0, keyed by (shape,) + words."""
+        return {(t[0],) + t[3:]: c for t, c in self.normalizer.normalize(comb).items()}
 
-    def _factor_form(self, f: int, block: int) -> list:
-        """Normalized block ``block`` of the substituted factor relation f."""
-        form = self._forms.get((f, block))
-        if form is None:
+    def _factor_pattern(self, f: int) -> dict:
+        """n_f: the substituted and normalized factor relation f."""
+        pattern = self._patterns.get(f)
+        if pattern is None:
             comb = self.substitute(self.factor_relations[f])
-            form = self._forms[f, block] = self._normal_form(
-                {t: c for t, c in comb.items() if t[0] == block}
-            )
-        return form
+            pattern = self._patterns[f] = self._pattern(comb)
+        return pattern
 
-    def _instance_form(self, triple: tuple, ctx: tuple, shape: int) -> list:
-        """The normalized instance pattern in one shape: its term with base
-        generators 0, leaf words ``triple`` and context ``ctx``."""
-        form = self._forms.get((triple, ctx, shape))
-        if form is None:
+    def _instance_pattern(self, triple: tuple, ctx: tuple) -> dict:
+        """q_s: the normalized instance pattern of leaf words ``triple`` in
+        context ``ctx``, its right-bracketed shape negated."""
+        pattern = self._patterns.get((triple, ctx))
+        if pattern is None:
             wu, wv, ww = triple
-            form = self._forms[triple, ctx, shape] = self._normal_form(
-                {(shape, 0, 0, wu, wv, ww, (), ctx): 1}
-            )
-        return form
+            comb = {(0, 0, 0, wu, wv, ww, (), ctx): 1, (1, 0, 0, wu, wv, ww, (), ctx): -1}
+            pattern = self._patterns[triple, ctx] = self._pattern(comb)
+        return pattern
 
-    def _residual(self, index: int):
-        """Label and normalized LHS - RHS of one product relation.
-
-        Rewriting never reads or changes the base generators of a term, so
-        the residual of box(r_b, r_f) is the normalized factor relation f,
-        block by block, placed at every nonzero of the base relation r_b:
-        it equals ``normalize(substitute(rel))``.
-        """
-        from .typecore import format_relation
-
-        rel = self.product.relations[index]
-        label = format_relation(rel, self.product.generators.labels)
-        b, f = divmod(index, len(self.factor_relations))
-        residual: dict = {}
+    def _placed(self, b: int, pattern: dict) -> dict:
+        """A pattern placed at every nonzero of base relation ``b``: it
+        takes the base generators and the coefficient of each nonzero of
+        its shape's block.  Distinct nonzeros give distinct terms."""
+        out: dict = {}
         for block, gin, gout, c in self.base_nonzeros[b]:
-            # the block's sign is in the substituted factor relation
-            _place(residual, self._factor_form(f, block), gin, gout, c)
-        return label, residual
+            for key, x in pattern.items():
+                if key[0] == block:
+                    out[(block, gin, gout) + key[1:]] = c * x
+        return out
 
     def verify_relation(self, index: int) -> RelationVerdict:
-        label, residual = self._residual(index)
-        if not residual:
-            return RelationVerdict(index, label, True, residual_zero=True)
-        echelon = self._echelon(*_candidate_geometry(residual))
-        return self._certify(index, label, residual, echelon)
+        """The verdict of one product relation, from a fresh echelon."""
+        b, f = divmod(index, len(self.factor_relations))
+        pattern = self._factor_pattern(f)
+        solved = self._echelon(*_candidate_geometry(pattern)).solve(pattern)
+        return self._certify(index, b, pattern, solved)
 
     def run(self, type_name: str, law_desc: str, experimental=False) -> VerificationReport:
-        """Verify every product relation, one membership echelon per geometry.
+        """Verify every product relation, one pattern solve per factor
+        relation (see the module docstring).
 
-        Relations whose residuals have the same candidate geometry are
-        solved against one echelon, built in the same insertion order as
-        :meth:`verify_relation` builds it, so every certificate is the
+        Factor relations whose patterns have the same candidate geometry
+        are solved against one echelon, built in the same insertion order
+        as :meth:`verify_relation` builds it, so every certificate is the
         same; only one echelon is alive at a time.
         """
-        verdicts = [None] * len(self.product.relations)
+        solutions = [None] * len(self.factor_relations)
         groups: dict = {}
-        for index in range(len(verdicts)):
-            label, residual = self._residual(index)
-            if not residual:
-                verdicts[index] = RelationVerdict(index, label, True, residual_zero=True)
-                continue
-            groups.setdefault(_candidate_geometry(residual), []).append(
-                (index, label, residual)
-            )
+        for f in range(len(solutions)):
+            pattern = self._factor_pattern(f)
+            if pattern:
+                groups.setdefault(_candidate_geometry(pattern), []).append(f)
         for (triples, contexts), group in groups.items():
             echelon = self._echelon(triples, contexts)
-            for index, label, residual in group:
-                verdicts[index] = self._certify(index, label, residual, echelon)
+            for f in group:
+                solutions[f] = echelon.solve(self._factor_pattern(f))
             # freed before the next one is built, so peak memory stays that
             # of the largest single echelon
             del echelon
+        verdicts = []
+        for index in range(len(self.product.relations)):
+            b, f = divmod(index, len(solutions))
+            verdicts.append(self._certify(index, b, self._factor_pattern(f), solutions[f]))
         return VerificationReport(
             type_name, law_desc, self.product.name, tuple(verdicts), experimental
         )
 
-    def _certify(self, index: int, label: str, residual: dict, echelon) -> RelationVerdict:
-        """A verdict for one residual against the echelon of its geometry.
+    def _certify(self, index: int, b: int, pattern: dict, solved) -> RelationVerdict:
+        """The verdict of product relation ``index`` = box(r_b, r_f): the
+        pattern n_f and its certificate ``solved``, both placed at r_b.
 
-        A residual the echelon cannot express, or whose certificate does
+        A residual with no certificate, or whose placed certificate does
         not sum back to it, fails with the residual shown.
         """
-        solved = echelon.solve(residual)
-        if solved is not None and self._rebuild(solved) == residual:
-            certificate = tuple(
-                (tag, c, self.grading.power(tag[1] + (tag[2],))) for tag, c in solved.items()
-            )
-            return RelationVerdict(index, label, True, certificate=certificate)
+        label = format_relation(self.product.relations[index], self.product.generators.labels)
+        residual = self._placed(b, pattern)
+        if not residual:
+            return RelationVerdict(index, label, True, residual_zero=True)
+        if solved is not None:
+            placed = {(b,) + tag: c for tag, c in solved.items()}
+            if self._rebuild(placed) == residual:
+                certificate = tuple(
+                    (tag, c, self.grading.power(tag[1] + (tag[2],))) for tag, c in placed.items()
+                )
+                return RelationVerdict(index, label, True, certificate=certificate)
         names = [law.name for law in self.laws]
         shown = self.grading.show(residual, self.base.generators.labels, names)
         return RelationVerdict(index, label, False, residual=shown)
 
     def _echelon(self, triples, contexts) -> _Echelon:
-        """Membership echelon of every base-relation instance of one geometry."""
+        """Membership echelon of the instance patterns of one geometry."""
         ech = _Echelon()
-        for r_idx in range(len(self.base_nonzeros)):
-            for triple in triples:
-                for ctx in contexts:
-                    inst = self.instance_vector((r_idx, triple, ctx))
-                    if inst:
-                        ech.insert(inst, (r_idx, triple, ctx))
+        for triple in triples:
+            for ctx in contexts:
+                pattern = self._instance_pattern(triple, ctx)
+                if pattern:
+                    ech.insert(pattern, (triple, ctx))
         return ech
 
     def _rebuild(self, certificate: dict) -> dict:
-        """Sum of coefficient times freshly normalized instance, not read
-        from the echelon, so a certificate is checked independently."""
+        """Sum of coefficient times freshly placed instance, not read from
+        the echelon, so a certificate is checked independently."""
         out: dict = {}
         for tag, coeff in certificate.items():
             for term, c in self.instance_vector(tag).items():
@@ -848,14 +842,11 @@ class _Verifier:
         return out
 
     def instance_vector(self, tag) -> dict:
-        """The normalized relation instance of a tag: each side's pattern,
-        normalized once, placed at every nonzero of the base relation with
-        the sign :func:`relation_instance` gives it."""
-        r_idx, triple, ctx = tag
-        out: dict = {}
-        for block, gin, gout, c in self.base_nonzeros[r_idx]:
-            _place(out, self._instance_form(triple, ctx, block), gin, gout, -c if block else c)
-        return out
+        """The normalized relation instance of a tag (b, triple, context):
+        its pattern placed at base relation b.  It equals the normalized
+        :func:`relation_instance`."""
+        b, triple, ctx = tag
+        return self._placed(b, self._instance_pattern(triple, ctx))
 
 
 def _merge(a: tuple, b: tuple) -> tuple:

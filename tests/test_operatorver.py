@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -11,8 +12,16 @@ import pytest
 import splitops.operatorver as ov
 from splitops import catalog
 from splitops.cli import main
-from splitops.exactalg import ExactAlgebraError, ScalarKindMismatch
-from splitops.typecore import RelationElement, TypePresentation, format_relation, relabel
+from splitops.exactalg import ExactAlgebraError, ScalarKindMismatch, canonical
+from splitops.typecore import (
+    GeneratorSpace,
+    RelationElement,
+    TypePresentation,
+    format_relation,
+    relabel,
+    star_associativity,
+    validate,
+)
 
 F = Fraction
 P = 0  # the only operator symbol in single-law tests
@@ -372,11 +381,19 @@ def test_an_rb_weight_is_a_canonical_scalar():
 # -- one membership echelon per geometry ------------------------------------------
 
 
-def _oracle_verdicts(v):
-    """The per-relation rebuild: one fresh echelon for every relation.
+def _geometry(residual):
+    """The candidate geometry of a residual, read from its shapes and words."""
+    return ov._candidate_geometry({(t[0],) + t[3:] for t in residual})
 
-    This is the verifier before echelons were shared between relations
-    of one candidate geometry, kept as the reference for ``run``.
+
+def _oracle_verdicts(v):
+    """The per-relation, per-base rebuild: every product relation is
+    substituted and normalized whole and solved against a fresh echelon of
+    the instances of every base relation.
+
+    This is the verifier before it solved each factor relation once as a
+    pattern and placed the certificate at every base relation, kept as the
+    reference for ``run``.
     """
     verdicts = []
     for index, rel in enumerate(v.product.relations):
@@ -385,7 +402,7 @@ def _oracle_verdicts(v):
         if not residual:
             verdicts.append(ov.RelationVerdict(index, label, True, residual_zero=True))
             continue
-        triples, contexts = ov._candidate_geometry(residual)
+        triples, contexts = _geometry(residual)
         ech = ov._Echelon()
         for r_idx, base_rel in enumerate(v.base.relations):
             for triple in triples:
@@ -438,18 +455,54 @@ _CRITERION_6_FAMILIES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "name, laws",
-    [(name, (law,)) for name, law in _CRITERION_6_SINGLES] + _FAMILIES,
-    ids=lambda x: "+".join(x) if isinstance(x, tuple) else x,
-)
-def test_shared_echelons_match_the_per_relation_rebuild(name, laws):
-    laws = [_LAWS[law]() for law in laws]
-    report = _verifier(name, laws).run(name, "law")
-    oracle = _oracle_verdicts(_verifier(name, laws))
+def _assert_run_matches_the_oracle(v, name):
+    report = v.run(name, "law")
+    oracle = _oracle_verdicts(v)
     assert report.verdicts == oracle
     rebuilt = ov.VerificationReport(name, "law", report.product_name, oracle)
     assert report.to_json() == rebuilt.to_json()
+
+
+@pytest.mark.parametrize(
+    "name, laws",
+    [(name, (law,)) for name, law in _CRITERION_6_SINGLES] + _FAMILIES + _CRITERION_6_FAMILIES,
+    ids=lambda x: "+".join(x) if isinstance(x, tuple) else x,
+)
+def test_shared_echelons_match_the_per_relation_rebuild(name, laws):
+    _assert_run_matches_the_oracle(_verifier(name, [_LAWS[law]() for law in laws]), name)
+
+
+def _random_base(seed):
+    """A valid base of one or two generators: a random star, its
+    associativity, and random sparse relations kept while independent.
+    About two in five lie in one block, so they place only one shape of a
+    pattern."""
+    rng = random.Random(seed)
+    m = rng.choice((1, 2))
+    generators = GeneratorSpace(f"random{seed}", ("a", "b")[:m])
+    star = [0] * m
+    while not any(star):
+        star = [rng.choice((-1, 0, 1, 2)) for _ in range(m)]
+    t = TypePresentation(generators, star, [star_associativity(star)])
+    for _ in range(rng.randint(0, 2 * m)):
+        picks = rng.randint(1, 3)
+        coeffs = {rng.randrange(2 * m * m): rng.choice((-2, -1, 1, 3)) for _ in range(picks)}
+        grown = TypePresentation(generators, star, t.relations + (RelationElement(m, coeffs),))
+        if validate(grown).valid:
+            t = grown
+    return t
+
+
+@pytest.mark.parametrize(
+    "law", [ov.rb(None), ov.nijenhuis(), ov.left_rb()], ids=lambda law: law.describe()
+)
+def test_pattern_solves_match_the_per_base_rebuild_on_random_bases(law):
+    # the placing lemma on bases the catalog does not have: each factor
+    # relation is solved once as a pattern, and every placed certificate
+    # equals the one a per-base echelon finds
+    for seed in range(60):
+        t = _random_base(seed)
+        _assert_run_matches_the_oracle(ov._make_verifier(t, [law], ov.DEFAULT_STEP_BUDGET), t.name)
 
 
 # the runs of criterion 6, the two dendriform splittings of the lemmas, and
@@ -504,10 +557,11 @@ def test_generator_blind_rewriting_matches_the_reference_definitions(make):
     reference = ov.Normalizer(v.laws, v.symbols)
     for index, rel in enumerate(v.product.relations):
         residual = reference.normalize(v.substitute(rel))
-        assert v._residual(index)[1] == residual, index
+        b, f = divmod(index, len(v.factor_relations))
+        assert v._placed(b, v._factor_pattern(f)) == residual, index
         if not residual:
             continue
-        triples, contexts = ov._candidate_geometry(residual)
+        triples, contexts = _geometry(residual)
         for r_idx, base_rel in enumerate(v.base.relations):
             for triple in triples:
                 for ctx in contexts:
@@ -559,18 +613,29 @@ def test_one_echelon_per_geometry_and_one_alive_at_a_time(monkeypatch):
     built = []
     live = weakref.WeakSet()
     real = ov._Verifier._echelon
+    geometries = []
+    real_geometry = ov._candidate_geometry
 
     def counting(self, triples, contexts):
         assert len(live) == 0, "an earlier echelon is still alive"
         ech = real(self, triples, contexts)
+        # pattern keys, (shape,) + five words: no base generators
+        assert all(len(key) == 6 for vec, _ in ech.pivots.values() for key in vec)
         built.append((tuple(triples), tuple(contexts)))
         live.add(ech)
         return ech
 
+    def counting_geometry(pattern):
+        geometries.append(pattern)
+        return real_geometry(pattern)
+
     monkeypatch.setattr(ov._Verifier, "_echelon", counting)
+    monkeypatch.setattr(ov, "_candidate_geometry", counting_geometry)
     report = ov.verify_commuting_family(catalog.get("trialgebra"), [ov.rb(None), ov.rb(None)])
     assert report.all_verified and len(report.verdicts) == 343
     assert len(built) == len(set(built)) == 49
+    # one geometry per nonzero factor relation, not one per product relation
+    assert len(geometries) == 49
 
 
 def test_a_wrong_certificate_is_reported_failed(monkeypatch):
@@ -720,12 +785,14 @@ def test_certificates_hold_at_enough_weights(name, laws):
 
 def test_a_context_word_counts_toward_the_power():
     # no catalog run certifies through an instance in a formal-weight
-    # context, so certify P((P(x) y) z - P(x) (y z)) directly: its two
-    # symbols make degree D = 2, so its coefficient carries no l
+    # context, so certify P((P(x) y) z - P(x) (y z)) directly, as a pattern
+    # placed at base relation 0: its two symbols make degree D = 2, so its
+    # coefficient carries no l
     tag = (0, ((P,), (), ()), (P,))
     v = _verifier("associative", [ov.rb(None)])
-    target = v.instance_vector(tag)
-    verdict = v._certify(0, "instance", target, v._echelon(*ov._candidate_geometry(target)))
+    target = v._instance_pattern(*tag[1:])
+    solved = v._echelon(*ov._candidate_geometry(target)).solve(target)
+    verdict = v._certify(0, 0, target, solved)
     assert verdict.certificate == ((tag, 1, 0),)
 
 
@@ -799,34 +866,40 @@ def _assert_exact(value):
 @pytest.mark.parametrize("factor", [F(2), F(-1, 3)], ids=["2", "-1/3"])
 @pytest.mark.parametrize("name", ["dendriform", "trialgebra", "ns"])
 def test_scaled_base_relations_scale_certificates_inversely(monkeypatch, name, factor):
-    # every residual stays that of the catalog type, read from an unscaled
-    # verifier (the residuals are built from the base relations, which would
-    # scale them too); every relation instance scales by the factor, so the
-    # pivot heads move away from +-1 and every certificate coefficient
-    # scales by its inverse
+    # scaling every base relation scales every residual and every relation
+    # instance by the same factor, and the pattern solve sees neither: every
+    # certificate stays the same
     t = catalog.get(name)
-    built, residuals = [], []
-    make_echelon, make_residual = ov._Verifier._echelon, ov._Verifier._residual
+    laws = (ov.rb(None), ov.rb("1/2"), ov.nijenhuis())
+    references = [ov.verify_operator_theorem(t, law) for law in laws]
+    for law, reference in zip(laws, references):
+        v = ov._make_verifier(_scaled(t, factor), [law], ov.DEFAULT_STEP_BUDGET)
+        report = v.run(t.name, law.describe())
+        assert reference.all_verified and report.all_verified
+        assert [(got.residual_zero, got.certificate) for got in report.verdicts] == [
+            (want.residual_zero, want.certificate) for want in reference.verdicts
+        ]
+        for index in range(len(report.verdicts)):
+            b, f = divmod(index, len(v.factor_relations))
+            for value in v._placed(b, v._factor_pattern(f)).values():
+                _assert_exact(value)
+    # scaling the inserted instance patterns instead moves the pivot heads
+    # away from +-1, and every certificate coefficient scales by the inverse
+    built = []
+    make_echelon, make_pattern = ov._Verifier._echelon, ov._Verifier._instance_pattern
 
     def keep_echelon(self, triples, contexts):
         built.append(make_echelon(self, triples, contexts))
         return built[-1]
 
-    def keep_residual(self, index):
-        label, residual = make_residual(self, index)
-        residuals.append(residual)
-        return label, residual
+    def scaled_pattern(self, triple, ctx):
+        return {key: canonical(c * factor) for key, c in make_pattern(self, triple, ctx).items()}
 
-    laws = (ov.rb(None), ov.rb("1/2"), ov.nijenhuis())
-    references = [ov.verify_operator_theorem(t, law) for law in laws]
     monkeypatch.setattr(ov._Verifier, "_echelon", keep_echelon)
-    monkeypatch.setattr(ov._Verifier, "_residual", keep_residual)
+    monkeypatch.setattr(ov._Verifier, "_instance_pattern", scaled_pattern)
     for law, reference in zip(laws, references):
-        unscaled = ov._make_verifier(t, [law], ov.DEFAULT_STEP_BUDGET)
-        v = ov._make_verifier(_scaled(t, factor), [law], ov.DEFAULT_STEP_BUDGET)
-        monkeypatch.setattr(v, "_residual", unscaled._residual)
-        report = v.run(t.name, law.describe())
-        assert reference.all_verified and report.all_verified
+        report = ov.verify_operator_theorem(t, law)
+        assert report.all_verified
         assert len(report.verdicts) == len(reference.verdicts)
         for got, want in zip(report.verdicts, reference.verdicts):
             assert got.residual_zero == want.residual_zero
@@ -836,10 +909,7 @@ def test_scaled_base_relations_scale_certificates_inversely(monkeypatch, name, f
             for (_, c_got, _), (_, c_want, _) in zip(got.certificate, want.certificate):
                 _assert_exact(c_got)
                 assert c_got * factor == c_want
-    assert built and residuals
-    for residual in residuals:
-        for value in residual.values():
-            _assert_exact(value)
+    assert built
     for ech in built:
         # every head was divided out, and the certificates show by how much
         assert all(vec[lead] == 1 for lead, (vec, _) in ech.pivots.items())
