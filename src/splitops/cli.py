@@ -199,10 +199,10 @@ def _verify_family(args, out):
     t = _load_type(args.type)
     laws = []
     for part in args.laws.split(","):
-        kind, _, weight = part.partition(":")
-        laws.append(
-            _option("--laws", operatorver.law_from_name, kind.strip(), weight.strip() or None)
-        )
+        kind, colon, weight = part.partition(":")
+        # "rb:" names an empty weight, which law_from_name refuses
+        weight = weight.strip() if colon else None
+        laws.append(_option("--laws", operatorver.law_from_name, kind.strip(), weight))
     report = operatorver.verify_commuting_family(t, laws, budget=args.steps)
     out(report.to_json() if args.json else report.describe())
     return EXIT_OK if report.all_verified else EXIT_CHECK_FAILED

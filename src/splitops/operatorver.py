@@ -56,6 +56,19 @@ certificate that exists for one base only, where placing drops a shape
 of a pattern or combines instances of several base relations, is not
 searched for.  A rewrite step is one rewrite of one word pattern.
 
+The product is never built.  Its name and generator labels are
+:func:`products.square_generators` folded over the base and the law
+factors, and its relation k is box(r_b, r_f), r_f relation f of the
+composite factor F, the square of the law factors.  No validation is
+lost, by the product lemma: if F has independent L blocks and independent
+R blocks, base sq F is valid for every valid base.  If sum_f y_f (x) r_f
+in R_B (x) R_F has box 0, the independent L(r_f) give every L(y_f) = 0
+and the R(r_f) every R(y_f) = 0, so y_f = 0: box is injective.  The star
+s_B (x) s_F is nonzero with associativity box(assoc(s_B), assoc(s_F)) by
+bilinearity, and a starless base gives a starless product.  trialgebra,
+ns, dendriform, dipterous, anti_dipterous and their Kronecker composites,
+every factor the verifier takes, meet the premise.
+
 Every coefficient is an int or a Fraction: the formal weight l is a
 grading.  Give l and each symbol of a formal-weight operator degree 1,
 and let d(t) count those symbols in the words of a term t.  The rb rule,
@@ -84,11 +97,12 @@ import json
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from . import catalog
 from .exactalg import ExactAlgebraError, canonical, format_scalar, rational_from_text
 from .typecore import RelationElement, TypePresentation, format_relation, require_valid
-from .products import box_relation, square
+from .products import box_relation, square, square_generators
 
 DEFAULT_STEP_BUDGET = 100_000
 MAX_FAMILY = 3  # operators in one commuting family
@@ -645,20 +659,14 @@ class _Verifier:
         for symbol, table in zip(self.symbols, tables):
             self.grading.check_table(table, symbol)
         self.normalizer = Normalizer(self.laws, self.symbols, budget)
-        # read for its labels and name, and built to check that the product
-        # is a valid presentation; residuals come from the factors below
-        product = base
-        for factor in factors:
-            product = square(product, factor)
-        self.product = product
-        self.factor_dims = [f.dim for f in factors]
+        self.factors = tuple(factors)
         # the relations of the composite factor, in square's order: product
-        # relation k is box(base relation b, factor relation f) for
-        # b, f = divmod(k, len(self.factor_relations))
-        relations = factors[0].relations
-        for factor in factors[1:]:
-            relations = [box_relation(a, b) for a in relations for b in factor.relations]
-        self.factor_relations = relations
+        # relation k, named but never built, is box(base relation b, factor
+        # relation f) for b, f = divmod(k, len(self.factor_relations))
+        self.factor_relations = reduce(square, factors).relations
+        generators = reduce(square_generators, [t.generators for t in (base, *factors)])
+        self.product_name = generators.name
+        self.product_labels = generators.labels
         # each base relation's nonzeros as (block, gin, gout, c): the base
         # generators of the inner and the outer product of its term
         self.base_nonzeros = [
@@ -675,8 +683,8 @@ class _Verifier:
 
     def _decompose(self, index: int):
         taus = []
-        for mdim in reversed(self.factor_dims):
-            index, tau = divmod(index, mdim)
+        for factor in reversed(self.factors):
+            index, tau = divmod(index, factor.dim)
             taus.append(tau)
         taus.reverse()
         return index, tuple(taus)
@@ -763,21 +771,13 @@ class _Verifier:
                     out[(block, gin, gout) + key[1:]] = c * x
         return out
 
-    def verify_relation(self, index: int) -> RelationVerdict:
-        """The verdict of one product relation, from a fresh echelon."""
-        b, f = divmod(index, len(self.factor_relations))
-        pattern = self._factor_pattern(f)
-        solved = self._echelon(*_candidate_geometry(pattern)).solve(pattern)
-        return self._certify(index, b, pattern, solved)
-
     def run(self, type_name: str, law_desc: str, experimental=False) -> VerificationReport:
         """Verify every product relation, one pattern solve per factor
         relation (see the module docstring).
 
         Factor relations whose patterns have the same candidate geometry
-        are solved against one echelon, built in the same insertion order
-        as :meth:`verify_relation` builds it, so every certificate is the
-        same; only one echelon is alive at a time.
+        are solved against one echelon of that geometry, which solving
+        leaves unchanged; only one echelon is alive at a time.
         """
         solutions = [None] * len(self.factor_relations)
         groups: dict = {}
@@ -793,21 +793,23 @@ class _Verifier:
             # of the largest single echelon
             del echelon
         verdicts = []
-        for index in range(len(self.product.relations)):
-            b, f = divmod(index, len(solutions))
-            verdicts.append(self._certify(index, b, self._factor_pattern(f), solutions[f]))
+        for index in range(len(self.base.relations) * len(solutions)):
+            f = index % len(solutions)
+            verdicts.append(self._certify(index, self._factor_pattern(f), solutions[f]))
         return VerificationReport(
-            type_name, law_desc, self.product.name, tuple(verdicts), experimental
+            type_name, law_desc, self.product_name, tuple(verdicts), experimental
         )
 
-    def _certify(self, index: int, b: int, pattern: dict, solved) -> RelationVerdict:
+    def _certify(self, index: int, pattern: dict, solved) -> RelationVerdict:
         """The verdict of product relation ``index`` = box(r_b, r_f): the
         pattern n_f and its certificate ``solved``, both placed at r_b.
 
         A residual with no certificate, or whose placed certificate does
         not sum back to it, fails with the residual shown.
         """
-        label = format_relation(self.product.relations[index], self.product.generators.labels)
+        b, f = divmod(index, len(self.factor_relations))
+        relation = box_relation(self.base.relations[b], self.factor_relations[f])
+        label = format_relation(relation, self.product_labels)
         residual = self._placed(b, pattern)
         if not residual:
             return RelationVerdict(index, label, True, residual_zero=True)

@@ -88,11 +88,11 @@ def box_relation(f1: RelationElement, f2: RelationElement) -> RelationElement:
     return RelationElement(m, coeffs)
 
 
-def _product_generators(t1: TypePresentation, t2: TypePresentation, name: str) -> GeneratorSpace:
-    labels = tuple(
-        pair_label(a, b) for a in t1.generators.labels for b in t2.generators.labels
-    )
-    return GeneratorSpace(name, labels)
+def square_generators(g1: GeneratorSpace, g2: GeneratorSpace, name: str | None = None):
+    """The generators of the square product: ``(a|b)`` for a in g1, b in
+    g2, in that order, named ``(A sq B)`` unless ``name`` is given."""
+    labels = tuple(pair_label(a, b) for a in g1.labels for b in g2.labels)
+    return GeneratorSpace(name or f"({g1.name} sq {g2.name})", labels)
 
 
 def _product_star(t1: TypePresentation, t2: TypePresentation):
@@ -110,8 +110,7 @@ def square(t1: TypePresentation, t2: TypePresentation, name: str | None = None) 
     """
     require_valid(t1)
     require_valid(t2)
-    name = name or f"({t1.name} sq {t2.name})"
-    gens = _product_generators(t1, t2, name)
+    gens = square_generators(t1.generators, t2.generators, name)
     star = _product_star(t1, t2)
     relations = [box_relation(f1, f2) for f1 in t1.relations for f2 in t2.relations]
     result = TypePresentation(
@@ -139,9 +138,8 @@ def maltese(t1: TypePresentation, t2: TypePresentation, name: str | None = None)
     """
     require_valid(t1)
     require_valid(t2)
-    name = name or f"({t1.name} mx {t2.name})"
     m1, m2 = t1.dim, t2.dim
-    gens = _product_generators(t1, t2, name)
+    gens = square_generators(t1.generators, t2.generators, name or f"({t1.name} mx {t2.name})")
     star = _product_star(t1, t2)
 
     full1 = _full_space_basis(m1)

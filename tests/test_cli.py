@@ -287,6 +287,11 @@ def test_a_directory_in_place_of_a_file_is_a_usage_error(tmp_path, argv):
         (("verify-operator", "dendriform", "--law", "rb0", "--weight", "1"),
          "--weight", "takes no weight"),
         (("verify-family", "dendriform", "--laws", "leftrb:1"), "--laws", "takes no weight"),
+        # an empty weight after the colon is not the formal weight
+        (("verify-family", "dendriform", "--laws", "rb:"), "--laws", "found ''"),
+        (("verify-family", "dendriform", "--laws", "rb:formal,rb: "), "--laws", "found ''"),
+        (("verify-family", "dendriform", "--laws", "nijenhuis:"), "--laws", "takes no weight"),
+        (("verify-family", "dendriform", "--laws", "leftrb:"), "--laws", "takes no weight"),
         (("verify-operator", "dendriform", "--law", "rb", "--weight", "half"),
          "--weight", "expected a rational p or p/q such as -1/2, found 'half'"),
         # text that Fraction reads but format_scalar never writes

@@ -5,6 +5,7 @@ import json
 import random
 import weakref
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ import pytest
 import splitops.operatorver as ov
 from splitops import catalog
 from splitops.cli import main
-from splitops.exactalg import ExactAlgebraError, ScalarKindMismatch, canonical
+from splitops.exactalg import ExactAlgebraError, ScalarKindMismatch, Subspace, canonical
+from splitops.products import square
 from splitops.typecore import (
     GeneratorSpace,
     RelationElement,
@@ -39,6 +41,12 @@ def powers(comb, law):
 
 def term2(wx, wy, wout=()):
     return (2, -1, 0, tuple(wx), tuple(wy), (), (), tuple(wout))
+
+
+def _product(v):
+    """The product presentation a verifier names and never builds: square
+    folded over the base and the law factors, as the reference."""
+    return reduce(square, v.factors, v.base)
 
 
 def test_rb_single_step():
@@ -125,7 +133,7 @@ def test_case_three_substitution_matches_proof_chain():
     # on the left and P(x) o (P(y) o z) on the right, both already normal
     a = catalog.get("associative")
     v = ov._make_verifier(a, [ov.rb(None)], ov.DEFAULT_STEP_BUDGET)
-    rel = v.product.relations[2]
+    rel = _product(v).relations[2]
     diff = v.normalizer.normalize(v.substitute(rel))
     assert diff == {
         (0, 0, 0, (), (P,), (), (P,), ()): 1,
@@ -136,7 +144,7 @@ def test_case_three_substitution_matches_proof_chain():
     assert list(powers(diff, ov.rb(None)).values()) == [0, 0, 1, 0]
     # and the residual is certified by the associativity instance on
     # (P(x), P(y), z): its left half rewrites into the three wrapped terms
-    verdict = v.verify_relation(2)
+    verdict = v.run(a.name, "law").verdicts[2]
     assert verdict.verified
     tags = [tag for tag, *_ in verdict.certificate]
     assert (0, ((P,), (P,), ()), ()) in tags
@@ -147,8 +155,8 @@ def test_verifier_substitutions_are_strategy_independent():
     law = ov.rb(None)
     v = ov._make_verifier(tri, [law], ov.DEFAULT_STEP_BUDGET)
     outer = ov.Normalizer(v.laws, v.symbols, strategy="outermost")
-    for index in range(0, len(v.product.relations), 7):
-        comb = v.substitute(v.product.relations[index])
+    for rel in _product(v).relations[::7]:
+        comb = v.substitute(rel)
         assert v.normalizer.normalize(comb) == outer.normalize(comb)
 
 
@@ -221,10 +229,12 @@ def test_certificates_reproduce_residuals():
     t = catalog.get("dendriform")
     law = ov.rb(None)
     v = ov._make_verifier(t, [law], ov.DEFAULT_STEP_BUDGET)
-    for index in range(len(v.product.relations)):
-        verdict = v.verify_relation(index)
+    report = v.run(t.name, law.describe())
+    product = _product(v)
+    assert len(report.verdicts) == len(product.relations)
+    for verdict, rel in zip(report.verdicts, product.relations):
         assert verdict.verified
-        residual = v.normalizer.normalize(v.substitute(v.product.relations[index]))
+        residual = v.normalizer.normalize(v.substitute(rel))
         rebuilt = {}
         for tag, coeff, _power in verdict.certificate:
             for term, c in v.instance_vector(tag).items():
@@ -241,7 +251,7 @@ def test_specialization_coherence_at_weight_zero():
     # trialgebra relations 1-3 mirror the dendriform relations
     for t_index, d_index in ((0, 0), (1, 1), (2, 2)):
         formal_residual = formal.normalizer.normalize(
-            formal.substitute(formal.product.relations[t_index])
+            formal.substitute(_product(formal).relations[t_index])
         )
         # at weight 0 only the terms whose coefficient has no power of the
         # formal weight survive
@@ -251,7 +261,7 @@ def test_specialization_coherence_at_weight_zero():
             if formal.grading.power(term[3:]) == 0
         }
         zero_residual = at_zero.normalizer.normalize(
-            at_zero.substitute(at_zero.product.relations[d_index])
+            at_zero.substitute(_product(at_zero).relations[d_index])
         )
         assert specialized == zero_residual
 
@@ -396,8 +406,9 @@ def _oracle_verdicts(v):
     reference for ``run``.
     """
     verdicts = []
-    for index, rel in enumerate(v.product.relations):
-        label = format_relation(rel, v.product.generators.labels)
+    product = _product(v)
+    for index, rel in enumerate(product.relations):
+        label = format_relation(rel, product.generators.labels)
         residual = v.normalizer.normalize(v.substitute(rel))
         if not residual:
             verdicts.append(ov.RelationVerdict(index, label, True, residual_zero=True))
@@ -459,6 +470,7 @@ def _assert_run_matches_the_oracle(v, name):
     report = v.run(name, "law")
     oracle = _oracle_verdicts(v)
     assert report.verdicts == oracle
+    assert report.product_name == _product(v).name
     rebuilt = ov.VerificationReport(name, "law", report.product_name, oracle)
     assert report.to_json() == rebuilt.to_json()
 
@@ -470,6 +482,36 @@ def _assert_run_matches_the_oracle(v, name):
 )
 def test_shared_echelons_match_the_per_relation_rebuild(name, laws):
     _assert_run_matches_the_oracle(_verifier(name, [_LAWS[law]() for law in laws]), name)
+
+
+def _block_rank(t, block):
+    """The rank of the L (block 0) or R (block 1) blocks of t's relations."""
+    mm = t.dim * t.dim
+    rows = [
+        {k - block * mm: c for k, c in rel.coeffs.items() if k // mm == block}
+        for rel in t.relations
+    ]
+    return Subspace.from_rows(mm, rows).dim
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(factor,) for factor in sorted({factor for factor, _ in ov._LAW_TABLE.values()})]
+    # rb of weight 0 and the dendriform splitting
+    + [("dendriform",)]
+    # the composite factors of the criterion-6 families
+    + [
+        tuple(ov.predicted_factor_name(_LAWS[law]()) for law in laws)
+        for _name, laws in _CRITERION_6_FAMILIES
+    ],
+    ids="+".join,
+)
+def test_every_factor_has_independent_l_blocks_and_independent_r_blocks(factors):
+    # the precondition of the product lemma: box is then injective on
+    # R_base (x) R_factor, so the product of a valid base is valid
+    composite = reduce(square, [catalog.get(name) for name in factors])
+    for block in (0, 1):
+        assert _block_rank(composite, block) == len(composite.relations), block
 
 
 def _random_base(seed):
@@ -555,7 +597,7 @@ def test_generator_blind_rewriting_matches_the_reference_definitions(make):
     assert report.all_verified
     steps = v.normalizer.steps
     reference = ov.Normalizer(v.laws, v.symbols)
-    for index, rel in enumerate(v.product.relations):
+    for index, rel in enumerate(_product(v).relations):
         residual = reference.normalize(v.substitute(rel))
         b, f = divmod(index, len(v.factor_relations))
         assert v._placed(b, v._factor_pattern(f)) == residual, index
@@ -656,9 +698,6 @@ def test_a_wrong_certificate_is_reported_failed(monkeypatch):
         assert verdict.verified == verdict.residual_zero
         assert not verdict.certificate
         assert verdict.residual_zero or verdict.residual
-    v = ov._make_verifier(a, [ov.rb(None)], ov.DEFAULT_STEP_BUDGET)
-    verdict = v.verify_relation(2)
-    assert not verdict.verified and verdict.residual
 
 
 def test_a_wrong_derived_table_fails_visibly():
@@ -673,7 +712,6 @@ def test_a_wrong_derived_table_fails_visibly():
     failed = [verdict.index for verdict in report.verdicts if not verdict.verified]
     assert failed == [0, 1, 2, 3, 4]
     for verdict in report.verdicts:
-        assert v.verify_relation(verdict.index) == verdict
         if verdict.verified:
             assert verdict.certificate
         else:
@@ -755,8 +793,9 @@ def _holds_at(name, laws, verdicts, weight):
     a verifier built with rb(weight) computes."""
     at_weight = [ov.rb(weight) if law.formal else law for law in laws]
     v = _verifier(name, at_weight)
+    relations = _product(v).relations
     for verdict in verdicts:
-        residual = v.normalizer.normalize(v.substitute(v.product.relations[verdict.index]))
+        residual = v.normalizer.normalize(v.substitute(relations[verdict.index]))
         rebuilt = {}
         for tag, c, k in verdict.certificate:
             for term, x in v.instance_vector(tag).items():
@@ -792,7 +831,7 @@ def test_a_context_word_counts_toward_the_power():
     v = _verifier("associative", [ov.rb(None)])
     target = v._instance_pattern(*tag[1:])
     solved = v._echelon(*ov._candidate_geometry(target)).solve(target)
-    verdict = v._certify(0, 0, target, solved)
+    verdict = v._certify(0, target, solved)
     assert verdict.certificate == ((tag, 1, 0),)
 
 
