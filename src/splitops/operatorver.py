@@ -48,13 +48,18 @@ placing lemma: if n_f = sum c_s * q_s, then
 
 So the verifier solves each nonzero n_f once, against an echelon of the
 q_s of its candidate geometry, and places that certificate at every base
-relation.  Each placed certificate is still summed again from the placed
-instances and compared with the placed residual, base by base, and that
-check gives the verdict.  A FAILED verdict means that no pattern
-certificate exists (or that the re-check caught a wrong one).  A
-certificate that exists for one base only, where placing drops a shape
-of a pattern or combines instances of several base relations, is not
-searched for.  A rewrite step is one rewrite of one word pattern.
+relation.  The solve and its rewrite steps read no base and no operator
+name, so a process solves each tuple of law kinds and weights once and
+keeps the n_f, the certificates, the q_s they use and the step count.
+Reuse is sound: each placed certificate is still summed again from the
+placed instances and compared with the placed residual, base by base,
+and that check gives the verdict.  A reused solve that took more steps
+than the budget raises as solving again would, so the budget is exact.
+A FAILED verdict means that no pattern certificate exists (or that the
+re-check caught a wrong one).  A certificate that exists for one base
+only, where placing drops a shape of a pattern or combines instances of
+several base relations, is not searched for.  A rewrite step is one
+rewrite of one word pattern.
 
 The product is never built.  Its name and generator labels are
 :func:`products.square_generators` folded over the base and the law
@@ -93,9 +98,10 @@ at most one, and none unless its law has the formal weight.
 
 from __future__ import annotations
 
+import copy
 import json
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
@@ -582,14 +588,22 @@ class _Echelon:
 @dataclass(frozen=True)
 class RelationVerdict:
     """``certificate`` holds (instance tag, c, k): the instance enters with
-    coefficient c * l^k, for the formal weight l."""
+    coefficient c * l^k, for the formal weight l.  ``label`` is the relation's
+    text, or the (r_b, r_f, product labels) :attr:`relation` formats it from."""
 
     index: int
-    relation: str
+    label: str | tuple = field(compare=False)
     verified: bool
     certificate: tuple = ()
     residual: tuple = ()
     residual_zero: bool = False
+
+    @property
+    def relation(self) -> str:
+        if isinstance(self.label, str):
+            return self.label
+        r_b, r_f, labels = self.label
+        return format_relation(box_relation(r_b, r_f), labels)
 
     def describe(self) -> str:
         status = "verified" if self.verified else "FAILED"
@@ -647,11 +661,12 @@ class VerificationReport:
         return json.dumps(obj, indent=2)
 
 
-class _Verifier:
-    """Shared machinery for single laws, families and the closing lemma."""
+class _LawSolve:
+    """The base-free half of a verifier: the laws' composite factor, the
+    patterns n_f, one certificate per factor relation and the steps taken.
+    Nothing here reads a base or an operator name (see the module docstring)."""
 
-    def __init__(self, base, laws, factors, tables, budget):
-        self.base = base
+    def __init__(self, laws, factors, tables, budget):
         self.laws = tuple(laws)
         self.symbols = tuple(range(len(self.laws)))
         self.tables = tables
@@ -664,22 +679,36 @@ class _Verifier:
         # relation k, named but never built, is box(base relation b, factor
         # relation f) for b, f = divmod(k, len(self.factor_relations))
         self.factor_relations = reduce(square, factors).relations
-        generators = reduce(square_generators, [t.generators for t in (base, *factors)])
-        self.product_name = generators.name
-        self.product_labels = generators.labels
-        # each base relation's nonzeros as (block, gin, gout, c): the base
-        # generators of the inner and the outer product of its term
-        self.base_nonzeros = [
-            tuple(
-                (block, i, j, c) if block == 0 else (block, j, i, c)
-                for block, i, j, c in rel.nonzero()
-            )
-            for rel in base.relations
-        ]
         self._entry_cache: dict = {}
         # normalized patterns: n_f under the factor-relation index f, and
         # q_s under the instance's (leaf-word triple, context)
         self._patterns: dict = {}
+        # one certificate per factor relation (None where n_f has none),
+        # against one echelon per candidate geometry, alive one at a time
+        solutions = [None] * len(self.factor_relations)
+        groups: dict = {}
+        for f in range(len(solutions)):
+            pattern = self._factor_pattern(f)
+            if pattern:
+                groups.setdefault(_candidate_geometry(pattern), []).append(f)
+        for (triples, contexts), group in groups.items():
+            echelon = self._echelon(triples, contexts)
+            for f in group:
+                solutions[f] = echelon.solve(self._factor_pattern(f))
+            # freed before the next one is built, so peak memory stays that
+            # of the largest single echelon
+            del echelon
+        self.solutions = tuple(solutions)
+        self.steps = self.normalizer.steps
+
+    def kept(self) -> _LawSolve:
+        """The copy the solve memo keeps: no laws, tables, normalizer and
+        its memo, or q_s that no certificate uses."""
+        used = {tag for solved in self.solutions if solved for tag in solved}
+        kept = copy.copy(self)
+        kept.laws = kept.tables = kept.normalizer = kept._entry_cache = None
+        kept._patterns = {k: p for k, p in self._patterns.items() if type(k) is int or k in used}
+        return kept
 
     def _decompose(self, index: int):
         taus = []
@@ -760,6 +789,35 @@ class _Verifier:
             pattern = self._patterns[triple, ctx] = self._pattern(comb)
         return pattern
 
+    def _echelon(self, triples, contexts) -> _Echelon:
+        """Membership echelon of the instance patterns of one geometry."""
+        ech = _Echelon()
+        for triple in triples:
+            for ctx in contexts:
+                pattern = self._instance_pattern(triple, ctx)
+                if pattern:
+                    ech.insert(pattern, (triple, ctx))
+        return ech
+
+
+class _Verifier:
+    """A law solve placed on one base: product relation box(r_b, r_f) is
+    n_f and its certificate placed at r_b, and re-checked there."""
+
+    def __init__(self, base, laws, solve: _LawSolve):
+        self.base = base
+        self.names = [law.name for law in laws]
+        self.solve = solve
+        generators = reduce(square_generators, [t.generators for t in (base, *solve.factors)])
+        self.product_name = generators.name
+        self.product_labels = generators.labels
+        # each base relation's nonzeros as (block, gin, gout, c): the base
+        # generators of the inner and the outer product of its term
+        self.base_nonzeros = [
+            tuple((blk, i, j, c) if blk == 0 else (blk, j, i, c) for blk, i, j, c in rel.nonzero())
+            for rel in base.relations
+        ]
+
     def _placed(self, b: int, pattern: dict) -> dict:
         """A pattern placed at every nonzero of base relation ``b``: it
         takes the base generators and the coefficient of each nonzero of
@@ -772,30 +830,13 @@ class _Verifier:
         return out
 
     def run(self, type_name: str, law_desc: str, experimental=False) -> VerificationReport:
-        """Verify every product relation, one pattern solve per factor
-        relation (see the module docstring).
-
-        Factor relations whose patterns have the same candidate geometry
-        are solved against one echelon of that geometry, which solving
-        leaves unchanged; only one echelon is alive at a time.
-        """
-        solutions = [None] * len(self.factor_relations)
-        groups: dict = {}
-        for f in range(len(solutions)):
-            pattern = self._factor_pattern(f)
-            if pattern:
-                groups.setdefault(_candidate_geometry(pattern), []).append(f)
-        for (triples, contexts), group in groups.items():
-            echelon = self._echelon(triples, contexts)
-            for f in group:
-                solutions[f] = echelon.solve(self._factor_pattern(f))
-            # freed before the next one is built, so peak memory stays that
-            # of the largest single echelon
-            del echelon
-        verdicts = []
-        for index in range(len(self.base.relations) * len(solutions)):
-            f = index % len(solutions)
-            verdicts.append(self._certify(index, self._factor_pattern(f), solutions[f]))
+        """Verify every product relation: place n_f and its certificate at
+        r_b, and check them there."""
+        n = len(self.solve.solutions)
+        verdicts = [
+            self._certify(k, self.solve._factor_pattern(k % n), self.solve.solutions[k % n])
+            for k in range(len(self.base.relations) * n)
+        ]
         return VerificationReport(
             type_name, law_desc, self.product_name, tuple(verdicts), experimental
         )
@@ -807,9 +848,9 @@ class _Verifier:
         A residual with no certificate, or whose placed certificate does
         not sum back to it, fails with the residual shown.
         """
-        b, f = divmod(index, len(self.factor_relations))
-        relation = box_relation(self.base.relations[b], self.factor_relations[f])
-        label = format_relation(relation, self.product_labels)
+        factor_relations, grading = self.solve.factor_relations, self.solve.grading
+        b, f = divmod(index, len(factor_relations))
+        label = (self.base.relations[b], factor_relations[f], self.product_labels)
         residual = self._placed(b, pattern)
         if not residual:
             return RelationVerdict(index, label, True, residual_zero=True)
@@ -817,22 +858,11 @@ class _Verifier:
             placed = {(b,) + tag: c for tag, c in solved.items()}
             if self._rebuild(placed) == residual:
                 certificate = tuple(
-                    (tag, c, self.grading.power(tag[1] + (tag[2],))) for tag, c in placed.items()
+                    (tag, c, grading.power(tag[1] + (tag[2],))) for tag, c in placed.items()
                 )
                 return RelationVerdict(index, label, True, certificate=certificate)
-        names = [law.name for law in self.laws]
-        shown = self.grading.show(residual, self.base.generators.labels, names)
+        shown = grading.show(residual, self.base.generators.labels, self.names)
         return RelationVerdict(index, label, False, residual=shown)
-
-    def _echelon(self, triples, contexts) -> _Echelon:
-        """Membership echelon of the instance patterns of one geometry."""
-        ech = _Echelon()
-        for triple in triples:
-            for ctx in contexts:
-                pattern = self._instance_pattern(triple, ctx)
-                if pattern:
-                    ech.insert(pattern, (triple, ctx))
-        return ech
 
     def _rebuild(self, certificate: dict) -> dict:
         """Sum of coefficient times freshly placed instance, not read from
@@ -848,7 +878,7 @@ class _Verifier:
         its pattern placed at base relation b.  It equals the normalized
         :func:`relation_instance`."""
         b, triple, ctx = tag
-        return self._placed(b, self._instance_pattern(triple, ctx))
+        return self._placed(b, self.solve._instance_pattern(triple, ctx))
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -859,14 +889,29 @@ def _merge(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(a + b))
 
 
+_SOLVE_MEMO_SIZE = 64
+_SOLVES: dict = {}  # (kind, weight) of each law -> its kept law solve
+
+
 def _make_verifier(t, laws, budget):
+    """``laws`` on ``t``; a memo hit that needs more steps than ``budget``
+    raises as solving would."""
     require_valid(t)
-    factors = [catalog.get(predicted_factor_name(law)) for law in laws]
-    tables = [
-        derived_table(law, factor, symbol)
-        for symbol, (law, factor) in enumerate(zip(laws, factors))
-    ]
-    return _Verifier(t, laws, factors, tables, budget)
+    key = tuple((law.kind, law.weight) for law in laws)
+    solve = _SOLVES.get(key)
+    if solve is None:
+        factors = [catalog.get(predicted_factor_name(law)) for law in laws]
+        tables = [
+            derived_table(law, factor, symbol)
+            for symbol, (law, factor) in enumerate(zip(laws, factors))
+        ]
+        solve = _LawSolve(laws, factors, tables, budget)
+        if len(_SOLVES) >= _SOLVE_MEMO_SIZE:
+            del _SOLVES[next(iter(_SOLVES))]
+        _SOLVES[key] = solve.kept()
+    elif solve.steps > budget:
+        raise RewriteBudget("rewrite budget exhausted")
+    return _Verifier(t, laws, solve)
 
 
 def verify_operator_theorem(
@@ -953,8 +998,8 @@ def _check_modified_operator(name: str, identity: OperatorLaw, law: OperatorLaw,
     return LemmaReport(name, True)
 
 
-def _splitting_verifier(t: TypePresentation, budget: int) -> _Verifier:
-    """The closing construction on ``t`` for P of formal weight:
+def _splitting_solve(budget: int) -> _LawSolve:
+    """The law solve of the closing construction, for P of formal weight:
     x (w|lt) y = x w P(y), x (w|gt) y = weight*(x w y) + P(x) w y."""
     dend = catalog.get("dendriform")
     table = {
@@ -962,7 +1007,7 @@ def _splitting_verifier(t: TypePresentation, budget: int) -> _Verifier:
         # weight*(x w y) at weight 1, which the grading reads as l
         dend.generators.index("gt"): [(1, (), (), ()), (1, (0,), (), ())],
     }
-    return _Verifier(t, (rb(None),), [dend], [table], budget)
+    return _LawSolve((rb(None),), [dend], [table], budget)
 
 
 def verify_operator_lemmas(
@@ -982,9 +1027,10 @@ def verify_operator_lemmas(
             OperatorLaw("nijenhuis"), nijenhuis(), [(1, ()), (-1, (0,))], budget,
         ),
     ]
+    solve = _splitting_solve(budget) if include else None
     for name in include:
         t = catalog.get(name)
-        v = _splitting_verifier(t, budget)
+        v = _Verifier(t, solve.laws, solve)
         report = v.run(t.name, "dendriform splitting by -(modified P)")
         reports.append(
             LemmaReport(

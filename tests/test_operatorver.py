@@ -43,10 +43,28 @@ def term2(wx, wy, wout=()):
     return (2, -1, 0, tuple(wx), tuple(wy), (), (), tuple(wout))
 
 
+B = ov.DEFAULT_STEP_BUDGET
+
+
 def _product(v):
     """The product presentation a verifier names and never builds: square
     folded over the base and the law factors, as the reference."""
-    return reduce(square, v.factors, v.base)
+    return reduce(square, v.solve.factors, v.base)
+
+
+def _fresh(t, laws, budget=B):
+    """A verifier with a law solve of its own, which keeps its normalizer,
+    its tables and every pattern it made: the solve memo is bypassed."""
+    factors = [catalog.get(ov.predicted_factor_name(law)) for law in laws]
+    tables = [ov.derived_table(law, f, k) for k, (law, f) in enumerate(zip(laws, factors))]
+    return ov._Verifier(t, laws, ov._LawSolve(laws, factors, tables, budget))
+
+
+@pytest.fixture
+def cold_solves(monkeypatch):
+    """An empty solve memo for one test, for tests that count what a solve
+    does or patch how it solves; the memo from before comes back after."""
+    monkeypatch.setattr(ov, "_SOLVES", {})
 
 
 def test_rb_single_step():
@@ -132,9 +150,9 @@ def test_case_three_substitution_matches_proof_chain():
     #   P(x o P(y)) o z + P(P(x) o y) o z + weight * P(x o y) o z
     # on the left and P(x) o (P(y) o z) on the right, both already normal
     a = catalog.get("associative")
-    v = ov._make_verifier(a, [ov.rb(None)], ov.DEFAULT_STEP_BUDGET)
+    v = _fresh(a, [ov.rb(None)])
     rel = _product(v).relations[2]
-    diff = v.normalizer.normalize(v.substitute(rel))
+    diff = v.solve.normalizer.normalize(v.solve.substitute(rel))
     assert diff == {
         (0, 0, 0, (), (P,), (), (P,), ()): 1,
         (0, 0, 0, (P,), (), (), (P,), ()): 1,
@@ -153,11 +171,11 @@ def test_case_three_substitution_matches_proof_chain():
 def test_verifier_substitutions_are_strategy_independent():
     tri = catalog.get("trialgebra")
     law = ov.rb(None)
-    v = ov._make_verifier(tri, [law], ov.DEFAULT_STEP_BUDGET)
-    outer = ov.Normalizer(v.laws, v.symbols, strategy="outermost")
+    v = _fresh(tri, [law])
+    outer = ov.Normalizer(v.solve.laws, v.solve.symbols, strategy="outermost")
     for rel in _product(v).relations[::7]:
-        comb = v.substitute(rel)
-        assert v.normalizer.normalize(comb) == outer.normalize(comb)
+        comb = v.solve.substitute(rel)
+        assert v.solve.normalizer.normalize(comb) == outer.normalize(comb)
 
 
 def test_normalization_strategy_independent():
@@ -228,13 +246,13 @@ def test_every_nonzero_residual_carries_a_certificate():
 def test_certificates_reproduce_residuals():
     t = catalog.get("dendriform")
     law = ov.rb(None)
-    v = ov._make_verifier(t, [law], ov.DEFAULT_STEP_BUDGET)
+    v = _fresh(t, [law])
     report = v.run(t.name, law.describe())
     product = _product(v)
     assert len(report.verdicts) == len(product.relations)
     for verdict, rel in zip(report.verdicts, product.relations):
         assert verdict.verified
-        residual = v.normalizer.normalize(v.substitute(rel))
+        residual = v.solve.normalizer.normalize(v.solve.substitute(rel))
         rebuilt = {}
         for tag, coeff, _power in verdict.certificate:
             for term, c in v.instance_vector(tag).items():
@@ -246,12 +264,12 @@ def test_specialization_coherence_at_weight_zero():
     # verifying with the formal weight and evaluating at 0 agrees with
     # verifying at weight 0 on the relations the two products share
     a = catalog.get("associative")
-    formal = ov._make_verifier(a, [ov.rb(None)], ov.DEFAULT_STEP_BUDGET)
-    at_zero = ov._make_verifier(a, [ov.rb(0)], ov.DEFAULT_STEP_BUDGET)
+    formal = _fresh(a, [ov.rb(None)]).solve
+    at_zero = _fresh(a, [ov.rb(0)]).solve
     # trialgebra relations 1-3 mirror the dendriform relations
     for t_index, d_index in ((0, 0), (1, 1), (2, 2)):
         formal_residual = formal.normalizer.normalize(
-            formal.substitute(_product(formal).relations[t_index])
+            formal.substitute(square(a, formal.factors[0]).relations[t_index])
         )
         # at weight 0 only the terms whose coefficient has no power of the
         # formal weight survive
@@ -261,7 +279,7 @@ def test_specialization_coherence_at_weight_zero():
             if formal.grading.power(term[3:]) == 0
         }
         zero_residual = at_zero.normalizer.normalize(
-            at_zero.substitute(_product(at_zero).relations[d_index])
+            at_zero.substitute(square(a, at_zero.factors[0]).relations[d_index])
         )
         assert specialized == zero_residual
 
@@ -396,20 +414,22 @@ def _geometry(residual):
     return ov._candidate_geometry({(t[0],) + t[3:] for t in residual})
 
 
-def _oracle_verdicts(v):
-    """The per-relation, per-base rebuild: every product relation is
-    substituted and normalized whole and solved against a fresh echelon of
-    the instances of every base relation.
+def _oracle_verdicts(t, laws):
+    """The per-relation, per-base rebuild: every product relation of
+    ``laws`` on ``t`` is substituted and normalized whole and solved against
+    a fresh echelon of the instances of every base relation.
 
     This is the verifier before it solved each factor relation once as a
     pattern and placed the certificate at every base relation, kept as the
-    reference for ``run``.
+    reference for ``run``.  It shares nothing with the solve memo.
     """
+    v = _fresh(t, laws)
+    normalizer, grading = v.solve.normalizer, v.solve.grading
     verdicts = []
     product = _product(v)
     for index, rel in enumerate(product.relations):
         label = format_relation(rel, product.generators.labels)
-        residual = v.normalizer.normalize(v.substitute(rel))
+        residual = normalizer.normalize(v.solve.substitute(rel))
         if not residual:
             verdicts.append(ov.RelationVerdict(index, label, True, residual_zero=True))
             continue
@@ -418,26 +438,36 @@ def _oracle_verdicts(v):
         for r_idx, base_rel in enumerate(v.base.relations):
             for triple in triples:
                 for ctx in contexts:
-                    inst = v.normalizer.normalize(ov.relation_instance(base_rel, triple, ctx))
+                    inst = normalizer.normalize(ov.relation_instance(base_rel, triple, ctx))
                     if inst:
                         ech.insert(inst, (r_idx, triple, ctx))
         solved = ech.solve(residual)
         assert solved is not None, index  # these runs certify at the first depth
         certificate = tuple(
-            (tag, c, v.grading.power(tag[1] + (tag[2],))) for tag, c in solved.items()
+            (tag, c, grading.power(tag[1] + (tag[2],))) for tag, c in solved.items()
         )
         verdicts.append(ov.RelationVerdict(index, label, True, certificate=certificate))
     return tuple(verdicts)
 
 
+def _named(laws):
+    """``laws`` with the operator names verify_commuting_family gives a
+    family."""
+    if len(laws) == 1:
+        return list(laws)
+    return [
+        ov.OperatorLaw(law.kind, law.weight, f"{law.name}{k + 1}") for k, law in enumerate(laws)
+    ]
+
+
 def _verifier(name, laws):
-    if len(laws) > 1:
-        # the operator names verify_commuting_family gives a family
-        laws = [
-            ov.OperatorLaw(law.kind, law.weight, f"{law.name}{k + 1}")
-            for k, law in enumerate(laws)
-        ]
-    return ov._make_verifier(catalog.get(name), laws, ov.DEFAULT_STEP_BUDGET)
+    return ov._make_verifier(catalog.get(name), _named(laws), B)
+
+
+def _splitting(name):
+    """The closing construction of the lemmas on ``name``."""
+    solve = ov._splitting_solve(B)
+    return ov._Verifier(catalog.get(name), solve.laws, solve)
 
 
 _CRITERION_6_SINGLES = [
@@ -466,9 +496,10 @@ _CRITERION_6_FAMILIES = [
 ]
 
 
-def _assert_run_matches_the_oracle(v, name):
+def _assert_run_matches_the_oracle(v, laws):
+    name = v.base.name
     report = v.run(name, "law")
-    oracle = _oracle_verdicts(v)
+    oracle = _oracle_verdicts(v.base, laws)
     assert report.verdicts == oracle
     assert report.product_name == _product(v).name
     rebuilt = ov.VerificationReport(name, "law", report.product_name, oracle)
@@ -481,7 +512,8 @@ def _assert_run_matches_the_oracle(v, name):
     ids=lambda x: "+".join(x) if isinstance(x, tuple) else x,
 )
 def test_shared_echelons_match_the_per_relation_rebuild(name, laws):
-    _assert_run_matches_the_oracle(_verifier(name, [_LAWS[law]() for law in laws]), name)
+    laws = _named([_LAWS[law]() for law in laws])
+    _assert_run_matches_the_oracle(ov._make_verifier(catalog.get(name), laws, B), laws)
 
 
 def _block_rank(t, block):
@@ -544,7 +576,104 @@ def test_pattern_solves_match_the_per_base_rebuild_on_random_bases(law):
     # equals the one a per-base echelon finds
     for seed in range(60):
         t = _random_base(seed)
-        _assert_run_matches_the_oracle(ov._make_verifier(t, [law], ov.DEFAULT_STEP_BUDGET), t.name)
+        _assert_run_matches_the_oracle(ov._make_verifier(t, [law], B), [law])
+
+
+# -- one law solve per process -------------------------------------------------
+
+
+def _key(laws):
+    return tuple((law.kind, law.weight) for law in laws)
+
+
+def _warm_on_other_bases(laws):
+    """Solve ``laws`` into the memo on bases other than the ones under test,
+    a relabelled trialgebra and a scaled dendriform, under other names."""
+    others = (
+        relabel(catalog.get("trialgebra"), {"lt": "gt", "gt": "cir", "cir": "lt"}),
+        _scaled(catalog.get("dendriform"), F(-1, 3)),
+    )
+    renamed = [ov.OperatorLaw(law.kind, law.weight, f"Q{k}") for k, law in enumerate(laws)]
+    for t in others:
+        assert ov._make_verifier(t, renamed, B).run(t.name, "law").all_verified
+
+
+def _assert_warm_gives_the_cold_report(t, laws):
+    ov._SOLVES.clear()
+    cold = ov._make_verifier(t, laws, B).run(t.name, "law")
+    ov._SOLVES.clear()
+    _warm_on_other_bases(laws)
+    kept = ov._SOLVES[_key(laws)]
+    v = ov._make_verifier(t, laws, B)
+    assert v.solve is kept
+    assert v.run(t.name, "law").to_json() == cold.to_json()
+    oracle = ov.VerificationReport(t.name, "law", cold.product_name, _oracle_verdicts(t, laws))
+    assert oracle.to_json() == cold.to_json()
+
+
+@pytest.mark.parametrize(
+    "name, laws",
+    [(name, (law,)) for name, law in _CRITERION_6_SINGLES] + _CRITERION_6_FAMILIES,
+    ids=lambda x: "+".join(x) if isinstance(x, tuple) else x,
+)
+def test_a_warm_memo_gives_the_cold_report(cold_solves, name, laws):
+    _assert_warm_gives_the_cold_report(catalog.get(name), _named([_LAWS[law]() for law in laws]))
+
+
+@pytest.mark.parametrize(
+    "law", [ov.rb(None), ov.nijenhuis(), ov.left_rb()], ids=lambda law: law.describe()
+)
+def test_a_warm_memo_gives_the_cold_report_on_random_bases(cold_solves, law):
+    for seed in range(60):
+        _assert_warm_gives_the_cold_report(_random_base(seed), [law])
+
+
+def test_operator_names_share_one_solve(cold_solves):
+    a, d = catalog.get("associative"), catalog.get("dendriform")
+    ov.verify_commuting_family(a, [ov.rb(None), ov.rb(None)])
+    kept = ov._SOLVES[_key([ov.rb(None)] * 2)]
+    report = ov.verify_commuting_family(d, [ov.rb(None, "Q"), ov.rb(None, "R")])
+    assert report.law == "[rb(weight=formal, Q1) , rb(weight=formal, R2)]"
+    assert ov._SOLVES == {_key([ov.rb(None)] * 2): kept}
+    ov.verify_operator_theorem(a, ov.rb(None))
+    ov.verify_operator_theorem(d, ov.rb(None, "Q"))
+    assert list(ov._SOLVES) == [_key([ov.rb(None)] * 2), _key([ov.rb(None)])]
+
+
+def test_weights_split_solves(cold_solves):
+    a = catalog.get("associative")
+    for weight in (None, 0, "1/2", 1, "2/2", F(1, 2)):
+        assert ov.verify_operator_theorem(a, ov.rb(weight)).all_verified
+    assert list(ov._SOLVES) == [(("rb", w),) for w in (None, 0, F(1, 2), 1)]
+
+
+def test_the_memo_keeps_base_free_results_only(cold_solves):
+    t = catalog.get("trialgebra")
+    v = _verifier("trialgebra", [ov.rb(None), ov.rb(None)])
+    kept = ov._SOLVES[_key([ov.rb(None)] * 2)]
+    assert kept is not v.solve
+    assert kept.laws is kept.tables is kept.normalizer is None
+    assert kept.solutions == v.solve.solutions and kept.steps == v.solve.steps == 44
+    used = {tag for solved in kept.solutions if solved for tag in solved}
+    assert set(kept._patterns) == set(range(len(kept.factor_relations))) | used
+    assert not any(t is value or t.relations is value for value in vars(kept).values())
+
+
+def test_a_budget_failure_keeps_no_solve(cold_solves):
+    t = catalog.get("trialgebra")
+    with pytest.raises(ov.RewriteBudget, match="rewrite budget exhausted"):
+        ov.verify_operator_theorem(t, ov.nijenhuis(), budget=5)
+    assert ov._SOLVES == {}
+    assert ov.verify_operator_theorem(t, ov.nijenhuis()).all_verified
+    assert list(ov._SOLVES) == [(("nijenhuis", None),)]
+
+
+def test_the_memo_is_bounded(cold_solves):
+    a = catalog.get("associative")
+    for k in range(ov._SOLVE_MEMO_SIZE + 2):
+        ov.verify_operator_theorem(a, ov.rb(k + 1))
+    assert len(ov._SOLVES) == ov._SOLVE_MEMO_SIZE
+    assert next(iter(ov._SOLVES)) == (("rb", 3),)
 
 
 # the runs of criterion 6, the two dendriform splittings of the lemmas, and
@@ -560,7 +689,7 @@ _DIFFERENTIAL_RUNS = (
     ]
     + [
         pytest.param(
-            lambda n=name: ov._splitting_verifier(catalog.get(n), ov.DEFAULT_STEP_BUDGET),
+            lambda n=name: _splitting(n),
             id=f"splitting on {name}",
         )
         for name in ("associative", "trialgebra")
@@ -587,20 +716,21 @@ _DIFFERENTIAL_RUNS = (
 
 
 @pytest.mark.parametrize("make", _DIFFERENTIAL_RUNS)
-def test_generator_blind_rewriting_matches_the_reference_definitions(make):
+def test_generator_blind_rewriting_matches_the_reference_definitions(cold_solves, make):
     # the verifier normalizes each substituted factor relation and each
     # instance pattern once, with base generators 0, and then places the
     # base generators; the reference substitutes the whole product relation
     # and every instance, and normalizes them term by term
     v = make()
+    solve = v.solve
     report = v.run("base", "law")
     assert report.all_verified
-    steps = v.normalizer.steps
-    reference = ov.Normalizer(v.laws, v.symbols)
+    steps = solve.normalizer.steps
+    reference = ov.Normalizer(solve.laws, solve.symbols)
     for index, rel in enumerate(_product(v).relations):
-        residual = reference.normalize(v.substitute(rel))
-        b, f = divmod(index, len(v.factor_relations))
-        assert v._placed(b, v._factor_pattern(f)) == residual, index
+        residual = reference.normalize(solve.substitute(rel))
+        b, f = divmod(index, len(solve.factor_relations))
+        assert v._placed(b, solve._factor_pattern(f)) == residual, index
         if not residual:
             continue
         triples, contexts = _geometry(residual)
@@ -611,23 +741,36 @@ def test_generator_blind_rewriting_matches_the_reference_definitions(make):
                     assert v.instance_vector((r_idx, triple, ctx)) == want
     # every normal form was already there, and no more rewriting than the
     # reference needed for the same residuals and instances
-    assert v.normalizer.steps == steps <= reference.steps
+    assert solve.normalizer.steps == solve.steps == steps <= reference.steps
 
 
-def test_the_step_budget_is_exact(capsys):
-    # the steps a run uses are enough, and one fewer is not
+def test_the_step_budget_is_exact(capsys, cold_solves):
+    # the steps a run uses are enough, and one fewer is not, whether the
+    # memo solves the law afresh or has it from a run on another base
     t = catalog.get("trialgebra")
-    v = ov._make_verifier(t, [ov.nijenhuis()], ov.DEFAULT_STEP_BUDGET)
-    assert v.run(t.name, "law").all_verified
-    steps = v.normalizer.steps
-    assert steps > 0
-    argv = ["verify-operator", "trialgebra", "--law", "nijenhuis", "--steps"]
-    assert main(argv + [str(steps)]) == 0
-    assert main(argv + [str(steps - 1)]) == 3
-    assert capsys.readouterr().err == "error: rewrite budget exhausted\n"
-    assert ov.verify_operator_theorem(t, ov.nijenhuis(), budget=steps).all_verified
-    with pytest.raises(ov.RewriteBudget):
-        ov.verify_operator_theorem(t, ov.nijenhuis(), budget=steps - 1)
+
+    def memo(warm):
+        ov._SOLVES.clear()
+        if warm:
+            ov.verify_operator_theorem(catalog.get("dendriform"), ov.nijenhuis("M"))
+
+    for warm in (False, True):
+        memo(warm)
+        v = ov._make_verifier(t, [ov.nijenhuis()], B)
+        assert v.run(t.name, "law").all_verified
+        steps = v.solve.steps
+        assert steps > 0
+        argv = ["verify-operator", "trialgebra", "--law", "nijenhuis", "--steps"]
+        memo(warm)
+        assert main(argv + [str(steps)]) == 0
+        memo(warm)
+        assert main(argv + [str(steps - 1)]) == 3
+        assert capsys.readouterr().err == "error: rewrite budget exhausted\n"
+        memo(warm)
+        assert ov.verify_operator_theorem(t, ov.nijenhuis(), budget=steps).all_verified
+        memo(warm)
+        with pytest.raises(ov.RewriteBudget):
+            ov.verify_operator_theorem(t, ov.nijenhuis(), budget=steps - 1)
 
 
 def test_a_rewrite_never_lengthens_a_word_beyond_two_symbols_per_law():
@@ -639,11 +782,11 @@ def test_a_rewrite_never_lengthens_a_word_beyond_two_symbols_per_law():
     runs = [(name, (law,)) for name, law in _CRITERION_6_SINGLES] + _CRITERION_6_FAMILIES
     longest = {}
     for name, laws in runs + [("associative", ("rb", "rb", "rb"))]:
-        v = _verifier(name, [_LAWS[law]() for law in laws])
+        v = _fresh(catalog.get(name), _named([_LAWS[law]() for law in laws]))
         assert v.run(name, "law").all_verified
         longest[name, laws] = max(
             len(word)
-            for result in v.normalizer._memo.values()
+            for result in v.solve.normalizer._memo.values()
             for term in result
             for word in term[3:]
         )
@@ -651,10 +794,10 @@ def test_a_rewrite_never_lengthens_a_word_beyond_two_symbols_per_law():
     assert longest["associative", ("rb", "rb", "rb")] == 6
 
 
-def test_one_echelon_per_geometry_and_one_alive_at_a_time(monkeypatch):
+def test_one_echelon_per_geometry_and_one_alive_at_a_time(monkeypatch, cold_solves):
     built = []
     live = weakref.WeakSet()
-    real = ov._Verifier._echelon
+    real = ov._LawSolve._echelon
     geometries = []
     real_geometry = ov._candidate_geometry
 
@@ -671,7 +814,7 @@ def test_one_echelon_per_geometry_and_one_alive_at_a_time(monkeypatch):
         geometries.append(pattern)
         return real_geometry(pattern)
 
-    monkeypatch.setattr(ov._Verifier, "_echelon", counting)
+    monkeypatch.setattr(ov._LawSolve, "_echelon", counting)
     monkeypatch.setattr(ov, "_candidate_geometry", counting_geometry)
     report = ov.verify_commuting_family(catalog.get("trialgebra"), [ov.rb(None), ov.rb(None)])
     assert report.all_verified and len(report.verdicts) == 343
@@ -680,7 +823,7 @@ def test_one_echelon_per_geometry_and_one_alive_at_a_time(monkeypatch):
     assert len(geometries) == 49
 
 
-def test_a_wrong_certificate_is_reported_failed(monkeypatch):
+def test_a_wrong_certificate_is_reported_failed(monkeypatch, cold_solves):
     real = ov._Echelon.solve
 
     def off_by_one(self, target):
@@ -707,7 +850,7 @@ def test_a_wrong_derived_table_fails_visibly():
     law = ov.rb(None)
     table = ov.derived_table(law, tri, P)
     table[tri.generators.index("gt")] = [(1, (), (P,), ())]
-    v = ov._Verifier(a, (law,), [tri], [table], ov.DEFAULT_STEP_BUDGET)
+    v = ov._Verifier(a, (law,), ov._LawSolve((law,), [tri], [table], B))
     report = v.run(a.name, "rb with a wrong gt")
     failed = [verdict.index for verdict in report.verdicts if not verdict.verified]
     assert failed == [0, 1, 2, 3, 4]
@@ -735,23 +878,23 @@ def test_a_table_without_a_homogeneous_lift_is_refused():
     # l^-1 times itself; a formal-weight symbol in another law's table for
     # an entry of the wrong degree
     a, tri = catalog.get("associative"), catalog.get("trialgebra")
-    budget = ov.DEFAULT_STEP_BUDGET
     law = ov.rb(None)
     table = ov.derived_table(law, tri, P)
     table[tri.generators.index("gt")] = [(1, (P, P), (), ())]
     with pytest.raises(ExactAlgebraError, match="not homogeneous"):
-        ov._Verifier(a, (law,), [tri], [table], budget)
+        ov._LawSolve((law,), [tri], [table], B)
     laws = (ov.rb(None), ov.rb(0))
     dend = catalog.get("dendriform")
     tables = [ov.derived_table(laws[0], tri, 0), ov.derived_table(laws[1], dend, 1)]
     tables[1][dend.generators.index("lt")] = [(1, (), (0, 1), ())]
     with pytest.raises(ExactAlgebraError, match="not homogeneous"):
-        ov._Verifier(a, laws, [tri, dend], tables, budget)
+        ov._LawSolve(laws, [tri, dend], tables, B)
     # a rational weight carries no grading: two symbols are fine
     law = ov.rb(1)
     table = ov.derived_table(law, tri, P)
     table[tri.generators.index("gt")] = [(1, (P, P), (), ())]
-    assert not ov._Verifier(a, (law,), [tri], [table], budget).run("a", "x").all_verified
+    v = ov._Verifier(a, (law,), ov._LawSolve((law,), [tri], [table], B))
+    assert not v.run("a", "x").all_verified
 
 
 @pytest.mark.parametrize(
@@ -792,10 +935,10 @@ def _holds_at(name, laws, verdicts, weight):
     ``weight``, sums the instances normalized at that weight to the residual
     a verifier built with rb(weight) computes."""
     at_weight = [ov.rb(weight) if law.formal else law for law in laws]
-    v = _verifier(name, at_weight)
+    v = _fresh(catalog.get(name), _named(at_weight))
     relations = _product(v).relations
     for verdict in verdicts:
-        residual = v.normalizer.normalize(v.substitute(relations[verdict.index]))
+        residual = v.solve.normalizer.normalize(v.solve.substitute(relations[verdict.index]))
         rebuilt = {}
         for tag, c, k in verdict.certificate:
             for term, x in v.instance_vector(tag).items():
@@ -815,7 +958,7 @@ def test_certificates_hold_at_enough_weights(name, laws):
     v = _verifier(name, laws)
     report = v.run(name, "law")
     assert report.all_verified
-    degree = v.grading.degree
+    degree = v.solve.grading.degree
     assert degree == 2 * laws.count(ov.rb(None))
     assert all(0 <= k <= degree for verdict in report.verdicts for *_, k in verdict.certificate)
     for weight in _WEIGHTS[: degree + 1]:
@@ -828,9 +971,9 @@ def test_a_context_word_counts_toward_the_power():
     # placed at base relation 0: its two symbols make degree D = 2, so its
     # coefficient carries no l
     tag = (0, ((P,), (), ()), (P,))
-    v = _verifier("associative", [ov.rb(None)])
-    target = v._instance_pattern(*tag[1:])
-    solved = v._echelon(*ov._candidate_geometry(target)).solve(target)
+    v = _fresh(catalog.get("associative"), [ov.rb(None)])
+    target = v.solve._instance_pattern(*tag[1:])
+    solved = v.solve._echelon(*ov._candidate_geometry(target)).solve(target)
     verdict = v._certify(0, target, solved)
     assert verdict.certificate == ((tag, 1, 0),)
 
@@ -904,7 +1047,9 @@ def _assert_exact(value):
 
 @pytest.mark.parametrize("factor", [F(2), F(-1, 3)], ids=["2", "-1/3"])
 @pytest.mark.parametrize("name", ["dendriform", "trialgebra", "ns"])
-def test_scaled_base_relations_scale_certificates_inversely(monkeypatch, name, factor):
+def test_scaled_base_relations_scale_certificates_inversely(
+    monkeypatch, cold_solves, name, factor
+):
     # scaling every base relation scales every residual and every relation
     # instance by the same factor, and the pattern solve sees neither: every
     # certificate stays the same
@@ -912,20 +1057,20 @@ def test_scaled_base_relations_scale_certificates_inversely(monkeypatch, name, f
     laws = (ov.rb(None), ov.rb("1/2"), ov.nijenhuis())
     references = [ov.verify_operator_theorem(t, law) for law in laws]
     for law, reference in zip(laws, references):
-        v = ov._make_verifier(_scaled(t, factor), [law], ov.DEFAULT_STEP_BUDGET)
+        v = ov._make_verifier(_scaled(t, factor), [law], B)
         report = v.run(t.name, law.describe())
         assert reference.all_verified and report.all_verified
         assert [(got.residual_zero, got.certificate) for got in report.verdicts] == [
             (want.residual_zero, want.certificate) for want in reference.verdicts
         ]
         for index in range(len(report.verdicts)):
-            b, f = divmod(index, len(v.factor_relations))
-            for value in v._placed(b, v._factor_pattern(f)).values():
+            b, f = divmod(index, len(v.solve.factor_relations))
+            for value in v._placed(b, v.solve._factor_pattern(f)).values():
                 _assert_exact(value)
     # scaling the inserted instance patterns instead moves the pivot heads
     # away from +-1, and every certificate coefficient scales by the inverse
     built = []
-    make_echelon, make_pattern = ov._Verifier._echelon, ov._Verifier._instance_pattern
+    make_echelon, make_pattern = ov._LawSolve._echelon, ov._LawSolve._instance_pattern
 
     def keep_echelon(self, triples, contexts):
         built.append(make_echelon(self, triples, contexts))
@@ -934,8 +1079,10 @@ def test_scaled_base_relations_scale_certificates_inversely(monkeypatch, name, f
     def scaled_pattern(self, triple, ctx):
         return {key: canonical(c * factor) for key, c in make_pattern(self, triple, ctx).items()}
 
-    monkeypatch.setattr(ov._Verifier, "_echelon", keep_echelon)
-    monkeypatch.setattr(ov._Verifier, "_instance_pattern", scaled_pattern)
+    monkeypatch.setattr(ov._LawSolve, "_echelon", keep_echelon)
+    monkeypatch.setattr(ov._LawSolve, "_instance_pattern", scaled_pattern)
+    # the references warmed the memo; these runs must solve again
+    ov._SOLVES.clear()
     for law, reference in zip(laws, references):
         report = ov.verify_operator_theorem(t, law)
         assert report.all_verified
