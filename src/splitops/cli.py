@@ -34,7 +34,7 @@ EXIT_INTERNAL = 3
 def _load_type(spec: str):
     """A catalog name, a .json export, or a definition-language file."""
     path = Path(spec)
-    if spec.endswith(".json") or spec.endswith(".type") or path.exists():
+    if spec.endswith(".json") or spec.endswith(".type") or path.is_file():
         text = path.read_text()
         if spec.endswith(".json") or text.lstrip().startswith("{"):
             # validated here, as parse_type validates a definition-language file

@@ -23,10 +23,17 @@ on decorated arguments, wrapped in operator words.  The combination found
 is returned as a certificate, after it has been summed again from freshly
 normalized instances and compared with the residual.
 
-Every derived operation carries at most one operator symbol, so a rewrite
-step removes two symbols from a product and adds at most two: no word
-grows beyond the two symbols per law that a substitution starts with,
-and rewriting needs no bound on word length, only the step budget.
+Rewriting terminates.  Every derived operation carries at most one
+operator symbol, so every term of a rewrite rule keeps at most one of
+the two operand symbols it removes and wraps at least one, one level up.
+An inner step removes two symbols from the leaf words under the inner
+product (depth 2) and puts back at most one there; an outer or two-leaf
+step does the same at depth 1 and leaves depth 2 alone.  So the pair
+(symbols at depth 2, symbols at depth 1) falls lexicographically at
+every step, and the total never rises: no word grows beyond the two
+symbols per law that a substitution starts with.  The step budget is
+therefore no bound inside the loop but one check on the steps a solve
+took.
 
 Terms are product trees with three leaves x, y, z in fixed order (two
 leaves for the operator-identity lemmas); every leaf and every product
@@ -49,12 +56,13 @@ placing lemma: if n_f = sum c_s * q_s, then
 So the verifier solves each nonzero n_f once, against an echelon of the
 q_s of its candidate geometry, and places that certificate at every base
 relation.  The solve and its rewrite steps read no base and no operator
-name, so a process solves each tuple of law kinds and weights once and
-keeps the n_f, the certificates, the q_s they use and the step count.
-Reuse is sound: each placed certificate is still summed again from the
-placed instances and compared with the placed residual, base by base,
-and that check gives the verdict.  A reused solve that took more steps
-than the budget raises as solving again would, so the budget is exact.
+name, so a process solves each tuple of law kinds and weights once, into
+one record of the n_f, the certificates, the q_s they use and the step
+count, and every run reads that record.  Reuse is sound: each placed
+certificate is still summed again from the placed instances and compared
+with the placed residual, base by base, and that check gives the
+verdict.  A run raises when the record took more steps than its budget,
+so the budget is exact and the same for a first run and a later one.
 A FAILED verdict means that no pattern certificate exists (or that the
 re-check caught a wrong one).  A certificate that exists for one base
 only, where placing drops a shape of a pattern or combines instances of
@@ -98,12 +106,11 @@ at most one, and none unless its law has the formal weight.
 
 from __future__ import annotations
 
-import copy
 import json
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 from . import catalog
 from .exactalg import ExactAlgebraError, canonical, format_scalar, rational_from_text
@@ -290,30 +297,23 @@ class Normalizer:
     """Rewrites linear combinations of decorated terms to normal form.
 
     Each law's rewrite rule is derived once, from the law alone; the
-    normalizer memoizes per-term normal forms and counts rewrite steps
-    against a budget.
+    normalizer memoizes per-term normal forms and counts rewrite steps.
+    Rewriting terminates (see the module docstring), so it needs no bound.
     """
 
     def __init__(
         self,
         laws: tuple[OperatorLaw, ...],
         symbols: tuple[int, ...],
-        budget: int = DEFAULT_STEP_BUDGET,
         strategy: str = "innermost",
     ):
         if strategy not in ("innermost", "outermost"):
             raise ValueError(f"unknown strategy {strategy!r}")
         self.rules = tuple(rewrite_rule(law) for law in laws)
         self.symbols = symbols
-        self.budget = budget
         self.steps = 0
         self.strategy = strategy
         self._memo: dict[tuple, dict] = {}
-
-    def _spend(self):
-        self.steps += 1
-        if self.steps > self.budget:
-            raise RewriteBudget("rewrite budget exhausted")
 
     def normalize(self, comb: dict) -> dict:
         out: dict = {}
@@ -333,7 +333,7 @@ class Normalizer:
             result = {term: 1}
         else:
             rule, symbol, position = redex
-            self._spend()
+            self.steps += 1
             result = {}
             for piece, coeff in self._apply(term, rule, symbol, position).items():
                 for t2, c2 in self.normalize_term(piece).items():
@@ -443,13 +443,21 @@ def format_weight_monomial(c, power: int) -> str:
     return f"({'-' if c < 0 else ''}{body})/({den})"
 
 
+@dataclass(frozen=True)
 class _Grading:
     """The powers of l that computing at l = 1 leaves out (see the module
     docstring): words with d formal-weight symbols go with l^(degree - d)."""
 
-    def __init__(self, laws, symbols):
-        self.formal = tuple(s for law, s in zip(laws, symbols) if law.formal)
-        self.degree = 2 * len(self.formal)
+    formal: tuple[int, ...]  # the symbols of the formal-weight laws
+
+    @classmethod
+    def of(cls, laws) -> _Grading:
+        """The grading of ``laws``, law k written with symbol k."""
+        return cls(tuple(s for s, law in enumerate(laws) if law.formal))
+
+    @property
+    def degree(self) -> int:
+        return 2 * len(self.formal)
 
     def symbols_in(self, words) -> int:
         return sum(word.count(s) for word in words for s in self.formal)
@@ -479,9 +487,9 @@ def relation_instance(
     """The combination LHS - RHS of a base relation on decorated leaves,
     wrapped in a context word.
 
-    This is the definition :meth:`_Verifier.instance_vector` is tested
-    against: the verifier normalizes each side's pattern once and places
-    the base generators afterwards.
+    This is the definition the instances :meth:`_Verifier._rebuild` places
+    are tested against: a solve normalizes each instance pattern q_s once,
+    with base generators 0, and the verifier places the generators.
     """
     wu, wv, ww = triple
     comb: dict = {}
@@ -661,143 +669,141 @@ class VerificationReport:
         return json.dumps(obj, indent=2)
 
 
-class _LawSolve:
-    """The base-free half of a verifier: the laws' composite factor, the
-    patterns n_f, one certificate per factor relation and the steps taken.
-    Nothing here reads a base or an operator name (see the module docstring)."""
+def _composite_table(tables) -> tuple:
+    """The derived table of the composite factor, from its factors': for
+    each of its generators, in square's order, the entries of its factor
+    generators multiplied, their words merged as multisets."""
+    composite: tuple = (((1, (), (), ()),),)
+    for table in tables:
+        composite = tuple(
+            tuple(
+                (c1 * c2, _merge(wl1, wl2), _merge(wr1, wr2), _merge(wp1, wp2))
+                for c1, wl1, wr1, wp1 in entries
+                for c2, wl2, wr2, wp2 in table[g]
+            )
+            for entries in composite
+            for g in range(len(table))
+        )
+    return composite
 
-    def __init__(self, laws, factors, tables, budget):
-        self.laws = tuple(laws)
-        self.symbols = tuple(range(len(self.laws)))
-        self.tables = tables
-        self.grading = _Grading(self.laws, self.symbols)
-        for symbol, table in zip(self.symbols, tables):
-            self.grading.check_table(table, symbol)
-        self.normalizer = Normalizer(self.laws, self.symbols, budget)
-        self.factors = tuple(factors)
-        # the relations of the composite factor, in square's order: product
-        # relation k, named but never built, is box(base relation b, factor
-        # relation f) for b, f = divmod(k, len(self.factor_relations))
-        self.factor_relations = reduce(square, factors).relations
-        self._entry_cache: dict = {}
-        # normalized patterns: n_f under the factor-relation index f, and
-        # q_s under the instance's (leaf-word triple, context)
-        self._patterns: dict = {}
-        # one certificate per factor relation (None where n_f has none),
-        # against one echelon per candidate geometry, alive one at a time
-        solutions = [None] * len(self.factor_relations)
-        groups: dict = {}
-        for f in range(len(solutions)):
-            pattern = self._factor_pattern(f)
+
+def substitute(rel: RelationElement, table: tuple) -> dict:
+    """LHS - RHS of a product relation under the derived operations.
+
+    ``table`` holds the (coeff, left word, right word, wrap word) entries
+    of each generator of the composite factor; product generator g pairs
+    base generator g // len(table) with factor generator g % len(table).
+    Applied to a relation of the composite factor, whose generators have
+    base generator 0, it gives the terms of the pattern n_f; the
+    normalized product relation is the definition the placed residual is
+    tested against.
+    """
+    n = len(table)
+    comb: dict = {}
+    for block, i, j, c in rel.nonzero():
+        # L: (x g_i y) g_j z, R: x g_i (y g_j z)
+        inner, outer = (i, j) if block == 0 else (j, i)
+        b_in, f_in = divmod(inner, n)
+        b_out, f_out = divmod(outer, n)
+        coeff = -c if block else c
+        for c1, wl1, wr1, wp1 in table[f_in]:
+            for c2, wl2, wr2, wp2 in table[f_out]:
+                if block == 0:
+                    term = (0, b_in, b_out, wl1, wr1, wr2, _merge(wl2, wp1), wp2)
+                else:
+                    term = (1, b_in, b_out, wl2, wl1, wr1, _merge(wr2, wp1), wp2)
+                _accumulate(comb, term, coeff * c1 * c2)
+    return comb
+
+
+def _pattern(normalizer: Normalizer, comb: dict) -> dict:
+    """The normal form of ``comb``, a combination with base generators 0,
+    keyed by (shape,) + words."""
+    return {(t[0],) + t[3:]: c for t, c in normalizer.normalize(comb).items()}
+
+
+def _instance_pattern(normalizer: Normalizer, triple: tuple, ctx: tuple) -> dict:
+    """q_s: the normalized instance pattern of leaf words ``triple`` in
+    context ``ctx``, its right-bracketed shape negated."""
+    wu, wv, ww = triple
+    comb = {(0, 0, 0, wu, wv, ww, (), ctx): 1, (1, 0, 0, wu, wv, ww, (), ctx): -1}
+    return _pattern(normalizer, comb)
+
+
+def _echelon(normalizer: Normalizer, triples, contexts, known: dict) -> _Echelon:
+    """Membership echelon of the instance patterns of one geometry, tagged
+    (triple, context); ``known`` keeps each q_s made, across geometries."""
+    ech = _Echelon()
+    for triple in triples:
+        for ctx in contexts:
+            tag = (triple, ctx)
+            pattern = known.get(tag)
+            if pattern is None:
+                pattern = known[tag] = _instance_pattern(normalizer, triple, ctx)
             if pattern:
-                groups.setdefault(_candidate_geometry(pattern), []).append(f)
-        for (triples, contexts), group in groups.items():
-            echelon = self._echelon(triples, contexts)
-            for f in group:
-                solutions[f] = echelon.solve(self._factor_pattern(f))
-            # freed before the next one is built, so peak memory stays that
-            # of the largest single echelon
-            del echelon
-        self.solutions = tuple(solutions)
-        self.steps = self.normalizer.steps
+                ech.insert(pattern, tag)
+    return ech
 
-    def kept(self) -> _LawSolve:
-        """The copy the solve memo keeps: no laws, tables, normalizer and
-        its memo, or q_s that no certificate uses."""
-        used = {tag for solved in self.solutions if solved for tag in solved}
-        kept = copy.copy(self)
-        kept.laws = kept.tables = kept.normalizer = kept._entry_cache = None
-        kept._patterns = {k: p for k, p in self._patterns.items() if type(k) is int or k in used}
-        return kept
 
-    def _decompose(self, index: int):
-        taus = []
-        for factor in reversed(self.factors):
-            index, tau = divmod(index, factor.dim)
-            taus.append(tau)
-        taus.reverse()
-        return index, tuple(taus)
+@dataclass(frozen=True)
+class _LawSolve:
+    """The base-free half of a verifier, the one record every run of its
+    laws reads.  Nothing here reads a base or an operator name (see the
+    module docstring)."""
 
-    def _entries(self, taus: tuple[int, ...]) -> tuple:
-        """The (coeff, left word, right word, wrap word) entries of the
-        derived operation of one product generator, composed over the
-        factor tables once per index tuple and then shared."""
-        cached = self._entry_cache.get(taus)
-        if cached is not None:
-            return cached
-        entries = [(1, (), (), ())]
-        for table, tau in zip(self.tables, taus):
-            nxt = []
-            for c1, wl1, wr1, wp1 in entries:
-                for c2, wl2, wr2, wp2 in table[tau]:
-                    nxt.append(
-                        (
-                            c1 * c2,
-                            _merge(wl1, wl2),
-                            _merge(wr1, wr2),
-                            _merge(wp1, wp2),
-                        )
-                    )
-            entries = nxt
-        cached = self._entry_cache[taus] = tuple(entries)
-        return cached
+    factors: tuple[TypePresentation, ...]
+    # the relations of the composite factor, in square's order: product
+    # relation k, named but never built, is box(base relation b, factor
+    # relation f) for b, f = divmod(k, len(factor_relations))
+    factor_relations: tuple[RelationElement, ...]
+    grading: _Grading
+    patterns: tuple[dict, ...]  # n_f for each factor relation f
+    # per factor relation, the certificate of n_f as ((triple, context),
+    # c, k) per instance, c * l^k its coefficient; None where n_f has none
+    certificates: tuple
+    instances: dict  # q_s of each (triple, context) a certificate uses
+    steps: int
 
-    def substitute(self, rel: RelationElement) -> dict:
-        """LHS - RHS of a product relation under the derived operations.
 
-        Applied to a relation of the composite factor, whose generators
-        decompose with base index 0, it gives the terms of the pattern
-        n_f; the normalized product relation is the definition the placed
-        residual is tested against.
-        """
-        comb: dict = {}
-        for block, i, j, c in rel.nonzero():
-            # L: (x g_i y) g_j z, R: x g_i (y g_j z)
-            inner, outer = (i, j) if block == 0 else (j, i)
-            b_in, taus_in = self._decompose(inner)
-            b_out, taus_out = self._decompose(outer)
-            coeff = -c if block else c
-            for c1, wl1, wr1, wp1 in self._entries(taus_in):
-                for c2, wl2, wr2, wp2 in self._entries(taus_out):
-                    if block == 0:
-                        term = (0, b_in, b_out, wl1, wr1, wr2, _merge(wl2, wp1), wp2)
-                    else:
-                        term = (1, b_in, b_out, wl2, wl1, wr1, _merge(wr2, wp1), wp2)
-                    _accumulate(comb, term, coeff * c1 * c2)
-        return comb
+def _solve(laws, factors, tables) -> _LawSolve:
+    """The record of ``laws`` with their factors and derived tables.  The
+    normalizer and every q_s made live only while the solve runs."""
+    grading = _Grading.of(laws)
+    for symbol, table in enumerate(tables):
+        grading.check_table(table, symbol)
+    normalizer = Normalizer(tuple(laws), tuple(range(len(laws))))
+    table = _composite_table(tables)
+    factor_relations = reduce(square, factors).relations
+    patterns = tuple(_pattern(normalizer, substitute(rel, table)) for rel in factor_relations)
+    # one certificate per nonzero n_f, against one echelon per candidate
+    # geometry, alive one at a time
+    groups: dict = {}
+    for f, pattern in enumerate(patterns):
+        if pattern:
+            groups.setdefault(_candidate_geometry(pattern), []).append(f)
+    certificates: list = [None] * len(patterns)
+    known: dict = {}
+    for (triples, contexts), group in groups.items():
+        echelon = _echelon(normalizer, triples, contexts, known)
+        for f in group:
+            solved = echelon.solve(patterns[f])
+            if solved is not None:
+                certificates[f] = tuple(
+                    (tag, c, grading.power(tag[0] + (tag[1],))) for tag, c in solved.items()
+                )
+        # freed before the next one is built, so peak memory stays that
+        # of the largest single echelon
+        del echelon
+    used = {tag: known[tag] for cert in certificates if cert for tag, _c, _k in cert}
+    return _LawSolve(
+        tuple(factors), factor_relations, grading, patterns, tuple(certificates),
+        used, normalizer.steps,
+    )
 
-    def _pattern(self, comb: dict) -> dict:
-        """The normal form of ``comb``, a combination with base generators
-        0, keyed by (shape,) + words."""
-        return {(t[0],) + t[3:]: c for t, c in self.normalizer.normalize(comb).items()}
 
-    def _factor_pattern(self, f: int) -> dict:
-        """n_f: the substituted and normalized factor relation f."""
-        pattern = self._patterns.get(f)
-        if pattern is None:
-            comb = self.substitute(self.factor_relations[f])
-            pattern = self._patterns[f] = self._pattern(comb)
-        return pattern
-
-    def _instance_pattern(self, triple: tuple, ctx: tuple) -> dict:
-        """q_s: the normalized instance pattern of leaf words ``triple`` in
-        context ``ctx``, its right-bracketed shape negated."""
-        pattern = self._patterns.get((triple, ctx))
-        if pattern is None:
-            wu, wv, ww = triple
-            comb = {(0, 0, 0, wu, wv, ww, (), ctx): 1, (1, 0, 0, wu, wv, ww, (), ctx): -1}
-            pattern = self._patterns[triple, ctx] = self._pattern(comb)
-        return pattern
-
-    def _echelon(self, triples, contexts) -> _Echelon:
-        """Membership echelon of the instance patterns of one geometry."""
-        ech = _Echelon()
-        for triple in triples:
-            for ctx in contexts:
-                pattern = self._instance_pattern(triple, ctx)
-                if pattern:
-                    ech.insert(pattern, (triple, ctx))
-        return ech
+def _check_budget(steps: int, budget: int) -> None:
+    if steps > budget:
+        raise RewriteBudget("rewrite budget exhausted")
 
 
 class _Verifier:
@@ -832,53 +838,38 @@ class _Verifier:
     def run(self, type_name: str, law_desc: str, experimental=False) -> VerificationReport:
         """Verify every product relation: place n_f and its certificate at
         r_b, and check them there."""
-        n = len(self.solve.solutions)
-        verdicts = [
-            self._certify(k, self.solve._factor_pattern(k % n), self.solve.solutions[k % n])
-            for k in range(len(self.base.relations) * n)
-        ]
-        return VerificationReport(
-            type_name, law_desc, self.product_name, tuple(verdicts), experimental
-        )
+        count = len(self.base.relations) * len(self.solve.patterns)
+        verdicts = tuple(self._certify(k) for k in range(count))
+        return VerificationReport(type_name, law_desc, self.product_name, verdicts, experimental)
 
-    def _certify(self, index: int, pattern: dict, solved) -> RelationVerdict:
+    def _certify(self, index: int) -> RelationVerdict:
         """The verdict of product relation ``index`` = box(r_b, r_f): the
-        pattern n_f and its certificate ``solved``, both placed at r_b.
+        pattern n_f and its certificate, both placed at r_b.
 
         A residual with no certificate, or whose placed certificate does
         not sum back to it, fails with the residual shown.
         """
-        factor_relations, grading = self.solve.factor_relations, self.solve.grading
-        b, f = divmod(index, len(factor_relations))
-        label = (self.base.relations[b], factor_relations[f], self.product_labels)
-        residual = self._placed(b, pattern)
+        solve = self.solve
+        b, f = divmod(index, len(solve.factor_relations))
+        label = (self.base.relations[b], solve.factor_relations[f], self.product_labels)
+        residual = self._placed(b, solve.patterns[f])
         if not residual:
             return RelationVerdict(index, label, True, residual_zero=True)
-        if solved is not None:
-            placed = {(b,) + tag: c for tag, c in solved.items()}
+        if solve.certificates[f] is not None:
+            placed = tuple(((b,) + tag, c, k) for tag, c, k in solve.certificates[f])
             if self._rebuild(placed) == residual:
-                certificate = tuple(
-                    (tag, c, grading.power(tag[1] + (tag[2],))) for tag, c in placed.items()
-                )
-                return RelationVerdict(index, label, True, certificate=certificate)
-        shown = grading.show(residual, self.base.generators.labels, self.names)
+                return RelationVerdict(index, label, True, certificate=placed)
+        shown = solve.grading.show(residual, self.base.generators.labels, self.names)
         return RelationVerdict(index, label, False, residual=shown)
 
-    def _rebuild(self, certificate: dict) -> dict:
-        """Sum of coefficient times freshly placed instance, not read from
-        the echelon, so a certificate is checked independently."""
+    def _rebuild(self, certificate: tuple) -> dict:
+        """Sum of coefficient times placed instance, its q_s read from the
+        record and not the echelon, so a certificate is checked independently."""
         out: dict = {}
-        for tag, coeff in certificate.items():
-            for term, c in self.instance_vector(tag).items():
+        for (b, triple, ctx), coeff, _k in certificate:
+            for term, c in self._placed(b, self.solve.instances[triple, ctx]).items():
                 _accumulate(out, term, coeff * c)
         return out
-
-    def instance_vector(self, tag) -> dict:
-        """The normalized relation instance of a tag (b, triple, context):
-        its pattern placed at base relation b.  It equals the normalized
-        :func:`relation_instance`."""
-        b, triple, ctx = tag
-        return self._placed(b, self.solve._instance_pattern(triple, ctx))
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -890,27 +881,27 @@ def _merge(a: tuple, b: tuple) -> tuple:
 
 
 _SOLVE_MEMO_SIZE = 64
-_SOLVES: dict = {}  # (kind, weight) of each law -> its kept law solve
+
+
+@lru_cache(maxsize=_SOLVE_MEMO_SIZE)
+def _law_solve(key: tuple) -> _LawSolve:
+    """The record of the laws of ``key``, a (kind, weight) pair per law:
+    every operator name shares it."""
+    laws = [OperatorLaw(kind, weight) for kind, weight in key]
+    factors = [catalog.get(predicted_factor_name(law)) for law in laws]
+    tables = [
+        derived_table(law, factor, symbol)
+        for symbol, (law, factor) in enumerate(zip(laws, factors))
+    ]
+    return _solve(laws, factors, tables)
 
 
 def _make_verifier(t, laws, budget):
-    """``laws`` on ``t``; a memo hit that needs more steps than ``budget``
-    raises as solving would."""
+    """``laws`` on ``t``; it raises when their solve took more than
+    ``budget`` steps."""
     require_valid(t)
-    key = tuple((law.kind, law.weight) for law in laws)
-    solve = _SOLVES.get(key)
-    if solve is None:
-        factors = [catalog.get(predicted_factor_name(law)) for law in laws]
-        tables = [
-            derived_table(law, factor, symbol)
-            for symbol, (law, factor) in enumerate(zip(laws, factors))
-        ]
-        solve = _LawSolve(laws, factors, tables, budget)
-        if len(_SOLVES) >= _SOLVE_MEMO_SIZE:
-            del _SOLVES[next(iter(_SOLVES))]
-        _SOLVES[key] = solve.kept()
-    elif solve.steps > budget:
-        raise RewriteBudget("rewrite budget exhausted")
+    solve = _law_solve(tuple((law.kind, law.weight) for law in laws))
+    _check_budget(solve.steps, budget)
     return _Verifier(t, laws, solve)
 
 
@@ -991,14 +982,16 @@ def _check_modified_operator(name: str, identity: OperatorLaw, law: OperatorLaw,
             side = _wrap_combination(side, q)
         for t, c in side.items():
             _accumulate(diff, t, -coeff * c)
-    residual = Normalizer((law,), (0,), budget).normalize(diff)
+    normalizer = Normalizer((law,), (0,))
+    residual = normalizer.normalize(diff)
+    _check_budget(normalizer.steps, budget)
     if residual:
-        shown = "; ".join(_Grading((law,), (0,)).show(residual, ["o"], [law.name]))
+        shown = "; ".join(_Grading.of((law,)).show(residual, ["o"], [law.name]))
         return LemmaReport(name, False, f"residual {shown}")
     return LemmaReport(name, True)
 
 
-def _splitting_solve(budget: int) -> _LawSolve:
+def _splitting_solve() -> _LawSolve:
     """The law solve of the closing construction, for P of formal weight:
     x (w|lt) y = x w P(y), x (w|gt) y = weight*(x w y) + P(x) w y."""
     dend = catalog.get("dendriform")
@@ -1007,7 +1000,7 @@ def _splitting_solve(budget: int) -> _LawSolve:
         # weight*(x w y) at weight 1, which the grading reads as l
         dend.generators.index("gt"): [(1, (), (), ()), (1, (0,), (), ())],
     }
-    return _LawSolve((rb(None),), [dend], [table], budget)
+    return _solve((rb(None),), [dend], [table])
 
 
 def verify_operator_lemmas(
@@ -1027,10 +1020,12 @@ def verify_operator_lemmas(
             OperatorLaw("nijenhuis"), nijenhuis(), [(1, ()), (-1, (0,))], budget,
         ),
     ]
-    solve = _splitting_solve(budget) if include else None
+    if include:
+        solve = _splitting_solve()
+        _check_budget(solve.steps, budget)
     for name in include:
         t = catalog.get(name)
-        v = _Verifier(t, solve.laws, solve)
+        v = _Verifier(t, [rb(None)], solve)
         report = v.run(t.name, "dendriform splitting by -(modified P)")
         reports.append(
             LemmaReport(

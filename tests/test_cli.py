@@ -39,6 +39,16 @@ def test_show(capsys):
     assert "(x lt y) lt z = x lt (y lt z) + x lt (y gt z)" in out
 
 
+def test_a_directory_named_like_a_catalog_entry_is_not_a_type_file(tmp_path, monkeypatch, capsys):
+    # only a file is read as a type: a directory named dendriform in the
+    # working directory leaves the catalog name to the catalog
+    (tmp_path / "dendriform").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, "show", "dendriform")
+    assert code == EXIT_OK
+    assert "2 generators, 3 relations" in out
+
+
 def test_show_relation_basis(capsys):
     code, out = run(capsys, "show", "associative", "--relation-basis")
     assert code == EXIT_OK

@@ -4,8 +4,9 @@ import hashlib
 import json
 import random
 import weakref
+from dataclasses import fields
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,7 @@ def nf(comb, law, **kwargs):
 
 def powers(comb, law):
     """The power of the formal weight that goes with each term's coefficient."""
-    grading = ov._Grading((law,), (0,))
+    grading = ov._Grading.of((law,))
     return {term: grading.power(term[3:]) for term in comb}
 
 
@@ -52,19 +53,53 @@ def _product(v):
     return reduce(square, v.solve.factors, v.base)
 
 
-def _fresh(t, laws, budget=B):
-    """A verifier with a law solve of its own, which keeps its normalizer,
-    its tables and every pattern it made: the solve memo is bypassed."""
+def _tables(laws):
+    """The predicted factors of ``laws`` and their derived tables, law k
+    written with symbol k."""
     factors = [catalog.get(ov.predicted_factor_name(law)) for law in laws]
-    tables = [ov.derived_table(law, f, k) for k, (law, f) in enumerate(zip(laws, factors))]
-    return ov._Verifier(t, laws, ov._LawSolve(laws, factors, tables, budget))
+    return factors, [ov.derived_table(law, f, k) for k, (law, f) in enumerate(zip(laws, factors))]
+
+
+class _Reference:
+    """The definitions a verifier is tested against, with a normalizer of
+    its own: a product relation substituted whole and a relation instance
+    on the base, each normalized term by term.  It shares nothing with the
+    solve memo."""
+
+    def __init__(self, laws, tables=None):
+        laws = tuple(laws)
+        self.normalizer = ov.Normalizer(laws, tuple(range(len(laws))))
+        self.table = ov._composite_table(tables or _tables(laws)[1])
+
+    def residual(self, rel):
+        return self.normalizer.normalize(ov.substitute(rel, self.table))
+
+    def instance(self, base, tag):
+        b, triple, ctx = tag
+        return self.normalizer.normalize(ov.relation_instance(base.relations[b], triple, ctx))
 
 
 @pytest.fixture
 def cold_solves(monkeypatch):
-    """An empty solve memo for one test, for tests that count what a solve
-    does or patch how it solves; the memo from before comes back after."""
-    monkeypatch.setattr(ov, "_SOLVES", {})
+    """An empty solve memo of the same size for one test, for tests that
+    count what a solve does or patch how it solves; the memo from before
+    comes back after."""
+    fresh = lru_cache(**ov._law_solve.cache_parameters())(ov._law_solve.__wrapped__)
+    monkeypatch.setattr(ov, "_law_solve", fresh)
+
+
+@pytest.fixture
+def normalizers(monkeypatch):
+    """Every normalizer made during one test, in the order made."""
+    made = []
+
+    class Kept(ov.Normalizer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(ov, "Normalizer", Kept)
+    return made
 
 
 def test_rb_single_step():
@@ -150,9 +185,9 @@ def test_case_three_substitution_matches_proof_chain():
     #   P(x o P(y)) o z + P(P(x) o y) o z + weight * P(x o y) o z
     # on the left and P(x) o (P(y) o z) on the right, both already normal
     a = catalog.get("associative")
-    v = _fresh(a, [ov.rb(None)])
+    v = _verifier("associative", [ov.rb(None)])
     rel = _product(v).relations[2]
-    diff = v.solve.normalizer.normalize(v.solve.substitute(rel))
+    diff = _Reference([ov.rb(None)]).residual(rel)
     assert diff == {
         (0, 0, 0, (), (P,), (), (P,), ()): 1,
         (0, 0, 0, (P,), (), (), (P,), ()): 1,
@@ -169,13 +204,12 @@ def test_case_three_substitution_matches_proof_chain():
 
 
 def test_verifier_substitutions_are_strategy_independent():
-    tri = catalog.get("trialgebra")
     law = ov.rb(None)
-    v = _fresh(tri, [law])
-    outer = ov.Normalizer(v.solve.laws, v.solve.symbols, strategy="outermost")
-    for rel in _product(v).relations[::7]:
-        comb = v.solve.substitute(rel)
-        assert v.solve.normalizer.normalize(comb) == outer.normalize(comb)
+    reference = _Reference([law])
+    outer = ov.Normalizer((law,), (0,), strategy="outermost")
+    for rel in _product(_verifier("trialgebra", [law])).relations[::7]:
+        comb = ov.substitute(rel, reference.table)
+        assert reference.normalizer.normalize(comb) == outer.normalize(comb)
 
 
 def test_normalization_strategy_independent():
@@ -200,10 +234,50 @@ def test_normal_forms_have_no_redex():
         assert normalizer._find_redex(term) is None
 
 
-def test_step_budget_guard():
-    comb = {(0, 0, 0, (P, P), (P, P), (P, P), (), ()): 1}
-    with pytest.raises(ov.RewriteBudget, match="rewrite budget exhausted"):
-        ov.Normalizer((ov.rb(None),), (0,), budget=2).normalize(comb)
+@pytest.mark.parametrize(
+    "law",
+    [ov.OperatorLaw(kind) for kind in ov._LAW_TABLE] + [ov.rb(0)],
+    ids=lambda law: law.describe(),
+)
+def test_every_rule_term_keeps_at_most_one_operand_symbol_and_wraps_one(law):
+    # the premise of termination (see the module docstring)
+    rule = ov.rewrite_rule(law)
+    assert rule
+    for _coeff, keep_x, keep_y, wraps in rule:
+        assert keep_x + keep_y <= 1 <= wraps
+
+
+def _depth_counts(term):
+    """(symbols at depth 2, symbols at depth 1, all symbols) of a term."""
+    shape, _gin, _gout, wx, wy, wz, win, wout = term
+    deep, mid = {0: ((wx, wy), (win, wz)), 1: ((wy, wz), (wx, win)), 2: ((), (wx, wy))}[shape]
+    return sum(map(len, deep)), sum(map(len, mid)), sum(map(len, term[3:]))
+
+
+@pytest.mark.parametrize(
+    "law", [ov.rb(None), ov.rb(0), ov.nijenhuis(), ov.left_rb(), ov.right_rb()],
+    ids=lambda law: law.describe(),
+)
+def test_every_rewrite_step_lowers_the_depth_counts(law):
+    # each piece of a step has fewer symbols at depth 2, or as many there
+    # and fewer at depth 1, and never more in all: rewriting terminates
+    normalizer = ov.Normalizer((law,), (0,))
+    words = [(), (P,), (P, P)]
+    terms = [
+        (shape, 0, 0, wx, wy, wz if shape < 2 else (), win if shape < 2 else (), ())
+        for shape in (0, 1, 2) for wx in words for wy in words for wz in words for win in words
+    ]
+    stepped = 0
+    for term in set(terms):
+        redex = normalizer._find_redex(term)
+        if redex is None:
+            continue
+        stepped += 1
+        deep, mid, total = _depth_counts(term)
+        for piece in normalizer._apply(term, *redex):
+            p_deep, p_mid, p_total = _depth_counts(piece)
+            assert (p_deep, p_mid) < (deep, mid) and p_total <= total, (term, piece)
+    assert stepped
 
 
 # -- the theorem ---------------------------------------------------------------
@@ -246,16 +320,17 @@ def test_every_nonzero_residual_carries_a_certificate():
 def test_certificates_reproduce_residuals():
     t = catalog.get("dendriform")
     law = ov.rb(None)
-    v = _fresh(t, [law])
+    v = _verifier("dendriform", [law])
+    reference = _Reference([law])
     report = v.run(t.name, law.describe())
     product = _product(v)
     assert len(report.verdicts) == len(product.relations)
     for verdict, rel in zip(report.verdicts, product.relations):
         assert verdict.verified
-        residual = v.solve.normalizer.normalize(v.solve.substitute(rel))
+        residual = reference.residual(rel)
         rebuilt = {}
         for tag, coeff, _power in verdict.certificate:
-            for term, c in v.instance_vector(tag).items():
+            for term, c in reference.instance(t, tag).items():
                 ov._accumulate(rebuilt, term, coeff * c)
         assert rebuilt == residual
 
@@ -264,23 +339,16 @@ def test_specialization_coherence_at_weight_zero():
     # verifying with the formal weight and evaluating at 0 agrees with
     # verifying at weight 0 on the relations the two products share
     a = catalog.get("associative")
-    formal = _fresh(a, [ov.rb(None)]).solve
-    at_zero = _fresh(a, [ov.rb(0)]).solve
+    formal, at_zero = _Reference([ov.rb(None)]), _Reference([ov.rb(0)])
+    tri, dend = catalog.get("trialgebra"), catalog.get("dendriform")
     # trialgebra relations 1-3 mirror the dendriform relations
     for t_index, d_index in ((0, 0), (1, 1), (2, 2)):
-        formal_residual = formal.normalizer.normalize(
-            formal.substitute(square(a, formal.factors[0]).relations[t_index])
-        )
+        formal_residual = formal.residual(square(a, tri).relations[t_index])
         # at weight 0 only the terms whose coefficient has no power of the
         # formal weight survive
-        specialized = {
-            term: coeff
-            for term, coeff in formal_residual.items()
-            if formal.grading.power(term[3:]) == 0
-        }
-        zero_residual = at_zero.normalizer.normalize(
-            at_zero.substitute(square(a, at_zero.factors[0]).relations[d_index])
-        )
+        graded = powers(formal_residual, ov.rb(None))
+        specialized = {term: c for term, c in formal_residual.items() if graded[term] == 0}
+        zero_residual = at_zero.residual(square(a, dend).relations[d_index])
         assert specialized == zero_residual
 
 
@@ -326,6 +394,19 @@ def test_operator_lemmas():
     names = [r.name for r in reports]
     assert any("Rota-Baxter" in n for n in names)
     assert any("Nijenhuis" in n for n in names)
+
+
+def test_each_lemma_path_checks_its_steps_against_the_budget():
+    # in each modified identity only Q(x) o Q(y) has the operator on both
+    # operands, in one term: one step each, and a budget of 0 is short
+    assert all(r.ok for r in ov.verify_operator_lemmas(include=(), budget=1))
+    with pytest.raises(ov.RewriteBudget, match="rewrite budget exhausted"):
+        ov.verify_operator_lemmas(include=(), budget=0)
+    # the splitting solve runs to the end and is checked once
+    steps = ov._splitting_solve().steps
+    assert all(r.ok for r in ov.verify_operator_lemmas(("associative",), budget=steps))
+    with pytest.raises(ov.RewriteBudget, match="rewrite budget exhausted"):
+        ov.verify_operator_lemmas(("associative",), budget=steps - 1)
 
 
 def test_a_failing_lemma_prints_its_residual(monkeypatch):
@@ -423,22 +504,22 @@ def _oracle_verdicts(t, laws):
     pattern and placed the certificate at every base relation, kept as the
     reference for ``run``.  It shares nothing with the solve memo.
     """
-    v = _fresh(t, laws)
-    normalizer, grading = v.solve.normalizer, v.solve.grading
+    factors, tables = _tables(laws)
+    reference, grading = _Reference(laws, tables), ov._Grading.of(laws)
     verdicts = []
-    product = _product(v)
+    product = reduce(square, factors, t)
     for index, rel in enumerate(product.relations):
         label = format_relation(rel, product.generators.labels)
-        residual = normalizer.normalize(v.solve.substitute(rel))
+        residual = reference.residual(rel)
         if not residual:
             verdicts.append(ov.RelationVerdict(index, label, True, residual_zero=True))
             continue
         triples, contexts = _geometry(residual)
         ech = ov._Echelon()
-        for r_idx, base_rel in enumerate(v.base.relations):
+        for r_idx in range(len(t.relations)):
             for triple in triples:
                 for ctx in contexts:
-                    inst = normalizer.normalize(ov.relation_instance(base_rel, triple, ctx))
+                    inst = reference.instance(t, (r_idx, triple, ctx))
                     if inst:
                         ech.insert(inst, (r_idx, triple, ctx))
         solved = ech.solve(residual)
@@ -466,8 +547,15 @@ def _verifier(name, laws):
 
 def _splitting(name):
     """The closing construction of the lemmas on ``name``."""
-    solve = ov._splitting_solve(B)
-    return ov._Verifier(catalog.get(name), solve.laws, solve)
+    return ov._Verifier(catalog.get(name), [ov.rb(None)], ov._splitting_solve())
+
+
+def _splitting_table():
+    """The derived table of the closing construction as the lemma states
+    it: x (w|lt) y = x w P(y), x (w|gt) y = weight*(x w y) + P(x) w y."""
+    dend = catalog.get("dendriform")
+    lt, gt = dend.generators.index("lt"), dend.generators.index("gt")
+    return {lt: [(1, (), (P,), ())], gt: [(1, (), (), ()), (1, (P,), (), ())]}
 
 
 _CRITERION_6_SINGLES = [
@@ -599,13 +687,16 @@ def _warm_on_other_bases(laws):
 
 
 def _assert_warm_gives_the_cold_report(t, laws):
-    ov._SOLVES.clear()
-    cold = ov._make_verifier(t, laws, B).run(t.name, "law")
-    ov._SOLVES.clear()
-    _warm_on_other_bases(laws)
-    kept = ov._SOLVES[_key(laws)]
+    ov._law_solve.cache_clear()
     v = ov._make_verifier(t, laws, B)
-    assert v.solve is kept
+    cold_solve, cold = v.solve, v.run(t.name, "law")
+    ov._law_solve.cache_clear()
+    _warm_on_other_bases(laws)
+    hits = ov._law_solve.cache_info().hits
+    v = ov._make_verifier(t, laws, B)
+    # the record a run on other bases made, read again: equal to the cold one
+    assert ov._law_solve.cache_info().hits == hits + 1
+    assert v.solve is not cold_solve and v.solve == cold_solve
     assert v.run(t.name, "law").to_json() == cold.to_json()
     oracle = ov.VerificationReport(t.name, "law", cold.product_name, _oracle_verdicts(t, laws))
     assert oracle.to_json() == cold.to_json()
@@ -628,52 +719,73 @@ def test_a_warm_memo_gives_the_cold_report_on_random_bases(cold_solves, law):
         _assert_warm_gives_the_cold_report(_random_base(seed), [law])
 
 
+def _memo():
+    """(misses, hits, entries) of the solve memo."""
+    info = ov._law_solve.cache_info()
+    return info.misses, info.hits, info.currsize
+
+
 def test_operator_names_share_one_solve(cold_solves):
     a, d = catalog.get("associative"), catalog.get("dendriform")
-    ov.verify_commuting_family(a, [ov.rb(None), ov.rb(None)])
-    kept = ov._SOLVES[_key([ov.rb(None)] * 2)]
+    kept = _verifier("associative", [ov.rb(None), ov.rb(None)]).solve
     report = ov.verify_commuting_family(d, [ov.rb(None, "Q"), ov.rb(None, "R")])
     assert report.law == "[rb(weight=formal, Q1) , rb(weight=formal, R2)]"
-    assert ov._SOLVES == {_key([ov.rb(None)] * 2): kept}
+    assert _memo() == (1, 1, 1)
+    assert _verifier("dendriform", [ov.rb(None, "S"), ov.rb(None, "T")]).solve is kept
     ov.verify_operator_theorem(a, ov.rb(None))
     ov.verify_operator_theorem(d, ov.rb(None, "Q"))
-    assert list(ov._SOLVES) == [_key([ov.rb(None)] * 2), _key([ov.rb(None)])]
+    assert _memo() == (2, 3, 2)
 
 
 def test_weights_split_solves(cold_solves):
     a = catalog.get("associative")
     for weight in (None, 0, "1/2", 1, "2/2", F(1, 2)):
         assert ov.verify_operator_theorem(a, ov.rb(weight)).all_verified
-    assert list(ov._SOLVES) == [(("rb", w),) for w in (None, 0, F(1, 2), 1)]
+    # "2/2" is 1 and F(1, 2) is "1/2": four weights, four entries
+    assert _memo() == (4, 2, 4)
 
 
 def test_the_memo_keeps_base_free_results_only(cold_solves):
     t = catalog.get("trialgebra")
     v = _verifier("trialgebra", [ov.rb(None), ov.rb(None)])
-    kept = ov._SOLVES[_key([ov.rb(None)] * 2)]
-    assert kept is not v.solve
-    assert kept.laws is kept.tables is kept.normalizer is None
-    assert kept.solutions == v.solve.solutions and kept.steps == v.solve.steps == 44
-    used = {tag for solved in kept.solutions if solved for tag in solved}
-    assert set(kept._patterns) == set(range(len(kept.factor_relations))) | used
+    kept = ov._law_solve(_key([ov.rb(None)] * 2))
+    assert kept is v.solve
+    # no laws, tables or normalizer: a record of what every run reads
+    assert [f.name for f in fields(kept)] == [
+        "factors", "factor_relations", "grading", "patterns", "certificates", "instances", "steps"
+    ]
+    assert kept.steps == 44
+    assert len(kept.patterns) == len(kept.certificates) == len(kept.factor_relations)
+    used = {tag for certificate in kept.certificates if certificate for tag, _c, _k in certificate}
+    assert set(kept.instances) == used
     assert not any(t is value or t.relations is value for value in vars(kept).values())
 
 
-def test_a_budget_failure_keeps_no_solve(cold_solves):
+def test_a_budget_failure_keeps_the_solve_for_a_later_run(cold_solves):
+    # the budget is checked on the recorded steps, after solving: the
+    # record stays, and a run at the default budget reads it
     t = catalog.get("trialgebra")
     with pytest.raises(ov.RewriteBudget, match="rewrite budget exhausted"):
         ov.verify_operator_theorem(t, ov.nijenhuis(), budget=5)
-    assert ov._SOLVES == {}
+    assert _memo() == (1, 0, 1)
     assert ov.verify_operator_theorem(t, ov.nijenhuis()).all_verified
-    assert list(ov._SOLVES) == [(("nijenhuis", None),)]
+    assert _memo() == (1, 1, 1)
 
 
 def test_the_memo_is_bounded(cold_solves):
     a = catalog.get("associative")
-    for k in range(ov._SOLVE_MEMO_SIZE + 2):
+    size = ov._SOLVE_MEMO_SIZE
+    for k in range(size + 2):
         ov.verify_operator_theorem(a, ov.rb(k + 1))
-    assert len(ov._SOLVES) == ov._SOLVE_MEMO_SIZE
-    assert next(iter(ov._SOLVES)) == (("rb", 3),)
+    assert _memo() == (size + 2, 0, size)
+    # weights 1 and 2 are gone; 3 is the least recently used, until used
+    ov.verify_operator_theorem(a, ov.rb(3))
+    assert _memo() == (size + 2, 1, size)
+    ov.verify_operator_theorem(a, ov.rb(size + 3))
+    ov.verify_operator_theorem(a, ov.rb(3))
+    assert _memo() == (size + 3, 2, size)
+    ov.verify_operator_theorem(a, ov.rb(4))
+    assert _memo() == (size + 4, 2, size)
 
 
 # the runs of criterion 6, the two dendriform splittings of the lemmas, and
@@ -682,6 +794,8 @@ _DIFFERENTIAL_RUNS = (
     [
         pytest.param(
             lambda n=name, ls=laws: _verifier(n, [_LAWS[law]() for law in ls]),
+            [_LAWS[law]() for law in laws],
+            None,
             id="+".join((name,) + laws),
         )
         for name, laws in [(name, (law,)) for name, law in _CRITERION_6_SINGLES]
@@ -690,6 +804,8 @@ _DIFFERENTIAL_RUNS = (
     + [
         pytest.param(
             lambda n=name: _splitting(n),
+            [ov.rb(None)],
+            [_splitting_table()],
             id=f"splitting on {name}",
         )
         for name in ("associative", "trialgebra")
@@ -701,6 +817,8 @@ _DIFFERENTIAL_RUNS = (
                 [ov.nijenhuis()],
                 ov.DEFAULT_STEP_BUDGET,
             ),
+            [ov.nijenhuis()],
+            None,
             id="trialgebra 3-cycle+nijenhuis",
         ),
         pytest.param(
@@ -709,39 +827,49 @@ _DIFFERENTIAL_RUNS = (
                 [ov.rb(None), ov.rb(None)],
                 ov.DEFAULT_STEP_BUDGET,
             ),
+            [ov.rb(None), ov.rb(None)],
+            None,
             id="dendriform sheared+rb+rb",
         ),
     ]
 )
 
 
-@pytest.mark.parametrize("make", _DIFFERENTIAL_RUNS)
-def test_generator_blind_rewriting_matches_the_reference_definitions(cold_solves, make):
+@pytest.mark.parametrize("make, laws, tables", _DIFFERENTIAL_RUNS)
+def test_generator_blind_rewriting_matches_the_reference_definitions(
+    cold_solves, normalizers, make, laws, tables
+):
     # the verifier normalizes each substituted factor relation and each
     # instance pattern once, with base generators 0, and then places the
     # base generators; the reference substitutes the whole product relation
     # and every instance, and normalizes them term by term
     v = make()
+    (solver,) = normalizers
     solve = v.solve
     report = v.run("base", "law")
     assert report.all_verified
-    steps = solve.normalizer.steps
-    reference = ov.Normalizer(solve.laws, solve.symbols)
+    reference = _Reference(laws, tables)
+    # q_s of instances no certificate uses, made again by a normalizer of
+    # the test's own
+    patterns = ov.Normalizer(tuple(laws), tuple(range(len(laws))))
     for index, rel in enumerate(_product(v).relations):
-        residual = reference.normalize(solve.substitute(rel))
+        residual = reference.residual(rel)
         b, f = divmod(index, len(solve.factor_relations))
-        assert v._placed(b, solve._factor_pattern(f)) == residual, index
+        assert v._placed(b, solve.patterns[f]) == residual, index
         if not residual:
             continue
         triples, contexts = _geometry(residual)
-        for r_idx, base_rel in enumerate(v.base.relations):
+        for r_idx in range(len(v.base.relations)):
             for triple in triples:
                 for ctx in contexts:
-                    want = reference.normalize(ov.relation_instance(base_rel, triple, ctx))
-                    assert v.instance_vector((r_idx, triple, ctx)) == want
-    # every normal form was already there, and no more rewriting than the
-    # reference needed for the same residuals and instances
-    assert solve.normalizer.steps == solve.steps == steps <= reference.steps
+                    want = reference.instance(v.base, (r_idx, triple, ctx))
+                    q = solve.instances.get((triple, ctx))
+                    if q is None:
+                        q = ov._instance_pattern(patterns, triple, ctx)
+                    assert v._placed(r_idx, q) == want
+    # the record's steps are its normalizer's, and no more rewriting than
+    # the reference needed for the same residuals and instances
+    assert solver.steps == solve.steps <= reference.normalizer.steps
 
 
 def test_the_step_budget_is_exact(capsys, cold_solves):
@@ -750,7 +878,7 @@ def test_the_step_budget_is_exact(capsys, cold_solves):
     t = catalog.get("trialgebra")
 
     def memo(warm):
-        ov._SOLVES.clear()
+        ov._law_solve.cache_clear()
         if warm:
             ov.verify_operator_theorem(catalog.get("dendriform"), ov.nijenhuis("M"))
 
@@ -773,7 +901,7 @@ def test_the_step_budget_is_exact(capsys, cold_solves):
             ov.verify_operator_theorem(t, ov.nijenhuis(), budget=steps - 1)
 
 
-def test_a_rewrite_never_lengthens_a_word_beyond_two_symbols_per_law():
+def test_a_rewrite_never_lengthens_a_word_beyond_two_symbols_per_law(normalizers):
     # every derived operation carries at most one symbol, so the two a
     # substitution starts with per law bound every word of every normal
     # form; the formal-weight family of three reaches the bound
@@ -782,11 +910,12 @@ def test_a_rewrite_never_lengthens_a_word_beyond_two_symbols_per_law():
     runs = [(name, (law,)) for name, law in _CRITERION_6_SINGLES] + _CRITERION_6_FAMILIES
     longest = {}
     for name, laws in runs + [("associative", ("rb", "rb", "rb"))]:
-        v = _fresh(catalog.get(name), _named([_LAWS[law]() for law in laws]))
+        named = _named([_LAWS[law]() for law in laws])
+        v = ov._Verifier(catalog.get(name), named, ov._solve(named, *_tables(named)))
         assert v.run(name, "law").all_verified
         longest[name, laws] = max(
             len(word)
-            for result in v.solve.normalizer._memo.values()
+            for result in normalizers[-1]._memo.values()
             for term in result
             for word in term[3:]
         )
@@ -797,13 +926,13 @@ def test_a_rewrite_never_lengthens_a_word_beyond_two_symbols_per_law():
 def test_one_echelon_per_geometry_and_one_alive_at_a_time(monkeypatch, cold_solves):
     built = []
     live = weakref.WeakSet()
-    real = ov._LawSolve._echelon
+    real = ov._echelon
     geometries = []
     real_geometry = ov._candidate_geometry
 
-    def counting(self, triples, contexts):
+    def counting(normalizer, triples, contexts, known):
         assert len(live) == 0, "an earlier echelon is still alive"
-        ech = real(self, triples, contexts)
+        ech = real(normalizer, triples, contexts, known)
         # pattern keys, (shape,) + five words: no base generators
         assert all(len(key) == 6 for vec, _ in ech.pivots.values() for key in vec)
         built.append((tuple(triples), tuple(contexts)))
@@ -814,7 +943,7 @@ def test_one_echelon_per_geometry_and_one_alive_at_a_time(monkeypatch, cold_solv
         geometries.append(pattern)
         return real_geometry(pattern)
 
-    monkeypatch.setattr(ov._LawSolve, "_echelon", counting)
+    monkeypatch.setattr(ov, "_echelon", counting)
     monkeypatch.setattr(ov, "_candidate_geometry", counting_geometry)
     report = ov.verify_commuting_family(catalog.get("trialgebra"), [ov.rb(None), ov.rb(None)])
     assert report.all_verified and len(report.verdicts) == 343
@@ -850,7 +979,7 @@ def test_a_wrong_derived_table_fails_visibly():
     law = ov.rb(None)
     table = ov.derived_table(law, tri, P)
     table[tri.generators.index("gt")] = [(1, (), (P,), ())]
-    v = ov._Verifier(a, (law,), ov._LawSolve((law,), [tri], [table], B))
+    v = ov._Verifier(a, (law,), ov._solve((law,), [tri], [table]))
     report = v.run(a.name, "rb with a wrong gt")
     failed = [verdict.index for verdict in report.verdicts if not verdict.verified]
     assert failed == [0, 1, 2, 3, 4]
@@ -882,18 +1011,18 @@ def test_a_table_without_a_homogeneous_lift_is_refused():
     table = ov.derived_table(law, tri, P)
     table[tri.generators.index("gt")] = [(1, (P, P), (), ())]
     with pytest.raises(ExactAlgebraError, match="not homogeneous"):
-        ov._LawSolve((law,), [tri], [table], B)
+        ov._solve((law,), [tri], [table])
     laws = (ov.rb(None), ov.rb(0))
     dend = catalog.get("dendriform")
     tables = [ov.derived_table(laws[0], tri, 0), ov.derived_table(laws[1], dend, 1)]
     tables[1][dend.generators.index("lt")] = [(1, (), (0, 1), ())]
     with pytest.raises(ExactAlgebraError, match="not homogeneous"):
-        ov._LawSolve(laws, [tri, dend], tables, B)
+        ov._solve(laws, [tri, dend], tables)
     # a rational weight carries no grading: two symbols are fine
     law = ov.rb(1)
     table = ov.derived_table(law, tri, P)
     table[tri.generators.index("gt")] = [(1, (P, P), (), ())]
-    v = ov._Verifier(a, (law,), ov._LawSolve((law,), [tri], [table], B))
+    v = ov._Verifier(a, (law,), ov._solve((law,), [tri], [table]))
     assert not v.run("a", "x").all_verified
 
 
@@ -935,13 +1064,14 @@ def _holds_at(name, laws, verdicts, weight):
     ``weight``, sums the instances normalized at that weight to the residual
     a verifier built with rb(weight) computes."""
     at_weight = [ov.rb(weight) if law.formal else law for law in laws]
-    v = _fresh(catalog.get(name), _named(at_weight))
-    relations = _product(v).relations
+    t = catalog.get(name)
+    reference = _Reference(at_weight)
+    relations = reduce(square, _tables(at_weight)[0], t).relations
     for verdict in verdicts:
-        residual = v.solve.normalizer.normalize(v.solve.substitute(relations[verdict.index]))
+        residual = reference.residual(relations[verdict.index])
         rebuilt = {}
         for tag, c, k in verdict.certificate:
-            for term, x in v.instance_vector(tag).items():
+            for term, x in reference.instance(t, tag).items():
                 ov._accumulate(rebuilt, term, c * weight**k * x)
         if rebuilt != residual:
             return False
@@ -965,16 +1095,18 @@ def test_certificates_hold_at_enough_weights(name, laws):
         assert _holds_at(name, laws, report.verdicts, weight), weight
 
 
-def test_a_context_word_counts_toward_the_power():
+def test_a_context_word_counts_toward_the_power(monkeypatch):
     # no catalog run certifies through an instance in a formal-weight
-    # context, so certify P((P(x) y) z - P(x) (y z)) directly, as a pattern
-    # placed at base relation 0: its two symbols make degree D = 2, so its
-    # coefficient carries no l
+    # context, so certify P((P(x) y) z - P(x) (y z)) directly, as the
+    # pattern every factor relation substitutes to, placed at base relation
+    # 0: its two symbols make degree D = 2, so its coefficient carries no l
     tag = (0, ((P,), (), ()), (P,))
-    v = _fresh(catalog.get("associative"), [ov.rb(None)])
-    target = v.solve._instance_pattern(*tag[1:])
-    solved = v.solve._echelon(*ov._candidate_geometry(target)).solve(target)
-    verdict = v._certify(0, target, solved)
+    (wu, wv, ww), ctx = tag[1:]
+    instance = {(0, 0, 0, wu, wv, ww, (), ctx): 1, (1, 0, 0, wu, wv, ww, (), ctx): -1}
+    monkeypatch.setattr(ov, "substitute", lambda rel, table: instance)
+    law = ov.rb(None)
+    solve = ov._solve((law,), *_tables([law]))
+    verdict = ov._Verifier(catalog.get("associative"), [law], solve)._certify(0)
     assert verdict.certificate == ((tag, 1, 0),)
 
 
@@ -1065,24 +1197,24 @@ def test_scaled_base_relations_scale_certificates_inversely(
         ]
         for index in range(len(report.verdicts)):
             b, f = divmod(index, len(v.solve.factor_relations))
-            for value in v._placed(b, v.solve._factor_pattern(f)).values():
+            for value in v._placed(b, v.solve.patterns[f]).values():
                 _assert_exact(value)
     # scaling the inserted instance patterns instead moves the pivot heads
     # away from +-1, and every certificate coefficient scales by the inverse
     built = []
-    make_echelon, make_pattern = ov._LawSolve._echelon, ov._LawSolve._instance_pattern
+    make_echelon, make_pattern = ov._echelon, ov._instance_pattern
 
-    def keep_echelon(self, triples, contexts):
-        built.append(make_echelon(self, triples, contexts))
+    def keep_echelon(*args):
+        built.append(make_echelon(*args))
         return built[-1]
 
-    def scaled_pattern(self, triple, ctx):
-        return {key: canonical(c * factor) for key, c in make_pattern(self, triple, ctx).items()}
+    def scaled_pattern(*args):
+        return {key: canonical(c * factor) for key, c in make_pattern(*args).items()}
 
-    monkeypatch.setattr(ov._LawSolve, "_echelon", keep_echelon)
-    monkeypatch.setattr(ov._LawSolve, "_instance_pattern", scaled_pattern)
+    monkeypatch.setattr(ov, "_echelon", keep_echelon)
+    monkeypatch.setattr(ov, "_instance_pattern", scaled_pattern)
     # the references warmed the memo; these runs must solve again
-    ov._SOLVES.clear()
+    ov._law_solve.cache_clear()
     for law, reference in zip(laws, references):
         report = ov.verify_operator_theorem(t, law)
         assert report.all_verified
