@@ -1,7 +1,8 @@
 """Symbolic verification of operator-induced structures.
 
 Given a valid type and an operator law (Rota-Baxter of formal or rational
-weight, Nijenhuis, left or right Rota-Baxter), the law's table of derived
+weight, Nijenhuis, left or right Rota-Baxter, or rb_dendriform, the
+dendriform splitting the lemmas check), the law's table of derived
 operations
 
     x (w|lt) y = x w P(y),   x (w|gt) y = P(x) w y,   ...
@@ -17,10 +18,11 @@ where * is the predicted factor's star written in the derived
 operations.  For rb it is P(P(u) o v) + P(u o P(v)) + weight * P(u o v)
 (Ebrahimi-Fard, Lett. Math. Phys. 2002); for Nijenhuis the derived
 operation -N(u o v) takes the place of the weight term (Lei-Guo, Front.
-Math. China 2012); the one-sided laws keep one term.  The residual must
-be an exact Q(weight)-linear combination of base-type relation instances
-on decorated arguments, wrapped in operator words.  The combination found
-is returned as a certificate, after it has been summed again from freshly
+Math. China 2012); the one-sided laws keep one term; rb_dendriform, read
+off dendriform's star lt + gt, has rb's rule.  The residual must be an
+exact Q(weight)-linear combination of base-type relation instances on
+decorated arguments, wrapped in operator words.  The combination found is
+returned as a certificate, after it has been summed again from freshly
 normalized instances and compared with the residual.
 
 Rewriting terminates.  Every derived operation carries at most one
@@ -128,24 +130,31 @@ class RewriteBudget(ExactAlgebraError):
 # ---------------------------------------------------------------------------
 # operator laws
 
-_WEIGHT = "weight"  # the coefficient that is rb's weight
+_WEIGHT = "weight"  # the coefficient that is a law's weight
 
 # kind -> (predicted factor, derived operations); an operation is
 # (factor label, coefficient, P on x, P on y, P around), so gt, x gt y =
-# P(x) y, is ("gt", 1, 1, 0, 0)
+# P(x) y, is ("gt", 1, 1, 0, 0).  Operations with one label add up:
+# rb_dendriform, the lemmas' splitting, has x gt y = P(x) y + weight x y.
 _LAW_TABLE = {
     "rb": ("trialgebra", (("gt", 1, 1, 0, 0), ("lt", 1, 0, 1, 0), ("cir", _WEIGHT, 0, 0, 0))),
     "nijenhuis": ("ns", (("gt", 1, 1, 0, 0), ("lt", 1, 0, 1, 0), ("bul", -1, 0, 0, 1))),
     "left_rb": ("dipterous", (("gt", 1, 1, 0, 0), ("st", 1, 0, 1, 0))),
     "right_rb": ("anti_dipterous", (("st", 1, 1, 0, 0), ("lt", 1, 0, 1, 0))),
+    "rb_dendriform": (
+        "dendriform", (("gt", 1, 1, 0, 0), ("lt", 1, 0, 1, 0), ("gt", _WEIGHT, 0, 0, 0))
+    ),
 }
+# the kinds that take a weight: those whose row has a weight entry
+_WEIGHTED = frozenset(k for k, (_, ops) in _LAW_TABLE.items() if any(o[1] is _WEIGHT for o in ops))
 
 
 @dataclass(frozen=True)
 class OperatorLaw:
-    """One operator law: kind in {rb, nijenhuis, left_rb, right_rb}.
+    """One operator law, a kind of ``_LAW_TABLE``.
 
-    ``weight`` applies to rb only; ``None`` means the formal weight.
+    ``weight`` applies to the laws whose row has a weight entry (rb and the
+    lemmas' splitting rb_dendriform); ``None`` means the formal weight.
     """
 
     kind: str
@@ -155,12 +164,12 @@ class OperatorLaw:
     def __post_init__(self):
         if self.kind not in _LAW_TABLE:
             raise ValueError(f"unknown operator law {self.kind!r}")
-        if self.kind != "rb" and self.weight is not None:
+        if self.kind not in _WEIGHTED and self.weight is not None:
             raise ValueError(f"{self.kind} takes no weight")
 
     @property
     def formal(self) -> bool:
-        return self.kind == "rb" and self.weight is None
+        return self.kind in _WEIGHTED and self.weight is None
 
     def weight_scalar(self):
         """The rational weight as a plain scalar; 1 for the formal weight,
@@ -170,15 +179,15 @@ class OperatorLaw:
         return canonical(self.weight)
 
     def describe(self) -> str:
-        if self.kind == "rb":
+        if self.kind in _WEIGHTED:
             w = "formal" if self.weight is None else format_scalar(self.weight)
-            return f"rb(weight={w}, {self.name})"
+            return f"{self.kind}(weight={w}, {self.name})"
         return f"{self.kind}({self.name})"
 
     def operations(self):
         """The law's derived operations, (factor label, coefficient, P on x,
-        P on y, P around) each: rb's weight is the coefficient of cir,
-        which rb of weight 0 drops with its factor's cir."""
+        P on y, P around) each: the weight is a coefficient, and weight 0
+        drops its operation (rb's with its factor's cir)."""
         out = []
         for label, c, on_x, on_y, around in _LAW_TABLE[self.kind][1]:
             c = self.weight_scalar() if c is _WEIGHT else c
@@ -245,14 +254,14 @@ def predicted_factor_name(law: OperatorLaw) -> str:
 def derived_table(law: OperatorLaw, factor: TypePresentation, symbol: int):
     """Map factor-generator index -> [(coeff, left word, right word, wrap word)].
 
-    The entries are the law's derived operations; composing tables for
-    commuting families merges the words as multisets.
+    The entries are the law's derived operations, a label's in one list;
+    composing tables for commuting families merges the words as multisets.
     """
     sym = (symbol,)
-    table = {
-        factor.generators.index(label): [(c, sym * on_x, sym * on_y, sym * around)]
-        for label, c, on_x, on_y, around in law.operations()
-    }
+    table: dict = {}
+    for label, c, on_x, on_y, around in law.operations():
+        entry = (c, sym * on_x, sym * on_y, sym * around)
+        table.setdefault(factor.generators.index(label), []).append(entry)
     if len(table) != factor.dim:
         raise ExactAlgebraError("derived table does not cover the factor type")
     return table
@@ -523,7 +532,7 @@ def _candidate_geometry(pattern):
     redistributing each key's wrap words back onto the operands, in every
     multiset split.  Whatever part of the outermost wrap is not pushed
     down stays as the instance's context.  A key is (shape, wx, wy, wz,
-    win, wout) with three leaves, as in :meth:`_Verifier._factor_pattern`.
+    win, wout) with three leaves, as :func:`_pattern` makes it.
     """
     triples = set()
     contexts = {()}
@@ -991,25 +1000,14 @@ def _check_modified_operator(name: str, identity: OperatorLaw, law: OperatorLaw,
     return LemmaReport(name, True)
 
 
-def _splitting_solve() -> _LawSolve:
-    """The law solve of the closing construction, for P of formal weight:
-    x (w|lt) y = x w P(y), x (w|gt) y = weight*(x w y) + P(x) w y."""
-    dend = catalog.get("dendriform")
-    table = {
-        dend.generators.index("lt"): [(1, (), (0,), ())],
-        # weight*(x w y) at weight 1, which the grading reads as l
-        dend.generators.index("gt"): [(1, (), (), ()), (1, (0,), (), ())],
-    }
-    return _solve((rb(None),), [dend], [table])
-
-
 def verify_operator_lemmas(
     include=("associative", "trialgebra"),
     budget: int = DEFAULT_STEP_BUDGET,
 ):
     """The two modified-operator identities, -weight*id - P is again
     Rota-Baxter and id - N is again Nijenhuis, plus the closing dendriform
-    construction x (w|lt) y = x w P(y), x (w|gt) y = weight*(x w y) + P(x) w y."""
+    construction x (w|lt) y = x w P(y), x (w|gt) y = weight*(x w y) + P(x) w y,
+    the law rb_dendriform of formal weight on each base of ``include``."""
     reports = [
         _check_modified_operator(
             "modified Rota-Baxter operator (-weight*id - P)",
@@ -1020,12 +1018,9 @@ def verify_operator_lemmas(
             OperatorLaw("nijenhuis"), nijenhuis(), [(1, ()), (-1, (0,))], budget,
         ),
     ]
-    if include:
-        solve = _splitting_solve()
-        _check_budget(solve.steps, budget)
     for name in include:
         t = catalog.get(name)
-        v = _Verifier(t, [rb(None)], solve)
+        v = _make_verifier(t, [OperatorLaw("rb_dendriform")], budget)
         report = v.run(t.name, "dendriform splitting by -(modified P)")
         reports.append(
             LemmaReport(

@@ -326,6 +326,23 @@ def test_a_bad_rational_option_is_a_usage_error(argv, option, message):
     assert err.startswith(f"error: {option}: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify-operator", "associative", "--law", "rb_dendriform"),
+         "argument --law: invalid choice: 'rb_dendriform'"),
+        (("verify-family", "associative", "--laws", "rb_dendriform"),
+         "error: --laws: unknown law 'rb_dendriform'"),
+    ],
+    ids=["verify-operator", "verify-family"],
+)
+def test_the_lemmas_splitting_is_no_command_line_law(argv, message):
+    # the splitting is a row of the law table that only the lemmas read
+    code, out, err = run_quiet(*argv)
+    assert code == EXIT_USAGE and out == ""
+    assert message in err
+
+
 def test_unknown_type_is_usage_error(capsys):
     code = main(["show", "no_such_type"])
     capsys.readouterr()
@@ -610,6 +627,11 @@ def test_a_negative_budget_is_a_usage_error(command, option):
 def test_verify_lemmas_rewrites_the_identities_under_the_given_budgets():
     code, out, _ = run_quiet("verify-lemmas", "--steps", "20")
     assert code == EXIT_OK and out.count(": ok\n") == 4
+    # the identities take one step each and the dendriform splitting two
+    code, out, _ = run_quiet("verify-lemmas", "--steps", "2")
+    assert code == EXIT_OK and out.count(": ok\n") == 4
+    code, out, err = run_quiet("verify-lemmas", "--steps", "1")
+    assert (code, out, err) == (EXIT_INTERNAL, "", "error: rewrite budget exhausted\n")
 
 
 def _starless_dendriform(tmp_path):

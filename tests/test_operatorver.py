@@ -133,6 +133,13 @@ _HAND_WRITTEN_RULES = [
     (ov.nijenhuis(), [(1, True, False, 1), (1, False, True, 1), (-1, False, False, 2)]),
     (ov.left_rb(), [(1, False, True, 1)]),
     (ov.right_rb(), [(1, True, False, 1)]),
+    # the lemmas' splitting, read off dendriform's star lt + gt, has rb's
+    # rule at every weight: the splitting solve normalizes under rb
+    (
+        ov.OperatorLaw("rb_dendriform"),
+        [(1, True, False, 1), (1, False, True, 1), (1, False, False, 1)],
+    ),
+    (ov.OperatorLaw("rb_dendriform", 0), [(1, True, False, 1), (1, False, True, 1)]),
 ]
 
 
@@ -396,17 +403,37 @@ def test_operator_lemmas():
     assert any("Nijenhuis" in n for n in names)
 
 
-def test_each_lemma_path_checks_its_steps_against_the_budget():
+def test_each_lemma_path_checks_its_steps_against_the_budget(cold_solves):
     # in each modified identity only Q(x) o Q(y) has the operator on both
     # operands, in one term: one step each, and a budget of 0 is short
     assert all(r.ok for r in ov.verify_operator_lemmas(include=(), budget=1))
     with pytest.raises(ov.RewriteBudget, match="rewrite budget exhausted"):
         ov.verify_operator_lemmas(include=(), budget=0)
-    # the splitting solve runs to the end and is checked once
-    steps = ov._splitting_solve().steps
-    assert all(r.ok for r in ov.verify_operator_lemmas(("associative",), budget=steps))
-    with pytest.raises(ov.RewriteBudget, match="rewrite budget exhausted"):
-        ov.verify_operator_lemmas(("associative",), budget=steps - 1)
+    # the splitting reads its law solve from the memo and checks the steps
+    # it recorded, the same whether the memo solves it afresh or has it
+    key = _key([ov.OperatorLaw("rb_dendriform")])
+    steps = ov._law_solve(key).steps
+    assert steps == 2
+    for warm in (False, True):
+        ov._law_solve.cache_clear()
+        if warm:
+            ov._law_solve(key)
+        assert all(r.ok for r in ov.verify_operator_lemmas(("associative",), budget=steps))
+        assert _memo() == (1, int(warm), 1)
+        ov._law_solve.cache_clear()
+        if warm:
+            ov._law_solve(key)
+        with pytest.raises(ov.RewriteBudget, match="rewrite budget exhausted"):
+            ov.verify_operator_lemmas(("associative",), budget=steps - 1)
+        assert _memo() == (1, int(warm), 1)
+
+
+def test_a_second_lemma_call_reads_the_memo(cold_solves):
+    reports = ov.verify_operator_lemmas()
+    # one solve of the splitting, read again on the second base
+    assert _memo() == (1, 1, 1)
+    assert ov.verify_operator_lemmas() == reports
+    assert _memo() == (1, 3, 1)
 
 
 def test_a_failing_lemma_prints_its_residual(monkeypatch):
@@ -546,8 +573,9 @@ def _verifier(name, laws):
 
 
 def _splitting(name):
-    """The closing construction of the lemmas on ``name``."""
-    return ov._Verifier(catalog.get(name), [ov.rb(None)], ov._splitting_solve())
+    """The closing construction of the lemmas on ``name``, the law row
+    rb_dendriform read from the memo."""
+    return ov._make_verifier(catalog.get(name), [ov.OperatorLaw("rb_dendriform")], B)
 
 
 def _splitting_table():
@@ -556,6 +584,22 @@ def _splitting_table():
     dend = catalog.get("dendriform")
     lt, gt = dend.generators.index("lt"), dend.generators.index("gt")
     return {lt: [(1, (), (P,), ())], gt: [(1, (), (), ()), (1, (P,), (), ())]}
+
+
+def _summands(table):
+    """A derived table with each generator's entries as a multiset: the
+    terms of a sum, in any order."""
+    return {g: sorted(entries) for g, entries in table.items()}
+
+
+def test_the_splitting_row_gives_the_table_the_lemma_states():
+    dend = catalog.get("dendriform")
+    row = ov.derived_table(ov.OperatorLaw("rb_dendriform"), dend, P)
+    assert _summands(row) == _summands(_splitting_table())
+    # at weight 0 the splitting is rb0 with its factor dendriform
+    at_zero = ov.OperatorLaw("rb_dendriform", 0)
+    assert ov.predicted_factor_name(at_zero) == "dendriform"
+    assert ov.derived_table(at_zero, dend, P) == ov.derived_table(ov.rb(0), dend, P)
 
 
 _CRITERION_6_SINGLES = [
@@ -570,6 +614,7 @@ _LAWS = {
     "nijenhuis": ov.nijenhuis,
     "left_rb": ov.left_rb,
     "right_rb": ov.right_rb,
+    "rb_dendriform": lambda: ov.OperatorLaw("rb_dendriform"),
 }
 # the commuting families of criterion 6, all on associative
 _CRITERION_6_FAMILIES = [
@@ -616,9 +661,8 @@ def _block_rank(t, block):
 
 @pytest.mark.parametrize(
     "factors",
+    # with dendriform, the factor of rb of weight 0 and of the splitting
     [(factor,) for factor in sorted({factor for factor, _ in ov._LAW_TABLE.values()})]
-    # rb of weight 0 and the dendriform splitting
-    + [("dendriform",)]
     # the composite factors of the criterion-6 families
     + [
         tuple(ov.predicted_factor_name(_LAWS[law]()) for law in laws)
@@ -704,7 +748,10 @@ def _assert_warm_gives_the_cold_report(t, laws):
 
 @pytest.mark.parametrize(
     "name, laws",
-    [(name, (law,)) for name, law in _CRITERION_6_SINGLES] + _CRITERION_6_FAMILIES,
+    [(name, (law,)) for name, law in _CRITERION_6_SINGLES]
+    + _CRITERION_6_FAMILIES
+    # the two dendriform splittings of the lemmas
+    + [(name, ("rb_dendriform",)) for name in ("associative", "trialgebra")],
     ids=lambda x: "+".join(x) if isinstance(x, tuple) else x,
 )
 def test_a_warm_memo_gives_the_cold_report(cold_solves, name, laws):
