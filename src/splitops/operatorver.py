@@ -33,19 +33,18 @@ product (depth 2) and puts back at most one there; an outer or two-leaf
 step does the same at depth 1 and leaves depth 2 alone.  So the pair
 (symbols at depth 2, symbols at depth 1) falls lexicographically at
 every step, and the total never rises: no word grows beyond the two
-symbols per law that a substitution starts with.  The step budget is
-therefore no bound inside the loop but one check on the steps a solve
-took.
+symbols a substitution starts with.  The step budget is therefore no
+bound inside the loop but one check on the steps a solve took.
 
 Terms are product trees with three leaves x, y, z in fixed order (two
 leaves for the operator-identity lemmas); every leaf and every product
-node carries an operator word.  Words are kept canonically sorted, which
-makes commuting families definitional rather than rewritten.
+node carries an operator word, kept sorted.  A solve writes its law's
+operator as symbol 0.
 
 Rewriting moves operator symbols between words and never reads or changes
 the base generators of a term, so the verifier works on patterns, terms
 keyed by shape and words alone.  The pattern n_f is relation f of the
-composite factor, substituted with base generators 0 and normalized; the
+law's factor, substituted with base generators 0 and normalized; the
 pattern q_s of an instance s = (leaf words, context) is its normalized
 left-bracketed term minus its right-bracketed one.  Placing a pattern at
 every nonzero of a base relation r_b, with that nonzero's generators and
@@ -58,42 +57,62 @@ placing lemma: if n_f = sum c_s * q_s, then
 So the verifier solves each nonzero n_f once, against an echelon of the
 q_s of its candidate geometry, and places that certificate at every base
 relation.  The solve and its rewrite steps read no base and no operator
-name, so a process solves each tuple of law kinds and weights once, into
-one record of the n_f, the certificates, the q_s they use and the step
-count, and every run reads that record.  Reuse is sound: each placed
-certificate is still summed again from the placed instances and compared
-with the placed residual, base by base, and that check gives the
-verdict.  A run raises when the record took more steps than its budget,
-so the budget is exact and the same for a first run and a later one.
-A FAILED verdict means that no pattern certificate exists (or that the
-re-check caught a wrong one).  A certificate that exists for one base
-only, where placing drops a shape of a pattern or combines instances of
-several base relations, is not searched for.  A rewrite step is one
-rewrite of one word pattern.
+name, so a process solves each law kind and weight once, into one record
+of the n_f, the certificates, the q_s they use and the step count, and
+every run reads that record.  Reuse is sound: each placed certificate is
+still summed again from the placed instances and compared with the placed
+residual, base by base, and that check gives the verdict.  A run raises
+when the record took more steps than its budget, so the budget is exact
+and the same for a first run and a later one.  A FAILED verdict means
+that no pattern certificate exists (or that the re-check caught a wrong
+one).  A certificate that exists for one base only, where placing drops
+a shape of a pattern or combines instances of several base relations, is
+not searched for.  A rewrite step is one rewrite of one word pattern.
 
 The product is never built.  Its name and generator labels are
-:func:`products.square_generators` folded over the base and the law
-factors, and its relation k is box(r_b, r_f), r_f relation f of the
-composite factor F, the square of the law factors.  No validation is
-lost, by the product lemma: if F has independent L blocks and independent
-R blocks, base sq F is valid for every valid base.  If sum_f y_f (x) r_f
-in R_B (x) R_F has box 0, the independent L(r_f) give every L(y_f) = 0
-and the R(r_f) every R(y_f) = 0, so y_f = 0: box is injective.  The star
-s_B (x) s_F is nonzero with associativity box(assoc(s_B), assoc(s_F)) by
-bilinearity, and a starless base gives a starless product.  trialgebra,
-ns, dendriform, dipterous, anti_dipterous and their Kronecker composites,
-every factor the verifier takes, meet the premise.
+:func:`products.square_generators` of the base and the law's factor F,
+and its relation k is box(r_b, r_f) for b, f = divmod(k, |R_F|).  No
+validation is lost, by the product lemma: if F has independent L blocks
+and independent R blocks, base sq F is valid for every valid base.  If
+sum_f y_f (x) r_f in R_B (x) R_F has box 0, the independent L(r_f) give
+every L(y_f) = 0 and the R(r_f) every R(y_f) = 0, so y_f = 0: box is
+injective.  The star s_B (x) s_F is nonzero with associativity
+box(assoc(s_B), assoc(s_F)) by bilinearity, and a starless base gives a
+starless product.  trialgebra, ns, dendriform, dipterous and
+anti_dipterous, every factor a law predicts, meet the premise.
+
+A family [L1, ..., Lk] of commuting operators is verified one law at a
+time on a growing base: stage i is Li alone on B' = B sq F1 sq ... sq
+F(i-1).  B' is not built: the nonzeros of its relations are Kronecker
+products, made only when another law follows, and it is valid by the
+product lemma.  Box is associative, so relation (b', f) of stage i is
+relation box(b', f) of B sq F1 sq ... sq Fi, with its index and label.  It
+is verified when its certificate re-checks at b' and b' was verified at
+stage i - 1; the certificate uses instances of b' alone, so the rule is
+exact.  Each stage has a formal weight of its own; a shared one
+specializes them.
+
+Stage i is sound by the commuting lemma: if Q commutes with P and obeys
+its law for an operation o, it obeys it for each derived operation
+g(u, v) = s * P^a(P^b(u) o P^c(v)) of P on o.  Every term of Q's rule is
+a scalar times Q^w(Q^p(u) o Q^q(v)), linear in o; moving each Q through
+P turns the rule for g at (u, v) into s * P^a of the rule for o at
+(P^b(u), P^c(v)), and Q(u) g Q(v) into s * P^a(Q(P^b(u)) o Q(P^c(v))),
+which agree.  By induction every operation of B' is a sum of derived
+operations of the earlier operators, so Li obeys its law on each, and the
+base-free single-law theorem gives B' sq Fi, whose operations are the
+family's.
 
 Every coefficient is an int or a Fraction: the formal weight l is a
-grading.  Give l and each symbol of a formal-weight operator degree 1,
-and let d(t) count those symbols in the words of a term t.  The rb rule,
-each entry of a formal-weight law's derived table (x P(y), P(x) y,
-l * x y) and each relation instance (no l) are homogeneous, so a product
-relation substitutes to degree D, twice the number of formal-weight
-laws, and every coefficient of a term t is c_t * l^(D - d(t)).  Scaling
-the coordinate of each t by l^(d(t) - D) is invertible and turns every
-homogeneous vector into a power of l times its value at l = 1.  So a
-residual lies in the Q(l)-span of the relation instances iff its value
+grading.  Under a formal-weight law, give l and the operator's symbol
+degree 1, and let d(t) count the symbols in the words of a term t.  The
+rb rule, each entry of the derived table (x P(y), P(x) y, l * x y) and
+each relation instance (no l) are homogeneous, so a product relation
+substitutes to degree D = 2 (D = 0 under any other law, where no power
+of l appears), and every coefficient of a term t is c_t * l^(D - d(t)).
+Scaling the coordinate of each t by l^(d(t) - D) is invertible and turns
+every homogeneous vector into a power of l times its value at l = 1.  So
+a residual lies in the Q(l)-span of the relation instances iff its value
 at l = 1 lies in the Q-span of theirs, and rational coefficients a_i
 there scale back to the certificate a_i * l^(D - d(i)), d(i) counting
 the symbols in the words of instance i.  Pivots depend on supports only,
@@ -101,26 +120,28 @@ which the scaling keeps, so these are the certificates an echelon over
 Q(l) finds.  The verifier therefore computes at l = 1 and restores the
 powers of l when it prints, as quotients of polynomials in l such as
 (-2*l^3)/(1).  The one precondition, checked once per table, is that a
-table written at l = 1 lifts to a homogeneous one: an entry with n
-formal-weight symbols stands for l^(1 - n) times itself, so it carries
-at most one, and none unless its law has the formal weight.
+table written at l = 1 lifts to a homogeneous one: under the formal
+weight an entry with n symbols stands for l^(1 - n) times itself, so it
+carries at most one.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 from . import catalog
 from .exactalg import ExactAlgebraError, canonical, format_scalar, rational_from_text
 from .typecore import RelationElement, TypePresentation, format_relation, require_valid
-from .products import box_relation, square, square_generators
+# square is not called here: the benchmark tracer (bench/tracing.py) wraps
+# it under this module's binding too, and its self-test checks that binding
+from .products import box_relation, square, square_generators  # noqa: F401
 
 DEFAULT_STEP_BUDGET = 100_000
-MAX_FAMILY = 3  # operators in one commuting family
+MAX_FAMILY = 3  # operators in one commuting family, a bound on the output's size
 
 
 class RewriteBudget(ExactAlgebraError):
@@ -251,13 +272,13 @@ def predicted_factor_name(law: OperatorLaw) -> str:
     return "dendriform" if law.weight == 0 else _LAW_TABLE[law.kind][0]
 
 
-def derived_table(law: OperatorLaw, factor: TypePresentation, symbol: int):
+def derived_table(law: OperatorLaw, factor: TypePresentation):
     """Map factor-generator index -> [(coeff, left word, right word, wrap word)].
 
-    The entries are the law's derived operations, a label's in one list;
-    composing tables for commuting families merges the words as multisets.
+    The entries are the law's derived operations, a label's in one list,
+    with the operator written as symbol 0.
     """
-    sym = (symbol,)
+    sym = (0,)
     table: dict = {}
     for label, c, on_x, on_y, around in law.operations():
         entry = (c, sym * on_x, sym * on_y, sym * around)
@@ -452,52 +473,30 @@ def format_weight_monomial(c, power: int) -> str:
     return f"({'-' if c < 0 else ''}{body})/({den})"
 
 
-@dataclass(frozen=True)
-class _Grading:
-    """The powers of l that computing at l = 1 leaves out (see the module
-    docstring): words with d formal-weight symbols go with l^(degree - d)."""
+def _power(formal: bool, words) -> int:
+    """The power of l that computing at l = 1 leaves out (see the module
+    docstring): l^(2 - d) goes with words of d symbols under the formal
+    weight, and l^0 with every word under any other."""
+    return 2 - sum(map(len, words)) if formal else 0
 
-    formal: tuple[int, ...]  # the symbols of the formal-weight laws
 
-    @classmethod
-    def of(cls, laws) -> _Grading:
-        """The grading of ``laws``, law k written with symbol k."""
-        return cls(tuple(s for s, law in enumerate(laws) if law.formal))
-
-    @property
-    def degree(self) -> int:
-        return 2 * len(self.formal)
-
-    def symbols_in(self, words) -> int:
-        return sum(word.count(s) for word in words for s in self.formal)
-
-    def power(self, words) -> int:
-        return self.degree - self.symbols_in(words)
-
-    def show(self, residual: dict, labels, names) -> tuple[str, ...]:
-        return tuple(
-            f"{format_weight_monomial(c, self.power(t[3:]))} * {term_str(t, labels, names)}"
-            for t, c in sorted(residual.items())
-        )
-
-    def check_table(self, table: dict, symbol: int) -> None:
-        allowed = symbol in self.formal
-        if any(self.symbols_in(words) > allowed for e in table.values() for _c, *words in e):
-            raise ExactAlgebraError("derived table is not homogeneous in the formal weight")
+def _show(formal: bool, residual: dict, labels, names) -> tuple[str, ...]:
+    return tuple(
+        f"{format_weight_monomial(c, _power(formal, t[3:]))} * {term_str(t, labels, names)}"
+        for t, c in sorted(residual.items())
+    )
 
 
 # ---------------------------------------------------------------------------
 # relation instances and the membership solver
 
 
-def relation_instance(
-    rel: RelationElement, triple: tuple, context: tuple
-) -> dict:
+def relation_instance(rel: RelationElement, triple: tuple, context: tuple) -> dict:
     """The combination LHS - RHS of a base relation on decorated leaves,
     wrapped in a context word.
 
-    This is the definition the instances :meth:`_Verifier._rebuild` places
-    are tested against: a solve normalizes each instance pattern q_s once,
+    This is the definition the instances :func:`_rebuild` places are
+    tested against: a solve normalizes each instance pattern q_s once,
     with base generators 0, and the verifier places the generators.
     """
     wu, wv, ww = triple
@@ -606,7 +605,8 @@ class _Echelon:
 class RelationVerdict:
     """``certificate`` holds (instance tag, c, k): the instance enters with
     coefficient c * l^k, for the formal weight l.  ``label`` is the relation's
-    text, or the (r_b, r_f, product labels) :attr:`relation` formats it from."""
+    text, or the (relations, product labels) :attr:`relation` formats it
+    from, the product relation being the box of the relations."""
 
     index: int
     label: str | tuple = field(compare=False)
@@ -619,8 +619,8 @@ class RelationVerdict:
     def relation(self) -> str:
         if isinstance(self.label, str):
             return self.label
-        r_b, r_f, labels = self.label
-        return format_relation(box_relation(r_b, r_f), labels)
+        relations, labels = self.label
+        return format_relation(reduce(box_relation, relations), labels)
 
     def describe(self) -> str:
         status = "verified" if self.verified else "FAILED"
@@ -629,11 +629,15 @@ class RelationVerdict:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """``prefix`` is the report of a family without its last law, whose
+    product's relations the certificates cite; None for one law."""
+
     type_name: str
     law: str
     product_name: str
     verdicts: tuple[RelationVerdict, ...]
     experimental: bool = False
+    prefix: VerificationReport | None = None
 
     @property
     def all_verified(self) -> bool:
@@ -651,6 +655,9 @@ class VerificationReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        return json.dumps(self._json(), indent=2)
+
+    def _json(self) -> dict:
         obj = {
             "type": self.type_name,
             "law": self.law,
@@ -675,37 +682,21 @@ class VerificationReport:
                 for v in self.verdicts
             ],
         }
-        return json.dumps(obj, indent=2)
+        if self.prefix is not None:
+            obj["prefix"] = self.prefix._json()
+        return obj
 
 
-def _composite_table(tables) -> tuple:
-    """The derived table of the composite factor, from its factors': for
-    each of its generators, in square's order, the entries of its factor
-    generators multiplied, their words merged as multisets."""
-    composite: tuple = (((1, (), (), ()),),)
-    for table in tables:
-        composite = tuple(
-            tuple(
-                (c1 * c2, _merge(wl1, wl2), _merge(wr1, wr2), _merge(wp1, wp2))
-                for c1, wl1, wr1, wp1 in entries
-                for c2, wl2, wr2, wp2 in table[g]
-            )
-            for entries in composite
-            for g in range(len(table))
-        )
-    return composite
-
-
-def substitute(rel: RelationElement, table: tuple) -> dict:
+def substitute(rel: RelationElement, table: dict) -> dict:
     """LHS - RHS of a product relation under the derived operations.
 
     ``table`` holds the (coeff, left word, right word, wrap word) entries
-    of each generator of the composite factor; product generator g pairs
-    base generator g // len(table) with factor generator g % len(table).
-    Applied to a relation of the composite factor, whose generators have
-    base generator 0, it gives the terms of the pattern n_f; the
-    normalized product relation is the definition the placed residual is
-    tested against.
+    of each generator of the law's factor; product generator g pairs base
+    generator g // len(table) with factor generator g % len(table).
+    Applied to a relation of the factor, whose generators have base
+    generator 0, it gives the terms of the pattern n_f; the normalized
+    product relation is the definition the placed residual is tested
+    against.
     """
     n = len(table)
     comb: dict = {}
@@ -756,34 +747,30 @@ def _echelon(normalizer: Normalizer, triples, contexts, known: dict) -> _Echelon
 
 @dataclass(frozen=True)
 class _LawSolve:
-    """The base-free half of a verifier, the one record every run of its
-    laws reads.  Nothing here reads a base or an operator name (see the
+    """The base-free half of a verdict, the one record every run of its
+    law reads.  Nothing here reads a base or an operator name (see the
     module docstring)."""
 
-    factors: tuple[TypePresentation, ...]
-    # the relations of the composite factor, in square's order: product
-    # relation k, named but never built, is box(base relation b, factor
-    # relation f) for b, f = divmod(k, len(factor_relations))
-    factor_relations: tuple[RelationElement, ...]
-    grading: _Grading
-    patterns: tuple[dict, ...]  # n_f for each factor relation f
+    # the law's factor: product relation k, named but never built, is
+    # box(base relation b, factor relation f) for b, f = divmod(k, |R_F|)
+    factor: TypePresentation
+    formal: bool  # whether the law has the formal weight
+    patterns: tuple  # n_f of each factor relation f, by block
     # per factor relation, the certificate of n_f as ((triple, context),
     # c, k) per instance, c * l^k its coefficient; None where n_f has none
     certificates: tuple
-    instances: dict  # q_s of each (triple, context) a certificate uses
+    instances: dict  # q_s, by block, of each (triple, context) a certificate uses
     steps: int
 
 
-def _solve(laws, factors, tables) -> _LawSolve:
-    """The record of ``laws`` with their factors and derived tables.  The
+def _solve(law: OperatorLaw, factor: TypePresentation, table: dict) -> _LawSolve:
+    """The record of ``law`` with its factor and derived table.  The
     normalizer and every q_s made live only while the solve runs."""
-    grading = _Grading.of(laws)
-    for symbol, table in enumerate(tables):
-        grading.check_table(table, symbol)
-    normalizer = Normalizer(tuple(laws), tuple(range(len(laws))))
-    table = _composite_table(tables)
-    factor_relations = reduce(square, factors).relations
-    patterns = tuple(_pattern(normalizer, substitute(rel, table)) for rel in factor_relations)
+    # the precondition of the grading (see the module docstring)
+    if law.formal and any(sum(map(len, w)) > 1 for e in table.values() for _c, *w in e):
+        raise ExactAlgebraError("derived table is not homogeneous in the formal weight")
+    normalizer = Normalizer((law,), (0,))
+    patterns = tuple(_pattern(normalizer, substitute(rel, table)) for rel in factor.relations)
     # one certificate per nonzero n_f, against one echelon per candidate
     # geometry, alive one at a time
     groups: dict = {}
@@ -798,16 +785,14 @@ def _solve(laws, factors, tables) -> _LawSolve:
             solved = echelon.solve(patterns[f])
             if solved is not None:
                 certificates[f] = tuple(
-                    (tag, c, grading.power(tag[0] + (tag[1],))) for tag, c in solved.items()
+                    (tag, c, _power(law.formal, tag[0] + (tag[1],))) for tag, c in solved.items()
                 )
         # freed before the next one is built, so peak memory stays that
         # of the largest single echelon
         del echelon
-    used = {tag: known[tag] for cert in certificates if cert for tag, _c, _k in cert}
-    return _LawSolve(
-        tuple(factors), factor_relations, grading, patterns, tuple(certificates),
-        used, normalizer.steps,
-    )
+    used = {tag: _by_block(known[tag]) for cert in certificates if cert for tag, _c, _k in cert}
+    patterns = tuple(map(_by_block, patterns))
+    return _LawSolve(factor, law.formal, patterns, tuple(certificates), used, normalizer.steps)
 
 
 def _check_budget(steps: int, budget: int) -> None:
@@ -815,103 +800,113 @@ def _check_budget(steps: int, budget: int) -> None:
         raise RewriteBudget("rewrite budget exhausted")
 
 
-class _Verifier:
-    """A law solve placed on one base: product relation box(r_b, r_f) is
-    n_f and its certificate placed at r_b, and re-checked there."""
+def _nonzeros(rel: RelationElement) -> tuple:
+    """The nonzeros of a relation as (block, gin, gout, c): the generators
+    of the inner and the outer product of its term, and its coefficient."""
+    return tuple((blk, i, j, c) if blk == 0 else (blk, j, i, c) for blk, i, j, c in rel.nonzero())
 
-    def __init__(self, base, laws, solve: _LawSolve):
-        self.base = base
-        self.names = [law.name for law in laws]
-        self.solve = solve
-        generators = reduce(square_generators, [t.generators for t in (base, *solve.factors)])
-        self.product_name = generators.name
-        self.product_labels = generators.labels
-        # each base relation's nonzeros as (block, gin, gout, c): the base
-        # generators of the inner and the outer product of its term
-        self.base_nonzeros = [
-            tuple((blk, i, j, c) if blk == 0 else (blk, j, i, c) for blk, i, j, c in rel.nonzero())
-            for rel in base.relations
-        ]
 
-    def _placed(self, b: int, pattern: dict) -> dict:
-        """A pattern placed at every nonzero of base relation ``b``: it
-        takes the base generators and the coefficient of each nonzero of
-        its shape's block.  Distinct nonzeros give distinct terms."""
-        out: dict = {}
-        for block, gin, gout, c in self.base_nonzeros[b]:
-            for key, x in pattern.items():
-                if key[0] == block:
-                    out[(block, gin, gout) + key[1:]] = c * x
-        return out
+def _by_block(pattern: dict) -> tuple:
+    """A pattern as the (words, coefficient) pairs of each shape, 0 and 1."""
+    return tuple(tuple((key[1:], x) for key, x in pattern.items() if key[0] == b) for b in (0, 1))
 
-    def run(self, type_name: str, law_desc: str, experimental=False) -> VerificationReport:
-        """Verify every product relation: place n_f and its certificate at
-        r_b, and check them there."""
-        count = len(self.base.relations) * len(self.solve.patterns)
-        verdicts = tuple(self._certify(k) for k in range(count))
-        return VerificationReport(type_name, law_desc, self.product_name, verdicts, experimental)
 
-    def _certify(self, index: int) -> RelationVerdict:
-        """The verdict of product relation ``index`` = box(r_b, r_f): the
-        pattern n_f and its certificate, both placed at r_b.
+def _placed(nonzeros: tuple, pattern: tuple) -> dict:
+    """A pattern, by block, placed at every nonzero of a base relation: it
+    takes the base generators and the coefficient of each nonzero of its
+    shape's block.  Distinct nonzeros give distinct terms."""
+    out: dict = {}
+    for block, gin, gout, c in nonzeros:
+        head = (block, gin, gout)
+        for words, x in pattern[block]:
+            out[head + words] = c * x
+    return out
 
-        A residual with no certificate, or whose placed certificate does
-        not sum back to it, fails with the residual shown.
-        """
-        solve = self.solve
-        b, f = divmod(index, len(solve.factor_relations))
-        label = (self.base.relations[b], solve.factor_relations[f], self.product_labels)
-        residual = self._placed(b, solve.patterns[f])
-        if not residual:
-            return RelationVerdict(index, label, True, residual_zero=True)
-        if solve.certificates[f] is not None:
-            placed = tuple(((b,) + tag, c, k) for tag, c, k in solve.certificates[f])
-            if self._rebuild(placed) == residual:
-                return RelationVerdict(index, label, True, certificate=placed)
-        shown = solve.grading.show(residual, self.base.generators.labels, self.names)
-        return RelationVerdict(index, label, False, residual=shown)
 
-    def _rebuild(self, certificate: tuple) -> dict:
-        """Sum of coefficient times placed instance, its q_s read from the
-        record and not the echelon, so a certificate is checked independently."""
-        out: dict = {}
-        for (b, triple, ctx), coeff, _k in certificate:
-            for term, c in self._placed(b, self.solve.instances[triple, ctx]).items():
-                _accumulate(out, term, coeff * c)
-        return out
+def _rebuild(nonzeros: list, instances: dict, certificate: tuple) -> dict:
+    """Sum of coefficient times placed instance, its q_s read from the
+    record and not the echelon, so a certificate is checked independently."""
+    out: dict = {}
+    for (b, triple, ctx), coeff, _k in certificate:
+        for term, c in _placed(nonzeros[b], instances[triple, ctx]).items():
+            _accumulate(out, term, coeff * c)
+    return out
+
+
+def _certify(solve: _LawSolve, nonzeros: list, b: int, f: int, index: int, label, show):
+    """The verdict of product relation ``index`` = box(r_b, r_f): the
+    pattern n_f and its certificate, both placed at base relation b.
+
+    A residual with no certificate, or whose placed certificate does not
+    sum back to it, fails with the residual as ``show`` prints it.
+    """
+    residual = _placed(nonzeros[b], solve.patterns[f])
+    if not residual:
+        return RelationVerdict(index, label, True, residual_zero=True)
+    if solve.certificates[f] is not None:
+        placed = tuple(((b,) + tag, c, k) for tag, c, k in solve.certificates[f])
+        if _rebuild(nonzeros, solve.instances, placed) == residual:
+            return RelationVerdict(index, label, True, certificate=placed)
+    return RelationVerdict(index, label, False, residual=show(residual))
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
-    if not a:
-        return b
-    if not b:
-        return a
-    return tuple(sorted(a + b))
+    return tuple(sorted(a + b)) if a and b else a or b
 
 
 _SOLVE_MEMO_SIZE = 64
 
 
 @lru_cache(maxsize=_SOLVE_MEMO_SIZE)
-def _law_solve(key: tuple) -> _LawSolve:
-    """The record of the laws of ``key``, a (kind, weight) pair per law:
-    every operator name shares it."""
-    laws = [OperatorLaw(kind, weight) for kind, weight in key]
-    factors = [catalog.get(predicted_factor_name(law)) for law in laws]
-    tables = [
-        derived_table(law, factor, symbol)
-        for symbol, (law, factor) in enumerate(zip(laws, factors))
-    ]
-    return _solve(laws, factors, tables)
+def _law_solve(kind: str, weight) -> _LawSolve:
+    """The record of the law ``kind`` of ``weight``: every operator name
+    shares it."""
+    law = OperatorLaw(kind, weight)
+    factor = catalog.get(predicted_factor_name(law))
+    return _solve(law, factor, derived_table(law, factor))
 
 
-def _make_verifier(t, laws, budget):
-    """``laws`` on ``t``; it raises when their solve took more than
-    ``budget`` steps."""
+def _stages(t: TypePresentation, laws, budget: int) -> list:
+    """``laws`` on ``t``, one stage per law, as (product generators,
+    verdicts) per stage: stage k is law k on the product of ``t`` and the
+    factors of the laws before it (see the module docstring).  It raises
+    when the solve of law k took more than ``budget`` steps."""
     require_valid(t)
-    solve = _law_solve(tuple((law.kind, law.weight) for law in laws))
-    _check_budget(solve.steps, budget)
-    return _Verifier(t, laws, solve)
+    generators = t.generators
+    nonzeros = [_nonzeros(rel) for rel in t.relations]
+    # base relation b is the box of chains[b]: a relation of t, then one
+    # relation of each earlier factor
+    chains = [(rel,) for rel in t.relations]
+    prefix = [True] * len(t.relations)  # whether base relation b was verified
+    stages = []
+    for k, law in enumerate(laws):
+        solve = _law_solve(law.kind, law.weight)
+        _check_budget(solve.steps, budget)
+        relations = solve.factor.relations
+        product = square_generators(generators, solve.factor.generators)
+        show = partial(_show, solve.formal, labels=generators.labels, names=[law.name])
+        verdicts: list = []
+        for b, chain in enumerate(chains):
+            for f, r_f in enumerate(relations):
+                label = (chain + (r_f,), product.labels)
+                verdict = _certify(solve, nonzeros, b, f, len(verdicts), label, show)
+                verdicts.append(verdict if prefix[b] else replace(verdict, verified=False))
+        stages.append((product, tuple(verdicts)))
+        if k + 1 < len(laws):
+            # the nonzeros of box(r_b, r_f), paired as products.box_relation
+            # pairs them: in one block, inner with inner, outer with outer
+            m, factor_nonzeros = solve.factor.dim, [_nonzeros(r_f) for r_f in relations]
+            nonzeros = [
+                tuple(
+                    (blk, gin * m + fin, gout * m + fout, c * fc)
+                    for blk, gin, gout, c in nz for fblk, fin, fout, fc in fz if fblk == blk
+                )
+                for nz in nonzeros for fz in factor_nonzeros
+            ]
+            chains = [chain + (r_f,) for chain in chains for r_f in relations]
+            prefix = [verdict.verified for verdict in verdicts]
+            generators = product
+    return stages
 
 
 def verify_operator_theorem(
@@ -920,8 +915,8 @@ def verify_operator_theorem(
     budget: int = DEFAULT_STEP_BUDGET,
 ) -> VerificationReport:
     """Verify that one operator induces the predicted product structure."""
-    v = _make_verifier(t, [law], budget)
-    return v.run(t.name, law.describe())
+    ((product, verdicts),) = _stages(t, [law], budget)
+    return VerificationReport(t.name, law.describe(), product.name, verdicts)
 
 
 def verify_commuting_family(
@@ -929,19 +924,22 @@ def verify_commuting_family(
     laws,
     budget: int = DEFAULT_STEP_BUDGET,
 ) -> VerificationReport:
-    """Iterated construction for a family of commuting operators."""
+    """Iterated construction for a family of commuting operators: each law
+    on the product of ``t`` and the factors of the laws before it.  The
+    family without its last law is the report's ``prefix``."""
     laws = list(laws)
     if not 1 <= len(laws) <= MAX_FAMILY:
         raise ValueError(f"commuting families are limited to {MAX_FAMILY} operators")
-    laws = [
-        OperatorLaw(law.kind, law.weight, f"{law.name}{k + 1}")
-        for k, law in enumerate(laws)
-    ]
-    kinds = {law.kind for law in laws}
-    experimental = len(kinds) > 1 and kinds != {"right_rb", "left_rb"}
-    v = _make_verifier(t, laws, budget)
-    desc = " , ".join(law.describe() for law in laws)
-    return v.run(t.name, f"[{desc}]", experimental)
+    laws = [OperatorLaw(law.kind, law.weight, f"{law.name}{k + 1}") for k, law in enumerate(laws)]
+    report = None
+    for k, (product, verdicts) in enumerate(_stages(t, laws, budget), 1):
+        kinds = {law.kind for law in laws[:k]}
+        experimental = len(kinds) > 1 and kinds != {"right_rb", "left_rb"}
+        desc = " , ".join(law.describe() for law in laws[:k])
+        report = VerificationReport(
+            t.name, f"[{desc}]", product.name, verdicts, experimental, report
+        )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -995,7 +993,7 @@ def _check_modified_operator(name: str, identity: OperatorLaw, law: OperatorLaw,
     residual = normalizer.normalize(diff)
     _check_budget(normalizer.steps, budget)
     if residual:
-        shown = "; ".join(_Grading.of((law,)).show(residual, ["o"], [law.name]))
+        shown = "; ".join(_show(law.formal, residual, ["o"], [law.name]))
         return LemmaReport(name, False, f"residual {shown}")
     return LemmaReport(name, True)
 
@@ -1020,8 +1018,9 @@ def verify_operator_lemmas(
     ]
     for name in include:
         t = catalog.get(name)
-        v = _make_verifier(t, [OperatorLaw("rb_dendriform")], budget)
-        report = v.run(t.name, "dendriform splitting by -(modified P)")
+        ((product, verdicts),) = _stages(t, [OperatorLaw("rb_dendriform")], budget)
+        text = "dendriform splitting by -(modified P)"
+        report = VerificationReport(t.name, text, product.name, verdicts)
         reports.append(
             LemmaReport(
                 f"dendriform splitting on {name} (all {len(report.verdicts)} relations)",

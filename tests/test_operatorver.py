@@ -4,7 +4,7 @@ import hashlib
 import json
 import random
 import weakref
-from dataclasses import fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
 from pathlib import Path
@@ -22,6 +22,7 @@ from splitops.typecore import (
     TypePresentation,
     format_relation,
     relabel,
+    require_valid,
     star_associativity,
     validate,
 )
@@ -36,8 +37,7 @@ def nf(comb, law, **kwargs):
 
 def powers(comb, law):
     """The power of the formal weight that goes with each term's coefficient."""
-    grading = ov._Grading.of((law,))
-    return {term: grading.power(term[3:]) for term in comb}
+    return {term: ov._power(law.formal, term[3:]) for term in comb}
 
 
 def term2(wx, wy, wout=()):
@@ -47,17 +47,53 @@ def term2(wx, wy, wout=()):
 B = ov.DEFAULT_STEP_BUDGET
 
 
-def _product(v):
-    """The product presentation a verifier names and never builds: square
+def _factors(laws):
+    return [catalog.get(ov.predicted_factor_name(law)) for law in laws]
+
+
+def _product(t, laws):
+    """The product presentation the verifier names and never builds: square
     folded over the base and the law factors, as the reference."""
-    return reduce(square, v.solve.factors, v.base)
+    return reduce(square, _factors(laws), t)
+
+
+def _symbol_table(law, factor, symbol):
+    """The derived table of ``law`` with its operator written ``symbol``."""
+    return {
+        g: [(c, *(tuple(symbol for _ in word) for word in words)) for c, *words in entries]
+        for g, entries in ov.derived_table(law, factor).items()
+    }
 
 
 def _tables(laws):
     """The predicted factors of ``laws`` and their derived tables, law k
     written with symbol k."""
-    factors = [catalog.get(ov.predicted_factor_name(law)) for law in laws]
-    return factors, [ov.derived_table(law, f, k) for k, (law, f) in enumerate(zip(laws, factors))]
+    factors = _factors(laws)
+    return factors, [_symbol_table(law, f, k) for k, (law, f) in enumerate(zip(laws, factors))]
+
+
+def _report(t, laws, budget=ov.DEFAULT_STEP_BUDGET):
+    """The report of ``laws`` on ``t``: one law's, or a family's."""
+    if len(laws) == 1:
+        return ov.verify_operator_theorem(t, laws[0], budget)
+    return ov.verify_commuting_family(t, laws, budget)
+
+
+def _levels(report):
+    """The reports of a family, first law first: each prefix, then the family."""
+    levels = []
+    while report is not None:
+        levels.append(report)
+        report = report.prefix
+    return levels[::-1]
+
+
+def _bases(t, laws):
+    """The base of each level, built and validated with products.square."""
+    bases = [t]
+    for factor in _factors(laws)[:-1]:
+        bases.append(square(bases[-1], factor))
+    return bases
 
 
 class _Reference:
@@ -69,7 +105,7 @@ class _Reference:
     def __init__(self, laws, tables=None):
         laws = tuple(laws)
         self.normalizer = ov.Normalizer(laws, tuple(range(len(laws))))
-        self.table = ov._composite_table(tables or _tables(laws)[1])
+        self.table = _composite_table(tables or _tables(laws)[1])
 
     def residual(self, rel):
         return self.normalizer.normalize(ov.substitute(rel, self.table))
@@ -192,8 +228,7 @@ def test_case_three_substitution_matches_proof_chain():
     #   P(x o P(y)) o z + P(P(x) o y) o z + weight * P(x o y) o z
     # on the left and P(x) o (P(y) o z) on the right, both already normal
     a = catalog.get("associative")
-    v = _verifier("associative", [ov.rb(None)])
-    rel = _product(v).relations[2]
+    rel = _product(a, [ov.rb(None)]).relations[2]
     diff = _Reference([ov.rb(None)]).residual(rel)
     assert diff == {
         (0, 0, 0, (), (P,), (), (P,), ()): 1,
@@ -204,7 +239,7 @@ def test_case_three_substitution_matches_proof_chain():
     assert list(powers(diff, ov.rb(None)).values()) == [0, 0, 1, 0]
     # and the residual is certified by the associativity instance on
     # (P(x), P(y), z): its left half rewrites into the three wrapped terms
-    verdict = v.run(a.name, "law").verdicts[2]
+    verdict = ov.verify_operator_theorem(a, ov.rb(None)).verdicts[2]
     assert verdict.verified
     tags = [tag for tag, *_ in verdict.certificate]
     assert (0, ((P,), (P,), ()), ()) in tags
@@ -214,7 +249,7 @@ def test_verifier_substitutions_are_strategy_independent():
     law = ov.rb(None)
     reference = _Reference([law])
     outer = ov.Normalizer((law,), (0,), strategy="outermost")
-    for rel in _product(_verifier("trialgebra", [law])).relations[::7]:
+    for rel in _product(catalog.get("trialgebra"), [law]).relations[::7]:
         comb = ov.substitute(rel, reference.table)
         assert reference.normalizer.normalize(comb) == outer.normalize(comb)
 
@@ -327,10 +362,9 @@ def test_every_nonzero_residual_carries_a_certificate():
 def test_certificates_reproduce_residuals():
     t = catalog.get("dendriform")
     law = ov.rb(None)
-    v = _verifier("dendriform", [law])
     reference = _Reference([law])
-    report = v.run(t.name, law.describe())
-    product = _product(v)
+    report = ov.verify_operator_theorem(t, law)
+    product = _product(t, [law])
     assert len(report.verdicts) == len(product.relations)
     for verdict, rel in zip(report.verdicts, product.relations):
         assert verdict.verified
@@ -411,18 +445,18 @@ def test_each_lemma_path_checks_its_steps_against_the_budget(cold_solves):
         ov.verify_operator_lemmas(include=(), budget=0)
     # the splitting reads its law solve from the memo and checks the steps
     # it recorded, the same whether the memo solves it afresh or has it
-    key = _key([ov.OperatorLaw("rb_dendriform")])
-    steps = ov._law_solve(key).steps
+    key = ("rb_dendriform", None)
+    steps = ov._law_solve(*key).steps
     assert steps == 2
     for warm in (False, True):
         ov._law_solve.cache_clear()
         if warm:
-            ov._law_solve(key)
+            ov._law_solve(*key)
         assert all(r.ok for r in ov.verify_operator_lemmas(("associative",), budget=steps))
         assert _memo() == (1, int(warm), 1)
         ov._law_solve.cache_clear()
         if warm:
-            ov._law_solve(key)
+            ov._law_solve(*key)
         with pytest.raises(ov.RewriteBudget, match="rewrite budget exhausted"):
             ov.verify_operator_lemmas(("associative",), budget=steps - 1)
         assert _memo() == (1, int(warm), 1)
@@ -462,7 +496,7 @@ def test_every_coefficient_is_a_plain_number():
     for law in (ov.rb(None), ov.rb(0), ov.rb("-3"), ov.nijenhuis(), ov.left_rb(), ov.right_rb()):
         factor = catalog.get(ov.predicted_factor_name(law))
         coeffs = [c for c, *_ in ov.rewrite_rule(law)]
-        coeffs += [c for entries in ov.derived_table(law, factor, P).values() for c, *_ in entries]
+        coeffs += [c for entries in ov.derived_table(law, factor).values() for c, *_ in entries]
         assert all(type(c) is int for c in coeffs), law
     assert nf({term2((), (P,)): 1}, ov.rb(None)) == {term2((), (P,)): 1}
     inst = ov.relation_instance(catalog.get("dendriform").relations[0], ((), (), ()), ())
@@ -529,10 +563,11 @@ def _oracle_verdicts(t, laws):
 
     This is the verifier before it solved each factor relation once as a
     pattern and placed the certificate at every base relation, kept as the
-    reference for ``run``.  It shares nothing with the solve memo.
+    reference for one law and for the composite solve below.  It shares
+    nothing with the solve memo.
     """
     factors, tables = _tables(laws)
-    reference, grading = _Reference(laws, tables), ov._Grading.of(laws)
+    reference, grading = _Reference(laws, tables), _CompositeGrading.of(laws)
     verdicts = []
     product = reduce(square, factors, t)
     for index, rel in enumerate(product.relations):
@@ -568,14 +603,156 @@ def _named(laws):
     ]
 
 
-def _verifier(name, laws):
-    return ov._make_verifier(catalog.get(name), _named(laws), B)
+# -- the composite solve, the oracle of the stage loop ---------------------------
+#
+# A family of k laws used to be one solve in k operator symbols over the
+# composite factor, the square of the law factors: one normalizer with every
+# law's rule, one table with every law's words merged, and a grading of
+# degree 2 per formal-weight law.  It is kept here as it was, as the oracle
+# the stage loop is compared with.
 
 
-def _splitting(name):
-    """The closing construction of the lemmas on ``name``, the law row
-    rb_dendriform read from the memo."""
-    return ov._make_verifier(catalog.get(name), [ov.OperatorLaw("rb_dendriform")], B)
+def _composite_table(tables) -> tuple:
+    """The derived table of the composite factor, from its factors': for
+    each of its generators, in square's order, the entries of its factor
+    generators multiplied, their words merged as multisets."""
+    composite: tuple = (((1, (), (), ()),),)
+    for table in tables:
+        composite = tuple(
+            tuple(
+                (c1 * c2, ov._merge(wl1, wl2), ov._merge(wr1, wr2), ov._merge(wp1, wp2))
+                for c1, wl1, wr1, wp1 in entries
+                for c2, wl2, wr2, wp2 in table[g]
+            )
+            for entries in composite
+            for g in range(len(table))
+        )
+    return composite
+
+
+@dataclass(frozen=True)
+class _CompositeGrading:
+    """Words with d formal-weight symbols go with l^(degree - d)."""
+
+    formal: tuple  # the symbols of the formal-weight laws
+
+    @classmethod
+    def of(cls, laws):
+        return cls(tuple(s for s, law in enumerate(laws) if law.formal))
+
+    @property
+    def degree(self) -> int:
+        return 2 * len(self.formal)
+
+    def symbols_in(self, words) -> int:
+        return sum(word.count(s) for word in words for s in self.formal)
+
+    def power(self, words) -> int:
+        return self.degree - self.symbols_in(words)
+
+    def show(self, residual, labels, names):
+        return tuple(
+            f"{ov.format_weight_monomial(c, self.power(t[3:]))} * {ov.term_str(t, labels, names)}"
+            for t, c in sorted(residual.items())
+        )
+
+    def check_table(self, table, symbol) -> None:
+        allowed = symbol in self.formal
+        if any(self.symbols_in(words) > allowed for e in table.values() for _c, *words in e):
+            raise ExactAlgebraError("derived table is not homogeneous in the formal weight")
+
+
+@dataclass(frozen=True)
+class _CompositeSolve:
+    factors: tuple
+    factor_relations: tuple
+    grading: _CompositeGrading
+    patterns: tuple
+    certificates: tuple
+    instances: dict
+    steps: int
+
+
+def _composite_solve(laws, factors, tables) -> _CompositeSolve:
+    grading = _CompositeGrading.of(laws)
+    for symbol, table in enumerate(tables):
+        grading.check_table(table, symbol)
+    normalizer = ov.Normalizer(tuple(laws), tuple(range(len(laws))))
+    table = _composite_table(tables)
+    factor_relations = reduce(square, factors).relations
+    patterns = tuple(
+        ov._pattern(normalizer, ov.substitute(rel, table)) for rel in factor_relations
+    )
+    groups: dict = {}
+    for f, pattern in enumerate(patterns):
+        if pattern:
+            groups.setdefault(ov._candidate_geometry(pattern), []).append(f)
+    certificates: list = [None] * len(patterns)
+    known: dict = {}
+    for (triples, contexts), group in groups.items():
+        echelon = ov._echelon(normalizer, triples, contexts, known)
+        for f in group:
+            solved = echelon.solve(patterns[f])
+            if solved is not None:
+                certificates[f] = tuple(
+                    (tag, c, grading.power(tag[0] + (tag[1],))) for tag, c in solved.items()
+                )
+        del echelon
+    # kept by block, for placing as the stage loop places
+    used = {tag: ov._by_block(known[tag]) for cert in certificates if cert for tag, _c, _k in cert}
+    return _CompositeSolve(
+        tuple(factors), factor_relations, grading, tuple(map(ov._by_block, patterns)),
+        tuple(certificates), used, normalizer.steps,
+    )
+
+
+@lru_cache(maxsize=None)
+def _composite_law_solve(key) -> _CompositeSolve:
+    laws = [ov.OperatorLaw(kind, weight) for kind, weight in key]
+    return _composite_solve(laws, *_tables(laws))
+
+
+def _composite_verdicts(t, laws, solve):
+    """Every product relation box(r_b, r_f), r_f a relation of the composite
+    factor: n_f and its certificate placed at r_b, and re-checked there."""
+    names = [law.name for law in laws]
+    labels = reduce(
+        ov.square_generators, [f.generators for f in (t, *solve.factors)]
+    ).labels
+    nonzeros = [ov._nonzeros(rel) for rel in t.relations]
+    verdicts = []
+    for index in range(len(t.relations) * len(solve.factor_relations)):
+        b, f = divmod(index, len(solve.factor_relations))
+        label = ((t.relations[b], solve.factor_relations[f]), labels)
+        residual = ov._placed(nonzeros[b], solve.patterns[f])
+        if not residual:
+            verdicts.append(ov.RelationVerdict(index, label, True, residual_zero=True))
+            continue
+        if solve.certificates[f] is not None:
+            placed = tuple(((b,) + tag, c, k) for tag, c, k in solve.certificates[f])
+            if ov._rebuild(nonzeros, solve.instances, placed) == residual:
+                verdicts.append(ov.RelationVerdict(index, label, True, certificate=placed))
+                continue
+        shown = solve.grading.show(residual, t.generators.labels, names)
+        verdicts.append(ov.RelationVerdict(index, label, False, residual=shown))
+    return tuple(verdicts)
+
+
+def _composite_report(t, laws, budget=B):
+    """verify_commuting_family as it was: one composite solve of ``laws``,
+    read from the oracle's own memo and placed at every base relation."""
+    laws = [
+        ov.OperatorLaw(law.kind, law.weight, f"{law.name}{k + 1}") for k, law in enumerate(laws)
+    ]
+    require_valid(t)
+    solve = _composite_law_solve(_key(laws))
+    ov._check_budget(solve.steps, budget)
+    kinds = {law.kind for law in laws}
+    experimental = len(kinds) > 1 and kinds != {"right_rb", "left_rb"}
+    product = reduce(ov.square_generators, [f.generators for f in (t, *solve.factors)])
+    desc = " , ".join(law.describe() for law in laws)
+    verdicts = _composite_verdicts(t, laws, solve)
+    return ov.VerificationReport(t.name, f"[{desc}]", product.name, verdicts, experimental)
 
 
 def _splitting_table():
@@ -594,12 +771,12 @@ def _summands(table):
 
 def test_the_splitting_row_gives_the_table_the_lemma_states():
     dend = catalog.get("dendriform")
-    row = ov.derived_table(ov.OperatorLaw("rb_dendriform"), dend, P)
+    row = ov.derived_table(ov.OperatorLaw("rb_dendriform"), dend)
     assert _summands(row) == _summands(_splitting_table())
     # at weight 0 the splitting is rb0 with its factor dendriform
     at_zero = ov.OperatorLaw("rb_dendriform", 0)
     assert ov.predicted_factor_name(at_zero) == "dendriform"
-    assert ov.derived_table(at_zero, dend, P) == ov.derived_table(ov.rb(0), dend, P)
+    assert ov.derived_table(at_zero, dend) == ov.derived_table(ov.rb(0), dend)
 
 
 _CRITERION_6_SINGLES = [
@@ -629,13 +806,16 @@ _CRITERION_6_FAMILIES = [
 ]
 
 
-def _assert_run_matches_the_oracle(v, laws):
-    name = v.base.name
-    report = v.run(name, "law")
-    oracle = _oracle_verdicts(v.base, laws)
+def _assert_run_matches_the_oracle(t, laws):
+    """One law through the stage loop, or a family through the composite
+    solve, against the per-relation rebuild."""
+    report = _report(t, laws) if len(laws) == 1 else _composite_report(t, laws)
+    oracle = _oracle_verdicts(t, laws)
     assert report.verdicts == oracle
-    assert report.product_name == _product(v).name
-    rebuilt = ov.VerificationReport(name, "law", report.product_name, oracle)
+    assert report.product_name == _product(t, laws).name
+    rebuilt = ov.VerificationReport(
+        t.name, report.law, report.product_name, oracle, report.experimental
+    )
     assert report.to_json() == rebuilt.to_json()
 
 
@@ -645,8 +825,7 @@ def _assert_run_matches_the_oracle(v, laws):
     ids=lambda x: "+".join(x) if isinstance(x, tuple) else x,
 )
 def test_shared_echelons_match_the_per_relation_rebuild(name, laws):
-    laws = _named([_LAWS[law]() for law in laws])
-    _assert_run_matches_the_oracle(ov._make_verifier(catalog.get(name), laws, B), laws)
+    _assert_run_matches_the_oracle(catalog.get(name), [_LAWS[law]() for law in laws])
 
 
 def _block_rank(t, block):
@@ -707,8 +886,7 @@ def test_pattern_solves_match_the_per_base_rebuild_on_random_bases(law):
     # relation is solved once as a pattern, and every placed certificate
     # equals the one a per-base echelon finds
     for seed in range(60):
-        t = _random_base(seed)
-        _assert_run_matches_the_oracle(ov._make_verifier(t, [law], B), [law])
+        _assert_run_matches_the_oracle(_random_base(seed), [law])
 
 
 # -- one law solve per process -------------------------------------------------
@@ -727,23 +905,30 @@ def _warm_on_other_bases(laws):
     )
     renamed = [ov.OperatorLaw(law.kind, law.weight, f"Q{k}") for k, law in enumerate(laws)]
     for t in others:
-        assert ov._make_verifier(t, renamed, B).run(t.name, "law").all_verified
+        assert _report(t, renamed).all_verified
 
 
 def _assert_warm_gives_the_cold_report(t, laws):
+    keys = list(dict.fromkeys(_key(laws)))
     ov._law_solve.cache_clear()
-    v = ov._make_verifier(t, laws, B)
-    cold_solve, cold = v.solve, v.run(t.name, "law")
+    cold = _report(t, laws)
+    cold_solves = [ov._law_solve(*key) for key in keys]
     ov._law_solve.cache_clear()
     _warm_on_other_bases(laws)
     hits = ov._law_solve.cache_info().hits
-    v = ov._make_verifier(t, laws, B)
-    # the record a run on other bases made, read again: equal to the cold one
-    assert ov._law_solve.cache_info().hits == hits + 1
-    assert v.solve is not cold_solve and v.solve == cold_solve
-    assert v.run(t.name, "law").to_json() == cold.to_json()
-    oracle = ov.VerificationReport(t.name, "law", cold.product_name, _oracle_verdicts(t, laws))
-    assert oracle.to_json() == cold.to_json()
+    warm = _report(t, laws)
+    # the records a run on other bases made, one read per law: equal to
+    # the cold ones
+    assert ov._law_solve.cache_info().hits == hits + len(laws)
+    for key, cold_solve in zip(keys, cold_solves):
+        assert ov._law_solve(*key) is not cold_solve and ov._law_solve(*key) == cold_solve
+    assert warm.to_json() == cold.to_json()
+    if len(laws) == 1:
+        oracle = _oracle_verdicts(t, laws)
+        rebuilt = ov.VerificationReport(t.name, cold.law, cold.product_name, oracle)
+        assert rebuilt.to_json() == cold.to_json()
+    else:
+        _assert_stages_match_the_composite(t, laws, cold)
 
 
 @pytest.mark.parametrize(
@@ -755,7 +940,7 @@ def _assert_warm_gives_the_cold_report(t, laws):
     ids=lambda x: "+".join(x) if isinstance(x, tuple) else x,
 )
 def test_a_warm_memo_gives_the_cold_report(cold_solves, name, laws):
-    _assert_warm_gives_the_cold_report(catalog.get(name), _named([_LAWS[law]() for law in laws]))
+    _assert_warm_gives_the_cold_report(catalog.get(name), [_LAWS[law]() for law in laws])
 
 
 @pytest.mark.parametrize(
@@ -774,14 +959,19 @@ def _memo():
 
 def test_operator_names_share_one_solve(cold_solves):
     a, d = catalog.get("associative"), catalog.get("dendriform")
-    kept = _verifier("associative", [ov.rb(None), ov.rb(None)]).solve
+    ov.verify_commuting_family(a, [ov.rb(None), ov.rb(None)])
+    kept = ov._law_solve("rb", None)
+    # the family's two stages read one solve, the one every name shares
+    assert _memo() == (1, 2, 1)
     report = ov.verify_commuting_family(d, [ov.rb(None, "Q"), ov.rb(None, "R")])
     assert report.law == "[rb(weight=formal, Q1) , rb(weight=formal, R2)]"
-    assert _memo() == (1, 1, 1)
-    assert _verifier("dendriform", [ov.rb(None, "S"), ov.rb(None, "T")]).solve is kept
+    assert report.prefix.law == "[rb(weight=formal, Q1)]"
+    assert _memo() == (1, 4, 1)
+    assert ov._law_solve("rb", None) is kept
+    # and a single law reads the solve of the families
     ov.verify_operator_theorem(a, ov.rb(None))
     ov.verify_operator_theorem(d, ov.rb(None, "Q"))
-    assert _memo() == (2, 3, 2)
+    assert _memo() == (1, 7, 1)
 
 
 def test_weights_split_solves(cold_solves):
@@ -793,19 +983,22 @@ def test_weights_split_solves(cold_solves):
 
 
 def test_the_memo_keeps_base_free_results_only(cold_solves):
-    t = catalog.get("trialgebra")
-    v = _verifier("trialgebra", [ov.rb(None), ov.rb(None)])
-    kept = ov._law_solve(_key([ov.rb(None)] * 2))
-    assert kept is v.solve
+    t = catalog.get("dendriform")
+    ov.verify_commuting_family(t, [ov.rb(None), ov.rb(None)])
+    kept = ov._law_solve("rb", None)
+    assert _memo() == (1, 2, 1)
     # no laws, tables or normalizer: a record of what every run reads
     assert [f.name for f in fields(kept)] == [
-        "factors", "factor_relations", "grading", "patterns", "certificates", "instances", "steps"
+        "factor", "formal", "patterns", "certificates", "instances", "steps"
     ]
-    assert kept.steps == 44
-    assert len(kept.patterns) == len(kept.certificates) == len(kept.factor_relations)
+    assert kept.factor is catalog.get("trialgebra") and kept.formal
+    assert kept.steps == 2
+    assert len(kept.patterns) == len(kept.certificates) == len(kept.factor.relations)
     used = {tag for certificate in kept.certificates if certificate for tag, _c, _k in certificate}
     assert set(kept.instances) == used
     assert not any(t is value or t.relations is value for value in vars(kept).values())
+    # the composite solve of the oracle took 44 steps for the pair
+    assert _composite_law_solve.__wrapped__(_key([ov.rb(None)] * 2)).steps == 44
 
 
 def test_a_budget_failure_keeps_the_solve_for_a_later_run(cold_solves):
@@ -836,12 +1029,14 @@ def test_the_memo_is_bounded(cold_solves):
 
 
 # the runs of criterion 6, the two dendriform splittings of the lemmas, and
-# bases whose generators are relabelled: a 3-cycle and a non-monomial map
+# bases whose generators are relabelled: a 3-cycle and a non-monomial map.
+# Each is (base, laws, the laws and the tables the reference substitutes).
 _DIFFERENTIAL_RUNS = (
     [
         pytest.param(
-            lambda n=name, ls=laws: _verifier(n, [_LAWS[law]() for law in ls]),
+            lambda n=name: catalog.get(n),
             [_LAWS[law]() for law in laws],
+            None,
             None,
             id="+".join((name,) + laws),
         )
@@ -850,7 +1045,8 @@ _DIFFERENTIAL_RUNS = (
     ]
     + [
         pytest.param(
-            lambda n=name: _splitting(n),
+            lambda n=name: catalog.get(n),
+            [ov.OperatorLaw("rb_dendriform")],
             [ov.rb(None)],
             [_splitting_table()],
             id=f"splitting on {name}",
@@ -859,22 +1055,16 @@ _DIFFERENTIAL_RUNS = (
     ]
     + [
         pytest.param(
-            lambda: ov._make_verifier(
-                relabel(catalog.get("trialgebra"), {"lt": "gt", "gt": "cir", "cir": "lt"}),
-                [ov.nijenhuis()],
-                ov.DEFAULT_STEP_BUDGET,
-            ),
+            lambda: relabel(catalog.get("trialgebra"), {"lt": "gt", "gt": "cir", "cir": "lt"}),
             [ov.nijenhuis()],
+            None,
             None,
             id="trialgebra 3-cycle+nijenhuis",
         ),
         pytest.param(
-            lambda: ov._make_verifier(
-                relabel(catalog.get("dendriform"), [[1, 1], [0, 1]]),
-                [ov.rb(None), ov.rb(None)],
-                ov.DEFAULT_STEP_BUDGET,
-            ),
+            lambda: relabel(catalog.get("dendriform"), [[1, 1], [0, 1]]),
             [ov.rb(None), ov.rb(None)],
+            None,
             None,
             id="dendriform sheared+rb+rb",
         ),
@@ -882,41 +1072,46 @@ _DIFFERENTIAL_RUNS = (
 )
 
 
-@pytest.mark.parametrize("make, laws, tables", _DIFFERENTIAL_RUNS)
+@pytest.mark.parametrize("make, laws, reference_laws, tables", _DIFFERENTIAL_RUNS)
 def test_generator_blind_rewriting_matches_the_reference_definitions(
-    cold_solves, normalizers, make, laws, tables
+    cold_solves, normalizers, make, laws, reference_laws, tables
 ):
     # the verifier normalizes each substituted factor relation and each
     # instance pattern once, with base generators 0, and then places the
     # base generators; the reference substitutes the whole product relation
-    # and every instance, and normalizes them term by term
-    v = make()
-    (solver,) = normalizers
-    solve = v.solve
-    report = v.run("base", "law")
+    # and every instance, and normalizes them term by term, at every level
+    # of a family on its base built with products.square
+    t = make()
+    report = _report(t, laws)
     assert report.all_verified
-    reference = _Reference(laws, tables)
-    # q_s of instances no certificate uses, made again by a normalizer of
-    # the test's own
-    patterns = ov.Normalizer(tuple(laws), tuple(range(len(laws))))
-    for index, rel in enumerate(_product(v).relations):
-        residual = reference.residual(rel)
-        b, f = divmod(index, len(solve.factor_relations))
-        assert v._placed(b, solve.patterns[f]) == residual, index
-        if not residual:
-            continue
-        triples, contexts = _geometry(residual)
-        for r_idx in range(len(v.base.relations)):
-            for triple in triples:
-                for ctx in contexts:
-                    want = reference.instance(v.base, (r_idx, triple, ctx))
-                    q = solve.instances.get((triple, ctx))
-                    if q is None:
-                        q = ov._instance_pattern(patterns, triple, ctx)
-                    assert v._placed(r_idx, q) == want
-    # the record's steps are its normalizer's, and no more rewriting than
-    # the reference needed for the same residuals and instances
-    assert solver.steps == solve.steps <= reference.normalizer.steps
+    # one solve, one normalizer, per law kind and weight, in the order read
+    solvers = dict(zip(dict.fromkeys(_key(laws)), list(normalizers)))
+    assert len(normalizers) == len(solvers)
+    for k, (law, base) in enumerate(zip(laws, _bases(t, laws))):
+        solve = ov._law_solve(law.kind, law.weight)
+        reference = _Reference(reference_laws or [law], tables)
+        # q_s of instances no certificate uses, made again by a normalizer
+        # of the test's own
+        patterns = ov.Normalizer((law,), (0,))
+        for index, rel in enumerate(square(base, solve.factor).relations):
+            residual = reference.residual(rel)
+            b, f = divmod(index, len(solve.factor.relations))
+            assert ov._placed(ov._nonzeros(base.relations[b]), solve.patterns[f]) == residual
+            if not residual:
+                continue
+            triples, contexts = _geometry(residual)
+            for r_idx in range(len(base.relations)):
+                nonzeros = ov._nonzeros(base.relations[r_idx])
+                for triple in triples:
+                    for ctx in contexts:
+                        want = reference.instance(base, (r_idx, triple, ctx))
+                        q = solve.instances.get((triple, ctx))
+                        if q is None:
+                            q = ov._by_block(ov._instance_pattern(patterns, triple, ctx))
+                        assert ov._placed(nonzeros, q) == want
+        # the record's steps are its normalizer's, and no more rewriting
+        # than the reference needed for the same residuals and instances
+        assert solvers[law.kind, law.weight].steps == solve.steps <= reference.normalizer.steps
 
 
 def test_the_step_budget_is_exact(capsys, cold_solves):
@@ -931,9 +1126,8 @@ def test_the_step_budget_is_exact(capsys, cold_solves):
 
     for warm in (False, True):
         memo(warm)
-        v = ov._make_verifier(t, [ov.nijenhuis()], B)
-        assert v.run(t.name, "law").all_verified
-        steps = v.solve.steps
+        assert ov.verify_operator_theorem(t, ov.nijenhuis()).all_verified
+        steps = ov._law_solve("nijenhuis", None).steps
         assert steps > 0
         argv = ["verify-operator", "trialgebra", "--law", "nijenhuis", "--steps"]
         memo(warm)
@@ -948,26 +1142,56 @@ def test_the_step_budget_is_exact(capsys, cold_solves):
             ov.verify_operator_theorem(t, ov.nijenhuis(), budget=steps - 1)
 
 
+@pytest.mark.parametrize(
+    "laws, steps",
+    [
+        ("nijenhuis,nijenhuis,nijenhuis", 8),
+        # rb takes 2 steps, nijenhuis 8 and left_rb 2: the largest counts
+        ("rb,nijenhuis,leftrb", 8),
+        ("rb:formal,rb:1/2", 2),
+    ],
+)
+def test_a_family_budget_is_the_steps_of_its_largest_law_solve(capsys, cold_solves, laws, steps):
+    # each stage checks its own law's recorded steps
+    argv = ["verify-family", "trialgebra", "--laws", laws, "--steps"]
+    assert main(argv + [str(steps)]) == 0
+    capsys.readouterr()
+    for warm in (True, False):
+        if not warm:
+            ov._law_solve.cache_clear()
+        assert main(argv + [str(steps - 1)]) == 3
+        assert capsys.readouterr().err == "error: rewrite budget exhausted\n"
+
+
+def _longest_word(normalizer):
+    return max(
+        len(word) for result in normalizer._memo.values() for term in result for word in term[3:]
+    )
+
+
 def test_a_rewrite_never_lengthens_a_word_beyond_two_symbols_per_law(normalizers):
     # every derived operation carries at most one symbol, so the two a
     # substitution starts with per law bound every word of every normal
-    # form; the formal-weight family of three reaches the bound
+    # form
     for law, _ in _HAND_WRITTEN_RULES:
         assert all(on_x + on_y + around <= 1 for *_, on_x, on_y, around in law.operations())
-    runs = [(name, (law,)) for name, law in _CRITERION_6_SINGLES] + _CRITERION_6_FAMILIES
+    # each law solve has one symbol: two at most, and two are reached
     longest = {}
-    for name, laws in runs + [("associative", ("rb", "rb", "rb"))]:
+    for kind in ("rb", "rb0", "nijenhuis", "left_rb", "right_rb", "rb_dendriform"):
+        law = _LAWS[kind]()
+        factor = catalog.get(ov.predicted_factor_name(law))
+        ov._solve(law, factor, ov.derived_table(law, factor))
+        longest[kind] = _longest_word(normalizers[-1])
+    assert max(longest.values()) == 2
+    # the composite solve of the oracle has one symbol per law: the
+    # formal-weight family of three reaches six
+    runs = [laws for _name, laws in _CRITERION_6_FAMILIES] + [("rb", "rb", "rb")]
+    for laws in runs:
         named = _named([_LAWS[law]() for law in laws])
-        v = ov._Verifier(catalog.get(name), named, ov._solve(named, *_tables(named)))
-        assert v.run(name, "law").all_verified
-        longest[name, laws] = max(
-            len(word)
-            for result in normalizers[-1]._memo.values()
-            for term in result
-            for word in term[3:]
-        )
-        assert longest[name, laws] <= 2 * len(laws), (name, laws)
-    assert longest["associative", ("rb", "rb", "rb")] == 6
+        _composite_solve(named, *_tables(named))
+        longest[laws] = _longest_word(normalizers[-1])
+        assert longest[laws] <= 2 * len(laws), laws
+    assert longest["rb", "rb", "rb"] == 6
 
 
 def test_one_echelon_per_geometry_and_one_alive_at_a_time(monkeypatch, cold_solves):
@@ -994,9 +1218,201 @@ def test_one_echelon_per_geometry_and_one_alive_at_a_time(monkeypatch, cold_solv
     monkeypatch.setattr(ov, "_candidate_geometry", counting_geometry)
     report = ov.verify_commuting_family(catalog.get("trialgebra"), [ov.rb(None), ov.rb(None)])
     assert report.all_verified and len(report.verdicts) == 343
+    # both stages read the one solve of rb: one geometry per nonzero factor
+    # relation of trialgebra, not one per product relation
+    nonzero = sum(1 for pattern in ov._law_solve("rb", None).patterns if any(pattern))
+    assert len(built) == len(set(built)) <= len(geometries) == nonzero == 7
+    # the composite solve of the oracle: one per nonzero composite relation
+    built.clear()
+    geometries.clear()
+    _composite_law_solve.__wrapped__(_key([ov.rb(None), ov.rb(None)]))
     assert len(built) == len(set(built)) == 49
-    # one geometry per nonzero factor relation, not one per product relation
     assert len(geometries) == 49
+
+
+# -- commuting families, one law at a time on a growing base ----------------------
+
+
+def _assert_stages_match_the_composite(t, laws, report=None):
+    """The stage loop against the composite solve of the oracle: the same
+    verdicts, text, product name and relation labels."""
+    report = report or ov.verify_commuting_family(t, laws)
+    composite = _composite_report(t, laws)
+    assert report.describe() == composite.describe()
+    assert report.product_name == composite.product_name
+    assert [v.verified for v in report.verdicts] == [v.verified for v in composite.verdicts]
+    assert [v.relation for v in report.verdicts] == [v.relation for v in composite.verdicts]
+    # and the prefix is the family without its last law
+    if len(laws) > 1:
+        assert report.prefix == ov.verify_commuting_family(t, laws[:-1])
+
+
+# the families of the command-line checks
+_CI_FAMILIES = [
+    ("trialgebra", (ov.rb(None), ov.rb(None))),
+    ("trialgebra", (ov.rb(None), ov.rb("1/2"))),
+    ("associative", (ov.rb(None),) * 3),
+    ("dendriform", (ov.nijenhuis(),) * 3),
+    ("trialgebra", (ov.nijenhuis(),) * 3),
+    ("quadri", (ov.nijenhuis(),) * 3),
+]
+
+
+def _family_params(runs):
+    return [
+        pytest.param(name, laws, id="+".join([name] + [law.describe() for law in laws]))
+        for name, laws in runs
+    ]
+
+
+_C6_FAMILY_RUNS = [
+    (name, tuple(_LAWS[law]() for law in laws)) for name, laws in _CRITERION_6_FAMILIES
+]
+
+
+@pytest.mark.parametrize("name, laws", _family_params(_C6_FAMILY_RUNS + _CI_FAMILIES))
+def test_the_stage_loop_matches_the_composite_solve(name, laws):
+    _assert_stages_match_the_composite(catalog.get(name), list(laws))
+
+
+_RANDOM_LAWS = (
+    lambda: ov.rb(None),
+    lambda: ov.rb(0),
+    lambda: ov.rb("1/2"),
+    ov.nijenhuis,
+    ov.left_rb,
+    ov.right_rb,
+)
+
+
+def _random_family(seed):
+    """A catalog base relabelled by a random shear, when it has two
+    generators or more, and a random permutation, and a random family of
+    at most three laws."""
+    rng = random.Random(seed)
+    t = catalog.get(rng.choice(("associative", "dendriform", "trialgebra", "dipterous", "ns")))
+    m = t.dim
+    shear = [[int(i == j) for j in range(m)] for i in range(m)]
+    if m > 1:
+        i, j = rng.sample(range(m), 2)
+        shear[i][j] = rng.choice((-1, 1, 2))
+    order = list(range(m))
+    rng.shuffle(order)
+    laws = [rng.choice(_RANDOM_LAWS)() for _ in range(rng.randint(1, 3))]
+    return relabel(t, [shear[i] for i in order]), laws
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_stage_loop_matches_the_composite_solve_on_random_families(seed):
+    t, laws = _random_family(seed)
+    _assert_stages_match_the_composite(t, laws)
+
+
+_LEMMA_LAWS = (ov.rb(None), ov.rb(0), ov.rb(1), ov.nijenhuis(), ov.left_rb(), ov.right_rb())
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(p, q) for p in _LEMMA_LAWS for q in _LEMMA_LAWS],
+    ids=lambda law: law.describe(),
+)
+def test_the_commuting_lemma(first, second):
+    # P (symbol 0) of law ``first`` and Q (symbol 1) of law ``second``
+    # commute; for each derived operation g of P, Q(x) g Q(y) minus the
+    # terms of Q's rule with g as the product normalizes to 0 (the module
+    # docstring): Q obeys its law for g
+    normalizer = ov.Normalizer((first, second), (0, 1))
+    for _label, c, on_x, on_y, around in first.operations():
+
+        def g(wx, wy, wout=()):
+            # c * Q^wout(P^around(P^on_x(x) o P^on_y(y))), x and y carrying wx, wy
+            p = (0,)
+            return term2(
+                ov._merge(wx, p * on_x), ov._merge(wy, p * on_y), ov._merge(wout, p * around)
+            ), c
+
+        term, coeff = g((1,), (1,))
+        diff = {term: coeff}
+        for rule_coeff, keep_x, keep_y, wraps in ov.rewrite_rule(second):
+            term, coeff = g((1,) * keep_x, (1,) * keep_y, (1,) * wraps)
+            ov._accumulate(diff, term, -rule_coeff * coeff)
+        assert diff
+        assert normalizer.normalize(diff) == {}, _label
+
+
+def _level_certificates_hold(t, laws, report) -> bool:
+    """Whether every verified relation of every level, re-summed from its
+    certificate with instances the test normalizes on that level's base,
+    built with products.square, is that level's residual."""
+    for law, base, level in zip(laws, _bases(t, laws), _levels(report)):
+        reference = _Reference([law])
+        relations = _product(base, [law]).relations
+        for verdict in level.verdicts:
+            assert verdict.verified
+            rebuilt: dict = {}
+            for tag, coeff, _k in verdict.certificate:
+                for term, c in reference.instance(base, tag).items():
+                    ov._accumulate(rebuilt, term, coeff * c)
+            if rebuilt != reference.residual(relations[verdict.index]):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name, laws", _family_params(_C6_FAMILY_RUNS + _CI_FAMILIES[:4]))
+def test_every_level_certificate_holds_on_the_built_base(monkeypatch, name, laws):
+    # the verifier never builds a level's base: it pairs the nonzeros of
+    # the relations of the one before with its factor's.  Build each base
+    # with the validated products.square instead, and check every level's
+    # certificates there with the reference normalizer
+    t, laws = catalog.get(name), list(laws)
+    placed_at = []
+    real_placed = ov._placed
+
+    def placing(nonzeros, pattern):
+        placed_at.append(frozenset(nonzeros))
+        return real_placed(nonzeros, pattern)
+
+    monkeypatch.setattr(ov, "_placed", placing)
+    report = ov.verify_commuting_family(t, laws)
+    monkeypatch.undo()
+    assert report.all_verified and len(_levels(report)) == len(laws)
+    assert _level_certificates_hold(t, laws, report)
+    # every base relation a level placed at is one of the built bases, and
+    # every relation of the last base was placed at
+    built = [{frozenset(ov._nonzeros(rel)) for rel in base.relations} for base in _bases(t, laws)]
+    assert set(placed_at) <= set().union(*built)
+    assert built[-1] <= set(placed_at)
+    # a negative control: one certificate coefficient flipped in sign
+    # fails the check
+    index, verdict = next((k, v) for k, v in enumerate(report.verdicts) if v.certificate)
+    (tag, c, k), *rest = verdict.certificate
+    flipped = replace(verdict, certificate=((tag, -c, k), *rest))
+    verdicts = report.verdicts[:index] + (flipped,) + report.verdicts[index + 1:]
+    assert not _level_certificates_hold(t, laws, replace(report, verdicts=verdicts))
+
+
+def test_a_family_json_nests_its_prefix():
+    t = catalog.get("trialgebra")
+    laws = [ov.rb(None), ov.rb(0), ov.nijenhuis()]
+    data = json.loads(ov.verify_commuting_family(t, laws).to_json())
+    # the keys of one law's report, then the family without its last law
+    assert list(data) == ["type", "law", "product", "experimental", "relations", "prefix"]
+    assert data["prefix"] == json.loads(ov.verify_commuting_family(t, laws[:2]).to_json())
+    first = data["prefix"]["prefix"]
+    assert first == json.loads(ov.verify_commuting_family(t, laws[:1]).to_json())
+    assert "prefix" not in first
+    assert "prefix" not in json.loads(ov.verify_operator_theorem(t, laws[0]).to_json())
+    # each level's certificates cite relations of the level before, in
+    # words of the level's own law, symbol 0
+    levels = [first, data["prefix"], data]
+    for below, level in zip([{"relations": t.relations}] + levels, levels):
+        tags = [c for r in level["relations"] for c in r["certificate"]]
+        assert tags
+        assert all(0 <= c["relation_index"] < len(below["relations"]) for c in tags)
+        words = [w for c in tags for w in c["leaf_words"] + [c["context"]]]
+        assert {s for w in words for s in w} == {0}
+    # trialgebra, dendriform and ns have 7, 3 and 4 relations
+    assert [len(level["relations"]) for level in levels] == [7 * 7, 7 * 7 * 3, 7 * 7 * 3 * 4]
 
 
 def test_a_wrong_certificate_is_reported_failed(monkeypatch, cold_solves):
@@ -1019,15 +1435,27 @@ def test_a_wrong_certificate_is_reported_failed(monkeypatch, cold_solves):
         assert verdict.residual_zero or verdict.residual
 
 
-def test_a_wrong_derived_table_fails_visibly():
+def _solving_with(monkeypatch, solve, kind="rb"):
+    """Runs of law ``kind`` read ``solve`` instead of the memo's record."""
+    real = ov._law_solve
+    monkeypatch.setattr(ov, "_law_solve", lambda k, w: solve if k == kind else real(k, w))
+
+
+def _wrong_gt_solve():
+    """rb with gt sent to x P(y) instead of P(x) y."""
+    tri, law = catalog.get("trialgebra"), ov.rb(None)
+    table = ov.derived_table(law, tri)
+    table[tri.generators.index("gt")] = [(1, (), (P,), ())]
+    return ov._solve(law, tri, table)
+
+
+def test_a_wrong_derived_table_fails_visibly(monkeypatch):
     # rb on associative with gt sent to x P(y) instead of P(x) y: five of
     # the seven relations of associative sq trialgebra no longer follow
-    a, tri = catalog.get("associative"), catalog.get("trialgebra")
-    law = ov.rb(None)
-    table = ov.derived_table(law, tri, P)
-    table[tri.generators.index("gt")] = [(1, (), (P,), ())]
-    v = ov._Verifier(a, (law,), ov._solve((law,), [tri], [table]))
-    report = v.run(a.name, "rb with a wrong gt")
+    a = catalog.get("associative")
+    _solving_with(monkeypatch, _wrong_gt_solve())
+    run = ov.verify_operator_theorem(a, ov.rb(None))
+    report = ov.VerificationReport(a.name, "rb with a wrong gt", run.product_name, run.verdicts)
     failed = [verdict.index for verdict in report.verdicts if not verdict.verified]
     assert failed == [0, 1, 2, 3, 4]
     for verdict in report.verdicts:
@@ -1049,28 +1477,47 @@ def test_a_wrong_derived_table_fails_visibly():
     ]
 
 
-def test_a_table_without_a_homogeneous_lift_is_refused():
+def test_a_relation_on_a_failed_prefix_relation_fails(monkeypatch):
+    # with the wrong gt, relations 0-4 of the first level fail; at the
+    # second, every relation built on one of them fails too, although its
+    # own certificate re-checks there, and every other one is verified
+    a = catalog.get("associative")
+    _solving_with(monkeypatch, _wrong_gt_solve())
+    report = ov.verify_commuting_family(a, [ov.rb(None), ov.left_rb()])
+    failed = {v.index for v in report.prefix.verdicts if not v.verified}
+    assert failed == {0, 1, 2, 3, 4}
+    assert len(report.verdicts) == 7 * 3
+    for verdict in report.verdicts:
+        assert verdict.verified == (verdict.index // 3 not in failed)
+        assert verdict.certificate or verdict.residual_zero
+    assert report.describe().startswith(
+        "associative with [rb(weight=formal, P1) , left_rb(P2)]: 6/21 relations"
+    )
+
+
+def test_a_table_without_a_homogeneous_lift_is_refused(monkeypatch):
     # an entry with two symbols of a formal-weight law would stand for
-    # l^-1 times itself; a formal-weight symbol in another law's table for
-    # an entry of the wrong degree
+    # l^-1 times itself; in the composite solve of the oracle, a
+    # formal-weight symbol in another law's table for an entry of the
+    # wrong degree
     a, tri = catalog.get("associative"), catalog.get("trialgebra")
     law = ov.rb(None)
-    table = ov.derived_table(law, tri, P)
+    table = ov.derived_table(law, tri)
     table[tri.generators.index("gt")] = [(1, (P, P), (), ())]
     with pytest.raises(ExactAlgebraError, match="not homogeneous"):
-        ov._solve((law,), [tri], [table])
+        ov._solve(law, tri, table)
     laws = (ov.rb(None), ov.rb(0))
     dend = catalog.get("dendriform")
-    tables = [ov.derived_table(laws[0], tri, 0), ov.derived_table(laws[1], dend, 1)]
+    tables = [_symbol_table(laws[0], tri, 0), _symbol_table(laws[1], dend, 1)]
     tables[1][dend.generators.index("lt")] = [(1, (), (0, 1), ())]
     with pytest.raises(ExactAlgebraError, match="not homogeneous"):
-        ov._solve(laws, [tri, dend], tables)
+        _composite_solve(laws, [tri, dend], tables)
     # a rational weight carries no grading: two symbols are fine
     law = ov.rb(1)
-    table = ov.derived_table(law, tri, P)
+    table = ov.derived_table(law, tri)
     table[tri.generators.index("gt")] = [(1, (P, P), (), ())]
-    v = ov._Verifier(a, (law,), ov._solve((law,), [tri], [table]))
-    assert not v.run("a", "x").all_verified
+    _solving_with(monkeypatch, ov._solve(law, tri, table))
+    assert not ov.verify_operator_theorem(a, law).all_verified
 
 
 @pytest.mark.parametrize(
@@ -1102,18 +1549,19 @@ _FORMAL_RUNS = [
     ("associative", ("rb", "rb", "rb")),
     ("ns", ("rb", "nijenhuis")),
 ]
-# distinct nonzero weights, at least D + 1 = 7 for three formal weights
+# distinct nonzero weights: D + 1 = 3 for one level, and 7 for the
+# composite solve of the oracle with three formal weights
 _WEIGHTS = (F(2), F(-1), F(1, 2), F(3), F(-2, 3), F(5), F(1, 3))
 
 
-def _holds_at(name, laws, verdicts, weight):
+def _holds_at(t, laws, verdicts, weight):
     """Whether every certificate, its coefficients c * l^k evaluated at
-    ``weight``, sums the instances normalized at that weight to the residual
-    a verifier built with rb(weight) computes."""
+    ``weight``, sums the instances on ``t`` normalized at that weight to the
+    residual a verifier built with rb(weight) computes; ``laws`` has one law
+    for a level and more for the composite solve of the oracle."""
     at_weight = [ov.rb(weight) if law.formal else law for law in laws]
-    t = catalog.get(name)
     reference = _Reference(at_weight)
-    relations = reduce(square, _tables(at_weight)[0], t).relations
+    relations = _product(t, at_weight).relations
     for verdict in verdicts:
         residual = reference.residual(relations[verdict.index])
         rebuilt = {}
@@ -1125,6 +1573,12 @@ def _holds_at(name, laws, verdicts, weight):
     return True
 
 
+def _assert_certificates_hold_at_enough_weights(t, laws, verdicts, degree):
+    assert all(0 <= k <= degree for verdict in verdicts for *_, k in verdict.certificate)
+    for weight in _WEIGHTS[: degree + 1]:
+        assert _holds_at(t, laws, verdicts, weight), weight
+
+
 @pytest.mark.parametrize(
     "name, laws", _FORMAL_RUNS, ids=lambda x: "+".join(x) if isinstance(x, tuple) else x
 )
@@ -1132,14 +1586,21 @@ def test_certificates_hold_at_enough_weights(name, laws):
     # for every term, both sides are polynomials of degree <= D in the
     # weight, so agreeing at D + 1 points is an identity over Q(l)
     laws = [_LAWS[law]() for law in laws]
-    v = _verifier(name, laws)
-    report = v.run(name, "law")
+    t = catalog.get(name)
+    report = _report(t, laws)
     assert report.all_verified
-    degree = v.solve.grading.degree
-    assert degree == 2 * laws.count(ov.rb(None))
-    assert all(0 <= k <= degree for verdict in report.verdicts for *_, k in verdict.certificate)
-    for weight in _WEIGHTS[: degree + 1]:
-        assert _holds_at(name, laws, report.verdicts, weight), weight
+    # each level has a formal weight of its own law, of degree 2
+    for law, base, level in zip(laws, _bases(t, laws), _levels(report)):
+        degree = ov._power(law.formal, ())
+        assert degree == 2 * (law == ov.rb(None))
+        _assert_certificates_hold_at_enough_weights(base, [law], level.verdicts, degree)
+    if len(laws) > 1:
+        # the composite solve of the oracle shares one weight, of degree 2
+        # per formal-weight law
+        degree = _composite_law_solve(_key(laws)).grading.degree
+        assert degree == 2 * laws.count(ov.rb(None))
+        verdicts = _composite_report(t, laws).verdicts
+        _assert_certificates_hold_at_enough_weights(t, laws, verdicts, degree)
 
 
 def test_a_context_word_counts_toward_the_power(monkeypatch):
@@ -1151,21 +1612,22 @@ def test_a_context_word_counts_toward_the_power(monkeypatch):
     (wu, wv, ww), ctx = tag[1:]
     instance = {(0, 0, 0, wu, wv, ww, (), ctx): 1, (1, 0, 0, wu, wv, ww, (), ctx): -1}
     monkeypatch.setattr(ov, "substitute", lambda rel, table: instance)
-    law = ov.rb(None)
-    solve = ov._solve((law,), *_tables([law]))
-    verdict = ov._Verifier(catalog.get("associative"), [law], solve)._certify(0)
+    law, tri = ov.rb(None), catalog.get("trialgebra")
+    solve = ov._solve(law, tri, ov.derived_table(law, tri))
+    nonzeros = [ov._nonzeros(rel) for rel in catalog.get("associative").relations]
+    verdict = ov._certify(solve, nonzeros, 0, 0, 0, "relation 0", None)
     assert verdict.certificate == ((tag, 1, 0),)
 
 
 def test_a_power_off_by_one_fails_at_some_weight():
-    laws = [ov.rb(None)]
-    report = _verifier("associative", laws).run("associative", "law")
+    a, laws = catalog.get("associative"), [ov.rb(None)]
+    report = ov.verify_operator_theorem(a, laws[0])
     verdict = next(verdict for verdict in report.verdicts if verdict.certificate)
     (tag, c, k), *rest = verdict.certificate
     wrong = ov.RelationVerdict(
         verdict.index, verdict.relation, True, certificate=((tag, c, k + 1), *rest)
     )
-    assert not all(_holds_at("associative", laws, [wrong], w) for w in _WEIGHTS[:3])
+    assert not all(_holds_at(a, laws, [wrong], w) for w in _WEIGHTS[:3])
 
 
 def test_golden_certificate_export(capsys):
@@ -1201,7 +1663,7 @@ def _golden_digests():
 
 @pytest.mark.parametrize("digest, command", _golden_digests())
 def test_verifier_output_matches_its_golden_digest(capsys, digest, command):
-    # the full outputs (the family alone is 193 KB) are kept as digests
+    # the full outputs (the family alone is 207 KB) are kept as digests
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest, command
@@ -1235,16 +1697,18 @@ def test_scaled_base_relations_scale_certificates_inversely(
     t = catalog.get(name)
     laws = (ov.rb(None), ov.rb("1/2"), ov.nijenhuis())
     references = [ov.verify_operator_theorem(t, law) for law in laws]
+    scaled = _scaled(t, factor)
     for law, reference in zip(laws, references):
-        v = ov._make_verifier(_scaled(t, factor), [law], B)
-        report = v.run(t.name, law.describe())
+        report = ov.verify_operator_theorem(scaled, law)
+        solve = ov._law_solve(law.kind, law.weight)
         assert reference.all_verified and report.all_verified
         assert [(got.residual_zero, got.certificate) for got in report.verdicts] == [
             (want.residual_zero, want.certificate) for want in reference.verdicts
         ]
         for index in range(len(report.verdicts)):
-            b, f = divmod(index, len(v.solve.factor_relations))
-            for value in v._placed(b, v.solve.patterns[f]).values():
+            b, f = divmod(index, len(solve.factor.relations))
+            nonzeros = ov._nonzeros(scaled.relations[b])
+            for value in ov._placed(nonzeros, solve.patterns[f]).values():
                 _assert_exact(value)
     # scaling the inserted instance patterns instead moves the pivot heads
     # away from +-1, and every certificate coefficient scales by the inverse
