@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 success or verified; 1 a mathematical check is false;
-2 usage or parse error; 3 internal or budget error.
+2 usage or parse error; 3 internal or budget error.  A reader that
+closes standard output early (``| head``) ends the output: exit 0.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -718,6 +720,13 @@ def main(argv=None) -> int:
 
     try:
         return args.fn(args, out)
+    except BrokenPipeError:
+        # the reader has all the output it wants; what is still buffered
+        # goes to the null device, so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (dsl.DslError, catalog.UnknownTypeError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,6 +5,24 @@ is <alpha, gamma> - <beta, delta>, entrywise on the fixed flattening, so
 the dual of a type is the nullspace of its relation matrix with the
 right-association block negated.  Under this convention the double dual
 is the identity on coordinates.
+
+Dual by sign flip.  Let D negate the R block.  D is diagonal with
+entries +-1, so v . Dr = Dv . r, and the signed annihilator of R is
+D ann(R): v pairs to zero with all of R exactly when Dv is orthogonal to
+it.  D keeps the support of a vector, so it maps the canonical echelon
+rows of ann(R) (see :class:`~splitops.exactalg.Echelon`) to rows with
+the same pivots, still zero at every other pivot and primitive; only a
+pivot in the R block turns negative, and negating that whole row makes
+it positive again.  So :func:`dual` reads the dual's canonical echelon
+off ``t.relation_subspace.annihilator()`` with no second elimination.
+
+Stars by quadratic forms.  Both blocks of the associativity element of s
+are s s^T, so its plain dot product with a vector y is s^T (y_L + y_R) s,
+and its pairing with a relation r is s^T (L_r - R_r) s.  Hence s is a
+star of a type t exactly when s^T (y_L + y_R) s = 0 for every row y of
+ann(R), and a star of dual(t) exactly when s^T (L_r - R_r) s = 0 for
+every relation r of t.  :func:`find_star` and :func:`dual` run one 3^m
+sweep on these forms.
 """
 
 from __future__ import annotations
@@ -24,7 +42,6 @@ from .typecore import (
     RelationElement,
     TypePresentation,
     require_valid,
-    star_associativity,
 )
 
 STAR_SEARCH_DIM_GUARD = 6
@@ -43,11 +60,6 @@ def pair2(u: RelationElement, v: RelationElement):
     return canonical(total)
 
 
-def _signed_coeffs(rel: RelationElement) -> dict:
-    half = rel.size * rel.size
-    return {k: -c if k >= half else c for k, c in rel.coeffs.items()}
-
-
 DUAL_SUFFIX = "^"
 
 
@@ -61,36 +73,41 @@ def dual(
 
     The annihilator is the nullspace of the matrix whose rows are the
     flattened basis relations with the R block negated; its dimension is
-    2*m^2 - dim R.  Dual labels default to the primal ones suffixed with
-    "^".  A star is searched among small integer combinations only for
-    small generator spaces (the search is a 3^m sweep); otherwise the
-    result is flagged star-unresolved.
+    2*m^2 - dim R, and its echelon is that of ann(R) with the R block
+    negated (see the module docstring).  Dual labels default to the
+    primal ones suffixed with "^".  A star is searched among small
+    integer combinations only for small generator spaces (the search is a
+    3^m sweep); otherwise the result is flagged star-unresolved.
     """
     require_valid(t)
     m = t.dim
-    rows = [_signed_coeffs(r) for r in t.relations]
-    ann = Subspace.from_rows(2 * m * m, rows).annihilator()
-    relations = [RelationElement(m, row) for row in ann.sparse_basis()]
+    space = _signed_annihilator(t.relation_subspace, m * m)
+    relations = [RelationElement(m, row) for row in space.sparse_basis()]
     gens = GeneratorSpace(
         name or f"{t.name}!",
         labels or tuple(l + DUAL_SUFFIX for l in t.generators.labels),
     )
-    out = TypePresentation(
-        gens,
-        None,
-        relations,
-        star_unresolved=True,
-        provenance=f"dual of {t.name}",
-    )
     if search_star is None:
         search_star = m <= STAR_SEARCH_DIM_GUARD
-    if search_star:
-        stars = find_star(out)
-        if stars:
-            out = TypePresentation(
-                gens, stars[0], relations, provenance=out.provenance
-            )
-    return out
+    stars = _star_sweep(m, [_form(r.coeffs, m, -1) for r in t.relations]) if search_star else []
+    return TypePresentation(
+        gens,
+        stars[0] if stars else None,
+        relations,
+        star_unresolved=not stars,
+        provenance=f"dual of {t.name}",
+        subspace=space,
+    )
+
+
+def _signed_annihilator(space: Subspace, half: int) -> Subspace:
+    """D ann(space) in canonical form, D negating the columns from ``half`` on."""
+    ann = space.annihilator()
+    rows = {}
+    for p, row in zip(ann.pivots, ann.int_rows):
+        sign = -1 if p >= half else 1
+        rows[p] = {k: -sign * x if k >= half else sign * x for k, x in row.items()}
+    return Subspace.from_echelon(space.ambient, rows)
 
 
 def double_dual_check(t: TypePresentation) -> bool:
@@ -102,12 +119,32 @@ def double_dual_check(t: TypePresentation) -> bool:
 def find_star(t: TypePresentation) -> list[tuple[int, ...]]:
     """All nonzero vectors with entries in {-1, 0, 1} whose associativity
     element lies in the relation subspace, in the order 0, 1, -1 per entry."""
-    space = t.relation_subspace
+    m = t.dim
+    return _star_sweep(m, [_form(y, m, 1) for y in t.relation_subspace.annihilator().int_rows])
+
+
+def _form(coeffs: dict, m: int, sign: int) -> tuple:
+    """The quadratic form s -> s^T (L + sign*R) s of a flat coefficient
+    vector, as ((i, j), c) terms with i <= j and c nonzero."""
+    mm = m * m
+    form: dict = {}
+    for k, c in coeffs.items():
+        block, rest = divmod(k, mm)
+        i, j = divmod(rest, m)
+        key = (i, j) if i <= j else (j, i)
+        form[key] = form.get(key, 0) + (sign * c if block else c)
+    return tuple((key, c) for key, c in form.items() if c)
+
+
+def _star_sweep(m: int, forms: list) -> list[tuple[int, ...]]:
+    """The nonzero vectors in {-1, 0, 1}^m, in the order 0, 1, -1 per
+    entry, on which every form vanishes."""
+    forms = [f for f in forms if f]
     hits = []
-    for cand in itertools.product(_STAR_ENTRIES, repeat=t.dim):
-        if not any(cand):
-            continue
-        if space.contains_vector(star_associativity(cand).coeffs):
+    for cand in itertools.product(_STAR_ENTRIES, repeat=m):
+        if any(cand) and not any(
+            sum(c * cand[i] * cand[j] for (i, j), c in form) for form in forms
+        ):
             hits.append(cand)
     return hits
 

@@ -309,6 +309,18 @@ class Subspace:
             ech.add(r)
         return cls(ech)
 
+    @classmethod
+    def from_echelon(cls, ambient: int, rows: dict) -> "Subspace":
+        """The subspace with the given echelon, nothing eliminated.
+
+        ``rows`` maps each pivot column to an integer row that is a
+        positive multiple of its :class:`Echelon` row; the caller vouches
+        for that, and each row is divided by the gcd of its entries here.
+        """
+        ech = Echelon(ambient)
+        ech.rows = {p: _primitive(row) for p, row in rows.items()}
+        return cls(ech)
+
     @property
     def dim(self) -> int:
         return len(self.pivots)

@@ -7,6 +7,42 @@ the "exchange factors 2 and 3" construction on relation tensors.  The
 maltese product instead spans relations where at least one factor is a
 relation of its type, so its relation space is extracted by row
 reduction rather than taken on trust.
+
+Two lemmas let :func:`square` skip the elimination of its r1*r2 box
+relations.  Write the factor relation spaces R1, R2 by their canonical
+echelons (see :class:`~splitops.exactalg.Echelon`: primitive integer
+rows, each with a positive pivot at its first nonzero column and zero at
+every other row's pivot).
+
+Kronecker echelon.  Suppose every pivot of both echelons lies in the L
+block.  This holds exactly when no nonzero relation has a zero L side
+(the relations with L = 0 form a subspace whose dimension is the number
+of R-block pivots), so a generator change of basis keeps it; every
+catalog type that is not dual-derived has it.  Then the box products
+f1 box f2 of the echelon rows, each divided by the gcd of its entries,
+are exactly the canonical rows of the product.  Proof: a flat L index of
+the product orders its coordinates as (i1, i2, j1, j2), so the first
+nonzero column of f1 box f2 pairs the first nonzero (i1, j1) of f1 with
+the first nonzero (i2, j2) of f2: the pivot of row (f1, f2) is the pair
+of pivots (p1, p2), with the positive entry f1[p1]*f2[p2].  Another row
+(g1, g2) has g1[p1]*g2[p2] there, and g1[p1] = 0 or g2[p2] = 0 as
+g1 != f1 or g2 != f2, so each row is zero at every other row's pivot;
+the pivots are distinct, so the r1*r2 rows are independent.  Box
+products are bilinear, so these rows span the box relations of any
+bases of R1 and R2, and the rank is r1*r2.  By Gauss's lemma the gcd of
+the entries of a row is gcd(cL1*cL2, cR1*cR2), where cL and cR are the
+gcds of a factor row's L and R sides.  It is 1 on every catalog row,
+but rows (1 | 2) and (2 | 1) of one-generator factors give (2 | 2),
+hence the division.  When a factor has an R-block pivot (the
+dual-derived types), a row with zero L side can meet a row with zero R
+side in a zero product, so :func:`square` eliminates as before.
+
+Product star.  ``box(assoc(s1), assoc(s2)) = assoc(s1 (x) s2)``: both
+blocks of assoc(s) are s s^T, and a Kronecker product of s1 s1^T and
+s2 s2^T is (s1 (x) s2)(s1 (x) s2)^T.  With box bilinear and assoc(s1),
+assoc(s2) in R1, R2 for valid factors, the product star's associativity
+lies in the product's relation space, and a Kronecker product of
+nonzero stars is nonzero.  So :func:`square` checks only the rank.
 """
 
 from __future__ import annotations
@@ -70,22 +106,62 @@ def _flat_label(label: str) -> str:
 
 
 def box_relation(f1: RelationElement, f2: RelationElement) -> RelationElement:
-    """The product relation: Kronecker on the L blocks and on the R blocks.
+    """The product relation: Kronecker on the L blocks and on the R blocks."""
+    (coeffs,) = _kronecker([f1.coeffs], f1.size, [f2.coeffs], f2.size)
+    return RelationElement(f1.size * f2.size, coeffs)
+
+
+def _kronecker(rows1, m1: int, rows2, m2: int) -> list[dict]:
+    """The box products of every flat ``{index: coefficient}`` vector of
+    ``rows1`` with every one of ``rows2``, first-factor major.
 
     A sparse Kronecker product: every pair of nonzero coefficients in the
-    same block gives one coefficient, at ((i1,i2), (j1,j2)).
+    same block gives one coefficient, at ((i1,i2), (j1,j2)), whose flat
+    index is the sum of an offset from each factor.
     """
-    m1, m2 = f1.size, f2.size
     m = m1 * m2
-    second: tuple[list, list] = ([], [])
-    for block, i2, j2, c2 in f2.nonzero():
-        second[block].append((i2, j2, c2))
-    coeffs = {}
-    for block, i1, j1, c1 in f1.nonzero():
-        base = block * m * m + i1 * m2 * m + j1 * m2
-        for i2, j2, c2 in second[block]:
-            coeffs[base + i2 * m + j2] = c1 * c2
-    return RelationElement(m, coeffs)
+
+    def split(row, n, i_step, j_step):
+        blocks: tuple[list, list] = ([], [])
+        for k, c in row.items():
+            block, rest = divmod(k, n * n)
+            i, j = divmod(rest, n)
+            blocks[block].append((i * i_step + j * j_step, c))
+        return blocks
+
+    firsts = [split(row, m1, m2 * m, m2) for row in rows1]
+    seconds = [split(row, m2, m, 1) for row in rows2]
+    out = []
+    for left1, right1 in firsts:
+        right1 = [(m * m + k1, c1) for k1, c1 in right1]
+        for left2, right2 in seconds:
+            coeffs = {}
+            for k1, c1 in left1:
+                for k2, c2 in left2:
+                    coeffs[k1 + k2] = c1 * c2
+            for k1, c1 in right1:
+                for k2, c2 in right2:
+                    coeffs[k1 + k2] = c1 * c2
+            out.append(coeffs)
+    return out
+
+
+def _kronecker_echelon(t1: TypePresentation, t2: TypePresentation) -> Subspace | None:
+    """The canonical echelon of the box products of two relation spaces,
+    built row by row without elimination (the Kronecker echelon lemma of
+    the module docstring); None when a factor has a pivot in the R block."""
+    s1, s2 = t1.relation_subspace, t2.relation_subspace
+    m1, m2 = t1.dim, t2.dim
+    if any(s.pivots and s.pivots[-1] >= m * m for s, m in ((s1, m1), (s2, m2))):
+        return None
+    m = m1 * m2
+    pivots = [
+        (i1 * m2 + i2) * m + j1 * m2 + j2
+        for i1, j1 in (divmod(p1, m1) for p1 in s1.pivots)
+        for i2, j2 in (divmod(p2, m2) for p2 in s2.pivots)
+    ]
+    rows = _kronecker(s1.int_rows, m1, s2.int_rows, m2)
+    return Subspace.from_echelon(2 * m * m, dict(zip(pivots, rows)))
 
 
 def square_generators(g1: GeneratorSpace, g2: GeneratorSpace, name: str | None = None):
@@ -106,25 +182,32 @@ def square(t1: TypePresentation, t2: TypePresentation, name: str | None = None) 
     """The square (type) product of two valid presentations.
 
     A factor without a resolved star (a dual) gives a product without one,
-    flagged and validated like a dual.
+    flagged and validated like a dual.  The relation space is the
+    Kronecker echelon of the factors when it applies, else eliminated.
     """
     require_valid(t1)
     require_valid(t2)
     gens = square_generators(t1.generators, t2.generators, name)
     star = _product_star(t1, t2)
-    relations = [box_relation(f1, f2) for f1 in t1.relations for f2 in t2.relations]
+    m = gens.dim
+    relations = [
+        RelationElement(m, coeffs)
+        for coeffs in _kronecker(
+            [f.coeffs for f in t1.relations], t1.dim, [f.coeffs for f in t2.relations], t2.dim
+        )
+    ]
     result = TypePresentation(
         gens, star, relations, star_unresolved=star is None,
         provenance=f"square product of {t1.name} and {t2.name}",
+        subspace=_kronecker_echelon(t1, t2),
     )
-    report = validate(result)
-    if not report.valid:
-        # valid factors give a nonzero, associative star (or none), so only
-        # the rank can fail: pairs of factor relations that share whole sides
+    if result.relation_subspace.dim != len(relations):
+        # by the product star lemma only the rank can fail, and only on the
+        # elimination path: pairs of factor relations that share whole sides
         raise InvalidPresentation(
             f"square({t1.name}, {t2.name}): the box relations are dependent, "
             "so the product is not a valid presentation",
-            report,
+            validate(result),
         )
     return result
 
@@ -142,28 +225,25 @@ def maltese(t1: TypePresentation, t2: TypePresentation, name: str | None = None)
     gens = square_generators(t1.generators, t2.generators, name or f"({t1.name} mx {t2.name})")
     star = _product_star(t1, t2)
 
-    full1 = _full_space_basis(m1)
-    full2 = _full_space_basis(m2)
-    span = [box_relation(f1, g2) for f1 in t1.relations for g2 in full2]
-    span += [box_relation(g1, f2) for g1 in full1 for f2 in t2.relations]
+    rows1 = [f.coeffs for f in t1.relations]
+    rows2 = [f.coeffs for f in t2.relations]
+    span = _kronecker(rows1, m1, _full_space_basis(m2), m2)
+    span += _kronecker(_full_space_basis(m1), m1, rows2, m2)
 
     m = m1 * m2
-    sub = Subspace.from_rows(2 * m * m, [r.coeffs for r in span])
+    sub = Subspace.from_rows(2 * m * m, span)
     relations = [RelationElement(m, row) for row in sub.sparse_basis()]
     return TypePresentation(
         gens, star, relations, star_unresolved=star is None,
         provenance=f"maltese product of {t1.name} and {t2.name}",
+        subspace=sub,
     )
 
 
-def _full_space_basis(m: int) -> list[RelationElement]:
-    """Standard basis of the double tensor square for an m-dim generator space."""
-    mm = m * m
-    out = []
-    for k in range(mm):
-        out.append(RelationElement(m, {k: 1}))
-        out.append(RelationElement(m, {mm + k: 1}))
-    return out
+def _full_space_basis(m: int) -> list[dict]:
+    """Standard basis of the double tensor square for an m-dim generator
+    space, as flat coefficient dicts."""
+    return [{k: 1} for k in range(2 * m * m)]
 
 
 def power(t: TypePresentation, n: int, name: str | None = None) -> TypePresentation:
@@ -184,6 +264,7 @@ def _flatten_labels(t: TypePresentation) -> TypePresentation:
     return TypePresentation(
         gens, t.star, t.relations, aux=t.aux,
         star_unresolved=t.star is None, provenance=t.provenance,
+        subspace=t.relation_subspace,
     )
 
 

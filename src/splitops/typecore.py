@@ -130,6 +130,11 @@ class TypePresentation:
     associative element has not been resolved; validation is then relaxed
     and the presentation is flagged accordingly.  The star and the aux
     vectors are stored as tuples of canonical scalars.
+
+    ``subspace``, when given, must be the span of ``relations`` in
+    canonical form (as :meth:`Subspace.from_rows` would build it); a
+    construction that knows its relation space without eliminating passes
+    it here, and ``relation_subspace`` returns it unchecked.
     """
 
     __slots__ = (
@@ -150,6 +155,8 @@ class TypePresentation:
         aux: Mapping[str, Sequence] | None = None,
         star_unresolved: bool = False,
         provenance: str = "",
+        *,
+        subspace: Subspace | None = None,
     ):
         m = generators.dim
         if star is not None:
@@ -161,13 +168,15 @@ class TypePresentation:
         for rel in relations:
             if rel.size != m:
                 raise DimensionMismatch("relation size differs from generator count")
+        if subspace is not None and subspace.ambient != 2 * m * m:
+            raise DimensionMismatch("relation subspace outside 2*m^2")
         self.generators = generators
         self.star = star
         self.relations = tuple(relations)
         self.aux = {k: tuple(canonical(x) for x in v) for k, v in (aux or {}).items()}
         self.star_unresolved = star_unresolved
         self.provenance = provenance
-        self._subspace = None
+        self._subspace = subspace
 
     @property
     def name(self) -> str:
@@ -198,6 +207,7 @@ class TypePresentation:
             aux=self.aux,
             star_unresolved=self.star_unresolved,
             provenance=self.provenance,
+            subspace=self._subspace,
         )
 
     def __repr__(self):

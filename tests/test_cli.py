@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -763,3 +766,19 @@ def test_a_name_the_definition_language_cannot_write_is_a_usage_error_on_export(
     code, out, err = run_quiet("export", "d", "--format", "dsl")
     assert code == EXIT_USAGE and out == ""
     assert err == "error: generators[0]: a name cannot contain '\"' or a line break\n"
+
+
+def test_a_reader_closing_stdout_early_ends_the_output():
+    # the JSON export of this square is about 8 MB, far more than a pipe
+    # holds, so the write meets the closed pipe
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "splitops.cli", "square", "ennea", "trialgebra", "--json"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_OK
+    assert first == b"(ennea sq trialgebra): 27 generators, 343 relations\n"
+    assert err == b""

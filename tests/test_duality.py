@@ -1,5 +1,7 @@
 """The signed pairing, dual types and the non-duality counterexample."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,9 +14,9 @@ from splitops.duality import (
     non_duality_witness,
     pair2,
 )
-from splitops.exactalg import DimensionMismatch, Matrix
+from splitops.exactalg import DimensionMismatch, Matrix, Subspace
 from splitops.products import square
-from splitops.typecore import RelationElement, TypePresentation, relabel
+from splitops.typecore import RelationElement, TypePresentation, relabel, star_associativity
 
 F = Fraction
 
@@ -176,3 +178,80 @@ def test_dual_of_square_loses_maltese_span_structure():
     dend = catalog.get("dendriform")
     aq = dual(square(dend, dend), search_star=False)
     assert aq.relation_subspace.dim == 2 * 16 - 9
+
+
+# ---------------------------------------------------------------------------
+# the sign-flip dual and the quadratic-form star sweep against the old routes
+
+NAMES = catalog.list_names()
+SMALL = [n for n in NAMES if catalog.get(n).dim <= 6]
+
+
+def _signed_row_dual(t):
+    """The dual's relation space as it was built before: the annihilator of
+    the relations with their R block negated, eliminated afresh."""
+    half = t.dim * t.dim
+    rows = [{k: -c if k >= half else c for k, c in r.coeffs.items()} for r in t.relations]
+    return Subspace.from_rows(2 * half, rows).annihilator()
+
+
+def _membership_stars(t):
+    """The star sweep as it was: one membership test per candidate."""
+    space = t.relation_subspace
+    return [
+        cand
+        for cand in itertools.product((0, 1, -1), repeat=t.dim)
+        if any(cand) and space.contains_vector(star_associativity(cand).coeffs)
+    ]
+
+
+def _random_relabel(name, rng):
+    """A catalog type relabelled by a random shear, when it has two
+    generators or more, and a random permutation."""
+    t = catalog.get(name)
+    m = t.dim
+    shear = [[int(i == j) for j in range(m)] for i in range(m)]
+    if m > 1:
+        i, j = rng.sample(range(m), 2)
+        shear[i][j] = rng.choice((-1, 1, 2))
+    order = list(range(m))
+    rng.shuffle(order)
+    return relabel(t, [shear[i] for i in order])
+
+
+def _assert_dual_echelon(t):
+    d = dual(t, search_star=False)
+    got = d.relation_subspace
+    for want in (_signed_row_dual(t), Subspace.from_rows(got.ambient, [r.coeffs for r in d.relations])):
+        assert got.pivots == want.pivots
+        assert got.int_rows == want.int_rows
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_the_dual_echelon_is_the_signed_row_elimination(name):
+    _assert_dual_echelon(catalog.get(name))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_dual_echelon_is_the_signed_row_elimination_on_random_relabellings(seed):
+    rng = random.Random(seed)
+    _assert_dual_echelon(_random_relabel(rng.choice(SMALL), rng))
+
+
+def _assert_stars_match(t):
+    d = dual(t, search_star=False)
+    for u in (t, d):
+        assert find_star(u) == _membership_stars(u)
+    stars = _membership_stars(d)
+    assert dual(t).star == (stars[0] if stars else None)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_find_star_matches_the_membership_sweep(name):
+    _assert_stars_match(catalog.get(name))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_find_star_matches_the_membership_sweep_on_random_relabellings(seed):
+    rng = random.Random(seed)
+    _assert_stars_match(_random_relabel(rng.choice(SMALL), rng))

@@ -1,5 +1,6 @@
 """Square and maltese products, powers, transposes, tensor models."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,14 @@ from splitops.products import (
     transpose_swap,
     verify_tensor_model,
 )
-from splitops.typecore import InvalidPresentation, relabel, validate
+from splitops.typecore import (
+    GeneratorSpace,
+    InvalidPresentation,
+    RelationElement,
+    TypePresentation,
+    relabel,
+    validate,
+)
 
 F = Fraction
 
@@ -190,3 +198,133 @@ def test_label_helpers():
     assert label_factors("((a|b)|c)") == ("(a|b)", "c")
     assert label_factors("(a|b|c)") == ("a", "b", "c")
     assert label_factors("plain") == ("plain",)
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker echelon against elimination
+
+NAMES = catalog.list_names()
+# the catalog types whose relation echelon has a pivot in the R block
+R_PIVOT_TYPES = {"assoc_dialgebra", "assoc_trialgebra", "assoc_nijenhuis_tri"}
+PAIRS = [
+    (a, b) for a in NAMES for b in NAMES if catalog.get(a).dim * catalog.get(b).dim <= 16
+] + [("ennea", "trialgebra")]
+
+
+def _eliminated(t):
+    return Subspace.from_rows(2 * t.dim * t.dim, [r.coeffs for r in t.relations])
+
+
+def _assert_same_echelon(got, want):
+    assert got.pivots == want.pivots
+    assert got.int_rows == want.int_rows
+
+
+def _count_eliminations(monkeypatch) -> list:
+    """Patch ``Subspace.from_rows`` to record the ambient dimension of each call."""
+    calls = []
+    from_rows = Subspace.from_rows.__func__
+
+    def counting(cls, ambient, rows):
+        calls.append(ambient)
+        return from_rows(cls, ambient, rows)
+
+    monkeypatch.setattr(Subspace, "from_rows", classmethod(counting))
+    return calls
+
+
+def _random_relabel(name, rng):
+    """A catalog type relabelled by a random shear, when it has two
+    generators or more, and a random permutation."""
+    t = catalog.get(name)
+    m = t.dim
+    shear = [[int(i == j) for j in range(m)] for i in range(m)]
+    if m > 1:
+        i, j = rng.sample(range(m), 2)
+        shear[i][j] = rng.choice((-1, 1, 2))
+    order = list(range(m))
+    rng.shuffle(order)
+    return relabel(t, [shear[i] for i in order])
+
+
+def _has_r_pivot(t):
+    return t.relation_subspace.pivots[-1] >= t.dim * t.dim
+
+
+def test_exactly_the_dual_derived_catalog_types_have_an_r_block_pivot():
+    assert {n for n in NAMES if _has_r_pivot(catalog.get(n))} == R_PIVOT_TYPES
+
+
+def test_the_square_echelon_is_the_eliminated_one_on_catalog_pairs():
+    for a, b in PAIRS:
+        try:
+            sq = square(catalog.get(a), catalog.get(b))
+        except InvalidPresentation:
+            assert a in R_PIVOT_TYPES and b in R_PIVOT_TYPES, (a, b)
+            continue
+        _assert_same_echelon(sq.relation_subspace, _eliminated(sq))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_square_echelon_is_the_eliminated_one_on_random_relabellings(seed, monkeypatch):
+    rng = random.Random(seed)
+    a, b = rng.choice(PAIRS[:-1])
+    t1, t2 = _random_relabel(a, rng), _random_relabel(b, rng)
+    t1.relation_subspace, t2.relation_subspace  # the factors are eliminated before counting
+    calls = _count_eliminations(monkeypatch)
+    try:
+        sq = square(t1, t2)
+    except InvalidPresentation:
+        assert a in R_PIVOT_TYPES and b in R_PIVOT_TYPES, (a, b)
+        return
+    fallback = a in R_PIVOT_TYPES or b in R_PIVOT_TYPES
+    # a generator change of basis keeps the side of every pivot
+    assert (_has_r_pivot(t1) or _has_r_pivot(t2)) == fallback
+    assert len(calls) == fallback
+    monkeypatch.undo()
+    _assert_same_echelon(sq.relation_subspace, _eliminated(sq))
+
+
+def test_square_eliminates_exactly_when_a_factor_has_an_r_block_pivot(monkeypatch):
+    for a, b in PAIRS:
+        t1, t2 = catalog.get(a), catalog.get(b)
+        t1.relation_subspace, t2.relation_subspace  # the factors are eliminated before counting
+        calls = _count_eliminations(monkeypatch)
+        try:
+            square(t1, t2)
+        except InvalidPresentation:
+            pass
+        assert len(calls) == (a in R_PIVOT_TYPES or b in R_PIVOT_TYPES), (a, b)
+        monkeypatch.undo()
+
+
+def test_the_star_of_every_catalog_product_lies_in_its_relation_space():
+    for a, b in PAIRS:
+        if a in R_PIVOT_TYPES and b in R_PIVOT_TYPES:
+            continue
+        sq = square(catalog.get(a), catalog.get(b))
+        assert sq.relation_subspace.contains_vector(sq.star_relation().coeffs), (a, b)
+
+
+def test_a_kronecker_row_is_divided_by_the_gcd_of_its_entries():
+    # (1 | 2) box (2 | 1) = (2 | 2): primitive factor rows, a product row that is not
+    def one_relation(name, left, right):
+        gens = GeneratorSpace(name, ("x",))
+        rel = RelationElement(1, {0: left, 1: right})
+        return TypePresentation(gens, None, [rel], star_unresolved=True)
+
+    sq = square(one_relation("a", 1, 2), one_relation("b", 2, 1))
+    assert sq.relation_subspace.int_rows == ({0: 1, 1: 1},)
+    _assert_same_echelon(sq.relation_subspace, _eliminated(sq))
+
+
+def test_power_eliminates_only_the_factor(monkeypatch):
+    dend = catalog.get("dendriform")
+    fresh = TypePresentation(dend.generators, dend.star, dend.relations)
+    calls = _count_eliminations(monkeypatch)
+    cube = power(fresh, 3)
+    cube.relation_subspace
+    assert calls == [8]
+    monkeypatch.undo()
+    _assert_same_echelon(cube.relation_subspace, _eliminated(cube))
+    assert cube.relation_subspace == catalog.get("octo").relation_subspace

@@ -9,7 +9,7 @@ import pytest
 from splitops import catalog
 from splitops.dsl import parse_type, parse_type_json, parse_type_report, serialize
 from splitops.duality import dual
-from splitops.exactalg import Matrix, ScalarKindMismatch
+from splitops.exactalg import DimensionMismatch, Matrix, ScalarKindMismatch
 from splitops.morphisms import monomial_automorphisms
 from splitops.products import square
 from splitops.typecore import (
@@ -253,6 +253,17 @@ def test_relation_subspace_ignores_basis_order():
             t.generators, t.star, tuple(reversed(t.relations))
         )
         assert shuffled.relation_subspace == t.relation_subspace
+
+
+def test_a_given_subspace_is_kept_by_with_name_and_checked_for_size():
+    dend = catalog.get("dendriform")
+    space = dend.relation_subspace
+    t = TypePresentation(dend.generators, dend.star, dend.relations, subspace=space)
+    assert t.relation_subspace is space
+    assert t.with_name("renamed").relation_subspace is space
+    tri = catalog.get("trialgebra")
+    with pytest.raises(DimensionMismatch):
+        TypePresentation(tri.generators, tri.star, tri.relations, subspace=space)
 
 
 def test_relation_element_flatten_layout():
