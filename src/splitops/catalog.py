@@ -332,7 +332,12 @@ def get(name: str) -> TypePresentation:
         note, source = _BASE_SOURCES[name]
         t = parse_type(source)
         t = TypePresentation(
-            t.generators, t.star, t.relations, aux=t.aux, provenance=note
+            t.generators,
+            t.star,
+            t.relations,
+            aux=t.aux,
+            provenance=note,
+            subspace=t.relation_subspace,
         )
     else:
         recipes = _recipes()

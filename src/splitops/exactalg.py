@@ -84,7 +84,7 @@ def rational_from_text(text: str):
 class Matrix:
     """Immutable dense rational matrix; its entries are canonical scalars."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "_columns")
 
     def __init__(self, rows: Sequence[Sequence], ncols: int | None = None):
         rows = [list(r) for r in rows]
@@ -100,6 +100,7 @@ class Matrix:
         self.rows = tuple(tuple(canonical(x) for x in r) for r in rows)
         self.nrows = len(rows)
         self.ncols = width
+        self._columns = None
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -152,6 +153,22 @@ class Matrix:
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length mismatch")
         return tuple(_dot(r, vec) for r in self.rows)
+
+    @property
+    def nonzero_columns(self) -> tuple[tuple[tuple[int, object], ...], ...]:
+        """Each column's nonzero ``(row, entry)`` pairs, in row order; built once."""
+        if self._columns is None:
+            self._columns = tuple(
+                tuple((a, r[j]) for a, r in enumerate(self.rows) if r[j])
+                for j in range(self.ncols)
+            )
+        return self._columns
+
+    def is_invertible(self) -> bool:
+        """Whether the matrix is square of full rank (a rank test, no inverse built)."""
+        if self.nrows != self.ncols:
+            return False
+        return Subspace.from_rows(self.ncols, self.rows).dim == self.nrows
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:

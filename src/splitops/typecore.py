@@ -368,10 +368,8 @@ def relabel(t: TypePresentation, mapping) -> TypePresentation:
         f = mapping if isinstance(mapping, Matrix) else Matrix(mapping)
         if f.nrows != m or f.ncols != m:
             raise DimensionMismatch("relabel matrix must be m x m")
-        try:
-            f.inverse()
-        except ExactAlgebraError:
-            raise InvalidPresentation("relabel map must be invertible") from None
+        if not f.is_invertible():
+            raise InvalidPresentation("relabel map must be invertible")
     new_rels = [push_relation(r, f) for r in t.relations]
     new_star = f.apply(t.star) if t.star is not None else None
     new_aux = {k: f.apply(v) for k, v in t.aux.items()}
@@ -397,9 +395,7 @@ def push_relation(rel: RelationElement, f: Matrix) -> RelationElement:
         raise DimensionMismatch("generator map does not match the relation size")
     n = f.nrows
     nn = n * n
-    columns = [
-        [(a, f.rows[a][i]) for a in range(n) if f.rows[a][i]] for i in range(f.ncols)
-    ]
+    columns = f.nonzero_columns
     image: dict = {}
     for block, i, j, c in rel.nonzero():
         for a, x in columns[i]:

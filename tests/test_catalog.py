@@ -5,6 +5,7 @@ import pytest
 from splitops import catalog
 from splitops.duality import dual
 from splitops.dsl import serialize
+from splitops.exactalg import Subspace
 from splitops.typecore import validate
 
 
@@ -20,6 +21,23 @@ def test_entries_are_cached_and_named():
     assert catalog.get("dendriform") is catalog.get("dendriform")
     for name in catalog.list_names():
         assert catalog.get(name).name == name
+
+
+@pytest.mark.parametrize("name", ["dendriform", "trialgebra"])
+def test_base_entries_are_eliminated_once(monkeypatch, name):
+    # the span computed while validating the parsed text is kept
+    calls = []
+    from_rows = Subspace.from_rows.__func__
+
+    def counting(cls, ambient, rows):
+        calls.append(ambient)
+        return from_rows(cls, ambient, rows)
+
+    monkeypatch.setattr(catalog, "_cache", {})
+    monkeypatch.setattr(Subspace, "from_rows", classmethod(counting))
+    t = catalog.get(name)
+    assert t.relation_subspace.dim == len(t.relations)
+    assert len(calls) == 1
 
 
 def test_unknown_name_lists_alternatives():

@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from splitops import catalog, morphisms
-from splitops.exactalg import ExactAlgebraError, Matrix
+from splitops import catalog, duality, morphisms
+from splitops.exactalg import ExactAlgebraError, Matrix, Subspace
 from splitops.morphisms import (
     TypeMorphism,
     _check_closed,
@@ -22,7 +24,7 @@ from splitops.morphisms import (
     morphism_to_json,
 )
 from splitops.products import flatten_label
-from splitops.typecore import RelationElement, TypePresentation, relabel
+from splitops.typecore import RelationElement, TypePresentation, push_relation, relabel
 
 F = Fraction
 
@@ -53,6 +55,13 @@ def test_inclusion_without_equality_is_not_isomorphism():
     shear = TypeMorphism(dend, dend, Matrix([[F(1), F(1)], [F(0), F(1)]]))
     # star (1,1) maps to (2,1) != (1,1)
     assert not shear.star_ok
+    # the identity from dendriform with its last relation dropped: every
+    # relation lands in the target span, which is one dimension larger
+    dropped = TypePresentation(dend.generators, dend.star, dend.relations[:-1])
+    inclusion = TypeMorphism(dropped, dend, Matrix.identity(2))
+    assert check_morphism(inclusion)
+    assert not check_isomorphism(inclusion)
+    assert not _check_isomorphism_by_inverse(inclusion)
 
 
 def test_table_isomorphisms_pass():
@@ -163,6 +172,135 @@ def test_monomial_search_matches_brute_force(name):
                 brute.append(f.matrix)
     brute.sort(key=lambda mat: mat.rows)
     assert [f.matrix for f in monomial_automorphisms(t)] == brute
+
+
+# ---------------------------------------------------------------------------
+# the isomorphism check against the check it replaced
+#
+# The oracle builds the inverse, runs the morphism check and compares the
+# span of the pushed relations with the target's; check_isomorphism
+# replaces the inverse by a rank test and the span by its dimension.
+
+
+def _check_isomorphism_by_inverse(f):
+    try:
+        f.matrix.inverse()
+    except ExactAlgebraError:
+        return False
+    if not check_morphism(f):
+        return False
+    pushed = Subspace.from_rows(
+        2 * f.target.dim ** 2,
+        [push_relation(r, f.matrix).coeffs for r in f.source.relations],
+    )
+    return pushed == f.target.relation_subspace
+
+
+def _agree(f):
+    verdict = check_isomorphism(f)
+    assert verdict == _check_isomorphism_by_inverse(f), f
+    return verdict
+
+
+def test_rank_tests_build_no_inverse(monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("an inverse was built")
+
+    monkeypatch.setattr(Matrix, "inverse", refuse)
+    tri = catalog.get("trialgebra")
+    shear = Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    assert check_isomorphism(TypeMorphism(tri, relabel(tri, shear), shear))
+    assert check_isomorphism(catalog.table_isomorphism("quadri"))
+
+
+def test_isomorphism_check_agrees_on_the_tables():
+    for name in catalog.TABLE_NAMES:
+        assert _agree(catalog.table_isomorphism(name)), name
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in catalog.list_names() if catalog.get(n).dim <= 4]
+)
+def test_isomorphism_check_agrees_on_signed_permutations(name):
+    t = catalog.get(name)
+    m = t.dim
+    verdicts = []
+    for perm in itertools.permutations(range(m)):
+        for signs in itertools.product((1, -1), repeat=m):
+            f = Matrix.monomial(perm, signs)
+            for source, target in ((t, t), (_starless(t), t), (t, relabel(t, f))):
+                verdicts.append(_agree(TypeMorphism(source, target, f)))
+    assert any(verdicts) and not all(verdicts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["dendriform", "dipterous", "trialgebra"]), st.data())
+def test_isomorphism_check_agrees_on_integer_matrices(name, data):
+    t = catalog.get(name)
+    m = t.dim
+    entry = st.integers(-2, 2)
+    row = st.lists(entry, min_size=m, max_size=m)
+    f = Matrix(data.draw(st.lists(row, min_size=m, max_size=m)))
+    try:
+        f.inverse()
+        invertible = True
+    except ExactAlgebraError:
+        invertible = False
+    assert f.is_invertible() == invertible
+    targets = [t, _starless(t)] + ([relabel(t, f)] if invertible else [])
+    for source in (t, _starless(t)):
+        for target in targets:
+            _agree(TypeMorphism(source, target, f))
+    if invertible:
+        assert check_isomorphism(TypeMorphism(t, relabel(t, f), f))
+
+
+@pytest.mark.parametrize("rows", [[[0, 0], [0, 0]], [[1, 1], [1, 1]], [[1, 2], [-1, -2]]])
+def test_isomorphism_check_refuses_singular_maps(rows):
+    dend = catalog.get("dendriform")
+    f = Matrix(rows)
+    assert not f.is_invertible()
+    for source in (dend, _starless(dend)):
+        for target in (dend, _starless(dend)):
+            assert not _agree(TypeMorphism(source, target, f))
+
+
+def test_isomorphism_check_refuses_non_square_maps():
+    dend, tri = catalog.get("dendriform"), catalog.get("trialgebra")
+    into = Matrix([[1, 0], [0, 1], [0, 0]])
+    onto = Matrix([[1, 0, 0], [0, 1, 1]])
+    assert not into.is_invertible() and not onto.is_invertible()
+    for f in (TypeMorphism(dend, tri, into), TypeMorphism(tri, dend, onto)):
+        assert not _agree(f)
+        assert not _agree(TypeMorphism(_starless(f.source), _starless(f.target), f.matrix))
+
+
+def test_isomorphism_check_counts_rank_not_relations():
+    dend = catalog.get("dendriform")
+    r0, r1, r2 = dend.relations
+    both = RelationElement(
+        2, {k: r0.coeffs.get(k, 0) + r1.coeffs.get(k, 0) for k in {*r0.coeffs, *r1.coeffs}}
+    )
+    identity = Matrix.identity(2)
+    # four relations of rank three span R; three of rank two do not
+    padded = TypePresentation(dend.generators, dend.star, (r0, r1, r2, both))
+    short = TypePresentation(dend.generators, dend.star, (r0, r1, both))
+    assert _agree(TypeMorphism(padded, dend, identity))
+    assert check_morphism(TypeMorphism(short, dend, identity))
+    assert not _agree(TypeMorphism(short, dend, identity))
+
+
+def test_isomorphism_check_agrees_on_a_starless_dual():
+    d = duality.dual(catalog.get("octo"))
+    assert d.star is None
+    labels = list(d.generators.labels)
+    images = labels[:]
+    random.Random(7).shuffle(images)
+    p = Matrix.monomial([labels.index(image) for image in images])
+    shuffled = relabel(d, p)
+    assert _agree(TypeMorphism(d, d, Matrix.identity(d.dim)))
+    assert _agree(TypeMorphism(d, shuffled, p))
+    assert not _agree(TypeMorphism(d, shuffled, Matrix.identity(d.dim)))
 
 
 # ---------------------------------------------------------------------------
