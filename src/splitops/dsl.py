@@ -369,8 +369,11 @@ def _to_json(t: TypePresentation) -> str:
     list of rational strings, or ``null``), ``aux`` and ``relations`` (one
     ``{"L": rows, "R": rows}`` object per relation, m rows of m strings
     each); strings are escaped to ASCII as ``json.dumps`` does.  Most rows
-    are zero, so the text of a zero row is built once per export and a
-    relation only formats the rows its nonzero coefficients fall in.
+    are zero, so the text of an all-zero relation is built once per export
+    as a list of fixed pieces: a head, the 2m zero-row texts with their
+    separators, the ``"R"`` joint and a tail, row k at index 2k + 1.  Each
+    relation copies that list, overwrites the rows its nonzero
+    coefficients fall in, and joins it once.
     """
     m = t.dim
     labels = [_json_string(label) for label in t.generators.labels]
@@ -387,8 +390,24 @@ def _to_json(t: TypePresentation) -> str:
         aux = "{" + defs + "\n  }"
     else:
         aux = "{}"
-    zero_row = _json_array(['"0"'] * m, 4)
-    relations = [_relation_json(rel, m, zero_row) for rel in t.relations]
+    zero_cells = ['"0"'] * m
+    row_open, row_sep, row_close = "[\n" + " " * 10, ",\n" + " " * 10, "\n" + " " * 8 + "]"
+    skeleton = ['{\n      "L": [\n        ']
+    skeleton += [row_open + row_sep.join(zero_cells) + row_close, ",\n        "] * (2 * m)
+    skeleton[2 * m] = '\n      ],\n      "R": [\n        '
+    skeleton[-1] = "\n      ]\n    }"
+    relations = []
+    for rel in t.relations:
+        rows: dict[int, list[str]] = {}
+        for k, c in rel.coeffs.items():
+            r, j = divmod(k, m)
+            if r not in rows:
+                rows[r] = zero_cells.copy()
+            rows[r][j] = f'"{c}"'  # a canonical scalar prints as p or p/q, plain ASCII
+        pieces = skeleton.copy()
+        for r, cells in rows.items():
+            pieces[2 * r + 1] = row_open + row_sep.join(cells) + row_close
+        relations.append("".join(pieces))
     return (
         f'{{\n  "name": {_json_string(t.name)},\n  "generators": {_json_array(labels, 1)},'
         f'\n  "star": {star},\n  "aux": {aux},'
@@ -402,22 +421,6 @@ def _json_array(items: list[str], level: int) -> str:
         return "[]"
     inner = "\n" + "  " * (level + 1)
     return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
-
-
-def _relation_json(rel: RelationElement, m: int, zero_row: str) -> str:
-    rows = [zero_row] * (2 * m)
-    cells: dict[int, list[str]] = {}
-    for block, i, j, c in rel.nonzero():
-        r = block * m + i
-        if r not in cells:
-            cells[r] = ['"0"'] * m
-        cells[r][j] = _json_string(format_scalar(c))
-    for r, row in cells.items():
-        rows[r] = _json_array(row, 4)
-    return (
-        f'{{\n      "L": {_json_array(rows[:m], 3)},'
-        f'\n      "R": {_json_array(rows[m:], 3)}\n    }}'
-    )
 
 
 def parse_type_json(text: str) -> TypePresentation:

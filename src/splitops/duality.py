@@ -14,7 +14,9 @@ rows of ann(R) (see :class:`~splitops.exactalg.Echelon`) to rows with
 the same pivots, still zero at every other pivot and primitive; only a
 pivot in the R block turns negative, and negating that whole row makes
 it positive again.  So :func:`dual` reads the dual's canonical echelon
-off ``t.relation_subspace.annihilator()`` with no second elimination.
+off ``t.relation_subspace.annihilator()``, and the only elimination a
+dual makes is that of R's rows with the columns reversed (see
+:meth:`~splitops.exactalg.Subspace.annihilator`).
 
 Stars by quadratic forms.  Both blocks of the associativity element of s
 are s s^T, so its plain dot product with a vector y is s^T (y_L + y_R) s,

@@ -243,21 +243,19 @@ class Echelon:
 
     def integer_row(self, vec) -> dict:
         """A rational vector, dense or as {index: value}, as a primitive integer row."""
-        if isinstance(vec, Mapping):
-            items = [(k, x) for k, x in vec.items() if x]
-            if items and not 0 <= min(items)[0] <= max(items)[0] < self.ambient:
+        if type(vec) is dict or isinstance(vec, Mapping):
+            row = {k: x for k, x in vec.items() if x}
+            if row and not 0 <= min(row) <= max(row) < self.ambient:
                 raise DimensionMismatch("vector index outside the ambient dimension")
         else:
             if len(vec) != self.ambient:
                 raise DimensionMismatch("vector length differs from ambient dimension")
-            items = [(k, x) for k, x in enumerate(vec) if x]
-        mult = 1
-        for _, x in items:
-            if type(x) is not int:
-                mult = lcm(mult, canonical(x).denominator)
-        if mult == 1:
-            return _primitive({k: x.numerator for k, x in items})
-        return _primitive({k: (x * mult).numerator for k, x in items})
+            row = {k: x for k, x in enumerate(vec) if x}
+        others = [x for x in row.values() if type(x) is not int]
+        if others:
+            mult = lcm(*(canonical(x).denominator for x in others))
+            row = {k: (x * mult).numerator for k, x in row.items()}
+        return _primitive(row)
 
     def reduce(self, row: dict) -> dict:
         """The remainder of an integer row after elimination at the pivots, primitive."""
@@ -389,30 +387,45 @@ class Subspace:
         return all(other.contains_vector(r) for r in self.int_rows)
 
     def annihilator(self) -> "Subspace":
-        """All vectors whose plain dot product with every vector here is 0.
+        """All vectors whose plain dot product with every vector here is 0,
+        read off the echelon of this space with the columns reversed.
 
-        One spanning vector per free column f: e_f minus, for each basis
-        row with a nonzero entry in column f, that entry over the row's
-        pivot entry at the row's pivot column.
+        Lemma.  The reversed echelon's rows rho_q end at distinct columns
+        q in Q (its pivots, read back), and each is zero at every other
+        q' in Q.  For each g not in Q let
+
+            n_g = e_g - sum over q of (rho_q[g] / rho_q[q]) e_q.
+
+        Then n_g . rho_q = rho_q[g] - rho_q[g] = 0 for every q, so n_g
+        lies in the annihilator.  n_g starts at g, because rho_q[g] != 0
+        only when g < q, and it is zero at every other g' not in Q.  So
+        the ambient - dim vectors n_g are independent, span the
+        annihilator, and, scaled to primitive integers, are exactly its
+        canonical rows (see :class:`Echelon`), with pivots the columns
+        outside Q.  Only the dim rows of this space are eliminated, not
+        one vector per free column.
         """
+        last = self.ambient - 1
+        reversed_rows = Echelon(self.ambient)
+        for row in self.int_rows:
+            reversed_rows.add({last - c: x for c, x in row.items()})
         entries: dict[int, list] = {}
-        for p, row in zip(self.pivots, self.int_rows):
-            lead = row[p]
+        for p, row in reversed_rows.rows.items():
+            q, lead = last - p, row[p]
             for c, x in row.items():
                 if c != p:
-                    entries.setdefault(c, []).append((p, lead, x))
-        pivot_set = set(self.pivots)
-        ech = Echelon(self.ambient)
-        for f in range(self.ambient):
-            if f in pivot_set:
+                    entries.setdefault(last - c, []).append((q, lead, x))
+        rows = {}
+        for g in range(self.ambient):
+            if last - g in reversed_rows.rows:
                 continue
-            hits = entries.get(f, ())
+            hits = entries.get(g, ())
             scale = lcm(*(lead for _, lead, _ in hits))
-            vec = {f: scale}
-            for p, lead, x in hits:
-                vec[p] = -x * (scale // lead)
-            ech.add(vec)
-        return Subspace(ech)
+            vec = {g: scale}
+            for q, lead, x in hits:
+                vec[q] = -x * (scale // lead)
+            rows[g] = vec
+        return Subspace.from_echelon(self.ambient, rows)
 
 
 class _DenseRows(Sequence):

@@ -3,8 +3,11 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splitops import catalog
 from splitops.duality import (
@@ -14,7 +17,7 @@ from splitops.duality import (
     non_duality_witness,
     pair2,
 )
-from splitops.exactalg import DimensionMismatch, Matrix, Subspace
+from splitops.exactalg import DimensionMismatch, Echelon, ExactAlgebraError, Matrix, Subspace
 from splitops.products import square
 from splitops.typecore import RelationElement, TypePresentation, relabel, star_associativity
 
@@ -187,12 +190,36 @@ NAMES = catalog.list_names()
 SMALL = [n for n in NAMES if catalog.get(n).dim <= 6]
 
 
+def _eliminated_annihilator(space):
+    """The annihilator as Subspace.annihilator built it before: one spanning
+    vector per free column f, e_f minus, for each basis row with a nonzero
+    entry in column f, that entry over the row's pivot entry at the row's
+    pivot column, all eliminated afresh."""
+    entries = {}
+    for p, row in zip(space.pivots, space.int_rows):
+        lead = row[p]
+        for c, x in row.items():
+            if c != p:
+                entries.setdefault(c, []).append((p, lead, x))
+    ech = Echelon(space.ambient)
+    for f in range(space.ambient):
+        if f in space.pivots:
+            continue
+        hits = entries.get(f, ())
+        scale = lcm(*(lead for _, lead, _ in hits))
+        vec = {f: scale}
+        for p, lead, x in hits:
+            vec[p] = -x * (scale // lead)
+        ech.add(vec)
+    return Subspace(ech)
+
+
 def _signed_row_dual(t):
     """The dual's relation space as it was built before: the annihilator of
     the relations with their R block negated, eliminated afresh."""
     half = t.dim * t.dim
     rows = [{k: -c if k >= half else c for k, c in r.coeffs.items()} for r in t.relations]
-    return Subspace.from_rows(2 * half, rows).annihilator()
+    return _eliminated_annihilator(Subspace.from_rows(2 * half, rows))
 
 
 def _membership_stars(t):
@@ -255,3 +282,57 @@ def test_find_star_matches_the_membership_sweep(name):
 def test_find_star_matches_the_membership_sweep_on_random_relabellings(seed):
     rng = random.Random(seed)
     _assert_stars_match(_random_relabel(rng.choice(SMALL), rng))
+
+
+# ---------------------------------------------------------------------------
+# the annihilator read off the reversed echelon against the eliminated one
+
+
+def _assert_annihilator(space):
+    got, want = space.annihilator(), _eliminated_annihilator(space)
+    assert got.pivots == want.pivots
+    assert got.int_rows == want.int_rows
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_the_annihilator_matches_the_eliminated_one_on_catalog_types(name):
+    t = catalog.get(name)
+    _assert_annihilator(t.relation_subspace)
+    rng = random.Random(name)
+    for _ in range(3):
+        _assert_annihilator(_random_relabel(name, rng).relation_subspace)
+
+
+def _small_squares():
+    return [(a, b) for a in NAMES for b in NAMES if catalog.get(a).dim * catalog.get(b).dim <= 9]
+
+
+@pytest.mark.parametrize("a,b", _small_squares())
+def test_the_annihilator_matches_the_eliminated_one_on_squares_and_duals(a, b):
+    try:
+        sq = square(catalog.get(a), catalog.get(b))
+    except ExactAlgebraError:
+        return  # both factors dual-derived: the square is refused
+    _assert_annihilator(sq.relation_subspace)
+    _assert_annihilator(dual(sq, search_star=False).relation_subspace)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_the_annihilator_matches_the_eliminated_one_on_catalog_duals(name):
+    _assert_annihilator(dual(catalog.get(name), search_star=False).relation_subspace)
+
+
+@st.composite
+def sparse_subspaces(draw):
+    ambient = draw(st.integers(1, 14))
+    row = st.dictionaries(st.integers(0, ambient - 1), st.integers(-4, 4), max_size=4)
+    return Subspace.from_rows(ambient, draw(st.lists(row, max_size=ambient + 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_subspaces())
+@example(Subspace.from_rows(6, []))  # {0}: the annihilator is everything
+@example(Subspace.from_rows(6, [{k: 1} for k in range(6)]))  # the full space
+@example(Subspace.from_rows(1, [{0: -3}]))
+def test_the_annihilator_matches_the_eliminated_one_on_sparse_subspaces(space):
+    _assert_annihilator(space)

@@ -9,6 +9,7 @@ products and push-forwards - must agree with it exactly.
 """
 
 import itertools
+import types
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -17,7 +18,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splitops import catalog
-from splitops.exactalg import Matrix, Subspace, rref
+from splitops.exactalg import (
+    DimensionMismatch,
+    Echelon,
+    Matrix,
+    ScalarKindMismatch,
+    Subspace,
+    rref,
+)
 from splitops.products import box_relation
 from splitops.typecore import RelationElement, push_relation, star_associativity
 
@@ -207,6 +215,52 @@ def test_inverse_matches_oracle(rows):
             Matrix(rows).inverse()
         return
     assert Matrix(rows).inverse() == Matrix([r[n:] for r in red])
+
+
+# -- the kernel's entry path: every input form of Echelon.integer_row ----------
+
+
+def _input_forms(row, ambient):
+    """A sparse row as a dict, as a read-only non-dict Mapping and densely."""
+    dense = [0] * ambient
+    for k, x in row.items():
+        dense[k] = x
+    return [dict(row), types.MappingProxyType(dict(row)), tuple(dense)]
+
+
+@pytest.mark.parametrize(
+    "row,want",
+    [
+        ({1: 2, 3: -4}, {1: 1, 3: -2}),  # ints, trimmed by their gcd
+        ({0: True, 2: False, 4: True}, {0: 1, 4: 1}),  # bools read as ints
+        ({1: F(4, 1), 2: F(-6, 1)}, {1: 2, 2: -3}),  # integral Fractions
+        ({0: F(1, 2), 3: 1, 4: F(-2, 3)}, {0: 3, 3: 6, 4: -4}),  # mixed, cleared
+        ({2: 0, 3: F(0)}, {}),  # zeros are dropped
+    ],
+)
+def test_integer_row_reads_every_input_form(row, want):
+    ech = Echelon(5)
+    for vec in _input_forms(row, 5):
+        got = ech.integer_row(vec)
+        assert got == want
+        assert all(type(x) is int for x in got.values())
+        assert all(type(k) is int for k in got)
+
+
+def test_integer_row_keeps_its_checks():
+    ech = Echelon(4)
+    for bad in ({4: 1}, {-1: 1}, {0: 1, 9: 2}):
+        for vec in _input_forms(bad, 10)[:2]:
+            with pytest.raises(DimensionMismatch, match="outside the ambient"):
+                ech.integer_row(vec)
+    for length in (3, 5):
+        with pytest.raises(DimensionMismatch, match="length"):
+            ech.integer_row((1,) * length)
+    for vec in _input_forms({1: 0.5, 2: 1}, 4):
+        with pytest.raises(ScalarKindMismatch):
+            ech.integer_row(vec)
+    # the all-zero vector has no index to check
+    assert ech.integer_row({}) == {} and ech.integer_row(types.MappingProxyType({})) == {}
 
 
 # -- catalog relation spaces and square products ---------------------------------
