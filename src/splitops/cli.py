@@ -1,8 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 success or verified; 1 a mathematical check is false;
-2 usage or parse error; 3 internal or budget error.  A reader that
-closes standard output early (``| head``) ends the output: exit 0.
+2 usage or parse error; 3 internal error.  A reader that closes
+standard output early (``| head``) ends the output: exit 0.
 """
 
 from __future__ import annotations
@@ -57,17 +57,6 @@ def _option(name: str, parse, *args):
         raise ValueError(f"{name}: zero denominator") from None
     except ValueError as err:
         raise ValueError(f"{name}: {err}") from None
-
-
-def _budget(text: str) -> int:
-    """argparse type of the step budget: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +181,7 @@ def _tensor_model(args, out):
 def _verify_operator(args, out):
     t = _load_type(args.type)
     law = _option("--weight", operatorver.law_from_name, args.law, args.weight)
-    report = operatorver.verify_operator_theorem(t, law, budget=args.steps)
+    report = operatorver.verify_operator_theorem(t, law)
     out(report.to_json() if args.json else report.describe())
     return EXIT_OK if report.all_verified else EXIT_CHECK_FAILED
 
@@ -205,13 +194,13 @@ def _verify_family(args, out):
         # "rb:" names an empty weight, which law_from_name refuses
         weight = weight.strip() if colon else None
         laws.append(_option("--laws", operatorver.law_from_name, kind.strip(), weight))
-    report = operatorver.verify_commuting_family(t, laws, budget=args.steps)
+    report = operatorver.verify_commuting_family(t, laws)
     out(report.to_json() if args.json else report.describe())
     return EXIT_OK if report.all_verified else EXIT_CHECK_FAILED
 
 
 def _verify_lemmas(args, out):
-    reports = operatorver.verify_operator_lemmas(budget=args.steps)
+    reports = operatorver.verify_operator_lemmas()
     ok = all(r.ok for r in reports)
     for r in reports:
         out(r.describe())
@@ -684,16 +673,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["rb", "rb0", "nijenhuis", "leftrb", "rightrb"])
     p.add_argument("--weight", default=None,
                    help="rational weight or 'formal'; a negative one as --weight=-3/4")
-    p.add_argument("--steps", type=_budget, default=operatorver.DEFAULT_STEP_BUDGET)
 
     p = add("verify-family", _verify_family, help="verify commuting operators")
     p.add_argument("type")
     p.add_argument("--laws", required=True,
                    help="comma list, e.g. rb:formal,rb:formal or rightrb,leftrb")
-    p.add_argument("--steps", type=_budget, default=operatorver.DEFAULT_STEP_BUDGET)
 
     p = add("verify-lemmas", _verify_lemmas, help="modified-operator identities")
-    p.add_argument("--steps", type=_budget, default=operatorver.DEFAULT_STEP_BUDGET)
 
     p = add("non-duality", _non_duality, help="the square/maltese duality failure")
 
@@ -741,9 +727,6 @@ def main(argv=None) -> int:
             return EXIT_INTERNAL
         print(f"error: {err}\n{err.report.describe()}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except operatorver.RewriteBudget as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INTERNAL
     except ExactAlgebraError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -111,7 +111,6 @@ DEFAULT_MONOMIAL_GUARD = 9
 def monomial_automorphisms(
     t: TypePresentation,
     entries: tuple[int, ...] = (1, -1),
-    guard: int = DEFAULT_MONOMIAL_GUARD,
     allow_large: bool = False,
 ) -> list[TypeMorphism]:
     """All monomial-matrix automorphisms with nonzero entries from ``entries``.
@@ -133,9 +132,9 @@ def monomial_automorphisms(
     composition.
     """
     m = t.dim
-    if m > guard and not allow_large:
+    if m > DEFAULT_MONOMIAL_GUARD and not allow_large:
         raise ExactAlgebraError(
-            f"monomial search over {m} generators exceeds the guard ({guard}); "
+            f"monomial search over {m} generators exceeds the guard ({DEFAULT_MONOMIAL_GUARD}); "
             "pass allow_large=True to override"
         )
     entries = tuple(dict.fromkeys(canonical(e) for e in entries))

@@ -150,11 +150,13 @@ def test_per_factor_swap_is_not_an_automorphism():
     assert not check_morphism(f)
 
 
-def test_monomial_guard():
+def test_monomial_guard(monkeypatch):
+    # the guard is the module constant, read at each call
     q = catalog.get("quadri")
-    with pytest.raises(ExactAlgebraError, match="guard"):
-        monomial_automorphisms(q, guard=3)
-    assert len(monomial_automorphisms(q, guard=3, allow_large=True)) == 2
+    monkeypatch.setattr(morphisms, "DEFAULT_MONOMIAL_GUARD", 3)
+    with pytest.raises(ExactAlgebraError, match=r"over 4 generators exceeds the guard \(3\)"):
+        monomial_automorphisms(q)
+    assert len(monomial_automorphisms(q, allow_large=True)) == 2
 
 
 @pytest.mark.parametrize(

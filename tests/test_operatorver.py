@@ -1,9 +1,9 @@
 """Symbolic operator verification: rewriting, certificates, lemmas."""
 
 import hashlib
+import itertools
 import json
 import random
-import weakref
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -44,9 +44,6 @@ def term2(wx, wy, wout=()):
     return (2, -1, 0, tuple(wx), tuple(wy), (), (), tuple(wout))
 
 
-B = ov.DEFAULT_STEP_BUDGET
-
-
 def _factors(laws):
     return [catalog.get(ov.predicted_factor_name(law)) for law in laws]
 
@@ -72,11 +69,11 @@ def _tables(laws):
     return factors, [_symbol_table(law, f, k) for k, (law, f) in enumerate(zip(laws, factors))]
 
 
-def _report(t, laws, budget=ov.DEFAULT_STEP_BUDGET):
+def _report(t, laws):
     """The report of ``laws`` on ``t``: one law's, or a family's."""
     if len(laws) == 1:
-        return ov.verify_operator_theorem(t, laws[0], budget)
-    return ov.verify_commuting_family(t, laws, budget)
+        return ov.verify_operator_theorem(t, laws[0])
+    return ov.verify_commuting_family(t, laws)
 
 
 def _levels(report):
@@ -412,7 +409,6 @@ def test_commuting_families():
         report = ov.verify_commuting_family(a, laws)
         assert report.all_verified
         assert len(report.verdicts) == want
-        assert not report.experimental
 
 
 def test_family_size_guard():
@@ -420,12 +416,19 @@ def test_family_size_guard():
         ov.verify_commuting_family(catalog.get("associative"), [ov.rb(0)] * 4)
 
 
-def test_mixed_family_is_experimental_but_verifies():
+def test_mixed_family_verifies_and_is_not_experimental():
+    # the commuting lemma covers families of mixed kinds: no line marks
+    # them, and the JSON key the schema keeps reads false at every level
     report = ov.verify_commuting_family(
         catalog.get("associative"), [ov.rb(0), ov.nijenhuis()]
     )
-    assert report.experimental
     assert report.all_verified
+    assert report.describe() == (
+        "associative with [rb(weight=0, P1) , nijenhuis(N2)]: "
+        "12/12 relations of ((associative sq dendriform) sq ns) verified"
+    )
+    data = json.loads(report.to_json())
+    assert data["experimental"] is False and data["prefix"]["experimental"] is False
 
 
 def test_operator_lemmas():
@@ -437,37 +440,21 @@ def test_operator_lemmas():
     assert any("Nijenhuis" in n for n in names)
 
 
-def test_each_lemma_path_checks_its_steps_against_the_budget(cold_solves):
-    # in each modified identity only Q(x) o Q(y) has the operator on both
-    # operands, in one term: one step each, and a budget of 0 is short
-    assert all(r.ok for r in ov.verify_operator_lemmas(include=(), budget=1))
-    with pytest.raises(ov.RewriteBudget, match="rewrite budget exhausted"):
-        ov.verify_operator_lemmas(include=(), budget=0)
-    # the splitting reads its law solve from the memo and checks the steps
-    # it recorded, the same whether the memo solves it afresh or has it
-    key = ("rb_dendriform", None)
-    steps = ov._law_solve(*key).steps
-    assert steps == 2
-    for warm in (False, True):
-        ov._law_solve.cache_clear()
-        if warm:
-            ov._law_solve(*key)
-        assert all(r.ok for r in ov.verify_operator_lemmas(("associative",), budget=steps))
-        assert _memo() == (1, int(warm), 1)
-        ov._law_solve.cache_clear()
-        if warm:
-            ov._law_solve(*key)
-        with pytest.raises(ov.RewriteBudget, match="rewrite budget exhausted"):
-            ov.verify_operator_lemmas(("associative",), budget=steps - 1)
-        assert _memo() == (1, int(warm), 1)
-
-
 def test_a_second_lemma_call_reads_the_memo(cold_solves):
     reports = ov.verify_operator_lemmas()
     # one solve of the splitting, read again on the second base
     assert _memo() == (1, 1, 1)
     assert ov.verify_operator_lemmas() == reports
     assert _memo() == (1, 3, 1)
+    # the splitting on one base solves its law afresh, or reads the solve
+    # another run left, and verifies the same either way
+    key = ("rb_dendriform", None)
+    for warm in (False, True):
+        ov._law_solve.cache_clear()
+        if warm:
+            ov._law_solve(*key)
+        assert all(r.ok for r in ov.verify_operator_lemmas(("associative",)))
+        assert _memo() == (1, int(warm), 1)
 
 
 def test_a_failing_lemma_prints_its_residual(monkeypatch):
@@ -548,12 +535,76 @@ def test_an_rb_weight_is_a_canonical_scalar():
         ov.rb(0.1)
 
 
-# -- one membership echelon per geometry ------------------------------------------
+# -- the candidate-geometry search, the oracles' own ------------------------------
+#
+# A law solve used to search the instances a pattern can come from, its
+# candidate geometry, with one echelon per geometry; the composite solve
+# below needed it for words of several symbols.  The oracles keep that
+# search as it was, so they do not run the one echelon of 15 rows that a
+# law solve now builds.
+
+
+def _splits2(word: tuple):
+    """All ways to split a sorted word into two sorted sub-multisets."""
+    if not word:
+        return [((), ())]
+    head, rest = word[0], word[1:]
+    out = []
+    for a, b in _splits2(rest):
+        out.append((ov._merge((head,), a), b))
+        out.append((a, ov._merge((head,), b)))
+    # duplicates arise for repeated symbols; keep each split once
+    return list(dict.fromkeys(out))
+
+
+def _candidate_geometry(pattern):
+    """Leaf-word triples and context words that can certify a pattern.
+
+    Rewriting only ever moves operator symbols from the two operands of a
+    product into that product's wrap word, so the arguments of the
+    relation instances a pattern can come from are recovered by
+    redistributing each key's wrap words back onto the operands, in every
+    multiset split.  Whatever part of the outermost wrap is not pushed
+    down stays as the instance's context.  A key is (shape, wx, wy, wz,
+    win, wout) with three leaves, as ``ov._pattern`` makes it.
+    """
+    triples = set()
+    contexts = {()}
+    for shape, wx, wy, wz, win, wout in pattern:
+        for ctx, moved in _splits2(wout):
+            contexts.add(ctx)
+            for to_sub, to_leaf in _splits2(moved):
+                if shape == 0:
+                    pool = ov._merge(win, to_sub)
+                    z2 = ov._merge(wz, to_leaf)
+                    for ax, ay in _splits2(pool):
+                        triples.add((ov._merge(wx, ax), ov._merge(wy, ay), z2))
+                else:  # shape 1
+                    pool = ov._merge(win, to_sub)
+                    x2 = ov._merge(wx, to_leaf)
+                    for ay, az in _splits2(pool):
+                        triples.add((x2, ov._merge(wy, ay), ov._merge(wz, az)))
+    return tuple(sorted(triples)), tuple(sorted(contexts))
+
+
+def _echelon(normalizer, triples, contexts, known: dict):
+    """Membership echelon of the instance patterns of one geometry, tagged
+    (triple, context); ``known`` keeps each q_s made, across geometries."""
+    ech = ov._Echelon()
+    for triple in triples:
+        for ctx in contexts:
+            tag = (triple, ctx)
+            pattern = known.get(tag)
+            if pattern is None:
+                pattern = known[tag] = ov._instance_pattern(normalizer, triple, ctx)
+            if pattern:
+                ech.insert(pattern, tag)
+    return ech
 
 
 def _geometry(residual):
     """The candidate geometry of a residual, read from its shapes and words."""
-    return ov._candidate_geometry({(t[0],) + t[3:] for t in residual})
+    return _candidate_geometry({(t[0],) + t[3:] for t in residual})
 
 
 def _oracle_verdicts(t, laws):
@@ -686,11 +737,11 @@ def _composite_solve(laws, factors, tables) -> _CompositeSolve:
     groups: dict = {}
     for f, pattern in enumerate(patterns):
         if pattern:
-            groups.setdefault(ov._candidate_geometry(pattern), []).append(f)
+            groups.setdefault(_candidate_geometry(pattern), []).append(f)
     certificates: list = [None] * len(patterns)
     known: dict = {}
     for (triples, contexts), group in groups.items():
-        echelon = ov._echelon(normalizer, triples, contexts, known)
+        echelon = _echelon(normalizer, triples, contexts, known)
         for f in group:
             solved = echelon.solve(patterns[f])
             if solved is not None:
@@ -738,21 +789,19 @@ def _composite_verdicts(t, laws, solve):
     return tuple(verdicts)
 
 
-def _composite_report(t, laws, budget=B):
-    """verify_commuting_family as it was: one composite solve of ``laws``,
-    read from the oracle's own memo and placed at every base relation."""
+def _composite_report(t, laws):
+    """verify_commuting_family as it was, without its prefix: one composite
+    solve of ``laws``, read from the oracle's own memo and placed at every
+    base relation."""
     laws = [
         ov.OperatorLaw(law.kind, law.weight, f"{law.name}{k + 1}") for k, law in enumerate(laws)
     ]
     require_valid(t)
     solve = _composite_law_solve(_key(laws))
-    ov._check_budget(solve.steps, budget)
-    kinds = {law.kind for law in laws}
-    experimental = len(kinds) > 1 and kinds != {"right_rb", "left_rb"}
     product = reduce(ov.square_generators, [f.generators for f in (t, *solve.factors)])
     desc = " , ".join(law.describe() for law in laws)
     verdicts = _composite_verdicts(t, laws, solve)
-    return ov.VerificationReport(t.name, f"[{desc}]", product.name, verdicts, experimental)
+    return ov.VerificationReport(t.name, f"[{desc}]", product.name, verdicts)
 
 
 def _splitting_table():
@@ -813,9 +862,7 @@ def _assert_run_matches_the_oracle(t, laws):
     oracle = _oracle_verdicts(t, laws)
     assert report.verdicts == oracle
     assert report.product_name == _product(t, laws).name
-    rebuilt = ov.VerificationReport(
-        t.name, report.law, report.product_name, oracle, report.experimental
-    )
+    rebuilt = ov.VerificationReport(t.name, report.law, report.product_name, oracle)
     assert report.to_json() == rebuilt.to_json()
 
 
@@ -989,27 +1036,15 @@ def test_the_memo_keeps_base_free_results_only(cold_solves):
     assert _memo() == (1, 2, 1)
     # no laws, tables or normalizer: a record of what every run reads
     assert [f.name for f in fields(kept)] == [
-        "factor", "formal", "patterns", "certificates", "instances", "steps"
+        "factor", "formal", "patterns", "certificates", "instances"
     ]
     assert kept.factor is catalog.get("trialgebra") and kept.formal
-    assert kept.steps == 2
     assert len(kept.patterns) == len(kept.certificates) == len(kept.factor.relations)
     used = {tag for certificate in kept.certificates if certificate for tag, _c, _k in certificate}
     assert set(kept.instances) == used
     assert not any(t is value or t.relations is value for value in vars(kept).values())
     # the composite solve of the oracle took 44 steps for the pair
     assert _composite_law_solve.__wrapped__(_key([ov.rb(None)] * 2)).steps == 44
-
-
-def test_a_budget_failure_keeps_the_solve_for_a_later_run(cold_solves):
-    # the budget is checked on the recorded steps, after solving: the
-    # record stays, and a run at the default budget reads it
-    t = catalog.get("trialgebra")
-    with pytest.raises(ov.RewriteBudget, match="rewrite budget exhausted"):
-        ov.verify_operator_theorem(t, ov.nijenhuis(), budget=5)
-    assert _memo() == (1, 0, 1)
-    assert ov.verify_operator_theorem(t, ov.nijenhuis()).all_verified
-    assert _memo() == (1, 1, 1)
 
 
 def test_the_memo_is_bounded(cold_solves):
@@ -1109,58 +1144,39 @@ def test_generator_blind_rewriting_matches_the_reference_definitions(
                         if q is None:
                             q = ov._by_block(ov._instance_pattern(patterns, triple, ctx))
                         assert ov._placed(nonzeros, q) == want
-        # the record's steps are its normalizer's, and no more rewriting
-        # than the reference needed for the same residuals and instances
-        assert solvers[law.kind, law.weight].steps == solve.steps <= reference.normalizer.steps
-
-
-def test_the_step_budget_is_exact(capsys, cold_solves):
-    # the steps a run uses are enough, and one fewer is not, whether the
-    # memo solves the law afresh or has it from a run on another base
-    t = catalog.get("trialgebra")
-
-    def memo(warm):
-        ov._law_solve.cache_clear()
-        if warm:
-            ov.verify_operator_theorem(catalog.get("dendriform"), ov.nijenhuis("M"))
-
-    for warm in (False, True):
-        memo(warm)
-        assert ov.verify_operator_theorem(t, ov.nijenhuis()).all_verified
-        steps = ov._law_solve("nijenhuis", None).steps
-        assert steps > 0
-        argv = ["verify-operator", "trialgebra", "--law", "nijenhuis", "--steps"]
-        memo(warm)
-        assert main(argv + [str(steps)]) == 0
-        memo(warm)
-        assert main(argv + [str(steps - 1)]) == 3
-        assert capsys.readouterr().err == "error: rewrite budget exhausted\n"
-        memo(warm)
-        assert ov.verify_operator_theorem(t, ov.nijenhuis(), budget=steps).all_verified
-        memo(warm)
-        with pytest.raises(ov.RewriteBudget):
-            ov.verify_operator_theorem(t, ov.nijenhuis(), budget=steps - 1)
+        # no more rewriting than the reference needed for the same
+        # residuals and instances
+        assert solvers[law.kind, law.weight].steps <= reference.normalizer.steps
 
 
 @pytest.mark.parametrize(
-    "laws, steps",
+    "argv, cold, warm",
     [
-        ("nijenhuis,nijenhuis,nijenhuis", 8),
-        # rb takes 2 steps, nijenhuis 8 and left_rb 2: the largest counts
-        ("rb,nijenhuis,leftrb", 8),
-        ("rb:formal,rb:1/2", 2),
+        (["verify-operator", "trialgebra", "--law", "nijenhuis"], (1, 0, 1), (2, 1, 2)),
+        (
+            ["verify-family", "trialgebra", "--laws", "nijenhuis,nijenhuis,nijenhuis"],
+            (1, 2, 1),
+            (2, 3, 2),
+        ),
+        (["verify-family", "trialgebra", "--laws", "rb,nijenhuis,leftrb"], (3, 0, 3), (3, 2, 3)),
+        (["verify-family", "trialgebra", "--laws", "rb:formal,rb:1/2"], (2, 0, 2), (3, 1, 3)),
     ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else None,
 )
-def test_a_family_budget_is_the_steps_of_its_largest_law_solve(capsys, cold_solves, laws, steps):
-    # each stage checks its own law's recorded steps
-    argv = ["verify-family", "trialgebra", "--laws", laws, "--steps"]
-    assert main(argv + [str(steps)]) == 0
-    capsys.readouterr()
-    for warm in (True, False):
-        if not warm:
-            ov._law_solve.cache_clear()
-        assert main(argv + [str(steps - 1)]) == 3
-        assert capsys.readouterr().err == "error: rewrite budget exhausted\n"
+def test_a_run_reads_the_same_solves_cold_or_warm(capsys, cold_solves, argv, cold, warm):
+    # a run solves each of its laws afresh, or reads the solves that runs
+    # on another base left (Nijenhuis and rb of formal weight), and prints
+    # the same either way; the memo counts (misses, hits, entries)
+    outputs = []
+    for warmed, memo in ((False, cold), (True, warm)):
+        ov._law_solve.cache_clear()
+        if warmed:
+            ov.verify_operator_theorem(catalog.get("dendriform"), ov.nijenhuis("M"))
+            ov.verify_operator_theorem(catalog.get("dendriform"), ov.rb(None, "Q"))
+        assert main(argv) == 0
+        assert _memo() == memo
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and not outputs[0].err
 
 
 def _longest_word(normalizer):
@@ -1194,40 +1210,83 @@ def test_a_rewrite_never_lengthens_a_word_beyond_two_symbols_per_law(normalizers
     assert longest["rb", "rb", "rb"] == 6
 
 
-def test_one_echelon_per_geometry_and_one_alive_at_a_time(monkeypatch, cold_solves):
-    built = []
-    live = weakref.WeakSet()
-    real = ov._echelon
-    geometries = []
-    real_geometry = ov._candidate_geometry
+@pytest.fixture
+def echelons(monkeypatch):
+    """Every membership echelon made during one test, in the order made."""
+    made = []
 
-    def counting(normalizer, triples, contexts, known):
-        assert len(live) == 0, "an earlier echelon is still alive"
-        ech = real(normalizer, triples, contexts, known)
-        # pattern keys, (shape,) + five words: no base generators
-        assert all(len(key) == 6 for vec, _ in ech.pivots.values() for key in vec)
-        built.append((tuple(triples), tuple(contexts)))
-        live.add(ech)
-        return ech
+    class Kept(ov._Echelon):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
 
-    def counting_geometry(pattern):
-        geometries.append(pattern)
-        return real_geometry(pattern)
+    monkeypatch.setattr(ov, "_Echelon", Kept)
+    return made
 
-    monkeypatch.setattr(ov, "_echelon", counting)
-    monkeypatch.setattr(ov, "_candidate_geometry", counting_geometry)
+
+def test_a_solve_builds_one_echelon_of_15_rows(cold_solves, echelons):
     report = ov.verify_commuting_family(catalog.get("trialgebra"), [ov.rb(None), ov.rb(None)])
     assert report.all_verified and len(report.verdicts) == 343
-    # both stages read the one solve of rb: one geometry per nonzero factor
-    # relation of trialgebra, not one per product relation
-    nonzero = sum(1 for pattern in ov._law_solve("rb", None).patterns if any(pattern))
-    assert len(built) == len(set(built)) <= len(geometries) == nonzero == 7
-    # the composite solve of the oracle: one per nonzero composite relation
-    built.clear()
-    geometries.clear()
-    _composite_law_solve.__wrapped__(_key([ov.rb(None), ov.rb(None)]))
-    assert len(built) == len(set(built)) == 49
-    assert len(geometries) == 49
+    # both stages read the one solve of rb: one echelon, whose 15 rows are
+    # the instance patterns of the 15 tags
+    (echelon,) = echelons
+    assert len(echelon.pivots) == 15
+    assert {tag for _vec, cert in echelon.pivots.values() for tag in cert} == set(ov._TAGS)
+    # pattern keys, (shape,) + five words: no base generators
+    assert all(len(key) == 6 for vec, _ in echelon.pivots.values() for key in vec)
+    # a family of two kinds solves two laws, one echelon each
+    echelons.clear()
+    ov.verify_commuting_family(catalog.get("associative"), [ov.rb(0), ov.nijenhuis()])
+    assert [len(echelon.pivots) for echelon in echelons] == [15, 15]
+
+
+# the law rows of the rank lemma (see the module docstring)
+_RANK_LAWS = [
+    ov.OperatorLaw(kind, weight)
+    for kind, weight in [
+        ("rb", None), ("rb", 0), ("rb", 1), ("rb", F(1, 2)), ("rb", F(-3, 4)),
+        ("nijenhuis", None), ("left_rb", None), ("right_rb", None),
+        ("rb_dendriform", None), ("rb_dendriform", 2),
+    ]
+]
+
+
+@pytest.mark.parametrize("law", _RANK_LAWS, ids=lambda law: law.describe())
+def test_the_15_instance_patterns_are_independent(law):
+    # the rank lemma: the q_s of the tags whose leaf words and context carry
+    # at most two symbols in all have rank 15, computed here by exactalg's
+    # elimination and not by the verifier's echelon
+    tags = sorted(
+        (((P,) * a, (P,) * b, (P,) * c), (P,) * d)
+        for a, b, c, d in itertools.product(range(3), repeat=4) if a + b + c + d <= 2
+    )
+    assert list(ov._TAGS) == tags and len(tags) == 15
+    normalizer = ov.Normalizer((law,), (0,))
+    rows = [ov._instance_pattern(normalizer, *tag) for tag in tags]
+    column = {key: k for k, key in enumerate(sorted({key for row in rows for key in row}))}
+    rows = [{column[key]: c for key, c in row.items()} for row in rows]
+    assert Subspace.from_rows(len(column), rows).dim == 15
+
+
+@pytest.mark.parametrize(
+    "law",
+    _RANK_LAWS
+    + [ov.rb(2), ov.rb(-1)]
+    + [ov.OperatorLaw("rb_dendriform", weight) for weight in (0, F(1, 3))],
+    ids=lambda law: law.describe(),
+)
+def test_one_echelon_solves_as_the_geometry_search_did(cold_solves, law):
+    # the composite solve of the oracle, for one law, is the solve as it
+    # was: one echelon per candidate geometry of the nonzero n_f, and
+    # contexts of up to four symbols.  It finds the same certificates,
+    # coefficient for coefficient and in the same order, from the same
+    # instance patterns
+    solve = ov._law_solve(law.kind, law.weight)
+    oracle = _composite_law_solve.__wrapped__(_key([law]))
+    assert solve.patterns == oracle.patterns
+    assert solve.certificates == oracle.certificates
+    assert any(solve.certificates)
+    assert solve.instances == oracle.instances
 
 
 # -- commuting families, one law at a time on a growing base ----------------------
@@ -1689,7 +1748,7 @@ def _assert_exact(value):
 @pytest.mark.parametrize("factor", [F(2), F(-1, 3)], ids=["2", "-1/3"])
 @pytest.mark.parametrize("name", ["dendriform", "trialgebra", "ns"])
 def test_scaled_base_relations_scale_certificates_inversely(
-    monkeypatch, cold_solves, name, factor
+    monkeypatch, cold_solves, echelons, name, factor
 ):
     # scaling every base relation scales every residual and every relation
     # instance by the same factor, and the pattern solve sees neither: every
@@ -1712,20 +1771,15 @@ def test_scaled_base_relations_scale_certificates_inversely(
                 _assert_exact(value)
     # scaling the inserted instance patterns instead moves the pivot heads
     # away from +-1, and every certificate coefficient scales by the inverse
-    built = []
-    make_echelon, make_pattern = ov._echelon, ov._instance_pattern
-
-    def keep_echelon(*args):
-        built.append(make_echelon(*args))
-        return built[-1]
+    make_pattern = ov._instance_pattern
 
     def scaled_pattern(*args):
         return {key: canonical(c * factor) for key, c in make_pattern(*args).items()}
 
-    monkeypatch.setattr(ov, "_echelon", keep_echelon)
     monkeypatch.setattr(ov, "_instance_pattern", scaled_pattern)
     # the references warmed the memo; these runs must solve again
     ov._law_solve.cache_clear()
+    echelons.clear()
     for law, reference in zip(laws, references):
         report = ov.verify_operator_theorem(t, law)
         assert report.all_verified
@@ -1738,8 +1792,9 @@ def test_scaled_base_relations_scale_certificates_inversely(
             for (_, c_got, _), (_, c_want, _) in zip(got.certificate, want.certificate):
                 _assert_exact(c_got)
                 assert c_got * factor == c_want
-    assert built
-    for ech in built:
+    # one echelon per law solve
+    assert len(echelons) == len(laws)
+    for ech in echelons:
         # every head was divided out, and the certificates show by how much
         assert all(vec[lead] == 1 for lead, (vec, _) in ech.pivots.items())
         assert any(
