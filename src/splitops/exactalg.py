@@ -165,9 +165,18 @@ class Matrix:
         return self._columns
 
     def is_invertible(self) -> bool:
-        """Whether the matrix is square of full rank (a rank test, no inverse built)."""
+        """Whether the matrix is square of full rank (a rank test, no inverse built).
+
+        A monomial matrix, with one nonzero per column in pairwise
+        distinct rows, is a permutation times a nonsingular diagonal, so
+        it is invertible with nothing eliminated; every other matrix
+        takes the rank test.
+        """
         if self.nrows != self.ncols:
             return False
+        columns = self.nonzero_columns
+        if all(len(c) == 1 for c in columns) and len({c[0][0] for c in columns}) == self.ncols:
+            return True
         return Subspace.from_rows(self.ncols, self.rows).dim == self.nrows
 
     def inverse(self) -> "Matrix":
@@ -200,6 +209,9 @@ def _dot(a: Sequence, b: Sequence):
 
 # ---------------------------------------------------------------------------
 # the elimination kernel
+
+
+_INT_ONLY = frozenset((int,))
 
 
 def _primitive(row: dict) -> dict:
@@ -242,25 +254,36 @@ class Echelon:
         self.rows: dict[int, dict[int, int]] = {}
 
     def integer_row(self, vec) -> dict:
-        """A rational vector, dense or as {index: value}, as a primitive integer row."""
+        """A rational vector, dense or as {index: value}, as a primitive integer row.
+
+        The row is always a new dict, never the caller's."""
         if type(vec) is dict or isinstance(vec, Mapping):
-            row = {k: x for k, x in vec.items() if x}
+            row = dict(vec) if all(vec.values()) else {k: x for k, x in vec.items() if x}
             if row and not 0 <= min(row) <= max(row) < self.ambient:
                 raise DimensionMismatch("vector index outside the ambient dimension")
         else:
             if len(vec) != self.ambient:
                 raise DimensionMismatch("vector length differs from ambient dimension")
             row = {k: x for k, x in enumerate(vec) if x}
-        others = [x for x in row.values() if type(x) is not int]
-        if others:
-            mult = lcm(*(canonical(x).denominator for x in others))
+        if not set(map(type, row.values())) <= _INT_ONLY:
+            mult = lcm(*(canonical(x).denominator for x in row.values()))
             row = {k: (x * mult).numerator for k, x in row.items()}
         return _primitive(row)
 
     def reduce(self, row: dict) -> dict:
-        """The remainder of an integer row after elimination at the pivots, primitive."""
+        """The remainder of an integer row after elimination at the pivots, primitive.
+
+        Lemma.  The echelon is fully reduced: rows[p] is zero at every
+        other pivot column.  So an elimination at pivot p changes the row
+        at p and at non-pivot columns only, and the pivot columns where
+        the row is nonzero, read once, are exactly the steps to take.
+        Each step scales the row by a positive factor (rows[p][p] > 0
+        over a gcd), so the remainder is a positive multiple of the
+        rational remainder whatever the order of the steps, and its
+        primitive form is unique.
+        """
         rows = self.rows
-        hits = [p for p in row if p in rows]
+        hits = rows.keys() & row.keys()
         for p in hits:
             row = _eliminate(row, rows[p], p)
         return _primitive(row) if hits else row

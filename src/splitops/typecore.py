@@ -73,7 +73,11 @@ class RelationElement:
         if coeffs and (min(coeffs) < 0 or max(coeffs) >= 2 * m * m):
             raise DimensionMismatch("flat index outside 2*m^2")
         self.size = m
-        self.coeffs = {k: x for k, c in sorted(coeffs.items()) if (x := canonical(c))}
+        values = coeffs.values()
+        if all(values) and set(map(type, values)) <= {int}:
+            self.coeffs = dict(sorted(coeffs.items()))
+        else:
+            self.coeffs = {k: x for k, c in sorted(coeffs.items()) if (x := canonical(c))}
 
     def nonzero(self) -> Iterator[tuple]:
         """(block, i, j, c) for each nonzero coefficient, in flat index order.

@@ -24,6 +24,8 @@ from splitops.exactalg import (
     Matrix,
     ScalarKindMismatch,
     Subspace,
+    _eliminate,
+    _primitive,
     rref,
 )
 from splitops.products import box_relation
@@ -236,6 +238,9 @@ def _input_forms(row, ambient):
         ({1: F(4, 1), 2: F(-6, 1)}, {1: 2, 2: -3}),  # integral Fractions
         ({0: F(1, 2), 3: 1, 4: F(-2, 3)}, {0: 3, 3: 6, 4: -4}),  # mixed, cleared
         ({2: 0, 3: F(0)}, {}),  # zeros are dropped
+        ({0: 0, 1: 6, 2: 0, 4: -9}, {1: 2, 4: -3}),  # zeros among nonzero ints
+        ({0: -2, 3: -4, 4: -6}, {0: -1, 3: -2, 4: -3}),  # all negative, sign kept
+        ({1: F(1, 2), 4: F(-3, 4)}, {1: 2, 4: -3}),  # non-integral Fractions only
     ],
 )
 def test_integer_row_reads_every_input_form(row, want):
@@ -261,6 +266,39 @@ def test_integer_row_keeps_its_checks():
             ech.integer_row(vec)
     # the all-zero vector has no index to check
     assert ech.integer_row({}) == {} and ech.integer_row(types.MappingProxyType({})) == {}
+
+
+@pytest.mark.parametrize("wrap", [lambda d: d, types.MappingProxyType], ids=["dict", "mapping"])
+def test_add_stores_a_copy_of_the_callers_row(wrap):
+    d = {1: 1, 3: 2}  # primitive with a positive pivot: stored as it reads
+    ech = Echelon(5)
+    assert ech.add(wrap(d)) and ech.integer_row(wrap(d)) is not d
+    before = {p: dict(r) for p, r in ech.rows.items()}
+    d[1], d[0] = 7, 5
+    del d[3]
+    assert ech.rows == before == {1: {1: 1, 3: 2}}
+    assert all(r is not d for r in ech.rows.values())
+
+
+def _reduce_in_row_order(ech, row):
+    """Elimination at each pivot hit in the row's key order, as a list."""
+    hits = [p for p in row if p in ech.rows]
+    for p in hits:
+        row = _eliminate(row, ech.rows[p], p)
+    return _primitive(row) if hits else row
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_reduce_does_not_depend_on_the_order_of_the_hits(case, data):
+    ncols, rows = case
+    ech = Echelon(ncols)
+    for r in rows:
+        ech.add(r)
+    vec = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    row = ech.integer_row(vec)
+    want = _reduce_in_row_order(ech, dict(reversed(list(row.items()))))
+    assert ech.reduce(row) == want
 
 
 # -- catalog relation spaces and square products ---------------------------------

@@ -257,14 +257,50 @@ def test_isomorphism_check_agrees_on_integer_matrices(name, data):
         assert check_isomorphism(TypeMorphism(t, relabel(t, f), f))
 
 
-@pytest.mark.parametrize("rows", [[[0, 0], [0, 0]], [[1, 1], [1, 1]], [[1, 2], [-1, -2]]])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 0], [0, 0]],
+        [[1, 1], [1, 1]],
+        [[1, 2], [-1, -2]],
+        # monomial in shape, so they reach the shortcut's test and fail it
+        [[0, 0], [0, 3]],  # a zero column
+        [[1, 1], [0, 0]],  # the two columns' nonzeros share a row
+        [[0, 0], [F(1, 2), -1]],
+        Matrix.monomial([1, 0], [-1, 0]).rows,  # a zero sign
+    ],
+)
 def test_isomorphism_check_refuses_singular_maps(rows):
     dend = catalog.get("dendriform")
     f = Matrix(rows)
     assert not f.is_invertible()
+    with pytest.raises(ExactAlgebraError, match="singular"):
+        f.inverse()
     for source in (dend, _starless(dend)):
         for target in (dend, _starless(dend)):
             assert not _agree(TypeMorphism(source, target, f))
+
+
+def _signed_permutations(n):
+    for images in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield Matrix.monomial(images, signs)
+
+
+def test_monomial_maps_are_invertible_with_nothing_eliminated(monkeypatch):
+    maps = [f for n in range(1, 5) for f in _signed_permutations(n)]
+    maps += [Matrix.monomial([2, 0, 1], [F(-1, 3), 2, 5]), Matrix.monomial([0], [F(7, 2)])]
+    assert len(maps) == 2 + 8 + 48 + 384 + 2
+
+    def no_elimination(*args):
+        raise AssertionError("a monomial map took the rank test")
+
+    monkeypatch.setattr(Subspace, "from_rows", no_elimination)
+    assert all(f.is_invertible() for f in maps)
+    monkeypatch.undo()
+    # the shortcut agrees with an inverse built by elimination
+    for f in maps:
+        assert f @ f.inverse() == Matrix.identity(f.nrows)
 
 
 def test_isomorphism_check_refuses_non_square_maps():

@@ -5,11 +5,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitops import catalog
 from splitops.dsl import parse_type, parse_type_json, parse_type_report, serialize
 from splitops.duality import dual
-from splitops.exactalg import DimensionMismatch, Matrix, ScalarKindMismatch
+from splitops.exactalg import DimensionMismatch, Matrix, ScalarKindMismatch, canonical
 from splitops.morphisms import monomial_automorphisms
 from splitops.products import square
 from splitops.typecore import (
@@ -274,6 +276,33 @@ def test_relation_element_flatten_layout():
     assert rel.flatten() == (F(1), F(2), F(0), F(0), F(0), F(0), F(3), F(4))
     back = RelationElement(2, dict(enumerate(rel.flatten())))
     assert back == rel and list(back.coeffs) == [0, 1, 6, 7]
+
+
+def _canonical_coeffs(coeffs):
+    """The coefficients as every coefficient went through ``canonical``."""
+    return {k: x for k, c in sorted(coeffs.items()) if (x := canonical(c))}
+
+
+_coefficients = st.one_of(
+    st.integers(-5, 5),
+    st.booleans(),
+    st.integers(-5, 5).map(F),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(-1, 8), _coefficients, max_size=8))
+def test_relation_element_canonicalises_as_every_coefficient_did(coeffs):
+    if not all(0 <= k < 8 for k in coeffs):
+        with pytest.raises(DimensionMismatch):
+            RelationElement(2, coeffs)
+        return
+    want = _canonical_coeffs(coeffs)
+    got = RelationElement(2, coeffs).coeffs
+    assert got == want
+    assert list(got) == list(want)
+    assert [type(x) for x in got.values()] == [type(x) for x in want.values()]
 
 
 # -- one scalar form: an int when integral, else a Fraction ------------------
