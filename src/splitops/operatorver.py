@@ -22,8 +22,9 @@ Math. China 2012); the one-sided laws keep one term; rb_dendriform, read
 off dendriform's star lt + gt, has rb's rule.  The residual must be an
 exact Q(weight)-linear combination of base-type relation instances on
 decorated arguments, wrapped in operator words.  The combination found is
-returned as a certificate, after it has been summed again from freshly
-normalized instances and compared with the residual.
+returned as a certificate, after it has been summed again, block by block,
+from the recorded instances and compared with the residual there (see the
+block lemma below).
 
 Rewriting terminates.  Every derived operation carries at most one
 operator symbol, so every term of a rewrite rule keeps at most one of
@@ -66,16 +67,33 @@ The rank lemma: for rb of formal weight, 0, 1, 1/2 and -3/4, Nijenhuis,
 left_rb, right_rb, and rb_dendriform of formal weight and 2, the 15 q_s
 have rank 15, so a pattern certificate, when one exists, is unique.  The
 solve reads no base and no operator name, so a process solves each law
-kind and weight once, into one record of the n_f, the certificates and
-the q_s they use, and every run reads that record.  Reuse is sound: each
-placed certificate is still summed again from the placed instances and
-compared with the placed residual, base by base, and that check gives
-the verdict.  A FAILED verdict means that no pattern certificate exists
-(or that the re-check caught a wrong one); under a fixed nonzero weight,
-whose rule lowers the number of symbols, that none exists in the 15
-instances.  A certificate that exists for one base only, where placing
-drops a shape of a pattern or combines instances of several base
-relations, is not searched for.
+kind and weight once, into one record of the n_f, the certificates, the
+q_s they use and the blocks on which each certificate holds, and every
+run reads that record.
+
+The block lemma makes one check per solve enough.  The nonzeros of a base
+relation r_b have pairwise distinct heads (block, gin, gout) and nonzero
+coefficients; :func:`_nonzeros` keeps both, and so does the Kronecker
+product of two relations' nonzeros in a family stage.  Placing at r_b
+puts the words of block beta of a pattern under each head of block beta,
+times its coefficient, so distinct heads give disjoint terms and placing
+is injective block by block:
+
+    placed_b(sum c_s * q_s) = placed_b(n_f)
+        iff  sum c_s * q_s[beta] = n_f[beta]  for every block beta of r_b,
+
+the blocks in which r_b has a nonzero; and the residual of box(r_b, r_f)
+is zero iff n_f[beta] is empty for every such beta.  So a solve sums each
+certificate once per block, 0 and 1, from the recorded q_s and not from
+the echelon, and records the blocks where the sum is n_f.  A product
+relation is verified iff its residual is zero or its certificate holds on
+every block of r_b, and the verdict is a lookup; the residual is placed
+only to print a failure.  A FAILED verdict means that no pattern
+certificate exists (or that the block check caught a wrong one); under a
+fixed nonzero weight, whose rule lowers the number of symbols, that none
+exists in the 15 instances.  A certificate that exists for one base only,
+where placing drops a shape of a pattern or combines instances of several
+base relations, is not searched for.
 
 The product is never built.  Its name and generator labels are
 :func:`products.square_generators` of the base and the law's factor F,
@@ -95,9 +113,9 @@ F(i-1).  B' is not built: the nonzeros of its relations are Kronecker
 products, made only when another law follows, and it is valid by the
 product lemma.  Box is associative, so relation (b', f) of stage i is
 relation box(b', f) of B sq F1 sq ... sq Fi, with its index and label.  It
-is verified when its certificate re-checks at b' and b' was verified at
-stage i - 1; the certificate uses instances of b' alone, so the rule is
-exact.  Each stage has a formal weight of its own; a shared one
+is verified when its certificate holds on the blocks of b' and b' was
+verified at stage i - 1; the certificate uses instances of b' alone, so
+the rule is exact.  Each stage has a formal weight of its own; a shared one
 specializes them.
 
 Stage i is sound by the commuting lemma: if Q commutes with P and obeys
@@ -498,9 +516,9 @@ def relation_instance(rel: RelationElement, triple: tuple, context: tuple) -> di
     """The combination LHS - RHS of a base relation on decorated leaves,
     wrapped in a context word.
 
-    This is the definition the instances :func:`_rebuild` places are
-    tested against: a solve normalizes each instance pattern q_s once,
-    with base generators 0, and the verifier places the generators.
+    This is the definition placed instance patterns are tested against: a
+    solve normalizes each instance pattern q_s once, with base generators
+    0, and the verifier places the generators.
     """
     wu, wv, ww = triple
     comb: dict = {}
@@ -713,6 +731,9 @@ class _LawSolve:
     # c, k) per instance, c * l^k its coefficient; None where n_f has none
     certificates: tuple
     instances: dict  # q_s, by block, of each (triple, context) a certificate uses
+    # per factor relation, the blocks on which its certificate sums to n_f
+    # (see the block lemma); empty where n_f has none
+    holds: tuple
 
 
 def _solve(law: OperatorLaw, factor: TypePresentation, table: dict) -> _LawSolve:
@@ -737,7 +758,25 @@ def _solve(law: OperatorLaw, factor: TypePresentation, table: dict) -> _LawSolve
             )
     used = {tag: _by_block(instances[tag]) for cert in certificates if cert for tag, _c, _k in cert}
     patterns = tuple(map(_by_block, patterns))
-    return _LawSolve(factor, law.formal, patterns, tuple(certificates), used)
+    holds = _blocks_held(patterns, certificates, used)
+    return _LawSolve(factor, law.formal, patterns, tuple(certificates), used, holds)
+
+
+def _blocks_held(patterns: tuple, certificates, instances: dict) -> tuple:
+    """Per factor relation, the blocks on which its certificate, summed
+    from the recorded q_s and not from the echelon, is n_f."""
+    holds = []
+    for pattern, certificate in zip(patterns, certificates):
+        blocks = []
+        for block in (0, 1) if certificate else ():
+            total: dict = {}
+            for tag, c, _k in certificate:
+                for words, x in instances[tag][block]:
+                    _accumulate(total, words, c * x)
+            if total == dict(pattern[block]):
+                blocks.append(block)
+        holds.append(frozenset(blocks))
+    return tuple(holds)
 
 
 def _nonzeros(rel: RelationElement) -> tuple:
@@ -763,31 +802,20 @@ def _placed(nonzeros: tuple, pattern: tuple) -> dict:
     return out
 
 
-def _rebuild(nonzeros: list, instances: dict, certificate: tuple) -> dict:
-    """Sum of coefficient times placed instance, its q_s read from the
-    record and not the echelon, so a certificate is checked independently."""
-    out: dict = {}
-    for (b, triple, ctx), coeff, _k in certificate:
-        for term, c in _placed(nonzeros[b], instances[triple, ctx]).items():
-            _accumulate(out, term, coeff * c)
-    return out
+def _certify(solve: _LawSolve, b: int, nonzeros: tuple, blocks, f: int, index: int, label, show):
+    """The verdict of product relation ``index`` = box(r_b, r_f), read off
+    the record by the block lemma: ``nonzeros`` and ``blocks`` are r_b's.
 
-
-def _certify(solve: _LawSolve, nonzeros: list, b: int, f: int, index: int, label, show):
-    """The verdict of product relation ``index`` = box(r_b, r_f): the
-    pattern n_f and its certificate, both placed at base relation b.
-
-    A residual with no certificate, or whose placed certificate does not
-    sum back to it, fails with the residual as ``show`` prints it.
+    A residual with no certificate, or one whose certificate does not hold
+    on every block of r_b, fails with the residual as ``show`` prints it.
     """
-    residual = _placed(nonzeros[b], solve.patterns[f])
-    if not residual:
+    pattern = solve.patterns[f]
+    if not any(map(pattern.__getitem__, blocks)):
         return RelationVerdict(index, label, True, residual_zero=True)
-    if solve.certificates[f] is not None:
+    if blocks <= solve.holds[f]:
         placed = tuple(((b,) + tag, c, k) for tag, c, k in solve.certificates[f])
-        if _rebuild(nonzeros, solve.instances, placed) == residual:
-            return RelationVerdict(index, label, True, certificate=placed)
-    return RelationVerdict(index, label, False, residual=show(residual))
+        return RelationVerdict(index, label, True, certificate=placed)
+    return RelationVerdict(index, label, False, residual=show(_placed(nonzeros, pattern)))
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -825,9 +853,10 @@ def _stages(t: TypePresentation, laws) -> list:
         show = partial(_show, solve.formal, labels=generators.labels, names=[law.name])
         verdicts: list = []
         for b, chain in enumerate(chains):
+            blocks = frozenset(blk for blk, *_ in nonzeros[b])
             for f, r_f in enumerate(relations):
                 label = (chain + (r_f,), product.labels)
-                verdict = _certify(solve, nonzeros, b, f, len(verdicts), label, show)
+                verdict = _certify(solve, b, nonzeros[b], blocks, f, len(verdicts), label, show)
                 verdicts.append(verdict if prefix[b] else replace(verdict, verified=False))
         stages.append((product, tuple(verdicts)))
         if k + 1 < len(laws):

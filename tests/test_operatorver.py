@@ -763,6 +763,35 @@ def _composite_law_solve(key) -> _CompositeSolve:
     return _composite_solve(laws, *_tables(laws))
 
 
+def _rebuild(nonzeros, instances: dict, certificate: tuple) -> dict:
+    """Sum of coefficient times placed instance, its q_s read from the
+    record and not the echelon, so a certificate is checked independently;
+    ``nonzeros`` maps each base relation a certificate cites to its
+    nonzeros."""
+    out: dict = {}
+    for (b, triple, ctx), coeff, _k in certificate:
+        for term, c in ov._placed(nonzeros[b], instances[triple, ctx]).items():
+            ov._accumulate(out, term, coeff * c)
+    return out
+
+
+def _per_base_verdict(solve, b, nonzeros, f, index, label, show):
+    """The verdict of box(r_b, r_f) by the per-base re-check: n_f and its
+    certificate placed at r_b, whose nonzeros are ``nonzeros``, and the
+    certificate summed again there by :func:`_rebuild`.  It reads the
+    patterns, the certificates and the instances of ``solve``, a law solve
+    or a composite one, and nothing else: not the blocks a law solve
+    records its certificates to hold on."""
+    residual = ov._placed(nonzeros, solve.patterns[f])
+    if not residual:
+        return ov.RelationVerdict(index, label, True, residual_zero=True)
+    if solve.certificates[f] is not None:
+        placed = tuple(((b,) + tag, c, k) for tag, c, k in solve.certificates[f])
+        if _rebuild({b: nonzeros}, solve.instances, placed) == residual:
+            return ov.RelationVerdict(index, label, True, certificate=placed)
+    return ov.RelationVerdict(index, label, False, residual=show(residual))
+
+
 def _composite_verdicts(t, laws, solve):
     """Every product relation box(r_b, r_f), r_f a relation of the composite
     factor: n_f and its certificate placed at r_b, and re-checked there."""
@@ -770,23 +799,30 @@ def _composite_verdicts(t, laws, solve):
     labels = reduce(
         ov.square_generators, [f.generators for f in (t, *solve.factors)]
     ).labels
-    nonzeros = [ov._nonzeros(rel) for rel in t.relations]
+
+    def show(residual):
+        return solve.grading.show(residual, t.generators.labels, names)
+
     verdicts = []
     for index in range(len(t.relations) * len(solve.factor_relations)):
         b, f = divmod(index, len(solve.factor_relations))
         label = ((t.relations[b], solve.factor_relations[f]), labels)
-        residual = ov._placed(nonzeros[b], solve.patterns[f])
-        if not residual:
-            verdicts.append(ov.RelationVerdict(index, label, True, residual_zero=True))
-            continue
-        if solve.certificates[f] is not None:
-            placed = tuple(((b,) + tag, c, k) for tag, c, k in solve.certificates[f])
-            if ov._rebuild(nonzeros, solve.instances, placed) == residual:
-                verdicts.append(ov.RelationVerdict(index, label, True, certificate=placed))
-                continue
-        shown = solve.grading.show(residual, t.generators.labels, names)
-        verdicts.append(ov.RelationVerdict(index, label, False, residual=shown))
+        nonzeros = ov._nonzeros(t.relations[b])
+        verdicts.append(_per_base_verdict(solve, b, nonzeros, f, index, label, show))
     return tuple(verdicts)
+
+
+def _per_base_report(t, laws):
+    """The report of ``laws`` on ``t`` with every verdict given by the
+    per-base re-check instead of the block check: the stage loop, the
+    Kronecker nonzeros and the law solves are the verifier's."""
+
+    def certify(solve, b, nonzeros, _blocks, f, index, label, show):
+        return _per_base_verdict(solve, b, nonzeros, f, index, label, show)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ov, "_certify", certify)
+        return _report(t, laws)
 
 
 def _composite_report(t, laws):
@@ -1036,10 +1072,13 @@ def test_the_memo_keeps_base_free_results_only(cold_solves):
     assert _memo() == (1, 2, 1)
     # no laws, tables or normalizer: a record of what every run reads
     assert [f.name for f in fields(kept)] == [
-        "factor", "formal", "patterns", "certificates", "instances"
+        "factor", "formal", "patterns", "certificates", "instances", "holds"
     ]
     assert kept.factor is catalog.get("trialgebra") and kept.formal
     assert len(kept.patterns) == len(kept.certificates) == len(kept.factor.relations)
+    # every factor relation of rb has a certificate, and it holds on both
+    # blocks
+    assert kept.holds == (frozenset({0, 1}),) * len(kept.factor.relations)
     used = {tag for certificate in kept.certificates if certificate for tag, _c, _k in certificate}
     assert set(kept.instances) == used
     assert not any(t is value or t.relations is value for value in vars(kept).values())
@@ -1424,23 +1463,29 @@ def test_every_level_certificate_holds_on_the_built_base(monkeypatch, name, laws
     # with the validated products.square instead, and check every level's
     # certificates there with the reference normalizer
     t, laws = catalog.get(name), list(laws)
-    placed_at = []
-    real_placed = ov._placed
+    certified_at = []
+    real_certify = ov._certify
 
-    def placing(nonzeros, pattern):
-        placed_at.append(frozenset(nonzeros))
-        return real_placed(nonzeros, pattern)
+    def certifying(solve, b, nonzeros, blocks, *rest):
+        certified_at.append(frozenset(nonzeros))
+        # the premise of the block lemma, on the Kronecker nonzeros too:
+        # pairwise distinct heads and nonzero coefficients; and the blocks
+        # a verdict is read for are those of the nonzeros
+        assert len({nonzero[:3] for nonzero in nonzeros}) == len(nonzeros)
+        assert all(c for *_, c in nonzeros)
+        assert blocks == {blk for blk, *_ in nonzeros}
+        return real_certify(solve, b, nonzeros, blocks, *rest)
 
-    monkeypatch.setattr(ov, "_placed", placing)
+    monkeypatch.setattr(ov, "_certify", certifying)
     report = ov.verify_commuting_family(t, laws)
     monkeypatch.undo()
     assert report.all_verified and len(_levels(report)) == len(laws)
     assert _level_certificates_hold(t, laws, report)
-    # every base relation a level placed at is one of the built bases, and
-    # every relation of the last base was placed at
+    # every base relation a level certified at is one of the built bases,
+    # and every relation of the last base was certified at
     built = [{frozenset(ov._nonzeros(rel)) for rel in base.relations} for base in _bases(t, laws)]
-    assert set(placed_at) <= set().union(*built)
-    assert built[-1] <= set(placed_at)
+    assert set(certified_at) <= set().union(*built)
+    assert built[-1] <= set(certified_at)
     # a negative control: one certificate coefficient flipped in sign
     # fails the check
     index, verdict = next((k, v) for k, v in enumerate(report.verdicts) if v.certificate)
@@ -1552,6 +1597,107 @@ def test_a_relation_on_a_failed_prefix_relation_fails(monkeypatch):
     assert report.describe().startswith(
         "associative with [rb(weight=formal, P1) , left_rb(P2)]: 6/21 relations"
     )
+
+
+# -- the block check against the per-base re-check ---------------------------------
+
+
+def _assert_block_check_matches_the_per_base_recheck(t, laws):
+    """Every verdict of every level, read off the blocks a solve recorded,
+    is the one the per-base re-check gives, field by field and in text."""
+    report, oracle = _report(t, laws), _per_base_report(t, laws)
+    levels, oracle_levels = _levels(report), _levels(oracle)
+    assert len(levels) == len(oracle_levels) == len(laws)
+    for level, want in zip(levels, oracle_levels):
+        assert len(level.verdicts) == len(want.verdicts)
+        for got, expected in zip(level.verdicts, want.verdicts):
+            assert (
+                got.index, got.verified, got.residual_zero, got.certificate, got.residual
+            ) == (
+                expected.index, expected.verified, expected.residual_zero,
+                expected.certificate, expected.residual,
+            )
+            assert got.describe() == expected.describe()
+        assert level.describe() == want.describe()
+    assert report.to_json() == oracle.to_json()
+
+
+@pytest.mark.parametrize(
+    "name, laws",
+    _family_params(
+        [(name, (_LAWS[law](),)) for name, law in _CRITERION_6_SINGLES]
+        + _C6_FAMILY_RUNS
+        + _CI_FAMILIES
+    ),
+)
+def test_the_block_check_matches_the_per_base_recheck(name, laws):
+    _assert_block_check_matches_the_per_base_recheck(catalog.get(name), list(laws))
+
+
+@pytest.mark.parametrize(
+    "law", [ov.rb(None), ov.nijenhuis(), ov.left_rb()], ids=lambda law: law.describe()
+)
+def test_the_block_check_matches_the_per_base_recheck_on_random_bases(law):
+    # the bases of the per-base rebuild test, about two in five of whose
+    # relations lie in one block
+    for seed in range(60):
+        _assert_block_check_matches_the_per_base_recheck(_random_base(seed), [law])
+
+
+def test_the_block_check_fails_as_the_per_base_recheck_on_a_wrong_table(monkeypatch):
+    # failed verdicts, and relations on a failed prefix relation, print
+    # what the per-base re-check prints
+    _solving_with(monkeypatch, _wrong_gt_solve())
+    a = catalog.get("associative")
+    for laws in ([ov.rb(None)], [ov.rb(None), ov.left_rb()]):
+        assert not _report(a, laws).all_verified
+        _assert_block_check_matches_the_per_base_recheck(a, laws)
+
+
+@pytest.mark.parametrize("block", (0, 1))
+def test_a_flipped_instance_coefficient_fails_exactly_its_block(block):
+    # a negative control of the block check: one coefficient of one
+    # recorded q_s flipped in sign in ``block``.  Every product relation
+    # whose certificate uses that instance then fails where its base
+    # relation has a nonzero in ``block``, and stays verified where its
+    # base relation lies in the other block alone, as the per-base
+    # re-check says
+    t, law = _random_base(17), ov.rb(None)
+    blocks = [frozenset(blk for blk, *_ in ov._nonzeros(rel)) for rel in t.relations]
+    # relations in both blocks, in block 0 alone and in block 1 alone
+    assert {frozenset({0, 1}), frozenset({0}), frozenset({1})} <= set(blocks)
+    solve = ov._law_solve(law.kind, law.weight)
+    m = len(solve.factor.relations)
+    for tag, q in solve.instances.items():
+        (words, x), *rest = q[block]
+        flipped = {**solve.instances, tag: tuple(
+            ((words, -x), *rest) if k == block else side for k, side in enumerate(q)
+        )}
+        held = ov._blocks_held(solve.patterns, solve.certificates, flipped)
+        users = {
+            f for f, cert in enumerate(solve.certificates) if cert and tag in {s for s, *_ in cert}
+        }
+        assert users
+        assert held == tuple(h - {block} if f in users else h for f, h in enumerate(solve.holds))
+        with pytest.MonkeyPatch.context() as patch:
+            _solving_with(patch, replace(solve, instances=flipped, holds=held))
+            report = ov.verify_operator_theorem(t, law)
+            oracle = _per_base_report(t, [law])
+        assert report.verdicts == oracle.verdicts
+        assert report.to_json() == oracle.to_json()
+        outcomes = set()
+        for got, want in zip(report.verdicts, oracle.verdicts):
+            b, f = divmod(got.index, m)
+            if f in users and not got.residual_zero:
+                assert got.verified == (block not in blocks[b])
+                assert got.residual == want.residual
+                assert bool(got.residual) != got.verified
+                outcomes.add((got.verified, blocks[b]))
+        # a failure at a relation in both blocks and at one in ``block``
+        # alone, and a relation in the other block alone verified
+        assert {
+            (False, frozenset({0, 1})), (False, frozenset({block})), (True, frozenset({1 - block}))
+        } == outcomes
 
 
 def test_a_table_without_a_homogeneous_lift_is_refused(monkeypatch):
@@ -1673,8 +1819,9 @@ def test_a_context_word_counts_toward_the_power(monkeypatch):
     monkeypatch.setattr(ov, "substitute", lambda rel, table: instance)
     law, tri = ov.rb(None), catalog.get("trialgebra")
     solve = ov._solve(law, tri, ov.derived_table(law, tri))
-    nonzeros = [ov._nonzeros(rel) for rel in catalog.get("associative").relations]
-    verdict = ov._certify(solve, nonzeros, 0, 0, 0, "relation 0", None)
+    nonzeros = ov._nonzeros(catalog.get("associative").relations[0])
+    blocks = frozenset(blk for blk, *_ in nonzeros)
+    verdict = ov._certify(solve, 0, nonzeros, blocks, 0, 0, "relation 0", None)
     assert verdict.certificate == ((tag, 1, 0),)
 
 
