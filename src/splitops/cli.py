@@ -501,7 +501,7 @@ def check_operator_theorem_suite():
 
 
 def check_operator_lemmas():
-    reports = operatorver.verify_operator_lemmas(include=("associative", "trialgebra"))
+    reports = operatorver.verify_operator_lemmas()
     bad = [r.name for r in reports if not r.ok]
     if bad:
         return False, "failed: " + ", ".join(bad)

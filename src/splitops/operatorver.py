@@ -39,7 +39,7 @@ symbols a substitution starts with.
 Terms are product trees with three leaves x, y, z in fixed order (two
 leaves for the operator-identity lemmas); every leaf and every product
 node carries an operator word, kept sorted.  A solve writes its law's
-operator as symbol 0.
+operator as symbol 0, and its normalizer rewrites with that one law.
 
 Rewriting moves operator symbols between words and never reads or changes
 the base generators of a term, so the verifier works on patterns, terms
@@ -55,21 +55,29 @@ placing lemma: if n_f = sum c_s * q_s, then
     residual(b, f) = sum c_s * instance(b, s)   for every base relation b.
 
 So the verifier solves each nonzero n_f once and places that certificate
-at every base relation.  It solves against one echelon of the q_s of 15
-tags: the s whose leaf words a, b, c and context d, all of symbol 0,
-carry a + b + c + d <= 2 symbols, the most a term of n_f carries.  Under
-the formal weight and under every law whose rule keeps the number of
-symbols (weight 0, Nijenhuis, the one-sided laws), n_f is homogeneous of
-degree 2 and q_s of degree a + b + c + d in the symbols, the weight l
-counted as one (see the grading below), so the instances of degree 2 in
-any certificate make one by themselves, and the 15 tags hold them all.
-The rank lemma: for rb of formal weight, 0, 1, 1/2 and -3/4, Nijenhuis,
+at every base relation.  It solves against the q_s of 15 tags: the s
+whose leaf words a, b, c and context d, all of symbol 0, carry
+a + b + c + d <= 2 symbols, the most a term of n_f carries.  Under the
+formal weight and under every law whose rule keeps the number of symbols
+(weight 0, Nijenhuis, the one-sided laws), n_f is homogeneous of degree 2
+and q_s of degree a + b + c + d in the symbols, the weight l counted as
+one (see the grading below), so the instances of degree 2 in any
+certificate make one by themselves, and the 15 tags hold them all.  The
+rank lemma: for rb of formal weight, 0, 1, 1/2 and -3/4, Nijenhuis,
 left_rb, right_rb, and rb_dendriform of formal weight and 2, the 15 q_s
-have rank 15, so a pattern certificate, when one exists, is unique.  The
-solve reads no base and no operator name, so a process solves each law
-kind and weight once, into one record of the n_f, the certificates, the
-q_s they use and the blocks on which each certificate holds, and every
-run reads that record.
+have rank 15, so a pattern certificate, when one exists, is unique.
+
+The solve eliminates through one :class:`~splitops.exactalg.Echelon`,
+with one column per term of the q_s and the n_f, then one per tag, then
+one for the target.  Each q_s enters with a 1 in its tag's column, and
+each nonzero n_f is reduced with a 1 in the target's; the remainder is a
+positive multiple of n_f + e_target - sum a_s (q_s + e_s).  So n_f has a
+certificate exactly when no term column survives, and its coefficient at
+tag s is -rest[s] / rest[target], read off the remainder; the entries go
+in tag order.  The solve reads no base and no operator name, so a
+process solves each law kind and weight once, into one record of the
+n_f, the certificates, the q_s they use and the blocks on which each
+certificate holds, and every run reads that record.
 
 The block lemma makes one check per solve enough.  The nonzeros of a base
 relation r_b have pairwise distinct heads (block, gin, gout) and nonzero
@@ -160,7 +168,7 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 
 from . import catalog
-from .exactalg import ExactAlgebraError, canonical, format_scalar, rational_from_text
+from .exactalg import Echelon, ExactAlgebraError, canonical, format_scalar, rational_from_text
 from .typecore import RelationElement, TypePresentation, format_relation, require_valid
 # square is not called here: the benchmark tracer (bench/tracing.py) wraps
 # it under this module's binding too, and its self-test checks that binding
@@ -345,25 +353,17 @@ def _word_remove(word: tuple, symbol: int) -> tuple:
 
 
 class Normalizer:
-    """Rewrites linear combinations of decorated terms to normal form.
+    """Rewrites linear combinations of decorated terms to normal form under
+    one law, its operator written as symbol 0.
 
-    Each law's rewrite rule is derived once, from the law alone; the
+    The law's rewrite rule is derived once, from the law alone; the
     normalizer memoizes per-term normal forms and counts rewrite steps.
     Rewriting terminates (see the module docstring), so it needs no bound.
     """
 
-    def __init__(
-        self,
-        laws: tuple[OperatorLaw, ...],
-        symbols: tuple[int, ...],
-        strategy: str = "innermost",
-    ):
-        if strategy not in ("innermost", "outermost"):
-            raise ValueError(f"unknown strategy {strategy!r}")
-        self.rules = tuple(rewrite_rule(law) for law in laws)
-        self.symbols = symbols
+    def __init__(self, law: OperatorLaw):
+        self.rule = rewrite_rule(law)
         self.steps = 0
-        self.strategy = strategy
         self._memo: dict[tuple, dict] = {}
 
     def normalize(self, comb: dict) -> dict:
@@ -383,29 +383,21 @@ class Normalizer:
         if redex is None:
             result = {term: 1}
         else:
-            rule, symbol, position = redex
             self.steps += 1
             result = {}
-            for piece, coeff in self._apply(term, rule, symbol, position).items():
+            for piece, coeff in self._apply(term, *redex).items():
                 for t2, c2 in self.normalize_term(piece).items():
                     _accumulate(result, t2, coeff * c2)
         self._memo[term] = result
         return result
 
-    def _positions(self, shape: int):
-        if shape == 2:
-            return ("single",)
-        if self.strategy == "innermost":
-            return ("inner", "outer")
-        return ("outer", "inner")
-
     def _find_redex(self, term):
-        shape = term[0]
-        for position in self._positions(shape):
+        """(rule, symbol, position) of the first redex, the inner product
+        before the outer one; None for a normal form."""
+        for position in ("single",) if term[0] == 2 else ("inner", "outer"):
             wa, wb = _operands(term, position)
-            for rule, symbol in zip(self.rules, self.symbols):
-                if symbol in wa and symbol in wb:
-                    return rule, symbol, position
+            if 0 in wa and 0 in wb:
+                return self.rule, 0, position
         return None
 
     def _apply(self, term, rule, symbol: int, position: str) -> dict:
@@ -509,7 +501,7 @@ def _show(formal: bool, residual: dict, labels, names) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# relation instances and the membership solver
+# relation instances
 
 
 def relation_instance(rel: RelationElement, triple: tuple, context: tuple) -> dict:
@@ -528,52 +520,6 @@ def relation_instance(rel: RelationElement, triple: tuple, context: tuple) -> di
         else:
             _accumulate(comb, (1, j, i, wu, wv, ww, (), context), -c)
     return comb
-
-
-class _Echelon:
-    """Incremental reduced echelon over the term space with certificates."""
-
-    def __init__(self):
-        self.pivots: dict = {}  # pivot term -> (vector, combination)
-
-    def reduce(self, vec: dict, cert: dict):
-        vec = dict(vec)
-        cert = dict(cert)
-        while vec:
-            lead = max(vec)
-            hit = self.pivots.get(lead)
-            if hit is None:
-                return vec, cert, lead
-            pvec, pcert = hit
-            f = -vec[lead]
-            for t, c in pvec.items():
-                _accumulate(vec, t, f * c)
-            for k, c in pcert.items():
-                _accumulate(cert, k, f * c)
-        return vec, cert, None
-
-    def insert(self, vec: dict, tag) -> None:
-        vec, cert, lead = self.reduce(vec, {tag: 1})
-        if lead is None:
-            return
-        head = vec[lead]
-        if head == -1:
-            vec = {t: -c for t, c in vec.items()}
-            cert = {k: -c for k, c in cert.items()}
-        elif head != 1:
-            # exact for every kind of head: Fraction(1) / 3 is 1/3, where
-            # 1 / 3 would be a float
-            inv = Fraction(1) / head
-            vec = {t: c * inv for t, c in vec.items()}
-            cert = {k: c * inv for k, c in cert.items()}
-        self.pivots[lead] = (vec, cert)
-
-    def solve(self, target: dict):
-        """Express target in the inserted vectors; None if impossible."""
-        vec, cert, lead = self.reduce(target, {})
-        if lead is not None:
-            return None
-        return {k: -c for k, c in cert.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -630,16 +576,14 @@ class VerificationReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        return json.dumps(self._json(), indent=2)
+        # the version of the report format, at the top level only
+        return json.dumps({"schema": 2, **self._json()}, indent=2)
 
     def _json(self) -> dict:
         obj = {
             "type": self.type_name,
             "law": self.law,
             "product": self.product_name,
-            # the commuting lemma covers every family: the key stays for
-            # the schema, always false
-            "experimental": False,
             "relations": [
                 {
                     "index": v.index,
@@ -743,18 +687,32 @@ def _solve(law: OperatorLaw, factor: TypePresentation, table: dict) -> _LawSolve
     # the precondition of the grading (see the module docstring)
     if law.formal and any(sum(map(len, w)) > 1 for e in table.values() for _c, *w in e):
         raise ExactAlgebraError("derived table is not homogeneous in the formal weight")
-    normalizer = Normalizer((law,), (0,))
+    normalizer = Normalizer(law)
     patterns = tuple(_pattern(normalizer, substitute(rel, table)) for rel in factor.relations)
     instances = {tag: _instance_pattern(normalizer, *tag) for tag in _TAGS}
-    echelon = _Echelon()
-    for tag, q in instances.items():
-        echelon.insert(q, tag)
+    # one column per term of the q_s and the n_f, sorted, then one per tag
+    # in _TAGS order, then the target's
+    terms = sorted({key for comb in (*instances.values(), *patterns) for key in comb})
+    column = {key: k for k, key in enumerate(terms)}
+    n, target = len(terms), len(terms) + len(_TAGS)
+
+    def row(comb: dict, one: int) -> dict:
+        return {**{column[key]: c for key, c in comb.items()}, one: 1}
+
+    echelon = Echelon(target + 1)
+    for k, q in enumerate(instances.values(), n):
+        echelon.add(row(q, k))
     certificates: list = [None] * len(patterns)
     for f, pattern in enumerate(patterns):
-        solved = echelon.solve(pattern) if pattern else None
-        if solved is not None:
+        if not pattern:
+            continue
+        # no surviving term column: n_f = sum a_s q_s (see the module docstring)
+        rest = echelon.reduce(echelon.integer_row(row(pattern, target)))
+        if min(rest) >= n:
+            lead = rest[target]
             certificates[f] = tuple(
-                (tag, c, _power(law.formal, tag[0] + (tag[1],))) for tag, c in solved.items()
+                (tag, canonical(Fraction(-rest[k], lead)), _power(law.formal, tag[0] + (tag[1],)))
+                for k, tag in enumerate(_TAGS, n) if k in rest
             )
     used = {tag: _by_block(instances[tag]) for cert in certificates if cert for tag, _c, _k in cert}
     patterns = tuple(map(_by_block, patterns))
@@ -944,18 +902,22 @@ def _check_modified_operator(name: str, identity: OperatorLaw, law: OperatorLaw,
             side = _wrap_combination(side, q)
         for t, c in side.items():
             _accumulate(diff, t, -coeff * c)
-    residual = Normalizer((law,), (0,)).normalize(diff)
+    residual = Normalizer(law).normalize(diff)
     if residual:
         shown = "; ".join(_show(law.formal, residual, ["o"], [law.name]))
         return LemmaReport(name, False, f"residual {shown}")
     return LemmaReport(name, True)
 
 
-def verify_operator_lemmas(include=("associative", "trialgebra")):
+# the bases of the dendriform splitting the lemmas check
+_LEMMA_BASES = ("associative", "trialgebra")
+
+
+def verify_operator_lemmas():
     """The two modified-operator identities, -weight*id - P is again
     Rota-Baxter and id - N is again Nijenhuis, plus the closing dendriform
     construction x (w|lt) y = x w P(y), x (w|gt) y = weight*(x w y) + P(x) w y,
-    the law rb_dendriform of formal weight on each base of ``include``."""
+    the law rb_dendriform of formal weight on each of ``_LEMMA_BASES``."""
     reports = [
         _check_modified_operator(
             "modified Rota-Baxter operator (-weight*id - P)",
@@ -966,7 +928,7 @@ def verify_operator_lemmas(include=("associative", "trialgebra")):
             OperatorLaw("nijenhuis"), nijenhuis(), [(1, ()), (-1, (0,))],
         ),
     ]
-    for name in include:
+    for name in _LEMMA_BASES:
         t = catalog.get(name)
         ((product, verdicts),) = _stages(t, [OperatorLaw("rb_dendriform")])
         text = "dendriform splitting by -(modified P)"

@@ -14,7 +14,7 @@ import pytest
 import splitops.operatorver as ov
 from splitops import catalog
 from splitops.cli import main
-from splitops.exactalg import ExactAlgebraError, ScalarKindMismatch, Subspace, canonical
+from splitops.exactalg import Echelon, ExactAlgebraError, ScalarKindMismatch, Subspace, canonical
 from splitops.products import square
 from splitops.typecore import (
     GeneratorSpace,
@@ -31,8 +31,77 @@ F = Fraction
 P = 0  # the only operator symbol in single-law tests
 
 
-def nf(comb, law, **kwargs):
-    return ov.Normalizer((law,), (0,), **kwargs).normalize(comb)
+def nf(comb, law):
+    return ov.Normalizer(law).normalize(comb)
+
+
+class _Rewriter(ov.Normalizer):
+    """A normalizer of several laws, law k written as symbol k, for the
+    commuting lemma and the oracles' composite solve: a redex is a product
+    whose two operands carry one law's symbol, the first law's first, found
+    at the inner product first, as the verifier's, or at the outer one."""
+
+    def __init__(self, laws, outermost=False):
+        super().__init__(laws[0])
+        self.rules = tuple(map(ov.rewrite_rule, laws))
+        self.positions = ("outer", "inner") if outermost else ("inner", "outer")
+
+    def _find_redex(self, term):
+        for position in ("single",) if term[0] == 2 else self.positions:
+            wa, wb = ov._operands(term, position)
+            for symbol, rule in enumerate(self.rules):
+                if symbol in wa and symbol in wb:
+                    return rule, symbol, position
+        return None
+
+
+class _Echelon:
+    """The incremental reduced echelon over the term space, with
+    certificates, that law solves used before they eliminated through
+    exactalg.Echelon; the oracles keep it.  A certificate lists its tags
+    in the order the reduction met them."""
+
+    def __init__(self):
+        self.pivots: dict = {}  # pivot term -> (vector, combination)
+
+    def reduce(self, vec: dict, cert: dict):
+        vec = dict(vec)
+        cert = dict(cert)
+        while vec:
+            lead = max(vec)
+            hit = self.pivots.get(lead)
+            if hit is None:
+                return vec, cert, lead
+            pvec, pcert = hit
+            f = -vec[lead]
+            for t, c in pvec.items():
+                ov._accumulate(vec, t, f * c)
+            for k, c in pcert.items():
+                ov._accumulate(cert, k, f * c)
+        return vec, cert, None
+
+    def insert(self, vec: dict, tag) -> None:
+        vec, cert, lead = self.reduce(vec, {tag: 1})
+        if lead is None:
+            return
+        head = vec[lead]
+        if head == -1:
+            vec = {t: -c for t, c in vec.items()}
+            cert = {k: -c for k, c in cert.items()}
+        elif head != 1:
+            # exact for every kind of head: Fraction(1) / 3 is 1/3, where
+            # 1 / 3 would be a float
+            inv = Fraction(1) / head
+            vec = {t: c * inv for t, c in vec.items()}
+            cert = {k: c * inv for k, c in cert.items()}
+        self.pivots[lead] = (vec, cert)
+
+    def solve(self, target: dict):
+        """Express target in the inserted vectors; None if impossible."""
+        vec, cert, lead = self.reduce(target, {})
+        if lead is not None:
+            return None
+        return {k: -c for k, c in cert.items()}
 
 
 def powers(comb, law):
@@ -101,7 +170,7 @@ class _Reference:
 
     def __init__(self, laws, tables=None):
         laws = tuple(laws)
-        self.normalizer = ov.Normalizer(laws, tuple(range(len(laws))))
+        self.normalizer = _Rewriter(laws)
         self.table = _composite_table(tables or _tables(laws)[1])
 
     def residual(self, rel):
@@ -123,15 +192,16 @@ def cold_solves(monkeypatch):
 
 @pytest.fixture
 def normalizers(monkeypatch):
-    """Every normalizer made during one test, in the order made."""
+    """Every normalizer made during one test, the oracles' included, in the
+    order made."""
     made = []
+    real_init = ov.Normalizer.__init__
 
-    class Kept(ov.Normalizer):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        made.append(self)
 
-    monkeypatch.setattr(ov, "Normalizer", Kept)
+    monkeypatch.setattr(ov.Normalizer, "__init__", init)
     return made
 
 
@@ -245,7 +315,7 @@ def test_case_three_substitution_matches_proof_chain():
 def test_verifier_substitutions_are_strategy_independent():
     law = ov.rb(None)
     reference = _Reference([law])
-    outer = ov.Normalizer((law,), (0,), strategy="outermost")
+    outer = _Rewriter([law], outermost=True)
     for rel in _product(catalog.get("trialgebra"), [law]).relations[::7]:
         comb = ov.substitute(rel, reference.table)
         assert reference.normalizer.normalize(comb) == outer.normalize(comb)
@@ -260,15 +330,15 @@ def test_normalization_strategy_independent():
     ]
     for law in (ov.rb(None), ov.nijenhuis(), ov.left_rb(), ov.right_rb()):
         for comb in inputs:
-            inner = ov.Normalizer((law,), (0,), strategy="innermost").normalize(comb)
-            outer = ov.Normalizer((law,), (0,), strategy="outermost").normalize(comb)
+            inner = ov.Normalizer(law).normalize(comb)
+            outer = _Rewriter([law], outermost=True).normalize(comb)
             assert inner == outer
 
 
 def test_normal_forms_have_no_redex():
     law = ov.rb(None)
     comb = {(0, 0, 0, (P, P), (P,), (P,), (), ()): 1}
-    normalizer = ov.Normalizer((law,), (0,))
+    normalizer = ov.Normalizer(law)
     for term in normalizer.normalize(comb):
         assert normalizer._find_redex(term) is None
 
@@ -300,7 +370,7 @@ def _depth_counts(term):
 def test_every_rewrite_step_lowers_the_depth_counts(law):
     # each piece of a step has fewer symbols at depth 2, or as many there
     # and fewer at depth 1, and never more in all: rewriting terminates
-    normalizer = ov.Normalizer((law,), (0,))
+    normalizer = ov.Normalizer(law)
     words = [(), (P,), (P, P)]
     terms = [
         (shape, 0, 0, wx, wy, wz if shape < 2 else (), win if shape < 2 else (), ())
@@ -418,7 +488,8 @@ def test_family_size_guard():
 
 def test_mixed_family_verifies_and_is_not_experimental():
     # the commuting lemma covers families of mixed kinds: no line marks
-    # them, and the JSON key the schema keeps reads false at every level
+    # them, and no level of the JSON has an experimental key; the schema
+    # version heads the top level alone
     report = ov.verify_commuting_family(
         catalog.get("associative"), [ov.rb(0), ov.nijenhuis()]
     )
@@ -428,7 +499,19 @@ def test_mixed_family_verifies_and_is_not_experimental():
         "12/12 relations of ((associative sq dendriform) sq ns) verified"
     )
     data = json.loads(report.to_json())
-    assert data["experimental"] is False and data["prefix"]["experimental"] is False
+    assert list(data)[0] == "schema" and data["schema"] == 2
+    for level in _levels_json(data):
+        assert "experimental" not in level
+    assert "schema" not in data["prefix"]
+
+
+def _levels_json(data):
+    """The JSON object of a report and those of its prefixes."""
+    levels = []
+    while data is not None:
+        levels.append(data)
+        data = data.get("prefix")
+    return levels
 
 
 def test_operator_lemmas():
@@ -446,29 +529,29 @@ def test_a_second_lemma_call_reads_the_memo(cold_solves):
     assert _memo() == (1, 1, 1)
     assert ov.verify_operator_lemmas() == reports
     assert _memo() == (1, 3, 1)
-    # the splitting on one base solves its law afresh, or reads the solve
-    # another run left, and verifies the same either way
+    # the splitting solves its law afresh on its first base, or reads the
+    # solve another run left, and verifies the same either way
     key = ("rb_dendriform", None)
     for warm in (False, True):
         ov._law_solve.cache_clear()
         if warm:
             ov._law_solve(*key)
-        assert all(r.ok for r in ov.verify_operator_lemmas(("associative",)))
-        assert _memo() == (1, int(warm), 1)
+        assert all(r.ok for r in ov.verify_operator_lemmas())
+        assert _memo() == (1, 1 + int(warm), 1)
 
 
 def test_a_failing_lemma_prints_its_residual(monkeypatch):
     # with P of weight 2, -1*id - P (the formal weight written 1) is not
     # Rota-Baxter of weight 2; the residual keeps the rational-function format
     monkeypatch.setattr(ov, "rb", lambda weight=None, name="P": ov.OperatorLaw("rb", F(2), name))
-    report = ov.verify_operator_lemmas(include=())[0]
+    report = ov.verify_operator_lemmas()[0]
     assert not report.ok
     assert report.describe() == (
         "modified Rota-Baxter operator (-weight*id - P): FAILED residual (1)/(1) * P(x o y)"
     )
     # and with N one-sided, id - N is not Nijenhuis: plain int residuals
     monkeypatch.setattr(ov, "nijenhuis", lambda name="N": ov.OperatorLaw("left_rb", name=name))
-    assert ov.verify_operator_lemmas(include=())[1].describe() == (
+    assert ov.verify_operator_lemmas()[1].describe() == (
         "modified Nijenhuis operator (id - N): FAILED residual "
         "(1)/(1) * N(N(x o y)); (-1)/(1) * N(N(x) o y)"
     )
@@ -540,8 +623,9 @@ def test_an_rb_weight_is_a_canonical_scalar():
 # A law solve used to search the instances a pattern can come from, its
 # candidate geometry, with one echelon per geometry; the composite solve
 # below needed it for words of several symbols.  The oracles keep that
-# search as it was, so they do not run the one echelon of 15 rows that a
-# law solve now builds.
+# search as it was, with the echelon of the time, _Echelon above, so they
+# do not run the one exactalg.Echelon of 15 rows that a law solve now
+# builds.
 
 
 def _splits2(word: tuple):
@@ -590,7 +674,7 @@ def _candidate_geometry(pattern):
 def _echelon(normalizer, triples, contexts, known: dict):
     """Membership echelon of the instance patterns of one geometry, tagged
     (triple, context); ``known`` keeps each q_s made, across geometries."""
-    ech = ov._Echelon()
+    ech = _Echelon()
     for triple in triples:
         for ctx in contexts:
             tag = (triple, ctx)
@@ -615,7 +699,8 @@ def _oracle_verdicts(t, laws):
     This is the verifier before it solved each factor relation once as a
     pattern and placed the certificate at every base relation, kept as the
     reference for one law and for the composite solve below.  It shares
-    nothing with the solve memo.
+    nothing with the solve memo.  Certificate entries go in tag order, as
+    the verifier's do.
     """
     factors, tables = _tables(laws)
     reference, grading = _Reference(laws, tables), _CompositeGrading.of(laws)
@@ -628,7 +713,7 @@ def _oracle_verdicts(t, laws):
             verdicts.append(ov.RelationVerdict(index, label, True, residual_zero=True))
             continue
         triples, contexts = _geometry(residual)
-        ech = ov._Echelon()
+        ech = _Echelon()
         for r_idx in range(len(t.relations)):
             for triple in triples:
                 for ctx in contexts:
@@ -638,7 +723,7 @@ def _oracle_verdicts(t, laws):
         solved = ech.solve(residual)
         assert solved is not None, index  # these runs certify at the first depth
         certificate = tuple(
-            (tag, c, grading.power(tag[1] + (tag[2],))) for tag, c in solved.items()
+            (tag, c, grading.power(tag[1] + (tag[2],))) for tag, c in sorted(solved.items())
         )
         verdicts.append(ov.RelationVerdict(index, label, True, certificate=certificate))
     return tuple(verdicts)
@@ -660,7 +745,8 @@ def _named(laws):
 # composite factor, the square of the law factors: one normalizer with every
 # law's rule, one table with every law's words merged, and a grading of
 # degree 2 per formal-weight law.  It is kept here as it was, as the oracle
-# the stage loop is compared with.
+# the stage loop is compared with, but for its certificate entries, which
+# go in tag order as the verifier's do.
 
 
 def _composite_table(tables) -> tuple:
@@ -728,7 +814,7 @@ def _composite_solve(laws, factors, tables) -> _CompositeSolve:
     grading = _CompositeGrading.of(laws)
     for symbol, table in enumerate(tables):
         grading.check_table(table, symbol)
-    normalizer = ov.Normalizer(tuple(laws), tuple(range(len(laws))))
+    normalizer = _Rewriter(laws)
     table = _composite_table(tables)
     factor_relations = reduce(square, factors).relations
     patterns = tuple(
@@ -746,7 +832,8 @@ def _composite_solve(laws, factors, tables) -> _CompositeSolve:
             solved = echelon.solve(patterns[f])
             if solved is not None:
                 certificates[f] = tuple(
-                    (tag, c, grading.power(tag[0] + (tag[1],))) for tag, c in solved.items()
+                    (tag, c, grading.power(tag[0] + (tag[1],)))
+                    for tag, c in sorted(solved.items())
                 )
         del echelon
     # kept by block, for placing as the stage loop places
@@ -1166,7 +1253,7 @@ def test_generator_blind_rewriting_matches_the_reference_definitions(
         reference = _Reference(reference_laws or [law], tables)
         # q_s of instances no certificate uses, made again by a normalizer
         # of the test's own
-        patterns = ov.Normalizer((law,), (0,))
+        patterns = ov.Normalizer(law)
         for index, rel in enumerate(square(base, solve.factor).relations):
             residual = reference.residual(rel)
             b, f = divmod(index, len(solve.factor.relations))
@@ -1251,32 +1338,58 @@ def test_a_rewrite_never_lengthens_a_word_beyond_two_symbols_per_law(normalizers
 
 @pytest.fixture
 def echelons(monkeypatch):
-    """Every membership echelon made during one test, in the order made."""
+    """Every exactalg.Echelon a law solve builds during one test, in the
+    order built."""
     made = []
 
-    class Kept(ov._Echelon):
-        def __init__(self):
-            super().__init__()
+    class Kept(Echelon):
+        def __init__(self, ambient):
+            super().__init__(ambient)
             made.append(self)
 
-    monkeypatch.setattr(ov, "_Echelon", Kept)
+    monkeypatch.setattr(ov, "Echelon", Kept)
     return made
+
+
+def _term_columns(echelon):
+    """The number of term columns of a solve's echelon: the tags' 15 and
+    the target's one follow them."""
+    return echelon.ambient - len(ov._TAGS) - 1
+
+
+def _solve_keys(law, substitute=None):
+    """The pattern keys of the q_s of the 15 tags and of the n_f of
+    ``law``, made by a normalizer of the test's own."""
+    factor = catalog.get(ov.predicted_factor_name(law))
+    table, normalizer = ov.derived_table(law, factor), ov.Normalizer(law)
+    q_keys = {key for tag in ov._TAGS for key in ov._instance_pattern(normalizer, *tag)}
+    n_keys = {
+        key
+        for rel in factor.relations
+        for key in ov._pattern(normalizer, (substitute or ov.substitute)(rel, table))
+    }
+    return q_keys, n_keys
 
 
 def test_a_solve_builds_one_echelon_of_15_rows(cold_solves, echelons):
     report = ov.verify_commuting_family(catalog.get("trialgebra"), [ov.rb(None), ov.rb(None)])
     assert report.all_verified and len(report.verdicts) == 343
     # both stages read the one solve of rb: one echelon, whose 15 rows are
-    # the instance patterns of the 15 tags
+    # the instance patterns of the 15 tags, each with its tag's column
     (echelon,) = echelons
-    assert len(echelon.pivots) == 15
-    assert {tag for _vec, cert in echelon.pivots.values() for tag in cert} == set(ov._TAGS)
-    # pattern keys, (shape,) + five words: no base generators
-    assert all(len(key) == 6 for vec, _ in echelon.pivots.values() for key in vec)
+    n = _term_columns(echelon)
+    assert len(echelon.rows) == 15
+    assert all(p < n for p in echelon.rows)
+    assert {c for row in echelon.rows.values() for c in row if c >= n} == set(range(n, n + 15))
+    # the term columns are the pattern keys of the q_s and the n_f,
+    # (shape,) + five words: no base generators
+    q_keys, n_keys = _solve_keys(ov.rb(None))
+    assert n == len(q_keys | n_keys)
+    assert all(len(key) == 6 for key in q_keys | n_keys)
     # a family of two kinds solves two laws, one echelon each
     echelons.clear()
     ov.verify_commuting_family(catalog.get("associative"), [ov.rb(0), ov.nijenhuis()])
-    assert [len(echelon.pivots) for echelon in echelons] == [15, 15]
+    assert [len(echelon.rows) for echelon in echelons] == [15, 15]
 
 
 # the law rows of the rank lemma (see the module docstring)
@@ -1293,39 +1406,103 @@ _RANK_LAWS = [
 @pytest.mark.parametrize("law", _RANK_LAWS, ids=lambda law: law.describe())
 def test_the_15_instance_patterns_are_independent(law):
     # the rank lemma: the q_s of the tags whose leaf words and context carry
-    # at most two symbols in all have rank 15, computed here by exactalg's
-    # elimination and not by the verifier's echelon
+    # at most two symbols in all have rank 15, computed here from the q_s
+    # alone and not from the verifier's echelon, with its tag columns
     tags = sorted(
         (((P,) * a, (P,) * b, (P,) * c), (P,) * d)
         for a, b, c, d in itertools.product(range(3), repeat=4) if a + b + c + d <= 2
     )
     assert list(ov._TAGS) == tags and len(tags) == 15
-    normalizer = ov.Normalizer((law,), (0,))
+    normalizer = ov.Normalizer(law)
     rows = [ov._instance_pattern(normalizer, *tag) for tag in tags]
     column = {key: k for k, key in enumerate(sorted({key for row in rows for key in row}))}
     rows = [{column[key]: c for key, c in row.items()} for row in rows]
     assert Subspace.from_rows(len(column), rows).dim == 15
 
 
-@pytest.mark.parametrize(
-    "law",
+# the law rows of the rank lemma and four more
+_SOLVE_LAWS = (
     _RANK_LAWS
     + [ov.rb(2), ov.rb(-1)]
-    + [ov.OperatorLaw("rb_dendriform", weight) for weight in (0, F(1, 3))],
-    ids=lambda law: law.describe(),
+    + [ov.OperatorLaw("rb_dendriform", weight) for weight in (0, F(1, 3))]
 )
+
+
+@pytest.mark.parametrize("law", _SOLVE_LAWS, ids=lambda law: law.describe())
 def test_one_echelon_solves_as_the_geometry_search_did(cold_solves, law):
     # the composite solve of the oracle, for one law, is the solve as it
     # was: one echelon per candidate geometry of the nonzero n_f, and
     # contexts of up to four symbols.  It finds the same certificates,
-    # coefficient for coefficient and in the same order, from the same
-    # instance patterns
+    # coefficient for coefficient and in tag order, from the same instance
+    # patterns
     solve = ov._law_solve(law.kind, law.weight)
     oracle = _composite_law_solve.__wrapped__(_key([law]))
     assert solve.patterns == oracle.patterns
     assert solve.certificates == oracle.certificates
     assert any(solve.certificates)
     assert solve.instances == oracle.instances
+
+
+def _old_echelon_certificates(law):
+    """The law solve as it was before it eliminated through
+    exactalg.Echelon: the q_s of the 15 tags inserted into one _Echelon, in
+    tag order, and each nonzero n_f solved there.  Per factor relation, the
+    certificate as a map tag -> coefficient, or None."""
+    factor = catalog.get(ov.predicted_factor_name(law))
+    table, normalizer = ov.derived_table(law, factor), ov.Normalizer(law)
+    echelon = _Echelon()
+    for tag in ov._TAGS:
+        echelon.insert(ov._instance_pattern(normalizer, *tag), tag)
+    patterns = [ov._pattern(normalizer, ov.substitute(rel, table)) for rel in factor.relations]
+    return [echelon.solve(pattern) if pattern else None for pattern in patterns]
+
+
+@pytest.mark.parametrize("law", _SOLVE_LAWS, ids=lambda law: law.describe())
+def test_the_solve_finds_the_certificates_of_the_old_echelon(cold_solves, law):
+    # a differential test: the certificates read off the remainder in
+    # exactalg.Echelon are those the verifier's echelon of the time found,
+    # as maps, with None where n_f has none; their entries go in tag order,
+    # each with the power of l its words give
+    solve = ov._law_solve(law.kind, law.weight)
+    old = _old_echelon_certificates(law)
+    assert len(solve.certificates) == len(old)
+    for certificate, want in zip(solve.certificates, old):
+        if certificate is None:
+            assert want is None
+            continue
+        assert {tag: c for tag, c, _k in certificate} == want
+        tags = [tag for tag, _c, _k in certificate]
+        assert tags == sorted(tags)
+        for tag, c, k in certificate:
+            _assert_exact(c)
+            assert c and k == ov._power(law.formal, tag[0] + (tag[1],))
+    assert any(solve.certificates)
+
+
+def test_a_term_no_instance_has_fails_with_its_residual(monkeypatch, cold_solves, echelons):
+    # every n_f carries an x under three symbols, a term of no q_s (theirs
+    # carry two symbols at most): the column map covers it, and the solve
+    # gives no certificate, as the old echelon does, never a KeyError
+    extra = (0, 0, 0, (P, P, P), (), (), (), ())
+    real = ov.substitute
+    monkeypatch.setattr(ov, "substitute", lambda rel, table: {**real(rel, table), extra: 1})
+    law, factor = ov.nijenhuis(), catalog.get("ns")
+    solve = ov._solve(law, factor, ov.derived_table(law, factor))
+    (echelon,) = echelons
+    q_keys, n_keys = _solve_keys(law)
+    assert (0,) + extra[3:] in n_keys - q_keys
+    assert _term_columns(echelon) == len(q_keys | n_keys)
+    assert solve.certificates == (None,) * len(factor.relations) == tuple(
+        _old_echelon_certificates(law)
+    )
+    assert solve.holds == (frozenset(),) * len(factor.relations)
+    # every relation FAILED, with the term in its printed residual
+    _solving_with(monkeypatch, solve, "nijenhuis")
+    report = ov.verify_operator_theorem(catalog.get("associative"), law)
+    assert len(report.verdicts) == len(factor.relations)
+    for verdict in report.verdicts:
+        assert not verdict.verified and not verdict.certificate
+        assert "(1)/(1) * (N(N(N(x))) dot y) dot z" in verdict.residual
 
 
 # -- commuting families, one law at a time on a growing base ----------------------
@@ -1419,7 +1596,7 @@ def test_the_commuting_lemma(first, second):
     # commute; for each derived operation g of P, Q(x) g Q(y) minus the
     # terms of Q's rule with g as the product normalizes to 0 (the module
     # docstring): Q obeys its law for g
-    normalizer = ov.Normalizer((first, second), (0, 1))
+    normalizer = _Rewriter([first, second])
     for _label, c, on_x, on_y, around in first.operations():
 
         def g(wx, wy, wout=()):
@@ -1495,15 +1672,24 @@ def test_every_level_certificate_holds_on_the_built_base(monkeypatch, name, laws
     assert not _level_certificates_hold(t, laws, replace(report, verdicts=verdicts))
 
 
+def _nested(text):
+    """A report's JSON as a longer family nests it: without the top-level
+    schema version, 2, which the nested levels do not repeat."""
+    data = json.loads(text)
+    assert list(data)[0] == "schema" and data.pop("schema") == 2
+    return data
+
+
 def test_a_family_json_nests_its_prefix():
     t = catalog.get("trialgebra")
     laws = [ov.rb(None), ov.rb(0), ov.nijenhuis()]
     data = json.loads(ov.verify_commuting_family(t, laws).to_json())
-    # the keys of one law's report, then the family without its last law
-    assert list(data) == ["type", "law", "product", "experimental", "relations", "prefix"]
-    assert data["prefix"] == json.loads(ov.verify_commuting_family(t, laws[:2]).to_json())
+    # the schema version, the keys of one law's report, then the family
+    # without its last law, nested without the version
+    assert list(data) == ["schema", "type", "law", "product", "relations", "prefix"]
+    assert data["prefix"] == _nested(ov.verify_commuting_family(t, laws[:2]).to_json())
     first = data["prefix"]["prefix"]
-    assert first == json.loads(ov.verify_commuting_family(t, laws[:1]).to_json())
+    assert first == _nested(ov.verify_commuting_family(t, laws[:1]).to_json())
     assert "prefix" not in first
     assert "prefix" not in json.loads(ov.verify_operator_theorem(t, laws[0]).to_json())
     # each level's certificates cite relations of the level before, in
@@ -1520,16 +1706,18 @@ def test_a_family_json_nests_its_prefix():
 
 
 def test_a_wrong_certificate_is_reported_failed(monkeypatch, cold_solves):
-    real = ov._Echelon.solve
+    # a negative control: each certificate read off the remainder gets its
+    # first coefficient off by one, -(rest[s] - rest[target]) / rest[target]
+    class OffByOne(Echelon):
+        def reduce(self, row):
+            rest = super().reduce(row)
+            target = self.ambient - 1
+            if target in row and len(rest) > 1:
+                first = min(rest)
+                rest = {**rest, first: rest[first] - rest[target]}
+            return rest
 
-    def off_by_one(self, target):
-        solved = real(self, target)
-        if solved:
-            tag = next(iter(solved))
-            solved[tag] = solved[tag] + 1
-        return solved
-
-    monkeypatch.setattr(ov._Echelon, "solve", off_by_one)
+    monkeypatch.setattr(ov, "Echelon", OffByOne)
     a = catalog.get("associative")
     report = ov.verify_operator_theorem(a, ov.rb(None))
     assert not report.all_verified
@@ -1916,7 +2104,7 @@ def test_scaled_base_relations_scale_certificates_inversely(
             nonzeros = ov._nonzeros(scaled.relations[b])
             for value in ov._placed(nonzeros, solve.patterns[f]).values():
                 _assert_exact(value)
-    # scaling the inserted instance patterns instead moves the pivot heads
+    # scaling the inserted instance patterns instead moves the pivot entries
     # away from +-1, and every certificate coefficient scales by the inverse
     make_pattern = ov._instance_pattern
 
@@ -1924,7 +2112,9 @@ def test_scaled_base_relations_scale_certificates_inversely(
         return {key: canonical(c * factor) for key, c in make_pattern(*args).items()}
 
     monkeypatch.setattr(ov, "_instance_pattern", scaled_pattern)
-    # the references warmed the memo; these runs must solve again
+    # the references warmed the memo, one echelon per law; these runs must
+    # solve again
+    plain = list(echelons)
     ov._law_solve.cache_clear()
     echelons.clear()
     for law, reference in zip(laws, references):
@@ -1939,14 +2129,22 @@ def test_scaled_base_relations_scale_certificates_inversely(
             for (_, c_got, _), (_, c_want, _) in zip(got.certificate, want.certificate):
                 _assert_exact(c_got)
                 assert c_got * factor == c_want
-    # one echelon per law solve
-    assert len(echelons) == len(laws)
-    for ech in echelons:
-        # every head was divided out, and the certificates show by how much
-        assert all(vec[lead] == 1 for lead, (vec, _) in ech.pivots.items())
-        assert any(
-            abs(c) == abs(1 / factor) for _, cert in ech.pivots.values() for c in cert.values()
-        )
-        for vec, cert in ech.pivots.values():
-            for value in list(vec.values()) + list(cert.values()):
-                _assert_exact(value)
+    # one echelon per law solve, of integer rows.  Against the plain one of
+    # its law, its reduced rows (each divided by its pivot entry) have the
+    # same pivots and term entries, and tag entries divided by the factor:
+    # the certificates show by how much
+    assert len(echelons) == len(plain) == len(laws)
+    for ech, ref in zip(echelons, plain):
+        assert ech.ambient == ref.ambient and ech.rows.keys() == ref.rows.keys()
+        n = _term_columns(ech)
+        for p, row in ech.rows.items():
+            assert all(type(value) is int for value in row.values())
+            got = {c: F(x, row[p]) for c, x in row.items()}
+            want = {c: F(x, ref.rows[p][p]) for c, x in ref.rows[p].items()}
+            assert {c: x for c, x in got.items() if c < n} == {
+                c: x for c, x in want.items() if c < n
+            }
+            assert {c: x * factor for c, x in got.items() if c >= n} == {
+                c: x for c, x in want.items() if c >= n
+            }
+        assert any(c >= n for row in ech.rows.values() for c in row)
