@@ -119,8 +119,10 @@ def _power(args, out):
 
 
 def _dual(args, out):
+    t = _load_type(args.type)
+    # the published dual labels, unless a file shadows the catalog name
     labels = catalog.DUAL_LABELS.get(args.type)
-    t = duality.dual(_load_type(args.type), labels=labels)
+    t = duality.dual(t, labels=labels if labels and t is catalog.get(args.type) else None)
     out(f"{t.name}: {t.dim} generators, {len(t.relations)} relations")
     if t.star is None:
         out("  star: unresolved")
@@ -321,7 +323,7 @@ def check_duality():
     for name in catalog.list_names():
         t = catalog.get(name)
         m = t.dim
-        d = duality.dual(t, search_star=False)
+        d = duality.dual(t)
         if d.relation_subspace.dim != 2 * m * m - t.relation_subspace.dim:
             return False, f"dual dimension defect for {name}"
         if not duality.double_dual_check(t):
@@ -614,10 +616,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, json_flag=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        if json_flag:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
     p = add("list", lambda a, out: (out("\n".join(catalog.list_names())), EXIT_OK)[1],
@@ -631,20 +634,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("type")
 
     p = add("square", lambda a, o: _binary_product(a, o, products.square),
-            help="square product of two types")
+            json_flag=True, help="square product of two types")
     p.add_argument("a")
     p.add_argument("b")
 
     p = add("maltese", lambda a, o: _binary_product(a, o, products.maltese),
-            help="maltese product of two types")
+            json_flag=True, help="maltese product of two types")
     p.add_argument("a")
     p.add_argument("b")
 
-    p = add("power", _power, help="left-associated square power")
+    p = add("power", _power, json_flag=True, help="left-associated square power")
     p.add_argument("type")
     p.add_argument("n", type=int)
 
-    p = add("dual", _dual, help="dual type (annihilator of the relations)")
+    p = add("dual", _dual, json_flag=True, help="dual type (annihilator of the relations)")
     p.add_argument("type")
 
     p = add("double-dual", _double_dual, help="check dual(dual(t)) = t")
@@ -658,7 +661,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.add_argument("--map", required=True, help="json file with a matrix")
 
-    p = add("auto-group", _auto_group, help="monomial automorphism group")
+    p = add("auto-group", _auto_group, json_flag=True, help="monomial automorphism group")
     p.add_argument("type")
     p.add_argument("--entries", default="1,-1")
     p.add_argument("--allow-large", action="store_true")
@@ -667,14 +670,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
 
-    p = add("verify-operator", _verify_operator, help="verify an operator law")
+    p = add("verify-operator", _verify_operator, json_flag=True, help="verify an operator law")
     p.add_argument("type")
     p.add_argument("--law", required=True,
                    choices=["rb", "rb0", "nijenhuis", "leftrb", "rightrb"])
     p.add_argument("--weight", default=None,
                    help="rational weight or 'formal'; a negative one as --weight=-3/4")
 
-    p = add("verify-family", _verify_family, help="verify commuting operators")
+    p = add("verify-family", _verify_family, json_flag=True, help="verify commuting operators")
     p.add_argument("type")
     p.add_argument("--laws", required=True,
                    help="comma list, e.g. rb:formal,rb:formal or rightrb,leftrb")

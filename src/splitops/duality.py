@@ -69,7 +69,6 @@ def dual(
     t: TypePresentation,
     labels: tuple[str, ...] | None = None,
     name: str | None = None,
-    search_star: bool | None = None,
 ) -> TypePresentation:
     """The dual type: dual generators with the annihilator of R as relations.
 
@@ -89,9 +88,9 @@ def dual(
         name or f"{t.name}!",
         labels or tuple(l + DUAL_SUFFIX for l in t.generators.labels),
     )
-    if search_star is None:
-        search_star = m <= STAR_SEARCH_DIM_GUARD
-    stars = _star_sweep(m, [_form(r.coeffs, m, -1) for r in t.relations]) if search_star else []
+    stars = []
+    if m <= STAR_SEARCH_DIM_GUARD:
+        stars = _star_sweep(m, [_form(r.coeffs, m, -1) for r in t.relations])
     return TypePresentation(
         gens,
         stars[0] if stars else None,
@@ -113,9 +112,10 @@ def _signed_annihilator(space: Subspace, half: int) -> Subspace:
 
 
 def double_dual_check(t: TypePresentation) -> bool:
-    """dual(dual(t)).R equals t.R under the coordinate identification."""
-    dd = dual(dual(t, search_star=False), search_star=False)
-    return dd.relation_subspace == t.relation_subspace
+    """dual(dual(t)).R equals t.R: the signed annihilator taken twice is t.R."""
+    require_valid(t)
+    space, half = t.relation_subspace, t.dim * t.dim
+    return _signed_annihilator(_signed_annihilator(space, half), half) == space
 
 
 def find_star(t: TypePresentation) -> list[tuple[int, ...]]:
@@ -199,7 +199,7 @@ def non_duality_witness() -> NonDualityReport:
     dend = get("dendriform")
     ad = get("assoc_dialgebra")
     quadri = square(dend, dend)
-    aq = dual(quadri, search_star=False)
+    aq = dual(quadri)
     m = maltese(ad, ad)
 
     inclusion = m.relation_subspace.leq(aq.relation_subspace)

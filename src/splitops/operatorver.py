@@ -274,22 +274,22 @@ def right_rb(name: str = "P") -> OperatorLaw:
     return OperatorLaw("right_rb", name=name)
 
 
-def law_from_name(kind: str, weight=None, name: str | None = None) -> OperatorLaw:
+def law_from_name(kind: str, weight=None) -> OperatorLaw:
     """The law called ``kind``; only ``rb`` takes a ``weight`` (see :func:`rb`).
 
     An unknown kind, a malformed weight or one with a zero denominator, and
     a weight given to any other law raise ValueError.
     """
     if kind == "rb":
-        return rb(weight, name or "P")
+        return rb(weight)
     if kind == "rb0":
-        law = rb(0, name or "P")
+        law = rb(0)
     elif kind == "nijenhuis":
-        law = nijenhuis(name or "N")
+        law = nijenhuis()
     elif kind == "leftrb" or kind == "left_rb":
-        law = left_rb(name or "P")
+        law = left_rb()
     elif kind == "rightrb" or kind == "right_rb":
-        law = right_rb(name or "P")
+        law = right_rb()
     else:
         raise ValueError(f"unknown law {kind!r}")
     if weight is not None:
@@ -506,20 +506,19 @@ def _show(formal: bool, residual: dict, labels, names) -> tuple[str, ...]:
 
 def relation_instance(rel: RelationElement, triple: tuple, context: tuple) -> dict:
     """The combination LHS - RHS of a base relation on decorated leaves,
-    wrapped in a context word.
-
-    This is the definition placed instance patterns are tested against: a
-    solve normalizes each instance pattern q_s once, with base generators
-    0, and the verifier places the generators.
+    wrapped in a context word.  Placed instance patterns are tested against
+    it, and each q_s is the associator's instance, normalized.
     """
-    wu, wv, ww = triple
     comb: dict = {}
-    for block, i, j, c in rel.nonzero():
-        if block == 0:
-            _accumulate(comb, (0, i, j, wu, wv, ww, (), context), c)
-        else:
-            _accumulate(comb, (1, j, i, wu, wv, ww, (), context), -c)
+    for block, gin, gout, c in _nonzeros(rel):
+        _accumulate(comb, (block, gin, gout, *triple, (), context), -c if block else c)
     return comb
+
+
+@lru_cache(maxsize=None)
+def _associator() -> RelationElement:
+    """(x y) z = x (y z), the relation every instance pattern instantiates."""
+    return catalog.get("associative").relations[0]
 
 
 # ---------------------------------------------------------------------------
@@ -645,10 +644,8 @@ def _pattern(normalizer: Normalizer, comb: dict) -> dict:
 
 def _instance_pattern(normalizer: Normalizer, triple: tuple, ctx: tuple) -> dict:
     """q_s: the normalized instance pattern of leaf words ``triple`` in
-    context ``ctx``, its right-bracketed shape negated."""
-    wu, wv, ww = triple
-    comb = {(0, 0, 0, wu, wv, ww, (), ctx): 1, (1, 0, 0, wu, wv, ww, (), ctx): -1}
-    return _pattern(normalizer, comb)
+    context ``ctx``: the associator's instance there."""
+    return _pattern(normalizer, relation_instance(_associator(), triple, ctx))
 
 
 # the tags (leaf words, context) of the instance patterns a solve inserts:

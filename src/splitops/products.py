@@ -212,7 +212,7 @@ def square(t1: TypePresentation, t2: TypePresentation, name: str | None = None) 
     return result
 
 
-def maltese(t1: TypePresentation, t2: TypePresentation, name: str | None = None) -> TypePresentation:
+def maltese(t1: TypePresentation, t2: TypePresentation) -> TypePresentation:
     """The maltese product; relations span pairs with one factor a relation.
 
     The spanning set (R1 box full2) union (full1 box R2) is not linearly
@@ -222,7 +222,7 @@ def maltese(t1: TypePresentation, t2: TypePresentation, name: str | None = None)
     require_valid(t1)
     require_valid(t2)
     m1, m2 = t1.dim, t2.dim
-    gens = square_generators(t1.generators, t2.generators, name or f"({t1.name} mx {t2.name})")
+    gens = square_generators(t1.generators, t2.generators, f"({t1.name} mx {t2.name})")
     star = _product_star(t1, t2)
 
     rows1 = [f.coeffs for f in t1.relations]
@@ -252,7 +252,7 @@ def power(t: TypePresentation, n: int, name: str | None = None) -> TypePresentat
         raise ValueError("power wants n >= 1")
     require_valid(t)
     if n == 1:
-        return t
+        return t.with_name(name) if name else t
     acc = t
     for _ in range(n - 1):
         acc = _flatten_labels(square(acc, t))

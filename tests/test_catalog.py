@@ -53,17 +53,17 @@ def test_provenance_notes_exist():
 def test_dual_identifications():
     dend = catalog.get("dendriform")
     assert (
-        dual(dend, search_star=False).relation_subspace
+        dual(dend).relation_subspace
         == catalog.get("assoc_dialgebra").relation_subspace
     )
     ns = catalog.get("ns")
     assert (
-        dual(ns, search_star=False).relation_subspace
+        dual(ns).relation_subspace
         == catalog.get("assoc_nijenhuis_tri").relation_subspace
     )
     tri = catalog.get("trialgebra")
     assert (
-        dual(tri, search_star=False).relation_subspace
+        dual(tri).relation_subspace
         == catalog.get("assoc_trialgebra").relation_subspace
     )
 

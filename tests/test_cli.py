@@ -1,5 +1,6 @@
 """Command-line surface and exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -622,6 +623,72 @@ def test_the_operator_commands_take_no_step_budget(command):
     code, out, err = run_quiet(*command, "--steps", "8")
     assert code == EXIT_USAGE and out == ""
     assert "unrecognized arguments: --steps 8" in err
+
+
+# every subcommand with a minimal argument list; the first seven write JSON
+_JSON_COMMANDS = {
+    "square": ("associative", "associative"),
+    "maltese": ("associative", "associative"),
+    "power": ("associative", "2"),
+    "dual": ("associative",),
+    "auto-group": ("associative",),
+    "verify-operator": ("associative", "--law", "rb"),
+    "verify-family": ("associative", "--laws", "rb"),
+}
+_TEXT_COMMANDS = {
+    "list": (),
+    "show": ("associative",),
+    "validate": ("associative",),
+    "double-dual": ("associative",),
+    "arity3": ("associative",),
+    "check-morphism": ("associative", "associative", "--map", "map.json"),
+    "tensor-model": ("associative", "associative"),
+    "verify-lemmas": (),
+    "non-duality": (),
+    "paper-suite": (),
+    "export": ("associative", "--format", "json"),
+}
+
+
+def test_the_command_matrix_covers_every_subcommand():
+    parser = cli._build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(commands.choices) == set(_JSON_COMMANDS) | set(_TEXT_COMMANDS)
+    takes_json = {
+        name for name, p in commands.choices.items() if "--json" in p._option_string_actions
+    }
+    assert takes_json == set(_JSON_COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(_JSON_COMMANDS))
+def test_the_commands_that_write_json_take_json(command):
+    code, out, err = run_quiet(command, *_JSON_COMMANDS[command], "--json")
+    assert (code, err) == (EXIT_OK, "")
+    assert out
+
+
+@pytest.mark.parametrize("command", sorted(_TEXT_COMMANDS))
+def test_the_commands_that_write_no_json_refuse_json(command):
+    code, out, err = run_quiet(command, *_TEXT_COMMANDS[command], "--json")
+    assert code == EXIT_USAGE and out == ""
+    assert "unrecognized arguments: --json" in err
+
+
+@pytest.mark.parametrize("name, published", [("ns", "cir"), ("trialgebra", "perp")])
+def test_a_file_that_shadows_a_catalog_name_gets_the_default_dual_labels(
+    tmp_path, monkeypatch, name, published
+):
+    # the catalog entry's dual gets the published labels of three generators
+    code, out, _ = run_quiet("dual", name)
+    assert code == EXIT_OK
+    assert published in out and "^" not in out
+    # a file called like it holds its own type, here dendriform's two
+    (tmp_path / name).write_text(json.dumps(_dendriform_json()))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_quiet("dual", name)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[0] == "dendriform!: 2 generators, 5 relations"
+    assert "(x lt^ y) lt^ z = x lt^ (y gt^ z)" in out
 
 
 def _starless_dendriform(tmp_path):

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splitops import catalog
+from splitops import catalog, duality
 from splitops.duality import (
+    _signed_annihilator,
     double_dual_check,
     dual,
     find_star,
@@ -104,14 +105,14 @@ def test_dual_dimension_formula():
     for name in ("associative", "dendriform", "trialgebra", "ns", "quadri", "m2"):
         t = catalog.get(name)
         m = t.dim
-        d = dual(t, search_star=False)
+        d = dual(t)
         assert d.relation_subspace.dim == 2 * m * m - t.relation_subspace.dim
 
 
 def test_annihilator_pairs_to_zero():
     for name in ("dendriform", "trialgebra", "ns"):
         t = catalog.get(name)
-        d = dual(t, search_star=False)
+        d = dual(t)
         for rel in t.relations:
             for co in d.relations:
                 assert pair2(rel, co) == 0
@@ -126,12 +127,12 @@ def test_double_dual_examples():
 def test_dual_commutes_with_permutation_relabel():
     tri = catalog.get("trialgebra")
     swap = {"lt": "gt", "gt": "lt", "cir": "cir"}
-    left = dual(relabel(tri, swap), search_star=False)
+    left = dual(relabel(tri, swap))
     right = relabel(
         TypePresentation(
-            dual(tri, search_star=False).generators,
+            dual(tri).generators,
             None,
-            dual(tri, search_star=False).relations,
+            dual(tri).relations,
             star_unresolved=True,
         ),
         {"lt^": "gt^", "gt^": "lt^", "cir^": "cir^"},
@@ -179,7 +180,7 @@ def test_non_duality_report():
 
 def test_dual_of_square_loses_maltese_span_structure():
     dend = catalog.get("dendriform")
-    aq = dual(square(dend, dend), search_star=False)
+    aq = dual(square(dend, dend))
     assert aq.relation_subspace.dim == 2 * 16 - 9
 
 
@@ -247,7 +248,7 @@ def _random_relabel(name, rng):
 
 
 def _assert_dual_echelon(t):
-    d = dual(t, search_star=False)
+    d = dual(t)
     got = d.relation_subspace
     for want in (_signed_row_dual(t), Subspace.from_rows(got.ambient, [r.coeffs for r in d.relations])):
         assert got.pivots == want.pivots
@@ -266,7 +267,7 @@ def test_the_dual_echelon_is_the_signed_row_elimination_on_random_relabellings(s
 
 
 def _assert_stars_match(t):
-    d = dual(t, search_star=False)
+    d = dual(t)
     for u in (t, d):
         assert find_star(u) == _membership_stars(u)
     stars = _membership_stars(d)
@@ -314,12 +315,12 @@ def test_the_annihilator_matches_the_eliminated_one_on_squares_and_duals(a, b):
     except ExactAlgebraError:
         return  # both factors dual-derived: the square is refused
     _assert_annihilator(sq.relation_subspace)
-    _assert_annihilator(dual(sq, search_star=False).relation_subspace)
+    _assert_annihilator(dual(sq).relation_subspace)
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_the_annihilator_matches_the_eliminated_one_on_catalog_duals(name):
-    _assert_annihilator(dual(catalog.get(name), search_star=False).relation_subspace)
+    _assert_annihilator(dual(catalog.get(name)).relation_subspace)
 
 
 @st.composite
@@ -336,3 +337,67 @@ def sparse_subspaces(draw):
 @example(Subspace.from_rows(1, [{0: -3}]))
 def test_the_annihilator_matches_the_eliminated_one_on_sparse_subspaces(space):
     _assert_annihilator(space)
+
+
+# ---------------------------------------------------------------------------
+# the double dual on relation spaces against the route through dual types
+
+
+def _starless_dual(t):
+    """dual(t) with its star left unresolved, as the double dual once built it."""
+    d = dual(t)
+    return TypePresentation(d.generators, None, d.relations, star_unresolved=True)
+
+
+def _assert_double_dual_matches(t):
+    twice = dual(_starless_dual(t)).relation_subspace
+    half = t.dim * t.dim
+    assert _signed_annihilator(_signed_annihilator(t.relation_subspace, half), half) == twice
+    assert double_dual_check(t) == (twice == t.relation_subspace)
+    assert double_dual_check(t)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_the_double_dual_matches_the_route_through_dual_types(name):
+    _assert_double_dual_matches(catalog.get(name))
+
+
+@pytest.mark.parametrize("a,b", _small_squares())
+def test_the_double_dual_matches_the_route_through_dual_types_on_squares(a, b):
+    try:
+        sq = square(catalog.get(a), catalog.get(b))
+    except ExactAlgebraError:
+        return  # both factors dual-derived: the square is refused
+    _assert_double_dual_matches(sq)
+
+
+def test_the_double_dual_matches_the_route_through_dual_types_on_a_starless_dual():
+    d = dual(catalog.get("octo"))
+    assert d.star is None
+    _assert_double_dual_matches(d)
+
+
+def test_the_double_dual_builds_no_dual_type(monkeypatch):
+    types = [catalog.get(name) for name in NAMES] + [dual(catalog.get("octo"))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the double dual built a dual presentation")
+
+    monkeypatch.setattr(duality, "dual", refuse)
+    monkeypatch.setattr(Subspace, "sparse_basis", refuse)
+    for t in types:
+        assert double_dual_check(t)
+
+
+@pytest.mark.parametrize("name", ["assoc_dialgebra", "assoc_nijenhuis_tri"])
+def test_the_double_dual_keeps_pivots_in_the_right_block(name):
+    # the duals of dendriform and ns have relations with a zero L side, so
+    # their echelons have pivots in the R block: the second sign flip must
+    # negate those rows back to a positive pivot for the spaces to compare
+    t = catalog.get(name)
+    space, half = t.relation_subspace, t.dim * t.dim
+    assert space.pivots[-1] >= half
+    twice = _signed_annihilator(_signed_annihilator(space, half), half)
+    assert twice.pivots == space.pivots
+    assert twice.int_rows == space.int_rows
+    assert double_dual_check(t)

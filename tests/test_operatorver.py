@@ -1420,6 +1420,17 @@ def test_the_15_instance_patterns_are_independent(law):
     assert Subspace.from_rows(len(column), rows).dim == 15
 
 
+@pytest.mark.parametrize("law", _RANK_LAWS, ids=lambda law: law.describe())
+def test_an_instance_pattern_is_the_associators_instance(law):
+    # q_s as it was built by hand: the left-bracketed term of the tag minus
+    # its right-bracketed one, base generators 0
+    normalizer = ov.Normalizer(law)
+    for triple, ctx in ov._TAGS:
+        comb = {(0, 0, 0, *triple, (), ctx): 1, (1, 0, 0, *triple, (), ctx): -1}
+        assert ov.relation_instance(catalog.get("associative").relations[0], triple, ctx) == comb
+        assert ov._instance_pattern(normalizer, triple, ctx) == ov._pattern(normalizer, comb)
+
+
 # the law rows of the rank lemma and four more
 _SOLVE_LAWS = (
     _RANK_LAWS

@@ -79,7 +79,7 @@ def test_maltese_of_duals_is_not_dual_of_square():
 
     ad = catalog.get("assoc_dialgebra")
     mx = maltese(ad, ad)
-    aq = dual(square(catalog.get("dendriform"), catalog.get("dendriform")), search_star=False)
+    aq = dual(square(catalog.get("dendriform"), catalog.get("dendriform")))
     assert not mx.relation_subspace.leq(aq.relation_subspace)
 
 
@@ -99,6 +99,15 @@ def test_power_three_counts():
 def test_power_one_is_identity():
     tri = catalog.get("trialgebra")
     assert power(tri, 1) is tri
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_power_takes_its_name(n):
+    dend = catalog.get("dendriform")
+    named = power(dend, n, name="d1")
+    assert named.name == "d1"
+    assert named.relation_subspace == power(dend, n).relation_subspace
+    assert dend.name == "dendriform"
 
 
 def test_power_rejects_nonpositive():
