@@ -17,12 +17,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import catalog, dsl, duality, morphisms, operatorver, products, typecore
-from .exactalg import ExactAlgebraError, Matrix, format_scalar, rational_from_text
+from .exactalg import ExactAlgebraError, Matrix, format_scalar
 from .typecore import (
     InvalidPresentation,
     RelationElement,
     format_lincomb,
     format_relation,
+    require_valid,
     star_associativity,
     validate,
 )
@@ -41,9 +42,7 @@ def _load_type(spec: str):
         if spec.endswith(".json") or text.lstrip().startswith("{"):
             # validated here, as parse_type validates a definition-language file
             t = dsl.parse_type_json(text)
-            report = validate(t)
-            if not report.valid:
-                raise dsl.DslValidationError(report)
+            require_valid(t)
             return t
         return dsl.parse_type(text)
     return catalog.get(spec)
@@ -53,8 +52,6 @@ def _option(name: str, parse, *args):
     """``parse(*args)``; a value it refuses is a usage error naming the option."""
     try:
         return parse(*args)
-    except ZeroDivisionError:
-        raise ValueError(f"{name}: zero denominator") from None
     except ValueError as err:
         raise ValueError(f"{name}: {err}") from None
 
@@ -89,33 +86,35 @@ def _show(args, out):
 
 def _validate(args, out):
     try:
-        t = _load_type(args.type)
-    except dsl.DslValidationError as err:
-        out(err.report.describe())
-        return EXIT_CHECK_FAILED
-    report = validate(t)
+        report = validate(_load_type(args.type))
+    except InvalidPresentation as err:
+        if err.report is None:
+            raise
+        report = err.report
     out(report.describe())
     return EXIT_OK if report.valid else EXIT_CHECK_FAILED
 
 
-def _binary_product(args, out, op):
-    t1, t2 = _load_type(args.a), _load_type(args.b)
-    result = op(t1, t2)
-    out(f"{result.name}: {result.dim} generators, {len(result.relations)} relations")
+def _print_type(t, args, out):
+    """A computed type: its JSON export alone, or a summary line, the star
+    when it is unresolved, and the numbered relations."""
     if args.json:
-        out(dsl.serialize(result, "json"))
-    else:
-        for k, rel in enumerate(result.relations):
-            out(f"  ({k + 1}) " + format_relation(rel, result.generators.labels))
+        out(dsl.serialize(t, "json"))
+        return EXIT_OK
+    out(f"{t.name}: {t.dim} generators, {len(t.relations)} relations")
+    if t.star is None:
+        out("  star: unresolved")
+    for k, rel in enumerate(t.relations):
+        out(f"  ({k + 1}) " + format_relation(rel, t.generators.labels))
     return EXIT_OK
+
+
+def _binary_product(args, out, op):
+    return _print_type(op(_load_type(args.a), _load_type(args.b)), args, out)
 
 
 def _power(args, out):
-    t = products.power(_load_type(args.type), args.n)
-    out(f"{t.name}: {t.dim} generators, {len(t.relations)} relations")
-    if args.json:
-        out(dsl.serialize(t, "json"))
-    return EXIT_OK
+    return _print_type(products.power(_load_type(args.type), args.n), args, out)
 
 
 def _dual(args, out):
@@ -123,15 +122,7 @@ def _dual(args, out):
     # the published dual labels, unless a file shadows the catalog name
     labels = catalog.DUAL_LABELS.get(args.type)
     t = duality.dual(t, labels=labels if labels and t is catalog.get(args.type) else None)
-    out(f"{t.name}: {t.dim} generators, {len(t.relations)} relations")
-    if t.star is None:
-        out("  star: unresolved")
-    if args.json:
-        out(dsl.serialize(t, "json"))
-    else:
-        for k, rel in enumerate(t.relations):
-            out(f"  ({k + 1}) " + format_relation(rel, t.generators.labels))
-    return EXIT_OK
+    return _print_type(t, args, out)
 
 
 def _double_dual(args, out):
@@ -165,11 +156,11 @@ def _auto_group(args, out):
             f"{t.name} has {t.dim} generators, more than the monomial search "
             f"guard ({guard}); pass --allow-large to search anyway"
         )
-    entries = _option("--entries", lambda: tuple(rational_from_text(e) for e in args.entries.split(",")))
-    autos = morphisms.monomial_automorphisms(t, entries=entries, allow_large=args.allow_large)
-    out(f"monomial automorphism group of {t.name}: order {len(autos)}")
+    autos = morphisms.monomial_automorphisms(t, allow_large=args.allow_large)
     if args.json:
         out(json.dumps([morphisms.morphism_to_json(f)["matrix"] for f in autos], indent=2))
+    else:
+        out(f"monomial automorphism group of {t.name}: order {len(autos)}")
     return EXIT_OK
 
 
@@ -663,7 +654,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("auto-group", _auto_group, json_flag=True, help="monomial automorphism group")
     p.add_argument("type")
-    p.add_argument("--entries", default="1,-1")
     p.add_argument("--allow-large", action="store_true")
 
     p = add("tensor-model", _tensor_model, help="verify the tensor-product model")
@@ -719,9 +709,6 @@ def main(argv=None) -> int:
     except (dsl.DslError, catalog.UnknownTypeError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except dsl.DslValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
     except InvalidPresentation as err:
         # with a validation report, the input (or a product of inputs) is
         # not a presentation, as ``validate`` would say

@@ -33,11 +33,11 @@ from json.encoder import encode_basestring_ascii as _json_string
 from .exactalg import ExactAlgebraError, format_scalar, rational_from_text
 from .typecore import (
     GeneratorSpace,
-    InvalidPresentation,
     RelationElement,
     TypePresentation,
     format_lincomb,
     format_sides,
+    require_valid,
     validate,
 )
 
@@ -46,8 +46,6 @@ from .typecore import (
 class SourceSpan:
     line: int
     column: int
-    start: int
-    end: int
 
     def __str__(self):
         return f"line {self.line}, column {self.column}"
@@ -64,13 +62,6 @@ class DslError(ExactAlgebraError):
         super().__init__(message)
         self.span = span
         self.path = path
-
-
-class DslValidationError(InvalidPresentation):
-    """Parsed fine, but the presentation does not validate."""
-
-    def __init__(self, report):
-        super().__init__("parsed type failed validation:\n" + report.describe(), report)
 
 
 _TOKEN_RE = re.compile(
@@ -99,13 +90,12 @@ def _tokenize(text: str) -> list[_Token]:
     line = 1
     line_start = 0
     while pos < len(text):
+        span = SourceSpan(line, pos - line_start + 1)
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            span = SourceSpan(line, pos - line_start + 1, pos, pos + 1)
             raise DslError(f"unexpected character {text[pos]!r}", span)
         kind = m.lastgroup
         raw = m.group()
-        span = SourceSpan(line, pos - line_start + 1, pos, m.end())
         if kind in ("ws", "comment"):
             nl = raw.count("\n")
             if nl:
@@ -116,7 +106,7 @@ def _tokenize(text: str) -> list[_Token]:
         else:
             tokens.append(_Token(kind, raw, span))
         pos = m.end()
-    tokens.append(_Token("end", "", SourceSpan(line, pos - line_start + 1, pos, pos)))
+    tokens.append(_Token("end", "", SourceSpan(line, pos - line_start + 1)))
     return tokens
 
 
@@ -234,8 +224,7 @@ class _Parser:
         return names[name.text]
 
 
-def parse_type_report(text: str):
-    """Parse without enforcing validity; returns (presentation, report)."""
+def _parse(text: str) -> TypePresentation:
     p = _Parser(text)
     p.expect("type")
     name = p.expect_id("type name")
@@ -295,15 +284,20 @@ def parse_type_report(text: str):
     if tail.kind != "end":
         raise DslError(f"trailing input {tail.text!r}", tail.span)
 
-    t = TypePresentation(GeneratorSpace(name.text, labels_t), star, relations, aux=aux)
+    return TypePresentation(GeneratorSpace(name.text, labels_t), star, relations, aux=aux)
+
+
+def parse_type_report(text: str):
+    """Parse without enforcing validity; returns (presentation, report)."""
+    t = _parse(text)
     return t, validate(t)
 
 
 def parse_type(text: str) -> TypePresentation:
-    """Parse and validate; invalid presentations raise with the report attached."""
-    t, report = parse_type_report(text)
-    if not report.valid:
-        raise DslValidationError(report)
+    """Parse and validate; an invalid presentation raises InvalidPresentation
+    with its report, through ``require_valid``."""
+    t = _parse(text)
+    require_valid(t)
     return t
 
 

@@ -12,7 +12,6 @@ from .exactalg import (
     DimensionMismatch,
     ExactAlgebraError,
     Matrix,
-    canonical,
     format_scalar,
 )
 from .dsl import DslError, _json_vector
@@ -108,20 +107,15 @@ def identity_morphism(t: TypePresentation) -> TypeMorphism:
 DEFAULT_MONOMIAL_GUARD = 9
 
 
-def monomial_automorphisms(
-    t: TypePresentation,
-    entries: tuple[int, ...] = (1, -1),
-    allow_large: bool = False,
-) -> list[TypeMorphism]:
-    """All monomial-matrix automorphisms with nonzero entries from ``entries``.
+def monomial_automorphisms(t: TypePresentation, allow_large: bool = False) -> list[TypeMorphism]:
+    """All monomial-matrix automorphisms with nonzero entries 1 and -1.
 
-    ``entries`` must be closed under multiplication (over Q that leaves
-    {1} and {1, -1}), so that the maps found form a group.
+    The permutation automorphisms are those whose entries are all 1.
 
     The search backtracks over partial index maps.  Generators are placed
     one at a time, in a fixed order that at each step places the generator
     completing the most relations (ties to the lowest index), each on an
-    unused image with an entry that keeps the star condition.  A relation
+    unused image with a sign that keeps the star condition.  A relation
     is tested, by an index remap and a membership query in the relation
     subspace, at the depth where the last generator of its support is
     placed, and a branch is cut at the first image outside the span.  The
@@ -137,14 +131,9 @@ def monomial_automorphisms(
             f"monomial search over {m} generators exceeds the guard ({DEFAULT_MONOMIAL_GUARD}); "
             "pass allow_large=True to override"
         )
-    entries = tuple(dict.fromkeys(canonical(e) for e in entries))
-    if any(not e for e in entries):
-        raise ValueError("monomial entries must be nonzero")
-    if any(a * b not in entries for a in entries for b in entries):
-        raise ValueError("monomial entries must be closed under multiplication")
 
     order, due = _placement_order(t)
-    choices = _star_consistent_choices(t.star, entries, m)
+    choices = _star_consistent_choices(t.star, m)
     images, signs = [None] * m, [None] * m
     used = [False] * m
     found = []
@@ -196,13 +185,13 @@ def _placement_order(t):
     return order, due
 
 
-def _star_consistent_choices(star, entries, m):
-    """For each generator j, the (image i, entry e) pairs with e star[j] = star[i]."""
+def _star_consistent_choices(star, m):
+    """For each generator j, the (image i, sign e) pairs with e star[j] = star[i]."""
     if star is None:
-        pairs = [(i, e) for i in range(m) for e in entries]
+        pairs = [(i, e) for i in range(m) for e in (1, -1)]
         return [pairs] * m
     return [
-        [(i, e) for i in range(m) for e in entries if e * star[j] == star[i]]
+        [(i, e) for i in range(m) for e in (1, -1) if e * star[j] == star[i]]
         for j in range(m)
     ]
 

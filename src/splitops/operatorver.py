@@ -275,7 +275,8 @@ def right_rb(name: str = "P") -> OperatorLaw:
 
 
 def law_from_name(kind: str, weight=None) -> OperatorLaw:
-    """The law called ``kind``; only ``rb`` takes a ``weight`` (see :func:`rb`).
+    """The law called ``kind``: rb, rb0, nijenhuis, leftrb or rightrb, the
+    names ``--law`` offers.  Only ``rb`` takes a ``weight`` (see :func:`rb`).
 
     An unknown kind, a malformed weight or one with a zero denominator, and
     a weight given to any other law raise ValueError.
@@ -286,9 +287,9 @@ def law_from_name(kind: str, weight=None) -> OperatorLaw:
         law = rb(0)
     elif kind == "nijenhuis":
         law = nijenhuis()
-    elif kind == "leftrb" or kind == "left_rb":
+    elif kind == "leftrb":
         law = left_rb()
-    elif kind == "rightrb" or kind == "right_rb":
+    elif kind == "rightrb":
         law = right_rb()
     else:
         raise ValueError(f"unknown law {kind!r}")

@@ -265,10 +265,7 @@ def validate(t: TypePresentation) -> ValidationReport:
     rank = t.relation_subspace.dim
     notes = []
     if t.star is None:
-        return ValidationReport(
-            t.name, count, rank, False, False, star_unresolved=True,
-            notes=("dual presentation, star unresolved",),
-        )
+        return ValidationReport(t.name, count, rank, False, False, star_unresolved=True)
     star_nonzero = any(t.star)
     star_assoc = False
     if star_nonzero:

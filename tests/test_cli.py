@@ -294,8 +294,6 @@ def test_a_directory_in_place_of_a_file_is_a_usage_error(tmp_path, argv):
         (("verify-family", "dendriform", "--laws", "rb:1/0"), "--laws", "zero denominator"),
         (("verify-family", "dendriform", "--laws", "rb:formal,rb:3/0"),
          "--laws", "zero denominator"),
-        (("auto-group", "dendriform", "--entries", "1/0"), "--entries", "zero denominator"),
-        (("auto-group", "dendriform", "--entries", "1,-1/0"), "--entries", "zero denominator"),
         (("verify-operator", "dendriform", "--law", "nijenhuis", "--weight", "2"),
          "--weight", "takes no weight"),
         (("verify-operator", "dendriform", "--law", "rb0", "--weight", "1"),
@@ -320,8 +318,6 @@ def test_a_directory_in_place_of_a_file_is_a_usage_error(tmp_path, argv):
         (("verify-operator", "dendriform", "--law", "rb", "--weight", "1_0"),
          "--weight", "found '1_0'"),
         (("verify-family", "dendriform", "--laws", "rb:formal,rb:0.5"), "--laws", "p or p/q"),
-        (("auto-group", "dendriform", "--entries", "1,-1.0"), "--entries", "p or p/q"),
-        (("auto-group", "dendriform", "--entries", "1, -1"), "--entries", "found ' -1'"),
     ],
 )
 def test_a_bad_rational_option_is_a_usage_error(argv, option, message):
@@ -345,6 +341,14 @@ def test_the_lemmas_splitting_is_no_command_line_law(argv, message):
     code, out, err = run_quiet(*argv)
     assert code == EXIT_USAGE and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("law", ["left_rb", "right_rb"])
+def test_a_law_has_one_spelling_on_the_command_line(law):
+    # --laws takes the names --law offers: leftrb and rightrb, not the library's
+    code, out, err = run_quiet("verify-family", "associative", "--laws", law)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: --laws: unknown law '{law}'\n"
 
 
 def test_unknown_type_is_usage_error(capsys):
@@ -664,7 +668,8 @@ def test_the_command_matrix_covers_every_subcommand():
 def test_the_commands_that_write_json_take_json(command):
     code, out, err = run_quiet(command, *_JSON_COMMANDS[command], "--json")
     assert (code, err) == (EXIT_OK, "")
-    assert out
+    # the document alone: no summary line before it
+    json.loads(out)
 
 
 @pytest.mark.parametrize("command", sorted(_TEXT_COMMANDS))
@@ -722,7 +727,7 @@ def test_a_product_with_a_starless_factor_has_no_star(tmp_path, command, first_l
 def test_a_starless_product_exports_as_json_with_a_null_star(tmp_path):
     code, out, _ = run_quiet("square", _starless_dendriform(tmp_path), "dendriform", "--json")
     assert code == EXIT_OK
-    assert json.loads(out.split("\n", 1)[1])["star"] is None
+    assert json.loads(out)["star"] is None
 
 
 def test_dsl_export_of_a_starless_type_is_a_usage_error(tmp_path):
@@ -738,7 +743,7 @@ def test_auto_group_over_the_guard_is_a_usage_error(tmp_path):
     path = tmp_path / "d4.json"
     code, out, _ = run_quiet("power", "dendriform", "4", "--json")
     assert code == EXIT_OK
-    path.write_text(out.split("\n", 1)[1])
+    path.write_text(out)
     code, out, err = run_quiet("auto-group", str(path))
     assert code == EXIT_USAGE and out == ""
     assert err == (
@@ -747,22 +752,11 @@ def test_auto_group_over_the_guard_is_a_usage_error(tmp_path):
     )
 
 
-@pytest.mark.parametrize("entries, order", [("1,1", 1), ("1", 1), ("1,-1", 2), ("-1,1,-1", 2)])
-def test_auto_group_entries_are_a_set(tmp_path, entries, order):
-    # a star-less type lets every entry through, so repeated entries
-    # would list each map more than once
-    code, out, _ = run_quiet("auto-group", _starless_dendriform(tmp_path), f"--entries={entries}")
-    assert code == EXIT_OK
-    assert f"order {order}\n" in out
-
-
-@pytest.mark.parametrize("starless", [True, False])
-@pytest.mark.parametrize("entries", ["-1", "1,2", "1,-1,2"])
-def test_auto_group_entries_must_be_closed(tmp_path, starless, entries):
-    spec = _starless_dendriform(tmp_path) if starless else "dendriform"
-    code, out, err = run_quiet("auto-group", spec, f"--entries={entries}")
+def test_auto_group_takes_no_entries():
+    # the search always uses the entries 1 and -1: --entries is an unknown argument
+    code, out, err = run_quiet("auto-group", "dendriform", "--entries=1")
     assert code == EXIT_USAGE and out == ""
-    assert err == "error: monomial entries must be closed under multiplication\n"
+    assert "unrecognized arguments: --entries=1" in err
 
 
 # -- presentations that are not valid, reached from user input ----------------------
@@ -799,7 +793,7 @@ def test_a_duplicated_json_relation_fails_like_validate(tmp_path, command):
     assert code == EXIT_CHECK_FAILED and "relations: 4 given, rank 3" in out
     code, out, err = run_quiet(*(part.format(path) for part in command))
     assert code == EXIT_CHECK_FAILED and out == ""
-    assert err.startswith("error: parsed type failed validation:\ntype dendriform: INVALID\n")
+    assert err.startswith("error: dendriform: invalid presentation\ntype dendriform: INVALID\n")
     assert "relations: 4 given, rank 3" in err
 
 
@@ -834,5 +828,5 @@ def test_a_reader_closing_stdout_early_ends_the_output():
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == EXIT_OK
-    assert first == b"(ennea sq trialgebra): 27 generators, 343 relations\n"
+    assert first == b"{\n"
     assert err == b""

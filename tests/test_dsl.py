@@ -11,14 +11,18 @@ from hypothesis import strategies as st
 from splitops import catalog, duality, products
 from splitops.dsl import (
     DslError,
-    DslValidationError,
     parse_type,
     parse_type_json,
     parse_type_report,
     serialize,
 )
 from splitops.exactalg import ExactAlgebraError, format_scalar
-from splitops.typecore import GeneratorSpace, RelationElement, TypePresentation
+from splitops.typecore import (
+    GeneratorSpace,
+    InvalidPresentation,
+    RelationElement,
+    TypePresentation,
+)
 
 F = Fraction
 
@@ -73,7 +77,7 @@ def test_parse_aux_and_coefficients():
 
 
 def test_parse_rejects_bad_star():
-    with pytest.raises(DslValidationError) as excinfo:
+    with pytest.raises(InvalidPresentation, match="bad: invalid presentation") as excinfo:
         parse_type("type bad { generators: a; star: a; relations: (a.a | 2*a.a) }")
     report = excinfo.value.report
     assert report.star_nonzero and not report.star_associative
