@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from splitops import cli, products
+from splitops import catalog, cli, dsl, duality, products
 from splitops.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
@@ -318,6 +318,12 @@ def test_a_directory_in_place_of_a_file_is_a_usage_error(tmp_path, argv):
         (("verify-operator", "dendriform", "--law", "rb", "--weight", "1_0"),
          "--weight", "found '1_0'"),
         (("verify-family", "dendriform", "--laws", "rb:formal,rb:0.5"), "--laws", "p or p/q"),
+        (("verify-operator", "dendriform", "--law", "rb", "--weight=-1/0"),
+         "--weight", "zero denominator"),
+        (("verify-family", "dendriform", "--laws", "rb:formal,rb:-1/0"),
+         "--laws", "zero denominator"),
+        (("verify-family", "dendriform", "--laws", "rb:1.0"), "--laws", "found '1.0'"),
+        (("verify-family", "dendriform", "--laws", "rb:formal,rb:1e5"), "--laws", "found '1e5'"),
     ],
 )
 def test_a_bad_rational_option_is_a_usage_error(argv, option, message):
@@ -349,6 +355,17 @@ def test_a_law_has_one_spelling_on_the_command_line(law):
     code, out, err = run_quiet("verify-family", "associative", "--laws", law)
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: --laws: unknown law '{law}'\n"
+
+
+@pytest.mark.parametrize("law", ["rb", "rb0", "nijenhuis", "leftrb", "rightrb"])
+def test_every_law_choice_is_also_a_family_law(law):
+    # a one-law family checks what the single operator checks
+    code, single, err = run_quiet("verify-operator", "associative", "--law", law)
+    assert (code, err) == (EXIT_OK, "")
+    code, family, err = run_quiet("verify-family", "associative", "--laws", law)
+    assert (code, err) == (EXIT_OK, "")
+    verdict = single.splitlines()[0].split(": ", 1)[1]
+    assert family.splitlines()[0].split(": ", 1)[1] == verdict
 
 
 def test_unknown_type_is_usage_error(capsys):
@@ -722,6 +739,70 @@ def test_a_product_with_a_starless_factor_has_no_star(tmp_path, command, first_l
     code, out, err = run_quiet(*(spec if part == "{}" else part for part in command))
     assert (code, err) == (EXIT_OK, "")
     assert out.splitlines()[0].endswith(first_line_end)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("square", "{}", "dendriform"), ("maltese", "dendriform", "{}"), ("power", "{}", "2")],
+    ids=["square", "maltese", "power"],
+)
+def test_a_starless_result_prints_its_star_as_unresolved(tmp_path, command):
+    spec = _starless_dendriform(tmp_path)
+    code, out, err = run_quiet(*(spec if part == "{}" else part for part in command))
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.splitlines()
+    assert lines[1] == "  star: unresolved"
+    assert lines[2].startswith("  (1) ")
+    assert "star" not in "\n".join(lines[2:])
+
+
+def test_validate_names_an_unresolved_star_once(tmp_path):
+    code, out, err = run_quiet("validate", _starless_dendriform(tmp_path))
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (
+        "type dendriform: valid\n"
+        "  relations: 3 given, rank 3\n"
+        "  star: dual presentation, star unresolved\n"
+    )
+
+
+def test_power_lists_its_relations():
+    code, out, err = run_quiet("power", "dendriform", "2")
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.splitlines()
+    assert lines[0] == "(dendriform^2): 4 generators, 9 relations"
+    assert [line.split(")", 1)[0] for line in lines[1:]] == [f"  ({k}" for k in range(1, 10)]
+
+
+@pytest.mark.parametrize(
+    "argv, build",
+    [
+        (("square", "dendriform", "dendriform"),
+         lambda: products.square(catalog.get("dendriform"), catalog.get("dendriform"))),
+        (("maltese", "associative", "dendriform"),
+         lambda: products.maltese(catalog.get("associative"), catalog.get("dendriform"))),
+        (("power", "dendriform", "3"), lambda: products.power(catalog.get("dendriform"), 3)),
+        (("dual", "ns"),
+         lambda: duality.dual(catalog.get("ns"), labels=catalog.DUAL_LABELS["ns"])),
+    ],
+    ids=["square", "maltese", "power", "dual"],
+)
+def test_a_json_document_is_the_exported_type_alone(argv, build):
+    code, out, err = run_quiet(*argv, "--json")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == dsl.serialize(build(), "json") + "\n"
+
+
+def test_auto_group_of_a_starless_type_lists_each_map_once(tmp_path):
+    # with no star to respect, each generator may keep or flip its sign
+    spec = _starless_dendriform(tmp_path)
+    code, out, err = run_quiet("auto-group", spec)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == "monomial automorphism group of dendriform: order 2\n"
+    code, out, err = run_quiet("auto-group", spec, "--json")
+    assert (code, err) == (EXIT_OK, "")
+    matrices = json.loads(out)
+    assert len(matrices) == 2 and matrices[0] != matrices[1]
 
 
 def test_a_starless_product_exports_as_json_with_a_null_star(tmp_path):
