@@ -25,6 +25,7 @@ from .typecore import (
     format_relation,
     require_valid,
     star_associativity,
+    star_line,
     validate,
 )
 
@@ -65,10 +66,7 @@ def _show(args, out):
     report = validate(t)
     out(f"type {t.name}: {t.dim} generators, {len(t.relations)} relations")
     out("  generators: " + ", ".join(t.generators.labels))
-    if t.star is not None:
-        out("  star: " + format_lincomb(t.star, t.generators.labels))
-    else:
-        out("  star: unresolved (dual presentation)")
+    out(star_line(t.star, t.generators.labels))
     for k, v in t.aux.items():
         out(f"  aux {k} = " + format_lincomb(v, t.generators.labels))
     out(f"  valid: {report.valid}")
@@ -103,7 +101,7 @@ def _print_type(t, args, out):
         return EXIT_OK
     out(f"{t.name}: {t.dim} generators, {len(t.relations)} relations")
     if t.star is None:
-        out("  star: unresolved")
+        out(star_line(None))
     for k, rel in enumerate(t.relations):
         out(f"  ({k + 1}) " + format_relation(rel, t.generators.labels))
     return EXIT_OK
@@ -150,12 +148,6 @@ def _check_morphism(args, out):
 
 def _auto_group(args, out):
     t = _load_type(args.type)
-    guard = morphisms.DEFAULT_MONOMIAL_GUARD
-    if t.dim > guard and not args.allow_large:
-        raise ValueError(
-            f"{t.name} has {t.dim} generators, more than the monomial search "
-            f"guard ({guard}); pass --allow-large to search anyway"
-        )
     autos = morphisms.monomial_automorphisms(t, allow_large=args.allow_large)
     if args.json:
         out(json.dumps([morphisms.morphism_to_json(f)["matrix"] for f in autos], indent=2))

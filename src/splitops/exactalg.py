@@ -81,10 +81,13 @@ def rational_from_text(text: str):
 # matrices
 
 
+_UNSET = object()  # a lazily built attribute not built yet
+
+
 class Matrix:
     """Immutable dense rational matrix; its entries are canonical scalars."""
 
-    __slots__ = ("rows", "nrows", "ncols", "_columns")
+    __slots__ = ("rows", "nrows", "ncols", "_columns", "_monomial")
 
     def __init__(self, rows: Sequence[Sequence], ncols: int | None = None):
         rows = [list(r) for r in rows]
@@ -101,6 +104,7 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = width
         self._columns = None
+        self._monomial = _UNSET
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -164,18 +168,33 @@ class Matrix:
             )
         return self._columns
 
+    @property
+    def monomial_form(self) -> tuple[tuple[int, ...], tuple] | None:
+        """``(images, signs)`` when the matrix is monomial, else None; built once.
+
+        Monomial means square with one nonzero per column, in pairwise
+        distinct rows: column j holds ``signs[j]`` at row ``images[j]``,
+        and the matrix is ``Matrix.monomial(images, signs)``.
+        """
+        if self._monomial is _UNSET:
+            columns = self.nonzero_columns
+            self._monomial = None
+            if self.nrows == self.ncols and all(len(c) == 1 for c in columns):
+                images = tuple(c[0][0] for c in columns)
+                if len(set(images)) == self.ncols:
+                    self._monomial = images, tuple(c[0][1] for c in columns)
+        return self._monomial
+
     def is_invertible(self) -> bool:
         """Whether the matrix is square of full rank (a rank test, no inverse built).
 
-        A monomial matrix, with one nonzero per column in pairwise
-        distinct rows, is a permutation times a nonsingular diagonal, so
-        it is invertible with nothing eliminated; every other matrix
-        takes the rank test.
+        A monomial matrix (see :attr:`monomial_form`) is a permutation
+        times a nonsingular diagonal, so it is invertible with nothing
+        eliminated; every other matrix takes the rank test.
         """
         if self.nrows != self.ncols:
             return False
-        columns = self.nonzero_columns
-        if all(len(c) == 1 for c in columns) and len({c[0][0] for c in columns}) == self.ncols:
+        if self.monomial_form is not None:
             return True
         return Subspace.from_rows(self.ncols, self.rows).dim == self.nrows
 
@@ -253,12 +272,14 @@ class Echelon:
         self.ambient = ambient
         self.rows: dict[int, dict[int, int]] = {}
 
-    def integer_row(self, vec) -> dict:
-        """A rational vector, dense or as {index: value}, as a primitive integer row.
+    def checked_row(self, vec) -> Mapping:
+        """A rational vector, dense or as {index: value}, as an integer row
+        with no zeros, its indices checked against the ambient dimension.
 
-        The row is always a new dict, never the caller's."""
+        A mapping whose values are all nonzero ints comes back as itself;
+        otherwise the row is new.  The caller's vector is never changed."""
         if type(vec) is dict or isinstance(vec, Mapping):
-            row = dict(vec) if all(vec.values()) else {k: x for k, x in vec.items() if x}
+            row = vec if all(vec.values()) else {k: x for k, x in vec.items() if x}
             if row and not 0 <= min(row) <= max(row) < self.ambient:
                 raise DimensionMismatch("vector index outside the ambient dimension")
         else:
@@ -268,7 +289,14 @@ class Echelon:
         if not set(map(type, row.values())) <= _INT_ONLY:
             mult = lcm(*(canonical(x).denominator for x in row.values()))
             row = {k: (x * mult).numerator for k, x in row.items()}
-        return _primitive(row)
+        return row
+
+    def integer_row(self, vec) -> dict:
+        """A rational vector, dense or as {index: value}, as a primitive integer row.
+
+        The row is always a new dict, never the caller's."""
+        row = self.checked_row(vec)
+        return _primitive(dict(row) if row is vec else row)
 
     def reduce(self, row: dict) -> dict:
         """The remainder of an integer row after elimination at the pivots, primitive.
@@ -401,8 +429,20 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
     def contains_vector(self, vec) -> bool:
+        """Whether the vector lies in the space.
+
+        The checked row (:meth:`Echelon.checked_row`) is eliminated at its
+        pivot hits as :meth:`Echelon.reduce` does it, but it is neither
+        copied nor divided by a gcd, before or after: the remainder of a
+        positive multiple of a row is a positive multiple of its
+        remainder, so it is zero exactly when that one is.  Each step
+        builds a new row, so the caller's is never changed or kept.
+        """
         ech = self._echelon
-        return not ech.reduce(ech.integer_row(vec))
+        row, rows = ech.checked_row(vec), ech.rows
+        for p in rows.keys() & row.keys():
+            row = _eliminate(row, rows[p], p)
+        return not row
 
     def leq(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:

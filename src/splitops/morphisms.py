@@ -55,13 +55,27 @@ class TypeMorphism:
 
 
 def check_morphism(f: TypeMorphism) -> bool:
-    """Star preservation plus push-forward of every relation into the target."""
+    """Star preservation plus push-forward of every relation into the target.
+
+    A monomial matrix (``Matrix.monomial_form``: square, one nonzero per
+    column, in pairwise distinct rows) pushes each relation by index with
+    ``remap_relation``, its column entries as the signs.  The map on both
+    slots then sends distinct coefficients to distinct places, each
+    scaled by a product of two entries, which is exactly what
+    ``push_relation`` computes, up to key order.  Every other matrix, non-square or with
+    two columns in one row (whose coefficients must add up), goes
+    through ``push_relation``.
+    """
     if not f.star_ok:
         return False
-    target_space = f.target.relation_subspace
+    contains = f.target.relation_subspace.contains_vector
+    monomial = f.matrix.monomial_form
     for rel in f.source.relations:
-        image = push_relation(rel, f.matrix)
-        if not target_space.contains_vector(image.coeffs):
+        if monomial is None:
+            image = push_relation(rel, f.matrix).coeffs
+        else:
+            image = remap_relation(rel, *monomial)
+        if not contains(image):
             return False
     return True
 
@@ -124,12 +138,15 @@ def monomial_automorphisms(t: TypePresentation, allow_large: bool = False) -> li
     few relations.  Every complete map gets the full isomorphism check; the
     result is sorted canonically and verified to be closed under
     composition.
+
+    A type with more than ``DEFAULT_MONOMIAL_GUARD`` generators raises
+    ValueError unless ``allow_large`` is set.
     """
     m = t.dim
     if m > DEFAULT_MONOMIAL_GUARD and not allow_large:
-        raise ExactAlgebraError(
-            f"monomial search over {m} generators exceeds the guard ({DEFAULT_MONOMIAL_GUARD}); "
-            "pass allow_large=True to override"
+        raise ValueError(
+            f"{t.name} has {m} generators, more than the monomial search guard "
+            f"({DEFAULT_MONOMIAL_GUARD}); pass --allow-large (allow_large=True) to search anyway"
         )
 
     order, due = _placement_order(t)

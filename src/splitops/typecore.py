@@ -248,7 +248,7 @@ class ValidationReport:
             f"  relations: {self.relation_count} given, rank {self.relation_rank}",
         ]
         if self.star_unresolved:
-            lines.append("  star: dual presentation, star unresolved")
+            lines.append(star_line(None))
         else:
             lines.append(f"  star nonzero: {self.star_nonzero}")
             lines.append(f"  star associativity in relation span: {self.star_associative}")
@@ -442,6 +442,14 @@ def format_sides(rel: RelationElement, term, scale: str = "*") -> tuple[str, str
 def format_lincomb(vec, labels: Sequence[str]) -> str:
     """A vector over ``labels`` as a signed sum, e.g. ``a - 2*b``; ``0`` if it is zero."""
     return _signed_sum([_signed_term(c, label) for c, label in zip(vec, labels) if c])
+
+
+def star_line(star, labels: Sequence[str] = ()) -> str:
+    """The ``  star:`` line of a listing: the star as a signed sum over
+    ``labels``, or ``unresolved`` when it is None."""
+    if star is None:
+        return "  star: unresolved"
+    return "  star: " + format_lincomb(star, labels)
 
 
 def _signed_term(c, body: str, scale: str = "*") -> tuple[str, str]:

@@ -21,7 +21,7 @@ from splitops.cli import (
     EXIT_USAGE,
     main,
 )
-from splitops.typecore import GeneratorSpace, InvalidPresentation, TypePresentation
+from splitops.typecore import GeneratorSpace, InvalidPresentation, TypePresentation, star_line
 
 
 def run(capsys, *argv):
@@ -742,18 +742,23 @@ def test_a_product_with_a_starless_factor_has_no_star(tmp_path, command, first_l
 
 
 @pytest.mark.parametrize(
-    "command",
-    [("square", "{}", "dendriform"), ("maltese", "dendriform", "{}"), ("power", "{}", "2")],
-    ids=["square", "maltese", "power"],
+    "command, at",
+    [
+        (("square", "{}", "dendriform"), 1),
+        (("maltese", "dendriform", "{}"), 1),
+        (("power", "{}", "2"), 1),
+        (("show", "{}"), 2),
+    ],
+    ids=["square", "maltese", "power", "show"],
 )
-def test_a_starless_result_prints_its_star_as_unresolved(tmp_path, command):
+def test_a_starless_result_prints_its_star_as_unresolved(tmp_path, command, at):
+    # one spelling of an unresolved star, printed once
     spec = _starless_dendriform(tmp_path)
     code, out, err = run_quiet(*(spec if part == "{}" else part for part in command))
     assert (code, err) == (EXIT_OK, "")
     lines = out.splitlines()
-    assert lines[1] == "  star: unresolved"
-    assert lines[2].startswith("  (1) ")
-    assert "star" not in "\n".join(lines[2:])
+    assert lines[at] == "  star: unresolved" == star_line(None)
+    assert "star" not in "\n".join(lines[:at] + lines[at + 1:])
 
 
 def test_validate_names_an_unresolved_star_once(tmp_path):
@@ -762,7 +767,7 @@ def test_validate_names_an_unresolved_star_once(tmp_path):
     assert out == (
         "type dendriform: valid\n"
         "  relations: 3 given, rank 3\n"
-        "  star: dual presentation, star unresolved\n"
+        "  star: unresolved\n"
     )
 
 
@@ -829,7 +834,7 @@ def test_auto_group_over_the_guard_is_a_usage_error(tmp_path):
     assert code == EXIT_USAGE and out == ""
     assert err == (
         "error: (dendriform^4) has 16 generators, more than the monomial search "
-        "guard (9); pass --allow-large to search anyway\n"
+        "guard (9); pass --allow-large (allow_large=True) to search anyway\n"
     )
 
 

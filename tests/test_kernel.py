@@ -9,6 +9,7 @@ products and push-forwards - must agree with it exactly.
 """
 
 import itertools
+import sys
 import types
 from fractions import Fraction
 from math import gcd, lcm
@@ -252,18 +253,23 @@ def test_integer_row_reads_every_input_form(row, want):
         assert all(type(k) is int for k in got)
 
 
-def test_integer_row_keeps_its_checks():
-    ech = Echelon(4)
+def _assert_intake_checks(read):
+    """``read`` refuses what the intake of a 4-dimensional echelon refuses."""
     for bad in ({4: 1}, {-1: 1}, {0: 1, 9: 2}):
         for vec in _input_forms(bad, 10)[:2]:
             with pytest.raises(DimensionMismatch, match="outside the ambient"):
-                ech.integer_row(vec)
+                read(vec)
     for length in (3, 5):
         with pytest.raises(DimensionMismatch, match="length"):
-            ech.integer_row((1,) * length)
+            read((1,) * length)
     for vec in _input_forms({1: 0.5, 2: 1}, 4):
         with pytest.raises(ScalarKindMismatch):
-            ech.integer_row(vec)
+            read(vec)
+
+
+def test_integer_row_keeps_its_checks():
+    ech = Echelon(4)
+    _assert_intake_checks(ech.integer_row)
     # the all-zero vector has no index to check
     assert ech.integer_row({}) == {} and ech.integer_row(types.MappingProxyType({})) == {}
 
@@ -278,6 +284,62 @@ def test_add_stores_a_copy_of_the_callers_row(wrap):
     del d[3]
     assert ech.rows == before == {1: {1: 1, 3: 2}}
     assert all(r is not d for r in ech.rows.values())
+
+
+# -- membership reads the caller's row without copying or trimming it ----------
+
+
+def test_contains_vector_keeps_the_intake_checks():
+    space = Subspace.from_rows(4, [(1, 0, 0, 1)])
+    _assert_intake_checks(space.contains_vector)
+    assert space.contains_vector({}) and space.contains_vector(types.MappingProxyType({}))
+
+
+@pytest.mark.parametrize("wrap", [lambda d: d, types.MappingProxyType], ids=["dict", "mapping"])
+@pytest.mark.parametrize(
+    "row, inside",
+    [({0: 1, 3: 1}, True), ({0: 2, 3: 2}, True), ({0: 1, 1: 2}, False), ({1: 2, 3: -4}, False)],
+)
+def test_contains_vector_neither_changes_nor_keeps_the_callers_row(wrap, row, inside):
+    space = Subspace.from_rows(4, [(1, 0, 0, 1), (0, 0, 1, 1)])
+    d = dict(row)
+    vec = wrap(d)
+    before_rows = [dict(r) for r in space.int_rows]
+    refs = sys.getrefcount(d)
+    assert space.contains_vector(vec) is inside
+    assert d == row and sys.getrefcount(d) == refs
+    assert all(r is not d for r in space._echelon.rows.values())
+    # changing the row afterwards changes nothing in the space
+    d[2] = 5
+    assert [dict(r) for r in space.int_rows] == before_rows
+    assert space.contains_vector(vec) is False
+
+
+@pytest.mark.parametrize("row", [{1: 2, 3: -4}, {0: 6, 2: -9, 4: 3}, {1: -4}, {0: F(4, 6), 4: -2}])
+def test_contains_vector_answers_a_row_as_its_primitive_form(row):
+    ech = Echelon(5)
+    primitive = ech.integer_row(row)
+    assert primitive != row
+    spaces = [
+        Subspace.from_rows(5, rows)
+        for rows in ([], [primitive], [(1, 1, 1, 1, 1)], [primitive, (0, 0, 0, 1, 7)])
+    ]
+    for space in spaces:
+        assert space.contains_vector(row) == space.contains_vector(primitive)
+        assert space.contains_vector(row) == (not space._echelon.reduce(primitive))
+    assert [space.contains_vector(row) for space in spaces] == [False, True, False, True]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_contains_vector_agrees_with_reduce_on_scaled_rows(case, data):
+    ncols, rows = case
+    space = Subspace.from_rows(ncols, rows)
+    vec = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    scale = data.draw(st.sampled_from([1, 2, -3, 6]))
+    sparse = {j: scale * x for j, x in enumerate(vec) if x}
+    want = not space._echelon.reduce(space._echelon.integer_row(vec))
+    assert space.contains_vector(sparse) == space.contains_vector(vec) == want
 
 
 def _reduce_in_row_order(ech, row):

@@ -158,8 +158,12 @@ def test_monomial_guard(monkeypatch):
     # the guard is the module constant, read at each call
     q = catalog.get("quadri")
     monkeypatch.setattr(morphisms, "DEFAULT_MONOMIAL_GUARD", 3)
-    with pytest.raises(ExactAlgebraError, match=r"over 4 generators exceeds the guard \(3\)"):
+    with pytest.raises(ValueError) as err:
         monomial_automorphisms(q)
+    assert str(err.value) == (
+        "quadri has 4 generators, more than the monomial search guard (3); "
+        "pass --allow-large (allow_large=True) to search anyway"
+    )
     assert len(monomial_automorphisms(q, allow_large=True)) == 2
 
 
@@ -613,3 +617,160 @@ def test_rota_baxter_model_refutes_the_dihedral_and_cube_claims(name, n):
                 claims += 1
                 surviving_claims += holds
     assert (claims, surviving_claims) == {2: (8, 2), 3: (24, 3)}[n]
+
+
+# -- check_morphism's index path against pushes through push_relation ------------
+#
+# A monomial map (square, one nonzero per column, in pairwise distinct rows)
+# pushes every relation by index, and any other map goes through
+# push_relation.  The oracle pushes every map through push_relation and
+# reads membership and equality off spans built by elimination, so it
+# shares neither path with the check.
+
+
+def _pushed(f):
+    return [push_relation(r, f.matrix).coeffs for r in f.source.relations]
+
+
+def _morphism_by_push(f):
+    if not f.star_ok:
+        return False
+    target = f.target.relation_subspace
+    return Subspace.from_rows(target.ambient, [*target.int_rows, *_pushed(f)]) == target
+
+
+def _isomorphism_by_push(f):
+    try:
+        f.matrix.inverse()
+    except ExactAlgebraError:
+        return False
+    target = f.target.relation_subspace
+    return _morphism_by_push(f) and Subspace.from_rows(target.ambient, _pushed(f)) == target
+
+
+def _agree_with_push(f):
+    verdicts = check_morphism(f), check_isomorphism(f)
+    assert verdicts == (_morphism_by_push(f), _isomorphism_by_push(f)), f
+    return verdicts
+
+
+@pytest.fixture
+def pushes(monkeypatch):
+    """The matrices check_morphism hands to push_relation, in call order."""
+    calls = []
+
+    def spy(rel, matrix):
+        calls.append(matrix)
+        return push_relation(rel, matrix)
+
+    monkeypatch.setattr(morphisms, "push_relation", spy)
+    return calls
+
+
+def _seeded_monomial(m, seed, entries=(1, -1)):
+    rng = random.Random(seed)
+    images = list(range(m))
+    rng.shuffle(images)
+    return Matrix.monomial(images, [rng.choice(entries) for _ in range(m)])
+
+
+@pytest.mark.parametrize("name", catalog.list_names())
+def test_index_path_agrees_on_every_catalog_type(name, pushes):
+    t = catalog.get(name)
+    f = _seeded_monomial(t.dim, len(name))
+    assert f.monomial_form is not None
+    identity = Matrix.identity(t.dim)
+    for source, target, matrix in (
+        (t, t, identity),
+        (t, t, f),
+        (t, relabel(t, f), f),
+        (_starless(t), t, f),
+    ):
+        _agree_with_push(TypeMorphism(source, target, matrix))
+    assert check_isomorphism(TypeMorphism(t, relabel(t, f), f))
+    assert pushes == []
+
+
+def test_index_path_agrees_on_the_published_tables(pushes):
+    for name in catalog.TABLE_NAMES:
+        f = catalog.table_isomorphism(name)
+        assert f.matrix.monomial_form is not None
+        assert _agree_with_push(f) == (True, True), name
+    assert pushes == []
+
+
+@pytest.mark.parametrize("name", ["quadri", "m2"])
+def test_index_path_agrees_on_all_24_permutations(name, pushes):
+    t = catalog.get(name)
+    held = []
+    for images in itertools.permutations(range(4)):
+        f = TypeMorphism(t, t, Matrix.monomial(images))
+        if _agree_with_push(f) == (True, True):
+            held.append(f.matrix)
+    # the identity and the factor transpose
+    assert held == [Matrix.identity(4), _transpose(t)]
+    assert pushes == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", ["dendriform", "trialgebra", "dipterous", "quadri", "m1"])
+def test_index_path_agrees_on_signed_and_scaled_monomial_maps(name, seed, pushes):
+    t = catalog.get(name)
+    verdicts = set()
+    for entries in ((1, -1), (F(1, 2), -2, F(-3, 4), 5)):
+        f = _seeded_monomial(t.dim, seed, entries)
+        images, signs = f.monomial_form
+        assert Matrix.monomial(images, signs) == f
+        for source, target in ((t, t), (_starless(t), t), (_starless(t), _starless(t))):
+            verdicts.add(_agree_with_push(TypeMorphism(source, target, f)))
+        assert _agree_with_push(TypeMorphism(t, relabel(t, f), f)) == (True, True)
+    assert (False, False) in verdicts
+    assert pushes == []
+
+
+def test_non_square_maps_take_push_relation(pushes):
+    dend, tri = catalog.get("dendriform"), catalog.get("trialgebra")
+    into = Matrix([[1, 0], [0, 1], [0, 0]])
+    onto = Matrix([[1, 0, 0], [0, 1, 1]])
+    for source, target, matrix in ((dend, tri, into), (tri, dend, onto)):
+        assert matrix.monomial_form is None
+        for s, t in ((source, target), (_starless(source), _starless(target))):
+            _agree_with_push(TypeMorphism(s, t, matrix))
+    assert pushes and all(m in (into, onto) for m in pushes)
+
+
+@pytest.mark.parametrize(
+    "rows", [[[1, 1], [0, 0]], [[0, 0], [0, 3]]], ids=["repeated-row", "zero-column"]
+)
+def test_singular_monomial_shaped_maps_take_push_relation(rows, pushes):
+    dend = catalog.get("dendriform")
+    f = Matrix(rows)
+    assert f.monomial_form is None and not f.is_invertible()
+    for source, target in ((dend, dend), (_starless(dend), dend), (_starless(dend), _starless(dend))):
+        assert _agree_with_push(TypeMorphism(source, target, f))[1] is False
+    assert pushes and all(m is f for m in pushes)
+
+
+def test_push_relation_runs_for_the_repeated_row_map_only(pushes):
+    # a monomial map is pushed by index; the repeated-row map of the
+    # command-line check, starless so the star condition lets it through,
+    # goes through push_relation
+    dend = catalog.get("dendriform")
+    swap = Matrix.monomial([1, 0], [-1, 1])
+    assert check_morphism(TypeMorphism(_starless(dend), _starless(relabel(dend, swap)), swap))
+    assert pushes == []
+    repeated = Matrix([[1, 1], [0, 0]])
+    assert not check_morphism(TypeMorphism(_starless(dend), dend, repeated))
+    assert pushes == [repeated]
+
+
+def test_a_remap_without_signs_disagrees_with_push_relation(monkeypatch):
+    # a negative control: dendriform with gt sent to -gt, onto its image
+    remap = morphisms.remap_relation
+    dend = catalog.get("dendriform")
+    f = Matrix.monomial([0, 1], [1, -1])
+    g = TypeMorphism(dend, relabel(dend, f), f)
+    assert _agree_with_push(g) == (True, True)
+    monkeypatch.setattr(morphisms, "remap_relation", lambda rel, images, signs: remap(rel, images))
+    assert (check_morphism(g), check_isomorphism(g)) == (False, False)
+    assert _morphism_by_push(g) and _isomorphism_by_push(g)
