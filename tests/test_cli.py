@@ -742,22 +742,24 @@ def test_a_product_with_a_starless_factor_has_no_star(tmp_path, command, first_l
 
 
 @pytest.mark.parametrize(
-    "command, at",
+    "command, at, next_line",
     [
-        (("square", "{}", "dendriform"), 1),
-        (("maltese", "dendriform", "{}"), 1),
-        (("power", "{}", "2"), 1),
-        (("show", "{}"), 2),
+        (("square", "{}", "dendriform"), 1, "  (1) "),
+        (("maltese", "dendriform", "{}"), 1, "  (1) "),
+        (("power", "{}", "2"), 1, "  (1) "),
+        (("show", "{}"), 2, "  aux st = "),
     ],
     ids=["square", "maltese", "power", "show"],
 )
-def test_a_starless_result_prints_its_star_as_unresolved(tmp_path, command, at):
-    # one spelling of an unresolved star, printed once
+def test_a_starless_result_prints_its_star_as_unresolved(tmp_path, command, at, next_line):
+    # one spelling of an unresolved star, printed once, right before the
+    # relations of a product and before the aux line of show
     spec = _starless_dendriform(tmp_path)
     code, out, err = run_quiet(*(spec if part == "{}" else part for part in command))
     assert (code, err) == (EXIT_OK, "")
     lines = out.splitlines()
     assert lines[at] == "  star: unresolved" == star_line(None)
+    assert lines[at + 1].startswith(next_line)
     assert "star" not in "\n".join(lines[:at] + lines[at + 1:])
 
 
