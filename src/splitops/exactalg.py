@@ -81,10 +81,13 @@ def rational_from_text(text: str):
 # matrices
 
 
+_UNSET = object()  # a lazily built attribute not built yet
+
+
 class Matrix:
     """Immutable dense rational matrix; its entries are canonical scalars."""
 
-    __slots__ = ("rows", "nrows", "ncols", "_columns")
+    __slots__ = ("rows", "nrows", "ncols", "_columns", "_monomial")
 
     def __init__(self, rows: Sequence[Sequence], ncols: int | None = None):
         rows = [list(r) for r in rows]
@@ -101,6 +104,7 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = width
         self._columns = None
+        self._monomial = _UNSET
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -164,32 +168,33 @@ class Matrix:
             )
         return self._columns
 
+    @property
     def monomial_form(self) -> tuple[tuple[int, ...], tuple] | None:
-        """``(images, signs)`` when the matrix is monomial, else None.
+        """``(images, signs)`` when the matrix is monomial, else None; built once.
 
         Monomial means square with one nonzero per column, in pairwise
         distinct rows: column j holds ``signs[j]`` at row ``images[j]``,
-        and the matrix is ``Matrix.monomial(images, signs)``.  Read off
-        the cached :attr:`nonzero_columns`.
+        and the matrix is ``Matrix.monomial(images, signs)``.
         """
-        columns = self.nonzero_columns
-        if self.nrows != self.ncols or any(len(c) != 1 for c in columns):
-            return None
-        images = tuple(c[0][0] for c in columns)
-        if len(set(images)) != self.ncols:
-            return None
-        return images, tuple(c[0][1] for c in columns)
+        if self._monomial is _UNSET:
+            columns = self.nonzero_columns
+            self._monomial = None
+            if self.nrows == self.ncols and all(len(c) == 1 for c in columns):
+                images = tuple(c[0][0] for c in columns)
+                if len(set(images)) == self.ncols:
+                    self._monomial = images, tuple(c[0][1] for c in columns)
+        return self._monomial
 
     def is_invertible(self) -> bool:
         """Whether the matrix is square of full rank (a rank test, no inverse built).
 
-        A monomial matrix (see :meth:`monomial_form`) is a permutation
+        A monomial matrix (see :attr:`monomial_form`) is a permutation
         times a nonsingular diagonal, so it is invertible with nothing
         eliminated; every other matrix takes the rank test.
         """
         if self.nrows != self.ncols:
             return False
-        if self.monomial_form() is not None:
+        if self.monomial_form is not None:
             return True
         return Subspace.from_rows(self.ncols, self.rows).dim == self.nrows
 
@@ -426,13 +431,18 @@ class Subspace:
     def contains_vector(self, vec) -> bool:
         """Whether the vector lies in the space.
 
-        The checked row (:meth:`Echelon.checked_row`) goes to
-        :meth:`Echelon.reduce` with no copy and no gcd trim first: its
-        remainder is zero exactly when the primitive row's is, and
-        reduce never changes or keeps the row it is given.
+        :meth:`Echelon.reduce`'s loop on the checked row
+        (:meth:`Echelon.checked_row`), with no copy and no gcd trim: by
+        reduce's lemma the remainder is zero exactly when the primitive
+        row's is, and each step builds a new row, so the caller's is
+        never changed or kept.  Inlined, not a call to reduce: it is the
+        hot query of every morphism check.
         """
         ech = self._echelon
-        return not ech.reduce(ech.checked_row(vec))
+        row, rows = ech.checked_row(vec), ech.rows
+        for p in rows.keys() & row.keys():
+            row = _eliminate(row, rows[p], p)
+        return not row
 
     def leq(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:

@@ -57,7 +57,7 @@ class TypeMorphism:
 def check_morphism(f: TypeMorphism) -> bool:
     """Star preservation plus push-forward of every relation into the target.
 
-    A monomial matrix (``Matrix.monomial_form()``: square, one nonzero per
+    A monomial matrix (``Matrix.monomial_form``: square, one nonzero per
     column, in pairwise distinct rows) pushes each relation by index with
     ``remap_relation``, its column entries as the signs.  The map on both
     slots then sends distinct coefficients to distinct places, each
@@ -69,7 +69,7 @@ def check_morphism(f: TypeMorphism) -> bool:
     if not f.star_ok:
         return False
     contains = f.target.relation_subspace.contains_vector
-    monomial = f.matrix.monomial_form()
+    monomial = f.matrix.monomial_form
     for rel in f.source.relations:
         if monomial is None:
             image = push_relation(rel, f.matrix).coeffs

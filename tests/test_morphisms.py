@@ -678,7 +678,7 @@ def _seeded_monomial(m, seed, entries=(1, -1)):
 def test_index_path_agrees_on_every_catalog_type(name, pushes):
     t = catalog.get(name)
     f = _seeded_monomial(t.dim, len(name))
-    assert f.monomial_form() is not None
+    assert f.monomial_form is not None
     identity = Matrix.identity(t.dim)
     for source, target, matrix in (
         (t, t, identity),
@@ -694,7 +694,7 @@ def test_index_path_agrees_on_every_catalog_type(name, pushes):
 def test_index_path_agrees_on_the_published_tables(pushes):
     for name in catalog.TABLE_NAMES:
         f = catalog.table_isomorphism(name)
-        assert f.matrix.monomial_form() is not None
+        assert f.matrix.monomial_form is not None
         assert _agree_with_push(f) == (True, True), name
     assert pushes == []
 
@@ -719,7 +719,7 @@ def test_index_path_agrees_on_signed_and_scaled_monomial_maps(name, seed, pushes
     verdicts = set()
     for entries in ((1, -1), (F(1, 2), -2, F(-3, 4), 5)):
         f = _seeded_monomial(t.dim, seed, entries)
-        images, signs = f.monomial_form()
+        images, signs = f.monomial_form
         assert Matrix.monomial(images, signs) == f
         for source, target in ((t, t), (_starless(t), t), (_starless(t), _starless(t))):
             verdicts.add(_agree_with_push(TypeMorphism(source, target, f)))
@@ -733,7 +733,7 @@ def test_non_square_maps_take_push_relation(pushes):
     into = Matrix([[1, 0], [0, 1], [0, 0]])
     onto = Matrix([[1, 0, 0], [0, 1, 1]])
     for source, target, matrix in ((dend, tri, into), (tri, dend, onto)):
-        assert matrix.monomial_form() is None
+        assert matrix.monomial_form is None
         for s, t in ((source, target), (_starless(source), _starless(target))):
             _agree_with_push(TypeMorphism(s, t, matrix))
     assert pushes and all(m in (into, onto) for m in pushes)
@@ -745,7 +745,7 @@ def test_non_square_maps_take_push_relation(pushes):
 def test_singular_monomial_shaped_maps_take_push_relation(rows, pushes):
     dend = catalog.get("dendriform")
     f = Matrix(rows)
-    assert f.monomial_form() is None and not f.is_invertible()
+    assert f.monomial_form is None and not f.is_invertible()
     for source, target in ((dend, dend), (_starless(dend), dend), (_starless(dend), _starless(dend))):
         assert _agree_with_push(TypeMorphism(source, target, f))[1] is False
     assert pushes and all(m is f for m in pushes)
