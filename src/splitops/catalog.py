@@ -66,8 +66,18 @@ def latex_symbol(label: str) -> str:
     return rf"\mathtt{{{label}}}"
 
 
-_BASE_SOURCES = {
+# dual-basis names matching the published notation, keyed by primal entry
+DUAL_LABELS = {
+    "dendriform": ("lv", "rv"),
+    "trialgebra": ("lv", "rv", "perp"),
+    "ns": ("lv", "rv", "cir"),
+}
+
+# name -> (published relation count, note, definition text or recipe), in
+# the order ``list`` prints; a recipe builds the entry from earlier ones
+_ENTRIES = {
     "associative": (
+        1,
         "one associative product",
         """
         type associative {
@@ -78,6 +88,7 @@ _BASE_SOURCES = {
         """,
     ),
     "dendriform": (
+        3,
         "Loday's dendriform dialgebra",
         """
         type dendriform {
@@ -92,6 +103,7 @@ _BASE_SOURCES = {
         """,
     ),
     "trialgebra": (
+        7,
         "Loday-Ronco dendriform trialgebra",
         """
         type trialgebra {
@@ -110,6 +122,7 @@ _BASE_SOURCES = {
         """,
     ),
     "ns": (
+        4,
         "Leroux's NS-algebra; the last relation bundles one linear identity",
         """
         type ns {
@@ -125,6 +138,7 @@ _BASE_SOURCES = {
         """,
     ),
     "dipterous": (
+        3,
         "L-dipterous algebra: an associative product and one right action",
         """
         type dipterous {
@@ -138,6 +152,7 @@ _BASE_SOURCES = {
         """,
     ),
     "anti_dipterous": (
+        3,
         "L-anti-dipterous algebra, the mirror of the dipterous one",
         """
         type anti_dipterous {
@@ -151,6 +166,7 @@ _BASE_SOURCES = {
         """,
     ),
     "quadri_lit": (
+        9,
         "Aguiar-Loday quadri-algebra, the nine published axioms",
         """
         type quadri_lit {
@@ -173,6 +189,7 @@ _BASE_SOURCES = {
         """,
     ),
     "assoc_dialgebra": (
+        5,
         "associative dialgebra, the dual of the dendriform dialgebra",
         """
         type assoc_dialgebra {
@@ -187,7 +204,13 @@ _BASE_SOURCES = {
         }
         """,
     ),
+    "assoc_trialgebra": (
+        11,
+        "associative trialgebra, the dual of the dendriform trialgebra",
+        lambda: dual(get("trialgebra"), labels=DUAL_LABELS["trialgebra"]),
+    ),
     "assoc_nijenhuis_tri": (
+        14,
         "associative Nijenhuis trialgebra: the 14 independent relations "
         "perpendicular to the NS axioms; all three products are associative",
         """
@@ -212,101 +235,46 @@ _BASE_SOURCES = {
         }
         """,
     ),
+    "quadri": (
+        9,
+        "square of the dendriform dialgebra with itself",
+        lambda: square(get("dendriform"), get("dendriform")),
+    ),
+    "ennea": (
+        49,
+        "square of the dendriform trialgebra with itself",
+        lambda: square(get("trialgebra"), get("trialgebra")),
+    ),
+    "dendriform_nijenhuis": (
+        28,
+        "square of the dendriform trialgebra with the NS-algebra",
+        lambda: square(get("trialgebra"), get("ns")),
+    ),
+    "octo": (
+        27,
+        "third power of the dendriform dialgebra",
+        lambda: power(get("dendriform"), 3),
+    ),
+    "m2": (
+        9,
+        "square of the dipterous type with itself",
+        lambda: square(get("dipterous"), get("dipterous")),
+    ),
+    "m1": (
+        9,
+        "square of the anti-dipterous and dipterous types; the published "
+        "identification gives no operation table, so it stays unverified",
+        lambda: square(get("anti_dipterous"), get("dipterous")),
+    ),
+    "di_dipterous_anti": (
+        27,
+        "product of dendriform, dipterous and anti-dipterous types",
+        lambda: square(square(get("dendriform"), get("dipterous")), get("anti_dipterous")),
+    ),
 }
 
-
-def _recipes():
-    return {
-        "quadri": (
-            "square of the dendriform dialgebra with itself",
-            lambda: square(get("dendriform"), get("dendriform"), name="quadri"),
-        ),
-        "ennea": (
-            "square of the dendriform trialgebra with itself",
-            lambda: square(get("trialgebra"), get("trialgebra"), name="ennea"),
-        ),
-        "dendriform_nijenhuis": (
-            "square of the dendriform trialgebra with the NS-algebra",
-            lambda: square(get("trialgebra"), get("ns"), name="dendriform_nijenhuis"),
-        ),
-        "octo": (
-            "third power of the dendriform dialgebra",
-            lambda: power(get("dendriform"), 3, name="octo"),
-        ),
-        "m2": (
-            "square of the dipterous type with itself",
-            lambda: square(get("dipterous"), get("dipterous"), name="m2"),
-        ),
-        "m1": (
-            "square of the anti-dipterous and dipterous types; the published "
-            "identification gives no operation table, so it stays unverified",
-            lambda: square(get("anti_dipterous"), get("dipterous"), name="m1"),
-        ),
-        "di_dipterous_anti": (
-            "product of dendriform, dipterous and anti-dipterous types",
-            lambda: square(
-                square(get("dendriform"), get("dipterous")),
-                get("anti_dipterous"),
-                name="di_dipterous_anti",
-            ),
-        ),
-        "assoc_trialgebra": (
-            "associative trialgebra, the dual of the dendriform trialgebra",
-            lambda: dual(
-                get("trialgebra"),
-                labels=("lv", "rv", "perp"),
-                name="assoc_trialgebra",
-            ),
-        ),
-    }
-
-
-# dual-basis names matching the published notation, keyed by primal entry
-DUAL_LABELS = {
-    "dendriform": ("lv", "rv"),
-    "trialgebra": ("lv", "rv", "perp"),
-    "ns": ("lv", "rv", "cir"),
-}
-
-CATALOG_NAMES = (
-    "associative",
-    "dendriform",
-    "trialgebra",
-    "ns",
-    "dipterous",
-    "anti_dipterous",
-    "quadri_lit",
-    "assoc_dialgebra",
-    "assoc_trialgebra",
-    "assoc_nijenhuis_tri",
-    "quadri",
-    "ennea",
-    "dendriform_nijenhuis",
-    "octo",
-    "m2",
-    "m1",
-    "di_dipterous_anti",
-)
-
-EXPECTED_RELATION_COUNTS = {
-    "associative": 1,
-    "dendriform": 3,
-    "trialgebra": 7,
-    "ns": 4,
-    "dipterous": 3,
-    "anti_dipterous": 3,
-    "quadri_lit": 9,
-    "assoc_dialgebra": 5,
-    "assoc_trialgebra": 11,
-    "assoc_nijenhuis_tri": 14,
-    "quadri": 9,
-    "ennea": 49,
-    "dendriform_nijenhuis": 28,
-    "octo": 27,
-    "m2": 9,
-    "m1": 9,
-    "di_dipterous_anti": 27,
-}
+CATALOG_NAMES = tuple(_ENTRIES)
+EXPECTED_RELATION_COUNTS = {name: entry[0] for name, entry in _ENTRIES.items()}
 
 _cache: dict[str, TypePresentation] = {}
 
@@ -316,37 +284,35 @@ def list_names() -> tuple[str, ...]:
 
 
 def provenance(name: str) -> str:
-    if name in _BASE_SOURCES:
-        return _BASE_SOURCES[name][0]
-    recipes = _recipes()
-    if name in recipes:
-        return recipes[name][0]
-    raise UnknownTypeError(_unknown_message(name))
+    return _entry(name)[1]
 
 
 def get(name: str) -> TypePresentation:
-    """Catalog lookup; presentations are immutable and shared."""
+    """Catalog lookup; presentations are immutable and shared.
+
+    The entry is parsed from its text or built by its recipe, then takes
+    the catalog's name and note."""
     if name in _cache:
         return _cache[name]
-    if name in _BASE_SOURCES:
-        note, source = _BASE_SOURCES[name]
-        t = parse_type(source)
-        t = TypePresentation(
-            t.generators,
-            t.star,
-            t.relations,
-            aux=t.aux,
-            provenance=note,
-            subspace=t.relation_subspace,
-        )
-    else:
-        recipes = _recipes()
-        if name not in recipes:
-            raise UnknownTypeError(_unknown_message(name))
-        note, recipe = recipes[name]
-        t = recipe()
+    _count, note, source = _entry(name)
+    t = parse_type(source) if isinstance(source, str) else source()
+    t = TypePresentation(
+        GeneratorSpace(name, t.generators.labels),
+        t.star,
+        t.relations,
+        aux=t.aux,
+        star_unresolved=t.star_unresolved,
+        provenance=note,
+        subspace=t.relation_subspace,
+    )
     _cache[name] = t
     return t
+
+
+def _entry(name: str) -> tuple:
+    if name not in _ENTRIES:
+        raise UnknownTypeError(_unknown_message(name))
+    return _ENTRIES[name]
 
 
 def _unknown_message(name: str) -> str:

@@ -306,13 +306,10 @@ def parse_type(text: str) -> TypePresentation:
 
 
 def serialize(t: TypePresentation, format: str = "dsl") -> str:
-    if format == "dsl":
-        return _to_dsl(t)
-    if format == "json":
-        return _to_json(t)
-    if format == "latex":
-        return _to_latex(t)
-    raise ValueError(f"unknown format {format!r}")
+    """``t`` in one of the formats of ``WRITERS``."""
+    if format not in WRITERS:
+        raise ValueError(f"unknown format {format!r}")
+    return WRITERS[format](t)
 
 
 def _name_out(label: str) -> str:
@@ -548,3 +545,7 @@ def _to_latex(t: TypePresentation) -> str:
         left, right = format_sides(rel, term, scale="\\,")
         rows.append(f"{left} &= {right} \\\\")
     return "\\begin{array}{rcl}\n" + "\n".join(rows) + "\n\\end{array}\n"
+
+
+# the export formats, each with its writer
+WRITERS = {"dsl": _to_dsl, "json": _to_json, "latex": _to_latex}

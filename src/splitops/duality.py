@@ -24,12 +24,13 @@ and its pairing with a relation r is s^T (L_r - R_r) s.  Hence s is a
 star of a type t exactly when s^T (y_L + y_R) s = 0 for every row y of
 ann(R), and a star of dual(t) exactly when s^T (L_r - R_r) s = 0 for
 every relation r of t.  :func:`find_star` and :func:`dual` run one 3^m
-sweep on these forms.
+sweep on these forms; :func:`dual` stops at its first hit.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,7 +79,8 @@ def dual(
     negated (see the module docstring).  Dual labels default to the
     primal ones suffixed with "^".  A star is searched among small
     integer combinations only for small generator spaces (the search is a
-    3^m sweep); otherwise the result is flagged star-unresolved.
+    3^m sweep that stops at its first hit); otherwise the result is flagged
+    star-unresolved.
     """
     require_valid(t)
     m = t.dim
@@ -88,14 +90,14 @@ def dual(
         name or f"{t.name}!",
         labels or tuple(l + DUAL_SUFFIX for l in t.generators.labels),
     )
-    stars = []
+    star = None
     if m <= STAR_SEARCH_DIM_GUARD:
-        stars = _star_sweep(m, [_form(r.coeffs, m, -1) for r in t.relations])
+        star = next(_star_sweep(m, [_form(r.coeffs, m, -1) for r in t.relations]), None)
     return TypePresentation(
         gens,
-        stars[0] if stars else None,
+        star,
         relations,
-        star_unresolved=not stars,
+        star_unresolved=star is None,
         provenance=f"dual of {t.name}",
         subspace=space,
     )
@@ -122,7 +124,8 @@ def find_star(t: TypePresentation) -> list[tuple[int, ...]]:
     """All nonzero vectors with entries in {-1, 0, 1} whose associativity
     element lies in the relation subspace, in the order 0, 1, -1 per entry."""
     m = t.dim
-    return _star_sweep(m, [_form(y, m, 1) for y in t.relation_subspace.annihilator().int_rows])
+    forms = [_form(y, m, 1) for y in t.relation_subspace.annihilator().int_rows]
+    return list(_star_sweep(m, forms))
 
 
 def _form(coeffs: dict, m: int, sign: int) -> tuple:
@@ -138,17 +141,15 @@ def _form(coeffs: dict, m: int, sign: int) -> tuple:
     return tuple((key, c) for key, c in form.items() if c)
 
 
-def _star_sweep(m: int, forms: list) -> list[tuple[int, ...]]:
+def _star_sweep(m: int, forms: list) -> Iterator[tuple[int, ...]]:
     """The nonzero vectors in {-1, 0, 1}^m, in the order 0, 1, -1 per
-    entry, on which every form vanishes."""
+    entry, on which every form vanishes, generated as the sweep finds them."""
     forms = [f for f in forms if f]
-    hits = []
     for cand in itertools.product(_STAR_ENTRIES, repeat=m):
         if any(cand) and not any(
             sum(c * cand[i] * cand[j] for (i, j), c in form) for form in forms
         ):
-            hits.append(cand)
-    return hits
+            yield cand
 
 
 @dataclass(frozen=True)

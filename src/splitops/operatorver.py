@@ -246,7 +246,7 @@ class OperatorLaw:
         return out
 
 
-def rb(weight=None, name: str = "P") -> OperatorLaw:
+def rb(weight=None) -> OperatorLaw:
     """Rota-Baxter of a rational ``weight`` or its text, ``p`` or ``p/q``;
     None or "formal" is the formal weight.
 
@@ -254,48 +254,51 @@ def rb(weight=None, name: str = "P") -> OperatorLaw:
     nor an exact scalar, such as a float, raises ScalarKindMismatch.
     """
     if weight in (None, "formal"):
-        return OperatorLaw("rb", None, name)
+        return OperatorLaw("rb")
     try:
         exact = rational_from_text(weight) if isinstance(weight, str) else weight
-        return OperatorLaw("rb", canonical(exact), name)
+        return OperatorLaw("rb", canonical(exact))
     except ZeroDivisionError:
         raise ValueError(f"weight {weight} has a zero denominator") from None
 
 
-def nijenhuis(name: str = "N") -> OperatorLaw:
-    return OperatorLaw("nijenhuis", name=name)
+def nijenhuis() -> OperatorLaw:
+    return OperatorLaw("nijenhuis", name="N")
 
 
-def left_rb(name: str = "P") -> OperatorLaw:
-    return OperatorLaw("left_rb", name=name)
+def left_rb() -> OperatorLaw:
+    return OperatorLaw("left_rb")
 
 
-def right_rb(name: str = "P") -> OperatorLaw:
-    return OperatorLaw("right_rb", name=name)
+def right_rb() -> OperatorLaw:
+    return OperatorLaw("right_rb")
+
+
+# the names ``--law`` offers, each with the law it builds; only rb takes a
+# weight
+LAW_NAMES = {
+    "rb": rb,
+    "rb0": lambda: rb(0),
+    "nijenhuis": nijenhuis,
+    "leftrb": left_rb,
+    "rightrb": right_rb,
+}
 
 
 def law_from_name(kind: str, weight=None) -> OperatorLaw:
-    """The law called ``kind``: rb, rb0, nijenhuis, leftrb or rightrb, the
-    names ``--law`` offers.  Only ``rb`` takes a ``weight`` (see :func:`rb`).
+    """The law called ``kind``, a name of ``LAW_NAMES``.  Only ``rb`` takes
+    a ``weight`` (see :func:`rb`).
 
     An unknown kind, a malformed weight or one with a zero denominator, and
     a weight given to any other law raise ValueError.
     """
+    if kind not in LAW_NAMES:
+        raise ValueError(f"unknown law {kind!r}")
     if kind == "rb":
         return rb(weight)
-    if kind == "rb0":
-        law = rb(0)
-    elif kind == "nijenhuis":
-        law = nijenhuis()
-    elif kind == "leftrb":
-        law = left_rb()
-    elif kind == "rightrb":
-        law = right_rb()
-    else:
-        raise ValueError(f"unknown law {kind!r}")
     if weight is not None:
         raise ValueError(f"law {kind!r} takes no weight")
-    return law
+    return LAW_NAMES[kind]()
 
 
 def predicted_factor_name(law: OperatorLaw) -> str:

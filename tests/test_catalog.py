@@ -50,6 +50,45 @@ def test_provenance_notes_exist():
         assert catalog.provenance(name)
 
 
+@pytest.mark.parametrize("name", catalog.list_names())
+def test_an_entry_carries_its_catalog_note(name):
+    # a recipe's note too, not the product's "square product of ..."
+    assert catalog.get(name).provenance == catalog.provenance(name)
+
+
+def test_unknown_name_has_no_note():
+    with pytest.raises(catalog.UnknownTypeError, match="available: associative, dendriform"):
+        catalog.provenance("dendroform")
+
+
+# the order ``splitops list`` prints and the published relation counts of
+# the defining axiom lists (the counts bench/expected.json records)
+_PUBLISHED = {
+    "associative": 1,
+    "dendriform": 3,
+    "trialgebra": 7,
+    "ns": 4,
+    "dipterous": 3,
+    "anti_dipterous": 3,
+    "quadri_lit": 9,
+    "assoc_dialgebra": 5,
+    "assoc_trialgebra": 11,
+    "assoc_nijenhuis_tri": 14,
+    "quadri": 9,
+    "ennea": 49,
+    "dendriform_nijenhuis": 28,
+    "octo": 27,
+    "m2": 9,
+    "m1": 9,
+    "di_dipterous_anti": 27,
+}
+
+
+def test_the_catalog_order_and_published_counts_are_pinned():
+    assert catalog.list_names() == tuple(_PUBLISHED)
+    assert catalog.EXPECTED_RELATION_COUNTS == _PUBLISHED
+
+
 def test_dual_identifications():
     dend = catalog.get("dendriform")
     assert (

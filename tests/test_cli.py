@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from splitops import catalog, cli, dsl, duality, products
+from splitops import catalog, cli, dsl, duality, operatorver, products
 from splitops.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
@@ -679,6 +679,24 @@ def test_the_command_matrix_covers_every_subcommand():
         name for name, p in commands.choices.items() if "--json" in p._option_string_actions
     }
     assert takes_json == set(_JSON_COMMANDS)
+
+
+def _choices(command, option):
+    parser = cli._build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices[command]._option_string_actions[option].choices
+
+
+def test_the_law_and_format_choices_read_the_library_tables():
+    assert _choices("verify-operator", "--law") == ["rb", "rb0", "nijenhuis", "leftrb", "rightrb"]
+    assert _choices("verify-operator", "--law") == list(operatorver.LAW_NAMES)
+    assert _choices("export", "--format") == ["dsl", "json", "latex"]
+    assert _choices("export", "--format") == list(dsl.WRITERS)
+
+
+def test_serialize_refuses_an_unknown_format():
+    with pytest.raises(ValueError, match="^unknown format 'yaml'$"):
+        dsl.serialize(catalog.get("dendriform"), "yaml")
 
 
 @pytest.mark.parametrize("command", sorted(_JSON_COMMANDS))

@@ -275,6 +275,16 @@ def _assert_stars_match(t):
 
 
 @pytest.mark.parametrize("name", SMALL)
+def test_the_dual_takes_the_first_star_of_the_sweep(name):
+    # dual stops its sweep at the first hit: find_star's first star of the
+    # dual, read off the dual's own annihilator
+    d = dual(catalog.get(name))
+    stars = find_star(d)
+    assert d.star == (stars[0] if stars else None)
+    assert d.star_unresolved == (d.star is None)
+
+
+@pytest.mark.parametrize("name", SMALL)
 def test_find_star_matches_the_membership_sweep(name):
     _assert_stars_match(catalog.get(name))
 

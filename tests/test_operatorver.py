@@ -1133,15 +1133,29 @@ def test_operator_names_share_one_solve(cold_solves):
     kept = ov._law_solve("rb", None)
     # the family's two stages read one solve, the one every name shares
     assert _memo() == (1, 2, 1)
-    report = ov.verify_commuting_family(d, [ov.rb(None, "Q"), ov.rb(None, "R")])
+    report = ov.verify_commuting_family(
+        d, [ov.OperatorLaw("rb", None, "Q"), ov.OperatorLaw("rb", None, "R")]
+    )
     assert report.law == "[rb(weight=formal, Q1) , rb(weight=formal, R2)]"
     assert report.prefix.law == "[rb(weight=formal, Q1)]"
     assert _memo() == (1, 4, 1)
     assert ov._law_solve("rb", None) is kept
     # and a single law reads the solve of the families
     ov.verify_operator_theorem(a, ov.rb(None))
-    ov.verify_operator_theorem(d, ov.rb(None, "Q"))
+    ov.verify_operator_theorem(d, ov.OperatorLaw("rb", None, "Q"))
     assert _memo() == (1, 7, 1)
+
+
+def test_each_command_line_name_builds_one_law():
+    # the (kind, weight) that each --law name builds
+    built = {name: ov.law_from_name(name) for name in ov.LAW_NAMES}
+    assert {name: (law.kind, law.weight) for name, law in built.items()} == {
+        "rb": ("rb", None),
+        "rb0": ("rb", 0),
+        "nijenhuis": ("nijenhuis", None),
+        "leftrb": ("left_rb", None),
+        "rightrb": ("right_rb", None),
+    }
 
 
 def test_weights_split_solves(cold_solves):
@@ -1297,8 +1311,9 @@ def test_a_run_reads_the_same_solves_cold_or_warm(capsys, cold_solves, argv, col
     for warmed, memo in ((False, cold), (True, warm)):
         ov._law_solve.cache_clear()
         if warmed:
-            ov.verify_operator_theorem(catalog.get("dendriform"), ov.nijenhuis("M"))
-            ov.verify_operator_theorem(catalog.get("dendriform"), ov.rb(None, "Q"))
+            d = catalog.get("dendriform")
+            ov.verify_operator_theorem(d, ov.OperatorLaw("nijenhuis", name="M"))
+            ov.verify_operator_theorem(d, ov.OperatorLaw("rb", None, "Q"))
         assert main(argv) == 0
         assert _memo() == memo
         outputs.append(capsys.readouterr())
