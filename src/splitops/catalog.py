@@ -14,6 +14,8 @@ st, dot plus compass names for the quadri/octo operation families.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .duality import dual
 from .dsl import parse_type
 from .exactalg import ExactAlgebraError, Matrix
@@ -357,44 +359,52 @@ _M2_TABLE = {
     "bul4": ("st", "st"),
 }
 
-# the tables whose literature side is the pullback of the product, with
-# the pullback's name; its generators come in the table's key order
-_PULLBACK_TABLES = {
-    "ennea": ("ennea_lit", _ENNEA_TABLE),
-    "dendriform_nijenhuis": ("dendriform_nijenhuis_lit", _DN_TABLE),
-    "m2": ("m2_lit", _M2_TABLE),
+def _quadri_table():
+    source = get("quadri_lit")
+    images = {g: pair_label(*_QUADRI_TABLE[g]) for g in source.generators.labels}
+    return source, get("quadri"), images
+
+
+def _pullback_table(name, source_name, table):
+    """A table whose literature side is the pullback of the product, named
+    ``source_name``; its generators come in the table's key order."""
+    target = get(name)
+    images = {g: pair_label(*pair) for g, pair in table.items()}
+    return _pullback(source_name, images, target), target, images
+
+
+def _octo_table():
+    source = square(get("quadri_lit"), get("dendriform"), name="octo_lit")
+    images = {}
+    for label in source.generators.labels:
+        arrow, d = label_factors(label)
+        a, b = _QUADRI_TABLE[arrow]
+        images[label] = f"({a}|{b}|{d})"
+    return source, get("octo"), images
+
+
+# each published table, in order, with the function that makes its
+# (source, target, label images)
+_TABLES = {
+    "quadri": _quadri_table,
+    "ennea": partial(_pullback_table, "ennea", "ennea_lit", _ENNEA_TABLE),
+    "dendriform_nijenhuis": partial(
+        _pullback_table, "dendriform_nijenhuis", "dendriform_nijenhuis_lit", _DN_TABLE
+    ),
+    "octo": _octo_table,
+    "m2": partial(_pullback_table, "m2", "m2_lit", _M2_TABLE),
 }
 
-TABLE_NAMES = ("quadri", "ennea", "dendriform_nijenhuis", "octo", "m2")
+TABLE_NAMES = tuple(_TABLES)
 
 
 def table_isomorphism(name: str) -> TypeMorphism:
     """The published correspondence as a morphism onto the product type."""
-    if name == "quadri":
-        target = get("quadri")
-        source = get("quadri_lit")
-        images = {
-            g: pair_label(*_QUADRI_TABLE[g]) for g in source.generators.labels
-        }
-        return _label_map_morphism(source, target, images)
-    if name in _PULLBACK_TABLES:
-        target = get(name)
-        source_name, table = _PULLBACK_TABLES[name]
-        images = {g: pair_label(*pair) for g, pair in table.items()}
-        source = _pullback(source_name, images, target)
-        return _label_map_morphism(source, target, images)
-    if name == "octo":
-        target = get("octo")
-        source = square(get("quadri_lit"), get("dendriform"), name="octo_lit")
-        images = {}
-        for label in source.generators.labels:
-            arrow, d = label_factors(label)
-            a, b = _QUADRI_TABLE[arrow]
-            images[label] = f"({a}|{b}|{d})"
-        return _label_map_morphism(source, target, images)
-    raise UnknownTypeError(
-        f"no published table for {name!r}; available: {', '.join(TABLE_NAMES)}"
-    )
+    if name not in _TABLES:
+        raise UnknownTypeError(
+            f"no published table for {name!r}; available: {', '.join(TABLE_NAMES)}"
+        )
+    return _label_map_morphism(*_TABLES[name]())
 
 
 def _label_map_morphism(source, target, images: dict[str, str]) -> TypeMorphism:

@@ -293,12 +293,16 @@ def check_duality():
     ad = duality.dual(dend, labels=catalog.DUAL_LABELS["dendriform"])
     if ad.relation_subspace != catalog.get("assoc_dialgebra").relation_subspace:
         return False, "dual(dendriform) differs from the associative dialgebra"
-    if duality.dual(catalog.get("trialgebra")).relation_subspace.dim != 11:
-        return False, "dual(trialgebra) dimension is not 11"
+    counts = catalog.EXPECTED_RELATION_COUNTS
+    tri_dim = counts["assoc_trialgebra"]
+    if duality.dual(catalog.get("trialgebra")).relation_subspace.dim != tri_dim:
+        return False, f"dual(trialgebra) dimension is not {tri_dim}"
     ans = duality.dual(catalog.get("ns"), labels=catalog.DUAL_LABELS["ns"])
     lit = catalog.get("assoc_nijenhuis_tri")
     if ans.relation_subspace != lit.relation_subspace:
-        return False, "dual(ns) differs from the 14 transcribed relations"
+        return False, (
+            f"dual(ns) differs from the {counts['assoc_nijenhuis_tri']} transcribed relations"
+        )
     cir = tuple(int(i == 2) for i in range(3))
     if not ans.relation_subspace.contains_vector(star_associativity(cir).coeffs):
         return False, "dual(ns) misses the circle associativity"

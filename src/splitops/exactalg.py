@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -174,23 +175,36 @@ class Matrix:
 
         Monomial means square with one nonzero per column, in pairwise
         distinct rows: column j holds ``signs[j]`` at row ``images[j]``,
-        and the matrix is ``Matrix.monomial(images, signs)``.
+        and the matrix is ``Matrix.monomial(images, signs)``.  For a
+        square matrix that is the same as one nonzero per row, in
+        pairwise distinct columns, so the test reads each row once with
+        list calls (its count of zeros, then its nonzero and that
+        entry's column): m steps, not a scan of all m^2 entries.
         """
         if self._monomial is _UNSET:
-            columns = self.nonzero_columns
             self._monomial = None
-            if self.nrows == self.ncols and all(len(c) == 1 for c in columns):
-                images = tuple(c[0][0] for c in columns)
-                if len(set(images)) == self.ncols:
-                    self._monomial = images, tuple(c[0][1] for c in columns)
+            m = self.ncols
+            if self.nrows == m:
+                images, signs = [None] * m, [None] * m
+                for i, r in enumerate(self.rows):
+                    if r.count(0) != m - 1:
+                        break
+                    x = next(filter(None, r))
+                    j = r.index(x)
+                    if images[j] is not None:
+                        break
+                    images[j], signs[j] = i, x
+                else:
+                    self._monomial = tuple(images), tuple(signs)
         return self._monomial
 
     def is_invertible(self) -> bool:
         """Whether the matrix is square of full rank (a rank test, no inverse built).
 
-        A monomial matrix (see :attr:`monomial_form`) is a permutation
-        times a nonsingular diagonal, so it is invertible with nothing
-        eliminated; every other matrix takes the rank test.
+        A monomial matrix (see :attr:`monomial_form`, one pass over the
+        rows) is a permutation times a nonsingular diagonal, so it is
+        invertible with nothing eliminated; every other matrix takes the
+        rank test.
         """
         if self.nrows != self.ncols:
             return False
@@ -231,6 +245,7 @@ def _dot(a: Sequence, b: Sequence):
 
 
 _INT_ONLY = frozenset((int,))
+_DICT_ONLY = frozenset((dict,))
 
 
 def _primitive(row: dict) -> dict:
@@ -238,6 +253,21 @@ def _primitive(row: dict) -> dict:
     if g > 1:
         return {k: x // g for k, x in row.items()}
     return row
+
+
+def _plain_integer_rows(rows: list, ambient: int) -> bool:
+    """Whether every row is a dict whose indices are ints in
+    ``range(ambient)`` and whose values are nonzero ints (not bools), read
+    in a few passes over all rows at once."""
+    if not set(map(type, rows)) <= _DICT_ONLY:
+        return False
+    keys = list(chain.from_iterable(rows))
+    values = list(chain.from_iterable(map(dict.values, rows)))
+    return (
+        set(map(type, keys + values)) <= _INT_ONLY
+        and all(values)
+        and (not keys or (0 <= min(keys) and max(keys) < ambient))
+    )
 
 
 def _eliminate(v: dict, r: dict, p: int) -> dict:
@@ -318,7 +348,12 @@ class Echelon:
 
     def add(self, vec) -> bool:
         """Add a vector to the span; True when the rank grew."""
-        v = self.reduce(self.integer_row(vec))
+        return self._insert(self.integer_row(vec))
+
+    def _insert(self, row: dict) -> bool:
+        """Reduce a primitive integer row, a dict no caller holds, and store
+        its remainder as a new pivot row; True when the rank grew."""
+        v = self.reduce(row)
         if not v:
             return False
         p = min(v)
@@ -370,9 +405,25 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, ambient: int, rows: Iterable) -> "Subspace":
+        """The span of the rows, each as :meth:`Echelon.add` takes it.
+
+        When there are two rows or more and every row is a dict from ints
+        in ``range(ambient)`` to nonzero ints (checked once for all rows,
+        see :func:`_plain_integer_rows`), the intake of ``add`` would only
+        copy each row and trim it by its gcd, so each row goes straight
+        to the step after the intake.  Any other list of rows, and a
+        single row, whose intake makes the same checks once, takes ``add``
+        row by row, so scaling and every error come out of the one
+        intake.
+        """
         ech = Echelon(ambient)
-        for r in rows:
-            ech.add(r)
+        rows = list(rows)
+        if len(rows) > 1 and _plain_integer_rows(rows, ambient):
+            for r in rows:
+                ech._insert(_primitive(dict(r)))
+        else:
+            for r in rows:
+                ech.add(r)
         return cls(ech)
 
     @classmethod

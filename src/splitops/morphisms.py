@@ -58,13 +58,14 @@ def check_morphism(f: TypeMorphism) -> bool:
     """Star preservation plus push-forward of every relation into the target.
 
     A monomial matrix (``Matrix.monomial_form``: square, one nonzero per
-    column, in pairwise distinct rows) pushes each relation by index with
-    ``remap_relation``, its column entries as the signs.  The map on both
-    slots then sends distinct coefficients to distinct places, each
-    scaled by a product of two entries, which is exactly what
-    ``push_relation`` computes, up to key order.  Every other matrix, non-square or with
-    two columns in one row (whose coefficients must add up), goes
-    through ``push_relation``.
+    column, in pairwise distinct rows, read row by row once per matrix)
+    pushes each relation by index with ``remap_relation``, its column
+    entries as the signs.  The map on both slots then sends distinct
+    coefficients to distinct places, each scaled by a product of two
+    entries, which is exactly what ``push_relation`` computes, up to key
+    order.  Every other matrix, non-square or with two columns in one
+    row (whose coefficients must add up), goes through ``push_relation``,
+    and only such a matrix builds its ``nonzero_columns``.
     """
     if not f.star_ok:
         return False

@@ -419,12 +419,15 @@ def remap_relation(
     signs)).coeffs`` up to key order, without building the matrix.
     """
     m = rel.size
+    mm = m * m
     if signs is None:
         signs = (1,) * m
-    return {
-        (b * m + images[i]) * m + images[j]: c * signs[i] * signs[j]
-        for b, i, j, c in rel.nonzero()
-    }
+    image = {}
+    for k, c in rel.coeffs.items():
+        b, rest = divmod(k, mm)
+        i, j = divmod(rest, m)
+        image[(b * m + images[i]) * m + images[j]] = c * signs[i] * signs[j]
+    return image
 
 
 def format_sides(rel: RelationElement, term, scale: str = "*") -> tuple[str, str]:

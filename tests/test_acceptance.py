@@ -56,6 +56,22 @@ def test_criterion_2_duality():
     _report(2, "duality", ok, detail)
 
 
+def test_criterion_2_states_the_published_counts_it_compares_with(monkeypatch):
+    # negative controls: each failure message names the count it read off
+    # EXPECTED_RELATION_COUNTS, in the same words at the published counts
+    real_get, real_counts = catalog.get, catalog.EXPECTED_RELATION_COUNTS
+    monkeypatch.setattr(catalog, "EXPECTED_RELATION_COUNTS", dict(real_counts, assoc_trialgebra=12))
+    assert check_duality() == (False, "dual(trialgebra) dimension is not 12")
+    monkeypatch.setattr(
+        catalog, "get", lambda name: real_get("ns" if name == "assoc_nijenhuis_tri" else name)
+    )
+    for count in (14, 15):
+        counts = dict(real_counts, assoc_nijenhuis_tri=count)
+        monkeypatch.setattr(catalog, "EXPECTED_RELATION_COUNTS", counts)
+        assert check_duality() == (False, f"dual(ns) differs from the {count} transcribed relations")
+    assert real_counts["assoc_nijenhuis_tri"] == 14
+
+
 def test_criterion_3_non_duality_counterexample():
     ok, detail = check_non_duality()
     _report(3, "non-duality counterexample", ok, detail)

@@ -5,7 +5,7 @@ import pytest
 from splitops import catalog
 from splitops.duality import dual
 from splitops.dsl import serialize
-from splitops.exactalg import Subspace
+from splitops.exactalg import Matrix, Subspace
 from splitops.typecore import validate
 
 
@@ -156,3 +156,26 @@ def test_latex_power_labels_stack_left_nested():
 def test_table_isomorphism_unknown():
     with pytest.raises(catalog.UnknownTypeError, match="octo"):
         catalog.table_isomorphism("quadri_lit")
+
+
+def test_each_published_table_is_a_fixed_index_map():
+    # literal pins: the order of the tables, each table's source and target
+    # and the generator index map it sends the literature labels by
+    want = {
+        "quadri": ("quadri_lit", (1, 0, 3, 2)),
+        "ennea": ("ennea_lit", (0, 2, 1, 6, 8, 7, 3, 5, 4)),
+        "dendriform_nijenhuis": ("dendriform_nijenhuis_lit", (1, 4, 3, 0, 2, 5, 6, 7, 8)),
+        "octo": ("octo_lit", (2, 3, 0, 1, 6, 7, 4, 5)),
+        "m2": ("m2_lit", (3, 2, 1, 0)),
+    }
+    assert catalog.TABLE_NAMES == tuple(want)
+    for name, (source, images) in want.items():
+        f = catalog.table_isomorphism(name)
+        assert f.source.name == source and f.target is catalog.get(name)
+        assert f.matrix == Matrix.monomial(images)
+    with pytest.raises(catalog.UnknownTypeError) as err:
+        catalog.table_isomorphism("quadri_lit")
+    assert str(err.value) == (
+        "no published table for 'quadri_lit'; "
+        "available: quadri, ennea, dendriform_nijenhuis, octo, m2"
+    )

@@ -141,6 +141,75 @@ def test_monomial_refuses_a_non_permutation():
         Matrix.monomial((1, 2))
 
 
+# -- monomial_form against the column scan it replaced -------------------------
+
+
+def _monomial_form_by_columns(m):
+    """``(images, signs)`` read off ``nonzero_columns``: square, one nonzero
+    per column, in pairwise distinct rows; else None."""
+    columns = m.nonzero_columns
+    if m.nrows == m.ncols and all(len(c) == 1 for c in columns):
+        images = tuple(c[0][0] for c in columns)
+        if len(set(images)) == m.ncols:
+            return images, tuple(c[0][1] for c in columns)
+    return None
+
+
+monomial_entries = st.sampled_from([0, 1, -1, 2, F(1, 2)])
+
+
+@st.composite
+def near_monomial_matrices(draw):
+    """Any small matrix over {0, 1, -1, 2, 1/2}, or a monomial one with at
+    most one entry set or one row copied onto another."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        ncols = draw(st.integers(1, 5))
+        row = st.lists(monomial_entries, min_size=ncols, max_size=ncols)
+        return Matrix(draw(st.lists(row, min_size=n, max_size=n)), ncols=ncols)
+    images = draw(st.permutations(range(n)))
+    signs = draw(st.lists(monomial_entries.filter(bool), min_size=n, max_size=n))
+    rows = [list(r) for r in Matrix.monomial(images, signs).rows]
+    i, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    change = draw(st.sampled_from(["none", "entry", "copy"]))
+    if change == "entry":
+        rows[i][k] = draw(monomial_entries)
+    elif change == "copy":
+        rows[i] = list(rows[k])
+    return Matrix(rows, ncols=n)
+
+
+def _assert_same_monomial_form(m):
+    got = m.monomial_form
+    assert m._columns is None  # the row test builds no column table
+    assert got == _monomial_form_by_columns(m)
+    assert m.monomial_form is got  # built once
+    if got is not None:
+        assert Matrix.monomial(*got) == m
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0]], [[2]], [[F(1, 2)]], [[-1]],  # 1 x 1
+        [[0, 1], [0, 0]],  # a zero row
+        [[1, 2], [0, 1]],  # a row with two nonzeros
+        [[0, 1, 0], [0, -1, 0], [1, 0, 0]],  # two rows sharing a column
+        [[0, 2, 0], [F(1, 2), 0, 0], [0, 0, -1]],  # monomial, non-unit entries
+        [[1, 0, 0], [0, 1, 0]],  # not square
+        [[1], [0]],
+    ],
+)
+def test_monomial_form_matches_the_column_scan_on_pinned_cases(rows):
+    _assert_same_monomial_form(Matrix(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_monomial_matrices())
+def test_monomial_form_matches_the_column_scan(m):
+    _assert_same_monomial_form(m)
+
+
 # -- properties --------------------------------------------------------------
 
 small_fracs = st.fractions(

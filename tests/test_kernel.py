@@ -284,6 +284,100 @@ def test_add_stores_a_copy_of_the_callers_row(wrap):
     del d[3]
     assert ech.rows == before == {1: {1: 1, 3: 2}}
     assert all(r is not d for r in ech.rows.values())
+    # from_rows (in bulk for dicts, through add for other mappings) on a
+    # primitive row, a row the next one reduces and one trimmed by its gcd
+    rows = [{1: 1, 3: 2}, {3: 1, 4: -1}, {0: 2, 4: 4}]
+    given = [dict(r) for r in rows]
+    stored = Subspace.from_rows(5, [wrap(g) for g in given])._echelon.rows
+    before = {p: dict(r) for p, r in stored.items()}
+    assert given == rows
+    assert all(r is not g for r in stored.values() for g in given)
+    for g in given:
+        g[2] = 9
+        g.pop(4, None)
+    assert stored == before == _add_row_by_row(5, rows).rows
+
+
+def _add_row_by_row(ambient, rows):
+    ech = Echelon(ambient)
+    for r in rows:
+        ech.add(r)
+    return ech
+
+
+def _typed(ech):
+    """The stored rows with the type of every index and entry, so that a
+    bool stored where add stores an int shows."""
+    return {p: [(type(k), k, type(x), x) for k, x in r.items()] for p, r in ech.rows.items()}
+
+
+def test_from_rows_keeps_the_intake_checks():
+    good = {0: 1, 3: 1}
+    _assert_intake_checks(lambda v: Subspace.from_rows(4, [good, v]))
+    assert Subspace.from_rows(4, [good, {}]).dim == 1
+
+
+# rows of every form the intake takes, for an ambient dimension of 5
+_ROW_FORMS = st.one_of(
+    st.dictionaries(st.integers(0, 4), st.integers(-4, 4).filter(bool), max_size=5),
+    st.dictionaries(st.integers(0, 4), st.integers(-2, 2), max_size=5),  # zeros
+    st.dictionaries(
+        st.integers(0, 4), st.fractions(-2, 2, max_denominator=3), max_size=5
+    ),
+    st.dictionaries(st.integers(0, 4), st.booleans(), max_size=5),
+    st.lists(st.integers(-2, 2), min_size=5, max_size=5).map(tuple),
+    st.dictionaries(st.integers(0, 4), st.integers(-3, 3), max_size=5).map(
+        types.MappingProxyType
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ROW_FORMS, max_size=6), st.booleans())
+def test_from_rows_builds_the_echelon_of_add_row_by_row(rows, as_generator):
+    want = _typed(_add_row_by_row(5, rows))
+    given = (r for r in rows) if as_generator else rows
+    assert _typed(Subspace.from_rows(5, given)._echelon) == want
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [{}],
+        [{}, {}, {0: 3}],
+        [{0: 2, 3: -4}, {1: 1}, {0: 1, 1: 1, 3: -2}],
+        [{0: 2, 3: -4}, {1: 0, 2: 3}],  # a zero
+        [{0: 2, 3: -4}, {1: F(1, 2), 2: 3}],  # a Fraction
+        [{0: 2, 3: -4}, {1: True, 2: 3}],  # a bool value
+        [{0: 2, 3: -4}, {True: 1, 2: 3}],  # a bool index
+        [{0: 2, 3: -4}, (0, 1, 0, 0, 2)],  # a dense tuple
+        [{0: 2, 3: -4}, types.MappingProxyType({2: 5})],  # a mapping, not a dict
+    ],
+)
+def test_from_rows_agrees_with_add_on_mixed_rows(rows):
+    for given in (rows, iter(rows)):
+        assert _typed(Subspace.from_rows(5, given)._echelon) == _typed(_add_row_by_row(5, rows))
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ({5: 1}, DimensionMismatch),
+        ({-1: 1}, DimensionMismatch),
+        ({0: 0.5}, ScalarKindMismatch),
+        ({0: 1, 2: "x"}, ScalarKindMismatch),
+        ((1, 0, 0), DimensionMismatch),
+        ({"a": 1}, TypeError),  # an index that does not compare with 0
+    ],
+)
+def test_from_rows_raises_what_add_raises_for_one_bad_row(bad, error):
+    rows = [{0: 2, 3: -4}, bad, {1: 1}]
+    with pytest.raises(error) as by_add:
+        _add_row_by_row(5, rows)
+    with pytest.raises(error) as by_from_rows:
+        Subspace.from_rows(5, rows)
+    assert str(by_from_rows.value) == str(by_add.value)
 
 
 # -- membership reads the caller's row without copying or trimming it ----------

@@ -242,7 +242,11 @@ def test_arity3_invariant_under_relabel():
 def test_remap_relation_is_the_monomial_push(name):
     t = catalog.get(name)
     for images in itertools.permutations(range(t.dim)):
-        for signs in (None, [F(-1) if (j + images[0]) % 2 else F(1) for j in range(t.dim)]):
+        for signs in (
+            None,
+            [F(-1) if (j + images[0]) % 2 else F(1) for j in range(t.dim)],
+            [F(2) if (j + images[0]) % 2 else F(-1, 2) for j in range(t.dim)],
+        ):
             f = Matrix.monomial(images, signs)
             for rel in t.relations:
                 assert remap_relation(rel, images, signs) == push_relation(rel, f).coeffs
