@@ -164,7 +164,7 @@ def _tensor_model(args, out):
 
 def _verify_operator(args, out):
     t = _load_type(args.type)
-    law = _option("--weight", operatorver.law_from_name, args.law, args.weight)
+    law = _option("--law", operatorver.law_from_name, args.law)
     report = operatorver.verify_operator_theorem(t, law)
     out(report.to_json() if args.json else report.describe())
     return EXIT_OK if report.all_verified else EXIT_CHECK_FAILED
@@ -172,12 +172,7 @@ def _verify_operator(args, out):
 
 def _verify_family(args, out):
     t = _load_type(args.type)
-    laws = []
-    for part in args.laws.split(","):
-        kind, colon, weight = part.partition(":")
-        # "rb:" names an empty weight, which law_from_name refuses
-        weight = weight.strip() if colon else None
-        laws.append(_option("--laws", operatorver.law_from_name, kind.strip(), weight))
+    laws = [_option("--laws", operatorver.law_from_name, part) for part in args.laws.split(",")]
     report = operatorver.verify_commuting_family(t, laws)
     out(report.to_json() if args.json else report.describe())
     return EXIT_OK if report.all_verified else EXIT_CHECK_FAILED
@@ -456,14 +451,16 @@ def check_symmetries():
 
 def check_operator_theorem_suite():
     failures = []
-    for tname in ("associative", "dendriform", "trialgebra", "ns", "dipterous"):
+    bases = ("associative", "dendriform", "trialgebra", "ns", "dipterous")
+    laws = (
+        operatorver.rb(None),
+        operatorver.nijenhuis(),
+        operatorver.left_rb(),
+        operatorver.right_rb(),
+    )
+    for tname in bases:
         t = catalog.get(tname)
-        for law in (
-            operatorver.rb(None),
-            operatorver.nijenhuis(),
-            operatorver.left_rb(),
-            operatorver.right_rb(),
-        ):
+        for law in laws:
             report = operatorver.verify_operator_theorem(t, law)
             if not report.all_verified:
                 failures.append(f"{tname} x {law.describe()}")
@@ -484,14 +481,17 @@ def check_operator_theorem_suite():
         ("m2", [operatorver.left_rb(), operatorver.left_rb()]),
         ("octo", [operatorver.rb(0), operatorver.rb(0), operatorver.rb(0)]),
     ]
-    for name, laws in families:
-        report = operatorver.verify_commuting_family(a, laws)
+    for name, family in families:
+        report = operatorver.verify_commuting_family(a, family)
         want = catalog.EXPECTED_RELATION_COUNTS[name]
         if not report.all_verified or len(report.verdicts) != want:
             failures.append(f"family {name}")
     if failures:
         return False, "failed: " + ", ".join(failures)
-    return True, "20 single-operator runs and 5 commuting families verified"
+    return True, (
+        f"{len(bases) * len(laws)} single-operator runs and "
+        f"{len(families)} commuting families verified"
+    )
 
 
 def check_operator_lemmas():
@@ -664,9 +664,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("verify-operator", _verify_operator, json_flag=True, help="verify an operator law")
     p.add_argument("type")
     p.add_argument("--law", required=True,
-                   choices=list(operatorver.LAW_NAMES))
-    p.add_argument("--weight", default=None,
-                   help="rational weight or 'formal'; a negative one as --weight=-3/4")
+                   help=f"KIND or rb:WEIGHT, KIND one of {', '.join(operatorver.LAW_NAMES)}; "
+                        "e.g. rb:1/2, rb:-3/4 or rb:formal")
 
     p = add("verify-family", _verify_family, json_flag=True, help="verify commuting operators")
     p.add_argument("type")

@@ -66,11 +66,7 @@ def pair2(u: RelationElement, v: RelationElement):
 DUAL_SUFFIX = "^"
 
 
-def dual(
-    t: TypePresentation,
-    labels: tuple[str, ...] | None = None,
-    name: str | None = None,
-) -> TypePresentation:
+def dual(t: TypePresentation, labels: tuple[str, ...] | None = None) -> TypePresentation:
     """The dual type: dual generators with the annihilator of R as relations.
 
     The annihilator is the nullspace of the matrix whose rows are the
@@ -87,8 +83,7 @@ def dual(
     space = _signed_annihilator(t.relation_subspace, m * m)
     relations = [RelationElement(m, row) for row in space.sparse_basis()]
     gens = GeneratorSpace(
-        name or f"{t.name}!",
-        labels or tuple(l + DUAL_SUFFIX for l in t.generators.labels),
+        f"{t.name}!", labels or tuple(l + DUAL_SUFFIX for l in t.generators.labels)
     )
     star = None
     if m <= STAR_SEARCH_DIM_GUARD:

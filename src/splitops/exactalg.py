@@ -520,18 +520,18 @@ class Subspace:
         one vector per free column.
         """
         last = self.ambient - 1
-        reversed_rows = Echelon(self.ambient)
-        for row in self.int_rows:
-            reversed_rows.add({last - c: x for c, x in row.items()})
+        reversed_rows = Subspace.from_rows(
+            self.ambient, [{last - c: x for c, x in row.items()} for row in self.int_rows]
+        )._echelon.rows
         entries: dict[int, list] = {}
-        for p, row in reversed_rows.rows.items():
+        for p, row in reversed_rows.items():
             q, lead = last - p, row[p]
             for c, x in row.items():
                 if c != p:
                     entries.setdefault(last - c, []).append((q, lead, x))
         rows = {}
         for g in range(self.ambient):
-            if last - g in reversed_rows.rows:
+            if last - g in reversed_rows:
                 continue
             hits = entries.get(g, ())
             scale = lcm(*(lead for _, lead, _ in hits))

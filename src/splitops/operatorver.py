@@ -274,29 +274,31 @@ def right_rb() -> OperatorLaw:
     return OperatorLaw("right_rb")
 
 
-# the names ``--law`` offers, each with the law it builds; only rb takes a
-# weight
+# the law names of the command line, each with the law it builds; only rb
+# takes a weight
 LAW_NAMES = {
     "rb": rb,
-    "rb0": lambda: rb(0),
     "nijenhuis": nijenhuis,
     "leftrb": left_rb,
     "rightrb": right_rb,
 }
 
 
-def law_from_name(kind: str, weight=None) -> OperatorLaw:
-    """The law called ``kind``, a name of ``LAW_NAMES``.  Only ``rb`` takes
-    a ``weight`` (see :func:`rb`).
+def law_from_name(text: str) -> OperatorLaw:
+    """The law a command line spells ``KIND`` or ``KIND:WEIGHT``: a name of
+    ``LAW_NAMES``, then for ``rb`` alone a weight (see :func:`rb`).  Both
+    parts are read with surrounding spaces stripped; ``rb`` alone is the
+    formal weight, and ``rb:`` names an empty weight, which ``rb`` refuses.
 
     An unknown kind, a malformed weight or one with a zero denominator, and
     a weight given to any other law raise ValueError.
     """
+    kind, colon, weight = (part.strip() for part in text.partition(":"))
     if kind not in LAW_NAMES:
         raise ValueError(f"unknown law {kind!r}")
     if kind == "rb":
-        return rb(weight)
-    if weight is not None:
+        return rb(weight if colon else None)
+    if colon:
         raise ValueError(f"law {kind!r} takes no weight")
     return LAW_NAMES[kind]()
 

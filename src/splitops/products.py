@@ -246,17 +246,17 @@ def _full_space_basis(m: int) -> list[dict]:
     return [{k: 1} for k in range(2 * m * m)]
 
 
-def power(t: TypePresentation, n: int, name: str | None = None) -> TypePresentation:
+def power(t: TypePresentation, n: int) -> TypePresentation:
     """Left-associated n-th square power with flattened tuple labels."""
     if n < 1:
         raise ValueError("power wants n >= 1")
     require_valid(t)
     if n == 1:
-        return t.with_name(name) if name else t
+        return t
     acc = t
     for _ in range(n - 1):
         acc = _flatten_labels(square(acc, t))
-    return acc.with_name(name or f"({t.name}^{n})")
+    return acc.with_name(f"({t.name}^{n})")
 
 
 def _flatten_labels(t: TypePresentation) -> TypePresentation:

@@ -129,21 +129,18 @@ def test_non_duality(capsys):
 
 
 def test_verify_operator(capsys):
-    code, out = run(capsys, "verify-operator", "associative", "--law", "rb",
-                    "--weight", "formal")
+    code, out = run(capsys, "verify-operator", "associative", "--law", "rb:formal")
     assert code == EXIT_OK
     assert "7/7" in out
 
 
-def test_a_negative_weight_is_passed_after_an_equals_sign(capsys, monkeypatch):
-    code, out = run(capsys, "verify-operator", "associative", "--law", "rb", "--weight=-3/4")
+def test_a_negative_weight_is_part_of_the_law_argument(capsys, monkeypatch):
+    code, out = run(capsys, "verify-operator", "associative", "--law", "rb:-3/4")
     assert code == EXIT_OK
     assert "rb(weight=-3/4, P): 7/7" in out
-    # wide enough that the help text is not wrapped inside the option
-    monkeypatch.setenv("COLUMNS", "200")
-    code, out = run(capsys, "verify-operator", "--help")
+    code, out = run(capsys, "verify-operator", "associative", "--law", "rb:-3/4", "--json")
     assert code == EXIT_OK
-    assert "--weight=-3/4" in out
+    assert json.loads(out)["law"] == "rb(weight=-3/4, P)"
 
 
 def test_verify_operator_json(capsys):
@@ -289,37 +286,26 @@ def test_a_directory_in_place_of_a_file_is_a_usage_error(tmp_path, argv):
 @pytest.mark.parametrize(
     "argv, option, message",
     [
-        (("verify-operator", "dendriform", "--law", "rb", "--weight", "1/0"),
-         "--weight", "zero denominator"),
+        (("verify-operator", "dendriform", "--law", "rb:1/0"), "--law", "zero denominator"),
         (("verify-family", "dendriform", "--laws", "rb:1/0"), "--laws", "zero denominator"),
         (("verify-family", "dendriform", "--laws", "rb:formal,rb:3/0"),
          "--laws", "zero denominator"),
-        (("verify-operator", "dendriform", "--law", "nijenhuis", "--weight", "2"),
-         "--weight", "takes no weight"),
-        (("verify-operator", "dendriform", "--law", "rb0", "--weight", "1"),
-         "--weight", "takes no weight"),
+        (("verify-operator", "dendriform", "--law", "nijenhuis:2"), "--law", "takes no weight"),
         (("verify-family", "dendriform", "--laws", "leftrb:1"), "--laws", "takes no weight"),
         # an empty weight after the colon is not the formal weight
         (("verify-family", "dendriform", "--laws", "rb:"), "--laws", "found ''"),
         (("verify-family", "dendriform", "--laws", "rb:formal,rb: "), "--laws", "found ''"),
         (("verify-family", "dendriform", "--laws", "nijenhuis:"), "--laws", "takes no weight"),
         (("verify-family", "dendriform", "--laws", "leftrb:"), "--laws", "takes no weight"),
-        (("verify-operator", "dendriform", "--law", "rb", "--weight", "half"),
-         "--weight", "expected a rational p or p/q such as -1/2, found 'half'"),
+        (("verify-operator", "dendriform", "--law", "rb:half"),
+         "--law", "expected a rational p or p/q such as -1/2, found 'half'"),
         # text that Fraction reads but format_scalar never writes
-        (("verify-operator", "dendriform", "--law", "rb", "--weight", "0.5"),
-         "--weight", "found '0.5'"),
-        (("verify-operator", "dendriform", "--law", "rb", "--weight", "1e5"),
-         "--weight", "found '1e5'"),
-        (("verify-operator", "dendriform", "--law", "rb", "--weight", "+2"),
-         "--weight", "found '+2'"),
-        (("verify-operator", "dendriform", "--law", "rb", "--weight", " 3 "),
-         "--weight", "found ' 3 '"),
-        (("verify-operator", "dendriform", "--law", "rb", "--weight", "1_0"),
-         "--weight", "found '1_0'"),
+        (("verify-operator", "dendriform", "--law", "rb:0.5"), "--law", "found '0.5'"),
+        (("verify-operator", "dendriform", "--law", "rb:1e5"), "--law", "found '1e5'"),
+        (("verify-operator", "dendriform", "--law", "rb:+2"), "--law", "found '+2'"),
+        (("verify-operator", "dendriform", "--law", "rb:1_0"), "--law", "found '1_0'"),
         (("verify-family", "dendriform", "--laws", "rb:formal,rb:0.5"), "--laws", "p or p/q"),
-        (("verify-operator", "dendriform", "--law", "rb", "--weight=-1/0"),
-         "--weight", "zero denominator"),
+        (("verify-operator", "dendriform", "--law", "rb:-1/0"), "--law", "zero denominator"),
         (("verify-family", "dendriform", "--laws", "rb:formal,rb:-1/0"),
          "--laws", "zero denominator"),
         (("verify-family", "dendriform", "--laws", "rb:1.0"), "--laws", "found '1.0'"),
@@ -332,11 +318,35 @@ def test_a_bad_rational_option_is_a_usage_error(argv, option, message):
     assert err.startswith(f"error: {option}: ") and message in err
 
 
+def test_a_weight_is_read_with_its_spaces_stripped():
+    # as each item of --laws is
+    code, out, err = run_quiet("verify-operator", "dendriform", "--law", "rb: 3 ")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == run_quiet("verify-operator", "dendriform", "--law", "rb:3")[1]
+    assert "rb(weight=3, P)" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--law", "rb", "--weight", "1/2"), "unrecognized arguments: --weight 1/2"),
+        (("--law", "rb0"), "error: --law: unknown law 'rb0'"),
+    ],
+    ids=["--weight", "rb0"],
+)
+def test_a_removed_law_spelling_is_a_usage_error(argv, message):
+    # a weight is written rb:W, and rb0 is rb:0
+    code, out, err = run_quiet("verify-operator", "associative", *argv)
+    assert code == EXIT_USAGE and out == ""
+    (line,) = (line for line in err.splitlines() if "error: " in line)
+    assert message in line
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (("verify-operator", "associative", "--law", "rb_dendriform"),
-         "argument --law: invalid choice: 'rb_dendriform'"),
+         "error: --law: unknown law 'rb_dendriform'"),
         (("verify-family", "associative", "--laws", "rb_dendriform"),
          "error: --laws: unknown law 'rb_dendriform'"),
     ],
@@ -357,7 +367,7 @@ def test_a_law_has_one_spelling_on_the_command_line(law):
     assert err == f"error: --laws: unknown law '{law}'\n"
 
 
-@pytest.mark.parametrize("law", ["rb", "rb0", "nijenhuis", "leftrb", "rightrb"])
+@pytest.mark.parametrize("law", ["rb", "rb:0", "rb:-3/4", "nijenhuis", "leftrb", "rightrb"])
 def test_every_law_choice_is_also_a_family_law(law):
     # a one-law family checks what the single operator checks
     code, single, err = run_quiet("verify-operator", "associative", "--law", law)
@@ -388,8 +398,7 @@ def test_bad_usage(capsys):
 
 
 def test_verify_operator_rational_weight(capsys):
-    code, out = run(capsys, "verify-operator", "associative", "--law", "rb",
-                    "--weight", "1/2")
+    code, out = run(capsys, "verify-operator", "associative", "--law", "rb:1/2")
     assert code == EXIT_OK
     assert "7/7" in out
 
@@ -687,9 +696,17 @@ def _choices(command, option):
     return commands.choices[command]._option_string_actions[option].choices
 
 
-def test_the_law_and_format_choices_read_the_library_tables():
-    assert _choices("verify-operator", "--law") == ["rb", "rb0", "nijenhuis", "leftrb", "rightrb"]
-    assert _choices("verify-operator", "--law") == list(operatorver.LAW_NAMES)
+def test_the_law_help_and_format_choices_read_the_library_tables(monkeypatch, capsys):
+    assert list(operatorver.LAW_NAMES) == ["rb", "nijenhuis", "leftrb", "rightrb"]
+    # --law takes KIND[:WEIGHT], which law_from_name reads, so it has no choices
+    assert _choices("verify-operator", "--law") is None
+    # wide enough that the help text is not wrapped inside the option
+    monkeypatch.setenv("COLUMNS", "200")
+    code, out = run(capsys, "verify-operator", "--help")
+    assert code == EXIT_OK
+    assert "KIND one of rb, nijenhuis, leftrb, rightrb;" in out
+    assert "rb:1/2, rb:-3/4 or rb:formal" in out
+    assert "--weight" not in out
     assert _choices("export", "--format") == ["dsl", "json", "latex"]
     assert _choices("export", "--format") == list(dsl.WRITERS)
 

@@ -584,30 +584,35 @@ def test_report_json_shape():
 def test_law_constructors():
     assert ov.rb("formal").weight is None
     assert ov.rb(F(1, 2)).weight == F(1, 2)
-    assert ov.law_from_name("rb0").weight == 0
+    assert ov.law_from_name("rb:0") == ov.rb(0)
     assert ov.law_from_name("leftrb").kind == "left_rb"
     with pytest.raises(ValueError):
         ov.law_from_name("averaging")
     with pytest.raises(ValueError):
         ov.OperatorLaw("nijenhuis", F(1))
-    assert ov.law_from_name("rb", "-1/2").weight == F(-1, 2)
-    assert ov.law_from_name("rb", "formal").weight is None
+    assert ov.law_from_name("rb:-1/2").weight == F(-1, 2)
+    assert ov.law_from_name("rb:formal").weight is None
+    # both parts are read with their spaces stripped
+    assert ov.law_from_name(" rb : 3 ") == ov.rb(3)
 
 
 @pytest.mark.parametrize(
-    "kind, weight, message",
+    "text, message",
     [
-        ("rb", "1/0", "zero denominator"),
-        ("rb", "abc", "expected a rational p or p/q"),
-        ("rb0", "1", "takes no weight"),
-        ("nijenhuis", "2", "takes no weight"),
-        ("leftrb", "formal", "takes no weight"),
-        ("averaging", "1", "unknown law"),
+        ("rb:1/0", "zero denominator"),
+        ("rb:abc", "expected a rational p or p/q"),
+        # an empty weight is not the formal weight
+        ("rb:", "found ''"),
+        ("rb0", "unknown law 'rb0'"),
+        ("nijenhuis:2", "law 'nijenhuis' takes no weight"),
+        ("nijenhuis:", "takes no weight"),
+        ("leftrb:formal", "takes no weight"),
+        ("averaging:1", "unknown law 'averaging'"),
     ],
 )
-def test_law_from_name_refuses_bad_weights(kind, weight, message):
+def test_law_from_name_refuses_bad_weights(text, message):
     with pytest.raises(ValueError, match=message):
-        ov.law_from_name(kind, weight)
+        ov.law_from_name(text)
 
 
 def test_an_rb_weight_is_a_canonical_scalar():
@@ -1151,7 +1156,6 @@ def test_each_command_line_name_builds_one_law():
     built = {name: ov.law_from_name(name) for name in ov.LAW_NAMES}
     assert {name: (law.kind, law.weight) for name, law in built.items()} == {
         "rb": ("rb", None),
-        "rb0": ("rb", 0),
         "nijenhuis": ("nijenhuis", None),
         "leftrb": ("left_rb", None),
         "rightrb": ("right_rb", None),
@@ -2063,7 +2067,7 @@ def test_golden_certificate_export(capsys):
         (["verify-operator", "associative", "--law", "rb"], "associative_rb.json"),
         # coefficients 1, 1/2 and 1/4
         (
-            ["verify-operator", "dendriform", "--law", "rb", "--weight", "1/2"],
+            ["verify-operator", "dendriform", "--law", "rb:1/2"],
             "dendriform_rb_half.json",
         ),
     ],

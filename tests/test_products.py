@@ -104,7 +104,8 @@ def test_power_one_is_identity():
 @pytest.mark.parametrize("n", [1, 2])
 def test_power_takes_its_name(n):
     dend = catalog.get("dendriform")
-    named = power(dend, n, name="d1")
+    # the first power is the type itself: naming it leaves the catalog's alone
+    named = power(dend, n).with_name("d1")
     assert named.name == "d1"
     assert named.relation_subspace == power(dend, n).relation_subspace
     assert dend.name == "dendriform"
